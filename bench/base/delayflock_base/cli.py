@@ -1,0 +1,195 @@
+"""Command-line entry points.
+
+Exit codes: 0 success, 2 scenario/validation error, 3 a certified run
+violated its own decay guarantee (a defect, not a user error).
+"""
+from __future__ import annotations
+
+import argparse
+import math
+import os
+import sys
+
+import numpy as np
+
+from . import analysis as an
+from . import harness
+from .digraph import Digraph, GraphError, compute_metrics
+from .interaction import AdmissibilityError
+
+EXIT_OK = 0
+EXIT_VALIDATION = 2
+EXIT_DEFECT = 3
+
+
+def _out_dir(args) -> str | None:
+    return args.out or os.environ.get(harness.OUTPUT_DIR_ENV)
+
+
+def _print_report(rep: harness.RunReport):
+    c = rep.certificate
+    if c is None:
+        print("certificate: n/a (degenerate graph)")
+    else:
+        print(f"certificate: verdict={c.verdict} regime={c.regime} "
+              f"D0={c.measured_D0:.6g} X0={c.measured_X0:.6g} "
+              f"rho={c.rho:.6g} threshold={c.threshold:.6g} delta={c.delta:.12g}")
+    print(f"final velocity spread: {rep.final_spread:.6g}")
+    if rep.time_to_tolerance is not None:
+        print(f"time to tolerance: {rep.time_to_tolerance:g}")
+    else:
+        print("time to tolerance: not reached")
+    print(f"window monotonicity: {'ok' if rep.monotonicity else 'VIOLATED'}")
+    if rep.decay is not None:
+        print(f"decay bound: {'ok' if rep.decay else 'VIOLATED'} "
+              f"(checked n=0..{rep.decay.n_checked - 1}, empirical rate "
+              f"{rep.decay.empirical_rate:.4g}, bound rate {rep.decay.bound_rate:.4g})")
+    if rep.positions_check is not None:
+        tag = " (vacuous)" if rep.positions_check.vacuous else ""
+        print(f"position bound: {'ok' if rep.positions_check else 'VIOLATED'} "
+              f"max distance {rep.positions_check.max_distance:.6g} "
+              f"<= {rep.positions_check.bound:.6g}{tag}")
+    for p in rep.csv_paths:
+        print(f"wrote {p}")
+
+
+def _defect_exit(rep: harness.RunReport) -> int:
+    if rep.decay is not None and not rep.decay:
+        return EXIT_DEFECT
+    if rep.positions_check is not None and not rep.positions_check:
+        return EXIT_DEFECT
+    return EXIT_OK
+
+
+def cmd_analyze_graph(args) -> int:
+    import json
+    with open(args.file) as f:
+        cfg = json.load(f)
+    gcfg = cfg.get("graph", cfg)
+    if gcfg.get("complete"):
+        g = Digraph.complete(gcfg["n"])
+    else:
+        g = Digraph.from_arc_list(gcfg["n"], [tuple(a) for a in gcfg["arcs"]],
+                                  one_based=True)
+    m = compute_metrics(g)
+    gamma = "inf" if math.isinf(m.gamma_g) else str(int(m.gamma_g))
+    roots = sorted(r + 1 for r in m.roots)
+    print(f"n_vertices={g.n_vertices}")
+    print(f"roots={roots} (1-based)")
+    print(f"gamma_g={gamma}")
+    print(f"n_infinity={m.n_infinity}")
+    return EXIT_OK
+
+
+def cmd_check_condition(args) -> int:
+    s = harness.load_scenario(args.scenario)
+    if s.model == "discrete":
+        cert = an.check_discrete(s.positions, s.velocities, s.graph, s.weight,
+                                 s.delay, s.h, rho=s.rho)
+    else:
+        cert = an.check_continuous(s.initial_history(), s.graph, s.weight,
+                                   s.delay, rho=s.rho)
+    for k, v in cert.as_dict().items():
+        print(f"{k}={v}")
+    return EXIT_OK
+
+
+def cmd_simulate(args) -> int:
+    s = harness.load_scenario(args.scenario)
+    if args.t_end is not None:
+        s = s.replace(t_end=args.t_end)
+    if args.dt is not None:
+        s = s.replace(dt=args.dt)
+    rep = harness.run(s, out_dir=_out_dir(args))
+    _print_report(rep)
+    return _defect_exit(rep)
+
+
+def cmd_reproduce(args) -> int:
+    s = harness.preset(args.preset)
+    rep = harness.run(s, out_dir=_out_dir(args))
+    _print_report(rep)
+    return _defect_exit(rep)
+
+
+def _parse_axis(cfg: str):
+    name, _, rng = cfg.partition("=")
+    try:
+        lo, hi, steps = rng.split(":")
+        lo, hi, steps = float(lo), float(hi), int(steps)
+    except ValueError:
+        raise harness.ScenarioError(
+            f"axis must look like name=min:max:steps, got {cfg!r}")
+    if steps < 1:
+        raise harness.ScenarioError(f"axis {name!r} needs at least one step")
+    values = [lo] if steps == 1 else list(np.linspace(lo, hi, steps))
+    return name, values
+
+
+def cmd_sweep(args) -> int:
+    s = harness.load_scenario(args.scenario)
+    axes = dict(_parse_axis(a) for a in args.axis)
+    out = _out_dir(args)
+    out_path = None
+    if out:
+        os.makedirs(out, exist_ok=True)
+        out_path = os.path.join(out, "sweep.csv")
+    reports = harness.sweep(s, axes, out_path=out_path, n_jobs=args.jobs)
+    bad = [r for r in reports
+           if r.decay is not None and not r.decay]
+    print(f"{len(reports)} points, "
+          f"{sum(1 for r in reports if r.certificate and r.certificate.guaranteed)} "
+          f"certified, {len(bad)} decay violations")
+    if out_path:
+        print(f"wrote {out_path}")
+    return EXIT_DEFECT if bad else EXIT_OK
+
+
+def build_parser() -> argparse.ArgumentParser:
+    p = argparse.ArgumentParser(
+        prog="delayflock",
+        description="Simulate and certify delayed velocity-alignment dynamics")
+    sub = p.add_subparsers(dest="command", required=True)
+
+    q = sub.add_parser("analyze-graph", help="graph constants of a topology file")
+    q.add_argument("file")
+    q.set_defaults(fn=cmd_analyze_graph)
+
+    q = sub.add_parser("check-condition", help="evaluate the flocking certificate")
+    q.add_argument("scenario")
+    q.set_defaults(fn=cmd_check_condition)
+
+    q = sub.add_parser("simulate", help="integrate a scenario and report")
+    q.add_argument("scenario")
+    q.add_argument("--t-end", type=float, default=None)
+    q.add_argument("--dt", type=float, default=None)
+    q.add_argument("--out", default=None)
+    q.set_defaults(fn=cmd_simulate)
+
+    q = sub.add_parser("reproduce", help="run a built-in experiment preset")
+    q.add_argument("preset", choices=list(harness.PRESET_NAMES))
+    q.add_argument("--out", default=None)
+    q.set_defaults(fn=cmd_reproduce)
+
+    q = sub.add_parser("sweep", help="grid of scenario variants")
+    q.add_argument("scenario")
+    q.add_argument("--axis", action="append", required=True,
+                   metavar="name=min:max:steps")
+    q.add_argument("--jobs", type=int, default=1)
+    q.add_argument("--out", default=None)
+    q.set_defaults(fn=cmd_sweep)
+    return p
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    try:
+        return args.fn(args)
+    except (harness.ScenarioError, GraphError, AdmissibilityError,
+            an.AnalysisError, FileNotFoundError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_VALIDATION
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,0 +1,469 @@
+"""Fixed-step RK4 integrator for the delayed alignment system.
+
+The system is integrated by the method of steps: delayed state lookups
+during stage evaluation read the already-committed solution through
+cubic Hermite interpolation (positions use velocities as slopes,
+velocities use the stored stage-1 derivatives).  Lookups that land in
+the pre-initial interval read the supplied history; lookups slightly
+ahead of the last fully-specified segment (delays smaller than the
+step) extrapolate that segment.
+
+Also provides the windowed velocity-spread diagnostics: per-component
+trailing-window extrema over [t - tau, t], their spread, and the
+initial delayed position spread over connected pairs.
+"""
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from .digraph import Digraph
+from .interaction import DelayProfile, WeightFunction
+
+
+class IntegrationError(RuntimeError):
+    """Integrator failure: bad step size, lookup out of range, blow-up."""
+
+
+@dataclass(frozen=True)
+class InitialHistory:
+    """Per-agent (x, v) data on [-tau, 0].
+
+    Constant histories store one snapshot; sampled histories carry
+    dense tables with linear interpolation (clamped at the ends).
+    """
+
+    tau: float
+    x0: np.ndarray                     # (N, d) value at t = 0
+    v0: np.ndarray
+    times: np.ndarray | None = None    # (K,) increasing, covering [-tau, 0]
+    xs: np.ndarray | None = None       # (K, N, d)
+    vs: np.ndarray | None = None
+
+    @classmethod
+    def constant(cls, x0, v0, tau: float) -> "InitialHistory":
+        x0 = np.atleast_2d(np.asarray(x0, dtype=float))
+        v0 = np.atleast_2d(np.asarray(v0, dtype=float))
+        if x0.shape != v0.shape:
+            raise ValueError("position and velocity tables must have equal shapes")
+        return cls(tau=float(tau), x0=x0, v0=v0)
+
+    @classmethod
+    def from_samples(cls, times, xs, vs) -> "InitialHistory":
+        times = np.asarray(times, dtype=float)
+        xs = np.asarray(xs, dtype=float)
+        vs = np.asarray(vs, dtype=float)
+        if times[-1] != 0.0:
+            raise ValueError("history samples must end at t = 0")
+        return cls(tau=float(-times[0]), x0=xs[-1], v0=vs[-1],
+                   times=times, xs=xs, vs=vs)
+
+    @property
+    def n_agents(self) -> int:
+        return self.x0.shape[0]
+
+    @property
+    def dim(self) -> int:
+        return self.x0.shape[1]
+
+    def eval(self, t: float) -> tuple[np.ndarray, np.ndarray]:
+        """State of all agents at t <= 0 (clamped below -tau)."""
+        if self.times is None:
+            return self.x0, self.v0
+        t = min(max(t, self.times[0]), 0.0)
+        k = int(np.clip(np.searchsorted(self.times, t, side="right") - 1,
+                        0, len(self.times) - 2))
+        t0, t1 = self.times[k], self.times[k + 1]
+        u = 0.0 if t1 == t0 else (t - t0) / (t1 - t0)
+        return ((1 - u) * self.xs[k] + u * self.xs[k + 1],
+                (1 - u) * self.vs[k] + u * self.vs[k + 1])
+
+    def velocity_slope(self, t: float) -> np.ndarray:
+        """d/dt of the history velocity (finite difference for tables)."""
+        if self.times is None:
+            return np.zeros_like(self.v0)
+        t = min(max(t, self.times[0]), 0.0)
+        k = int(np.clip(np.searchsorted(self.times, t, side="right") - 1,
+                        0, len(self.times) - 2))
+        dt = self.times[k + 1] - self.times[k]
+        return (self.vs[k + 1] - self.vs[k]) / dt
+
+
+@dataclass
+class Trajectory:
+    """Sampled solution on a uniform grid covering [-tau', t_end].
+
+    ``n_hist`` is the index of t = 0.  For continuous runs ``dvs``
+    holds velocity time-derivatives at the grid points so any interior
+    time can be resolved by cubic Hermite interpolation; discrete runs
+    leave it None and are sample-only.
+    """
+
+    times: np.ndarray        # (M,)
+    xs: np.ndarray           # (M, N, d)
+    vs: np.ndarray           # (M, N, d)
+    dt: float
+    n_hist: int
+    dvs: np.ndarray | None = None
+    # velocity slope at t=0 seen from the history side (the dynamics
+    # side lives in dvs[n_hist]; the derivative jumps there)
+    hist_end_slope: np.ndarray | None = None
+    discrete: bool = False
+
+    @property
+    def n_agents(self) -> int:
+        return self.xs.shape[1]
+
+    @property
+    def dim(self) -> int:
+        return self.xs.shape[2]
+
+    def index_of(self, t: float) -> int:
+        k = int(round((t - self.times[0]) / self.dt))
+        if not (0 <= k < len(self.times)) or abs(self.times[k] - t) > 1e-9 * max(1.0, abs(t)):
+            raise IntegrationError(f"time {t} not on the trajectory grid")
+        return k
+
+    def state_at(self, t: float) -> tuple[np.ndarray, np.ndarray]:
+        """Interpolated (x, v) of all agents at any covered time."""
+        if t < self.times[0] - 1e-12 or t > self.times[-1] + 1e-12:
+            raise IntegrationError(f"time {t} outside covered interval")
+        if self.dvs is None:
+            k = int(np.clip(np.searchsorted(self.times, t, side="right") - 1,
+                            0, len(self.times) - 2))
+            u = (t - self.times[k]) / self.dt
+            return ((1 - u) * self.xs[k] + u * self.xs[k + 1],
+                    (1 - u) * self.vs[k] + u * self.vs[k + 1])
+        n = self.n_agents
+        js = np.arange(n)
+        ss = np.full(n, float(t))
+        x = _hermite_gather(self.times, self.xs, self.vs, js, ss, len(self.times) - 1)
+        v = _hermite_gather(self.times, self.vs, self.dvs, js, ss, len(self.times) - 1,
+                            fix_idx=self.n_hist, fix_val=self.hist_end_slope)
+        return x, v
+
+
+def _hermite_gather(times, vals, slopes, j_e, s_e, hi,
+                    fix_idx=None, fix_val=None):
+    """Cubic Hermite evaluation of vals[:, j_e[k]] at times s_e[k].
+
+    ``hi`` is the last grid index whose slope is valid; later lookups
+    extrapolate the segment ending at hi.  The slope at ``fix_idx`` is
+    two-valued (the derivative jumps where prescribed history meets the
+    dynamics): ``fix_val`` replaces it when the index is the right
+    endpoint of the queried segment.
+    """
+    seg = np.searchsorted(times[:hi + 1], s_e, side="right") - 1
+    seg = np.clip(seg, 0, hi - 1)
+    t0 = times[seg]
+    h = times[seg + 1] - t0
+    u = (s_e - t0) / h
+    u2 = u * u
+    u3 = u2 * u
+    h00 = 2 * u3 - 3 * u2 + 1
+    h10 = u3 - 2 * u2 + u
+    h01 = -2 * u3 + 3 * u2
+    h11 = u3 - u2
+    p0 = vals[seg, j_e]
+    p1 = vals[seg + 1, j_e]
+    m0 = slopes[seg, j_e]
+    m1 = slopes[seg + 1, j_e]
+    if fix_idx is not None:
+        at_fix = seg + 1 == fix_idx
+        if np.any(at_fix):
+            m1 = np.where(at_fix[:, None], fix_val[j_e], m1)
+    hc = h[:, None]
+    return (h00[:, None] * p0 + h10[:, None] * hc * m0
+            + h01[:, None] * p1 + h11[:, None] * hc * m1)
+
+
+def rhs(t, x, v, lookup, g: Digraph, w: WeightFunction, p: DelayProfile):
+    """Instantaneous derivative of the delayed alignment system.
+
+    ``lookup(j, s)`` must return (x_j, v_j) for any s in [t - tau, t];
+    a zero delay on an edge uses the supplied current state directly.
+    Returns (dx, dv) with dx = v.
+    """
+    x = np.asarray(x, dtype=float)
+    v = np.asarray(v, dtype=float)
+    n, d = x.shape
+    dv = np.zeros_like(v)
+    for i in range(n):
+        for j in np.flatnonzero(g.arcs[i]):
+            tau_ij = p(i, int(j), t)
+            if tau_ij == 0.0:
+                xj, vj = x[j], v[j]
+            else:
+                xj, vj = lookup(int(j), t - tau_ij)
+            r = float(np.linalg.norm(xj - x[i]))
+            dv[i] += w(r) * (vj - v[i])
+    return v.copy(), dv
+
+
+def _edge_list(g: Digraph):
+    ei, ej = np.nonzero(g.arcs)
+    return ei, ej
+
+
+def integrate(history: InitialHistory, g: Digraph, w: WeightFunction,
+              p: DelayProfile, t_end: float, dt: float = 0.01,
+              blowup_factor: float = 1e6) -> Trajectory:
+    """RK4 with interpolated history lookback (method of steps).
+
+    Returns a Trajectory covering [-n_hist*dt, t_end] where n_hist*dt
+    is tau rounded up to a whole number of steps (the extra reach is
+    filled by the clamped history and never queried by the dynamics).
+    """
+    if dt <= 0:
+        raise IntegrationError(f"step size must be positive, got {dt}")
+    if t_end <= 0:
+        raise IntegrationError(f"horizon must be positive, got {t_end}")
+    n, d = history.n_agents, history.dim
+    if g.n_vertices != n:
+        raise IntegrationError(
+            f"graph has {g.n_vertices} vertices but history has {n} agents")
+    tau = max(history.tau, p.tau_max)
+    n_hist = int(math.ceil(tau / dt - 1e-12)) if tau > 0 else 0
+    n_steps = int(math.ceil(t_end / dt - 1e-12))
+    M = n_hist + n_steps + 1
+    times = (np.arange(M) - n_hist) * dt
+    xs = np.empty((M, n, d))
+    vs = np.empty((M, n, d))
+    dvs = np.zeros((M, n, d))
+    for k in range(n_hist + 1):
+        xs[k], vs[k] = history.eval(times[k])
+        dvs[k] = history.velocity_slope(times[k])
+
+    ei, ej = _edge_list(g)
+    n_edges = len(ei)
+    hist_end_slope = history.velocity_slope(0.0)
+    v_scale = max(float(np.abs(vs[: n_hist + 1]).max()), 1e-300)
+    guard = blowup_factor * max(v_scale, 1.0)
+    constant_delay = p.kind in ("zero", "constant")
+    if constant_delay:
+        tau_e_fixed = np.array([p(int(i), int(j), 0.0) for i, j in zip(ei, ej)])
+
+    def stage_rhs(t_stage, x_stage, v_stage, hi):
+        # hi: last grid index with a valid velocity slope
+        dv = np.zeros((n, d))
+        if n_edges == 0:
+            return v_stage, dv
+        tau_e = tau_e_fixed if constant_delay else np.array(
+            [p(int(i), int(j), t_stage) for i, j in zip(ei, ej)])
+        s_e = t_stage - tau_e
+        xd = np.empty((n_edges, d))
+        vd = np.empty((n_edges, d))
+        now = tau_e == 0.0
+        if np.any(now):
+            xd[now] = x_stage[ej[now]]
+            vd[now] = v_stage[ej[now]]
+        past = ~now
+        if np.any(past):
+            jp, sp = ej[past], s_e[past]
+            xd[past] = _hermite_gather(times, xs, vs, jp, sp, hi)
+            vd[past] = _hermite_gather(times, vs, dvs, jp, sp, hi,
+                                       fix_idx=n_hist, fix_val=hist_end_slope)
+        r = np.linalg.norm(xd - x_stage[ei], axis=1)
+        coef = np.asarray(w(r))[:, None] * (vd - v_stage[ei])
+        np.add.at(dv, ei, coef)
+        return v_stage, dv
+
+    idx = n_hist
+    for _ in range(n_steps):
+        t = times[idx]
+        x, v = xs[idx], vs[idx]
+        # stage 1 may not use the segment ending at idx (its slope is
+        # what we are computing); delays shorter than dt extrapolate
+        # the previous segment
+        k1x, k1v = stage_rhs(t, x, v, max(idx - 1, 1))
+        dvs[idx] = k1v
+        k2x, k2v = stage_rhs(t + dt / 2, x + dt / 2 * k1x, v + dt / 2 * k1v, idx)
+        k3x, k3v = stage_rhs(t + dt / 2, x + dt / 2 * k2x, v + dt / 2 * k2v, idx)
+        k4x, k4v = stage_rhs(t + dt, x + dt * k3x, v + dt * k3v, idx)
+        xs[idx + 1] = x + dt / 6 * (k1x + 2 * k2x + 2 * k3x + k4x)
+        vs[idx + 1] = v + dt / 6 * (k1v + 2 * k2v + 2 * k3v + k4v)
+        idx += 1
+        if not np.all(np.isfinite(vs[idx])) or np.abs(vs[idx]).max() > guard:
+            raise IntegrationError(f"solution blew up at t = {times[idx]:g}")
+    # final slope so dense output covers the last segment
+    _, dvs[idx] = stage_rhs(times[idx], xs[idx], vs[idx], idx - 1)
+    return Trajectory(times=times, xs=xs, vs=vs, dt=dt, n_hist=n_hist, dvs=dvs,
+                      hist_end_slope=hist_end_slope)
+
+
+@dataclass
+class DiameterSeries:
+    """Trailing-window velocity extrema and spreads along a run.
+
+    vbar/vund are (Q, d) per-component window max/min; spread_k their
+    difference; spread the max over components.  x_spread0 is the
+    initial delayed position spread over connected pairs.
+    """
+
+    times: np.ndarray
+    vbar: np.ndarray
+    vund: np.ndarray
+    spread_k: np.ndarray
+    spread: np.ndarray
+    x_spread0: float
+
+    def at(self, t: float) -> float:
+        k = int(round((t - self.times[0]) / (self.times[1] - self.times[0])))
+        if not (0 <= k < len(self.times)):
+            raise IndexError(f"time {t} outside diameter series")
+        return float(self.spread[k])
+
+
+def _segment_extrema(vals, slopes, dt, fix_idx=None, fix_val=None):
+    """Per-segment min/max of the Hermite cubics, including interior
+    critical points.  vals, slopes: (M, N, d).  Returns (M-1, N, d).
+
+    fix_idx/fix_val override the right-endpoint slope of the segment
+    ending at fix_idx (derivative jump between history and dynamics).
+    """
+    p0, p1 = vals[:-1], vals[1:]
+    m0, m1 = slopes[:-1] * dt, slopes[1:] * dt
+    if fix_idx is not None and fix_idx >= 1:
+        m1 = m1.copy()
+        m1[fix_idx - 1] = fix_val * dt
+    # cubic in u on [0,1]: H(u); derivative is a quadratic a u^2 + b u + c
+    a = 6 * p0 - 6 * p1 + 3 * m0 + 3 * m1
+    b = -6 * p0 + 6 * p1 - 4 * m0 - 2 * m1
+    c = m0
+    lo = np.minimum(p0, p1)
+    hi = np.maximum(p0, p1)
+    disc = b * b - 4 * a * c
+    mask = disc > 0
+    if np.any(mask):
+        sq = np.sqrt(np.where(mask, disc, 0.0))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for sign in (-1.0, 1.0):
+                u = np.where(np.abs(a) > 1e-300, (-b + sign * sq) / (2 * a),
+                             np.where(np.abs(b) > 1e-300, -c / b, -1.0))
+                ok = mask & (u > 0) & (u < 1)
+                if np.any(ok):
+                    u2 = u * u
+                    u3 = u2 * u
+                    val = ((2 * u3 - 3 * u2 + 1) * p0 + (u3 - 2 * u2 + u) * m0
+                           + (-2 * u3 + 3 * u2) * p1 + (u3 - u2) * m1)
+                    lo = np.where(ok, np.minimum(lo, val), lo)
+                    hi = np.where(ok, np.maximum(hi, val), hi)
+    return lo, hi
+
+
+def _trailing_extreme(arr, win, reduce_fn):
+    """reduce over the trailing window of length win+1 along axis 0."""
+    if win == 0:
+        return arr.copy()
+    from numpy.lib.stride_tricks import sliding_window_view
+    pad = np.repeat(arr[:1], win, axis=0)
+    padded = np.concatenate([pad, arr], axis=0)
+    sw = sliding_window_view(padded, win + 1, axis=0)
+    return reduce_fn(sw, axis=-1)
+
+
+def x_spread_initial(history: InitialHistory, g: Digraph,
+                     n_samples: int = 64) -> float:
+    """Max over arcs (j -> i) of ||x_i(0) - x_j(s)||, s in [-tau, 0]."""
+    ei, ej = _edge_list(g)
+    if len(ei) == 0:
+        return 0.0
+    x_now = history.x0
+    best = 0.0
+    if history.times is None:
+        sample_ts = [0.0]
+    else:
+        sample_ts = np.union1d(history.times,
+                               np.linspace(-history.tau, 0.0, n_samples))
+    for s in sample_ts:
+        x_s, _ = history.eval(float(s))
+        diff = x_now[ei] - x_s[ej]
+        best = max(best, float(np.linalg.norm(diff, axis=1).max()))
+    return best
+
+
+def diameters(traj: Trajectory, tau: float, history: InitialHistory | None = None,
+              g: Digraph | None = None) -> DiameterSeries:
+    """Windowed velocity extrema along a trajectory.
+
+    The window [t - tau, t] is evaluated for every grid time t >= 0
+    from the grid samples plus the analytic interior extrema of each
+    Hermite segment (sample-only for discrete runs).  x_spread0 needs
+    the history and graph; it is 0 when they are omitted.
+    """
+    win = int(round(tau / traj.dt))
+    if win * traj.dt < tau - 1e-9 * max(tau, 1.0):
+        win += 1
+    if win > traj.n_hist:
+        raise IntegrationError("window reaches before the trajectory start")
+    vs = traj.vs
+    g_max = vs.max(axis=1)   # (M, d) over agents
+    g_min = vs.min(axis=1)
+    if traj.dvs is not None and win > 0:
+        # attach segment [t_k, t_k+1] extrema to the right grid index so
+        # a trailing window ending at t_q never sees values past t_q;
+        # the window's left edge overreaches by at most one segment,
+        # which only widens the window and preserves monotonicity
+        lo, hi = _segment_extrema(vs, traj.dvs, traj.dt,
+                                  fix_idx=traj.n_hist,
+                                  fix_val=traj.hist_end_slope)
+        g_max[1:] = np.maximum(g_max[1:], hi.max(axis=1))
+        g_min[1:] = np.minimum(g_min[1:], lo.min(axis=1))
+    vbar_all = _trailing_extreme(g_max, win, np.max)
+    vund_all = _trailing_extreme(g_min, win, np.min)
+    q0 = traj.n_hist
+    times = traj.times[q0:]
+    vbar = vbar_all[q0:]
+    vund = vund_all[q0:]
+    spread_k = vbar - vund
+    spread = spread_k.max(axis=1)
+    x0 = 0.0
+    if history is not None and g is not None:
+        x0 = x_spread_initial(history, g)
+    return DiameterSeries(times=times, vbar=vbar, vund=vund,
+                          spread_k=spread_k, spread=spread, x_spread0=x0)
+
+
+@dataclass(frozen=True)
+class MonotonicityReport:
+    passed: bool
+    violations: tuple = ()
+    max_increase: float = 0.0
+    worst_time: float | None = None
+
+    def __bool__(self):
+        return self.passed
+
+
+def check_monotone_diameter(series: DiameterSeries, tol: float) -> MonotonicityReport:
+    """Flag any window-extremum moving the wrong way by more than tol.
+
+    Checks vbar nonincreasing, vund nondecreasing, and both the
+    per-component and overall spread nonincreasing, reporting the
+    offending grid index and component.
+    """
+    violations = []
+    max_inc = 0.0
+    worst_time = None
+    dv_up = np.diff(series.vbar, axis=0)
+    dv_dn = np.diff(series.vund, axis=0)
+    dk = np.diff(series.spread_k, axis=0)
+    ds = np.diff(series.spread)[:, None]
+    for name, arr, bad in (("vbar-increase", dv_up, dv_up > tol),
+                           ("vund-decrease", dv_dn, dv_dn < -tol),
+                           ("spread-increase", dk, dk > tol),
+                           ("overall-spread-increase", ds, ds > tol)):
+        idx = np.argwhere(bad)
+        for q, k in idx[:10]:
+            violations.append((name, int(q), int(k), float(arr[q, k])))
+        if idx.size:
+            drift = np.abs(arr[bad]).max()
+            if drift > max_inc:
+                max_inc = float(drift)
+                q = int(idx[np.abs(arr[bad]).argmax(), 0])
+                worst_time = float(series.times[q + 1])
+    return MonotonicityReport(passed=not violations,
+                              violations=tuple(violations),
+                              max_increase=max_inc, worst_time=worst_time)

@@ -1,0 +1,148 @@
+"""Forward-Euler recursion with integer-valued delays.
+
+One step advances positions by h * v and relaxes each velocity toward
+the delayed velocities of its in-neighbors.  The step size is gated by
+0 < kappa * h < 1 / n_infinity, which makes every update a convex
+combination of buffered values; violating it voids every guarantee
+downstream, so the gate is a constructor error unless explicitly
+overridden for exploration.
+"""
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from .dde import DiameterSeries, Trajectory, _trailing_extreme
+from .digraph import Digraph, compute_metrics
+from .interaction import DelayProfile, WeightFunction
+
+
+class StabilityGateError(ValueError):
+    """kappa * h outside (0, 1/n_infinity)."""
+
+
+@dataclass
+class DiscreteState:
+    """Rolling window of the last tau+1 snapshots plus the step index.
+
+    buffer_x[k], buffer_v[k] hold the state at step t - tau + k, so the
+    final slot is the current state.
+    """
+
+    t: int
+    h: float
+    tau: int
+    buffer_x: np.ndarray      # (tau+1, N, d)
+    buffer_v: np.ndarray
+
+    @property
+    def x(self) -> np.ndarray:
+        return self.buffer_x[-1]
+
+    @property
+    def v(self) -> np.ndarray:
+        return self.buffer_v[-1]
+
+    def delayed(self, j: int, lag: int) -> tuple[np.ndarray, np.ndarray]:
+        """State of agent j at step t - lag, 0 <= lag <= tau."""
+        if not (0 <= lag <= self.tau):
+            raise IndexError(f"lag {lag} outside buffer depth {self.tau}")
+        k = self.tau - lag
+        return self.buffer_x[k, j], self.buffer_v[k, j]
+
+
+def check_gate(kappa: float, h: float, n_infinity: int, unsafe: bool = False):
+    if h <= 0:
+        raise StabilityGateError(f"step size must be positive, got {h}")
+    if n_infinity > 0 and kappa * h >= 1.0 / n_infinity and not unsafe:
+        raise StabilityGateError(
+            f"kappa*h = {kappa * h:g} must be below 1/n_infinity = "
+            f"{1.0 / n_infinity:g}; pass unsafe_h=True to explore anyway")
+
+
+def initial_state(x0, v0, h: float, tau: int, history_x=None,
+                  history_v=None) -> DiscreteState:
+    """Buffered start state.
+
+    Negative steps default to the constant extension of (x0, v0);
+    explicit per-step tables (tau+1 snapshots, oldest first) override.
+    """
+    x0 = np.atleast_2d(np.asarray(x0, dtype=float))
+    v0 = np.atleast_2d(np.asarray(v0, dtype=float))
+    if history_x is None:
+        bx = np.repeat(x0[None], tau + 1, axis=0)
+        bv = np.repeat(v0[None], tau + 1, axis=0)
+    else:
+        bx = np.asarray(history_x, dtype=float).copy()
+        bv = np.asarray(history_v, dtype=float).copy()
+        if bx.shape != (tau + 1,) + x0.shape:
+            raise ValueError(f"history tables must have shape {(tau + 1,) + x0.shape}")
+    return DiscreteState(t=0, h=h, tau=tau, buffer_x=bx, buffer_v=bv)
+
+
+def step(s: DiscreteState, g: Digraph, w: WeightFunction, p: DelayProfile,
+         unsafe_h: bool = False) -> DiscreteState:
+    """One Euler update; returns a new state with the buffer rotated."""
+    metrics = compute_metrics(g)
+    check_gate(w.effective_kappa, s.h, metrics.n_infinity, unsafe=unsafe_h)
+    x, v = _advance(s, g, w, p)
+    bx = np.concatenate([s.buffer_x[1:], x[None]], axis=0)
+    bv = np.concatenate([s.buffer_v[1:], v[None]], axis=0)
+    return DiscreteState(t=s.t + 1, h=s.h, tau=s.tau, buffer_x=bx, buffer_v=bv)
+
+
+def _advance(s: DiscreteState, g: Digraph, w: WeightFunction, p: DelayProfile):
+    x, v = s.x, s.v
+    dv = np.zeros_like(v)
+    for i in range(g.n_vertices):
+        for j in np.flatnonzero(g.arcs[i]):
+            lag = p.integer_delay(i, int(j), s.t)
+            xj, vj = s.delayed(int(j), lag)
+            r = float(np.linalg.norm(xj - x[i]))
+            dv[i] += w(r) * (vj - v[i])
+    return x + s.h * v, v + s.h * dv
+
+
+def simulate_discrete(x0, v0, g: Digraph, w: WeightFunction, p: DelayProfile,
+                      t_end: int, h: float, history_x=None, history_v=None,
+                      unsafe_h: bool = False) -> Trajectory:
+    """Run the recursion for t_end steps; returns a sample-only
+    Trajectory on the integer step grid {-tau, ..., t_end}."""
+    if t_end < 0:
+        raise ValueError(f"t_end must be nonnegative, got {t_end}")
+    metrics = compute_metrics(g)
+    check_gate(w.effective_kappa, h, metrics.n_infinity, unsafe=unsafe_h)
+    tau = p.integer_tau_max
+    s = initial_state(x0, v0, h, tau, history_x, history_v)
+    n, d = s.x.shape
+    M = tau + t_end + 1
+    times = np.arange(-tau, t_end + 1, dtype=float)
+    xs = np.empty((M, n, d))
+    vs = np.empty((M, n, d))
+    xs[: tau + 1] = s.buffer_x
+    vs[: tau + 1] = s.buffer_v
+    for k in range(t_end):
+        x, v = _advance(s, g, w, p)
+        s.buffer_x = np.concatenate([s.buffer_x[1:], x[None]], axis=0)
+        s.buffer_v = np.concatenate([s.buffer_v[1:], v[None]], axis=0)
+        s.t += 1
+        xs[tau + 1 + k] = x
+        vs[tau + 1 + k] = v
+    return Trajectory(times=times, xs=xs, vs=vs, dt=1.0, n_hist=tau,
+                      discrete=True)
+
+
+def discrete_diameters(traj: Trajectory, tau: int) -> DiameterSeries:
+    """Window extrema over the last tau+1 steps, per component."""
+    if not traj.discrete:
+        raise ValueError("expected a discrete trajectory")
+    vs = traj.vs
+    g_max = vs.max(axis=1)
+    g_min = vs.min(axis=1)
+    vbar = _trailing_extreme(g_max, tau, np.max)[traj.n_hist:]
+    vund = _trailing_extreme(g_min, tau, np.min)[traj.n_hist:]
+    spread_k = vbar - vund
+    return DiameterSeries(times=traj.times[traj.n_hist:], vbar=vbar, vund=vund,
+                          spread_k=spread_k, spread=spread_k.max(axis=1),
+                          x_spread0=0.0)

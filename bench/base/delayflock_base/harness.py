@@ -1,0 +1,389 @@
+"""Scenario configuration, reference-experiment presets, and reporting.
+
+A Scenario bundles graph, weight, delays, initial data, and run
+controls; ``run`` executes the certificate check, the matching
+simulation, the window diagnostics, and (for certified runs) the decay
+and position-bound verifications, emitting CSVs on request.  ``sweep``
+evaluates a grid of scenario variants and writes one row per point.
+
+Presets ``fig2-*`` .. ``fig5-*`` reproduce the four published
+experiments: four agents in the plane on a small digraph (arcs 1->2,
+2->3, 3->1, 3->4) or all-to-all, unit delay on every edge, and initial
+velocities scaled to sit on, under, or far above the flocking
+threshold.
+"""
+from __future__ import annotations
+
+import dataclasses
+import itertools
+import json
+import math
+import os
+import warnings
+from dataclasses import dataclass
+
+import numpy as np
+
+from . import analysis as an
+from .dde import InitialHistory, Trajectory, check_monotone_diameter, diameters, integrate
+from .digraph import Digraph, GraphError
+from .discrete import discrete_diameters, simulate_discrete
+from .interaction import AdmissibilityError, DelayProfile, WeightFunction, verify_admissible
+
+CSV_HEADER = "# delayflock-csv v1"
+OUTPUT_DIR_ENV = "DELAYFLOCK_OUT"
+
+BASE_POSITIONS = [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]
+BASE_VELOCITIES = [[1.0, -2.0], [3.0, -4.0], [5.0, 6.0], [-7.0, -8.0]]
+FIG_DIGRAPH_ARCS = [(1, 2), (2, 3), (3, 1), (3, 4)]   # (sender, receiver), 1-based
+FIG2_SCALE = math.exp(-10) / (672 * math.sqrt(2))
+FIG4_SCALE = math.exp(-10) / (7056 * math.sqrt(2))
+
+PRESET_NAMES = tuple(f"fig{k}-{v}" for k in (2, 3, 4, 5)
+                     for v in ("digraph", "complete"))
+
+
+class ScenarioError(ValueError):
+    """Scenario file failed parsing or validation."""
+
+
+@dataclass(frozen=True)
+class Scenario:
+    name: str
+    model: str                      # "continuous" | "discrete"
+    graph: Digraph
+    weight: WeightFunction
+    delay: DelayProfile
+    positions: np.ndarray           # (N, d)
+    velocities: np.ndarray          # (N, d)
+    history: InitialHistory | None = None   # overrides constant history
+    dt: float = 0.01
+    h: float = 0.05
+    t_end: float = 50.0
+    rho: float | None = None
+    flock_tol: float = 1e-6
+    seed: int = 0
+    unsafe_h: bool = False
+
+    def replace(self, **kw) -> "Scenario":
+        return dataclasses.replace(self, **kw)
+
+    def initial_history(self) -> InitialHistory:
+        if self.history is not None:
+            return self.history
+        return InitialHistory.constant(self.positions, self.velocities,
+                                       tau=self.delay.tau_max)
+
+
+@dataclass
+class RunReport:
+    scenario: Scenario
+    certificate: an.FlockingCertificate | None
+    trajectory: Trajectory
+    diameter_series: object
+    final_spread: float
+    time_to_tolerance: float | None
+    monotonicity: object
+    decay: an.DecayReport | None
+    positions_check: an.PositionBoundReport | None
+    csv_paths: tuple = ()
+
+    @property
+    def flocked(self) -> bool:
+        return self.time_to_tolerance is not None
+
+
+def _build_weight(cfg: dict) -> WeightFunction:
+    kind = cfg.get("type", "cucker-smale")
+    if kind == "tabulated-custom":
+        return WeightFunction(kind="tabulated", kappa=cfg["kappa"],
+                              table_r=np.asarray(cfg["r"], dtype=float),
+                              table_v=np.asarray(cfg["values"], dtype=float))
+    return WeightFunction(kind=kind, kappa=cfg.get("kappa", 1.0),
+                          beta=cfg.get("beta", 0.0),
+                          normalize_by=cfg.get("normalize_by"))
+
+
+def _build_delay(cfg: dict, integer_valued: bool = False) -> DelayProfile:
+    kind = cfg.get("type", "zero")
+    tau = cfg.get("tau", 0.0)
+    common = dict(tau_max=tau, integer_valued=integer_valued or cfg.get("integer", False))
+    if kind == "zero":
+        return DelayProfile(kind="zero", tau_max=0.0,
+                            integer_valued=common["integer_valued"])
+    if kind == "constant":
+        return DelayProfile(kind="constant", value=cfg.get("value", tau), **common)
+    if kind == "sinusoidal":
+        return DelayProfile(kind="sinusoidal", mean=cfg.get("mean", tau / 2),
+                            amplitude=cfg.get("amplitude", tau / 2),
+                            period=cfg.get("period", 1.0), **common)
+    if kind == "piecewise-random":
+        return DelayProfile(kind="piecewise-random", seed=cfg.get("seed", 0),
+                            hold=cfg.get("hold", 1.0), low=cfg.get("low", 0.0),
+                            high=cfg.get("high", tau), **common)
+    raise ScenarioError(f"unknown delay type {kind!r}")
+
+
+def load_scenario(path: str) -> Scenario:
+    """Parse and fully validate a JSON scenario file."""
+    try:
+        with open(path) as f:
+            raw = json.load(f)
+    except json.JSONDecodeError as e:
+        raise ScenarioError(f"{path}:{e.lineno}: {e.msg}") from e
+    return scenario_from_dict(raw, name=os.path.basename(path))
+
+
+def scenario_from_dict(raw: dict, name: str = "scenario") -> Scenario:
+    try:
+        gcfg = raw["graph"]
+        if gcfg.get("complete"):
+            graph = Digraph.complete(gcfg["n"])
+        else:
+            graph = Digraph.from_arc_list(
+                gcfg["n"], [tuple(a) for a in gcfg["arcs"]], one_based=True)
+        model = raw.get("model", "continuous")
+        if model not in ("continuous", "discrete"):
+            raise ScenarioError(f"model must be continuous or discrete, got {model!r}")
+        weight = _build_weight(raw.get("weight", {}))
+        delay = _build_delay(raw.get("delay", {}), integer_valued=(model == "discrete"))
+        positions = np.asarray(raw["positions"], dtype=float)
+        velocities = np.asarray(raw["velocities"], dtype=float)
+        scale = raw.get("velocity_scale")
+        if scale is not None:
+            velocities = velocities * float(scale)
+    except KeyError as e:
+        raise ScenarioError(f"missing scenario key {e.args[0]!r}") from e
+    except (GraphError, AdmissibilityError) as e:
+        raise ScenarioError(str(e)) from e
+    s = Scenario(name=name, model=model, graph=graph, weight=weight, delay=delay,
+                 positions=positions, velocities=velocities,
+                 dt=raw.get("dt", 0.01), h=raw.get("h", 0.05),
+                 t_end=raw.get("t_end", 50.0), rho=raw.get("rho"),
+                 flock_tol=raw.get("flock_tol", 1e-6), seed=raw.get("seed", 0),
+                 unsafe_h=raw.get("unsafe_h", False))
+    validate_scenario(s)
+    return s
+
+
+def validate_scenario(s: Scenario):
+    n = s.graph.n_vertices
+    if s.positions.ndim != 2 or s.positions.shape[0] != n:
+        raise ScenarioError(
+            f"positions table must be {n} x d, got shape {s.positions.shape}")
+    if s.velocities.shape != s.positions.shape:
+        raise ScenarioError(
+            f"velocities table must match positions shape {s.positions.shape}, "
+            f"got {s.velocities.shape}")
+    rep = verify_admissible(s.weight)
+    if not rep:
+        raise ScenarioError(f"weight is not admissible: {rep.violations[0]}")
+    if s.history is not None and s.history.tau + 1e-12 < s.delay.tau_max:
+        raise ScenarioError(
+            f"history covers only [-{s.history.tau}, 0] but delays reach "
+            f"{s.delay.tau_max}")
+    if s.model == "continuous" and not s.delay.continuous_in_t:
+        warnings.warn("discontinuous delay profile used with the continuous "
+                      "integrator; accuracy near jumps is degraded",
+                      stacklevel=2)
+    if s.model == "discrete" and not s.delay.integer_valued:
+        raise ScenarioError("discrete model needs an integer-valued delay profile")
+
+
+def preset(name: str) -> Scenario:
+    """Reference experiment configurations (continuous model).
+
+    fig2: velocities scaled onto the certified threshold, beta = 1/4.
+    fig3: same data unscaled (condition violated, still flocks).
+    fig4: velocities scaled under the short-range bound, beta = 17/32.
+    fig5: unscaled, beta = 17/32 (no mono-cluster flocking).
+    Suffix -digraph uses the four-agent chain-with-branch topology,
+    -complete the all-to-all network.
+    """
+    if name not in PRESET_NAMES:
+        raise ScenarioError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
+    fig, variant = name.split("-")
+    beta = 0.25 if fig in ("fig2", "fig3") else 17.0 / 32.0
+    scale = {"fig2": FIG2_SCALE, "fig3": 1.0,
+             "fig4": FIG4_SCALE, "fig5": 1.0}[fig]
+    t_end = 20.0 if fig == "fig5" else 50.0
+    if variant == "complete":
+        graph = Digraph.complete(4)
+    else:
+        graph = Digraph.from_arc_list(4, FIG_DIGRAPH_ARCS, one_based=True)
+    weight = WeightFunction(kind="cucker-smale", kappa=1.0, beta=beta)
+    delay = DelayProfile.constant(1.0)
+    velocities = np.asarray(BASE_VELOCITIES) * scale
+    return Scenario(name=name, model="continuous", graph=graph, weight=weight,
+                    delay=delay, positions=np.asarray(BASE_POSITIONS),
+                    velocities=velocities, dt=0.01, t_end=t_end)
+
+
+def _fmt(x) -> str:
+    if isinstance(x, float):
+        return format(x, ".17g")
+    return str(x)
+
+
+def write_trajectory_csv(traj: Trajectory, path: str):
+    d = traj.dim
+    cols = (["t", "agent"] + [f"x{k + 1}" for k in range(d)]
+            + [f"v{k + 1}" for k in range(d)])
+    with open(path, "w") as f:
+        f.write(CSV_HEADER + "\n")
+        f.write(",".join(cols) + "\n")
+        for m, t in enumerate(traj.times):
+            for i in range(traj.n_agents):
+                row = [_fmt(float(t)), str(i)]
+                row += [_fmt(float(v)) for v in traj.xs[m, i]]
+                row += [_fmt(float(v)) for v in traj.vs[m, i]]
+                f.write(",".join(row) + "\n")
+
+
+def write_diameters_csv(series, path: str):
+    d = series.vbar.shape[1]
+    cols = (["t", "D"] + [f"D{k + 1}" for k in range(d)]
+            + [f"vbar{k + 1}" for k in range(d)] + [f"vund{k + 1}" for k in range(d)])
+    with open(path, "w") as f:
+        f.write(CSV_HEADER + "\n")
+        f.write(",".join(cols) + "\n")
+        for q, t in enumerate(series.times):
+            row = [_fmt(float(t)), _fmt(float(series.spread[q]))]
+            row += [_fmt(float(v)) for v in series.spread_k[q]]
+            row += [_fmt(float(v)) for v in series.vbar[q]]
+            row += [_fmt(float(v)) for v in series.vund[q]]
+            f.write(",".join(row) + "\n")
+
+
+def write_certificate(cert: an.FlockingCertificate, path: str):
+    with open(path, "w") as f:
+        for k, v in cert.as_dict().items():
+            f.write(f"{k}={_fmt(v)}\n")
+
+
+def run(s: Scenario, out_dir: str | None = None) -> RunReport:
+    """Certificate check, simulation, diagnostics, optional CSV export."""
+    history = s.initial_history()
+    cert = None
+    try:
+        if s.model == "discrete":
+            cert = an.check_discrete(s.positions, s.velocities, s.graph, s.weight,
+                                     s.delay, s.h, rho=s.rho)
+        else:
+            cert = an.check_continuous(history, s.graph, s.weight, s.delay,
+                                       rho=s.rho)
+    except an.AnalysisError:
+        cert = None   # degenerate graph (no spanning tree / single agent)
+
+    if s.model == "discrete":
+        traj = simulate_discrete(s.positions, s.velocities, s.graph, s.weight,
+                                 s.delay, t_end=int(s.t_end), h=s.h,
+                                 unsafe_h=s.unsafe_h)
+        series = discrete_diameters(traj, s.delay.integer_tau_max)
+        mono_tol = 1e-9 * max(float(series.spread[0]), 1e-300)
+    else:
+        traj = integrate(history, s.graph, s.weight, s.delay,
+                         t_end=s.t_end, dt=s.dt)
+        series = diameters(traj, s.delay.tau_max, history=history, g=s.graph)
+        mono_tol = 1e-6 * max(float(series.spread[0]), 1e-300)
+
+    mono = check_monotone_diameter(series, tol=mono_tol)
+    decay = None
+    pos_check = None
+    if cert is not None and cert.guaranteed:
+        decay = an.verify_decay(series, cert)
+        pos_check = an.position_bound(traj, cert)
+    below = np.flatnonzero(series.spread < s.flock_tol)
+    ttt = float(series.times[below[0]]) if below.size else None
+    paths = []
+    if out_dir is not None:
+        os.makedirs(out_dir, exist_ok=True)
+        base = os.path.join(out_dir, s.name.replace(os.sep, "_"))
+        write_trajectory_csv(traj, base + "_trajectory.csv")
+        write_diameters_csv(series, base + "_diameters.csv")
+        paths = [base + "_trajectory.csv", base + "_diameters.csv"]
+        if cert is not None:
+            write_certificate(cert, base + "_certificate.txt")
+            paths.append(base + "_certificate.txt")
+    return RunReport(scenario=s, certificate=cert, trajectory=traj,
+                     diameter_series=series,
+                     final_spread=float(series.spread[-1]),
+                     time_to_tolerance=ttt, monotonicity=mono, decay=decay,
+                     positions_check=pos_check, csv_paths=tuple(paths))
+
+
+SWEEP_AXES = ("beta", "tau", "kappa", "h", "scale")
+
+
+def _apply_axis(s: Scenario, axis: str, value: float) -> Scenario:
+    if axis == "beta":
+        return s.replace(weight=dataclasses.replace(s.weight, beta=float(value)))
+    if axis == "kappa":
+        return s.replace(weight=dataclasses.replace(s.weight, kappa=float(value)))
+    if axis == "tau":
+        return s.replace(delay=DelayProfile.constant(float(value)))
+    if axis == "h":
+        return s.replace(h=float(value))
+    if axis == "scale":
+        return s.replace(velocities=s.velocities * float(value))
+    raise ScenarioError(f"unknown sweep axis {axis!r}; valid: {SWEEP_AXES}")
+
+
+def _sweep_point(args):
+    template, names, values = args
+    s = template
+    for axis, val in zip(names, values):
+        s = _apply_axis(s, axis, val)
+    s = s.replace(name=template.name + "@" + ",".join(
+        f"{a}={_fmt(float(v))}" for a, v in zip(names, values)))
+    return run(s)
+
+
+def sweep(template: Scenario, axes: dict[str, list[float]],
+          out_path: str | None = None, n_jobs: int = 1) -> list[RunReport]:
+    """Run every point of the axis product grid, in grid order.
+
+    Returns the reports; optionally writes one CSV row per point.
+    Points are independent, so ``n_jobs`` > 1 runs them in a process
+    pool; report order stays grid order either way.
+    """
+    names = list(axes.keys())
+    for a in names:
+        if a not in SWEEP_AXES:
+            raise ScenarioError(f"unknown sweep axis {a!r}; valid: {SWEEP_AXES}")
+    grid = list(itertools.product(*(axes[a] for a in names))) or [()]
+    jobs = [(template, names, values) for values in grid]
+    if n_jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=n_jobs) as ex:
+            reports = list(ex.map(_sweep_point, jobs))
+    else:
+        reports = [_sweep_point(j) for j in jobs]
+    if out_path is not None:
+        write_sweep_csv(reports, names, grid, out_path)
+    return reports
+
+
+def write_sweep_csv(reports, names, grid, path: str):
+    cols = list(names) + ["gamma_g", "n_infinity", "kappa", "tau", "beta", "h",
+                          "D0", "X0", "rho", "threshold", "delta", "verdict",
+                          "final_spread", "time_to_tolerance", "flocked"]
+    with open(path, "w") as f:
+        f.write(CSV_HEADER + "\n")
+        f.write(",".join(cols) + "\n")
+        for values, rep in zip(grid, reports):
+            c = rep.certificate
+            row = [_fmt(float(v)) for v in values]
+            if c is not None:
+                p = c.params
+                row += [_fmt(v) for v in (p.gamma_g, p.n_infinity, p.kappa, p.tau,
+                                          "" if p.beta is None else p.beta,
+                                          "" if p.h is None else p.h,
+                                          c.measured_D0, c.measured_X0, c.rho,
+                                          c.threshold, c.delta, c.verdict)]
+            else:
+                row += [""] * 12
+            row += [_fmt(rep.final_spread),
+                    "" if rep.time_to_tolerance is None else _fmt(rep.time_to_tolerance),
+                    str(rep.flocked).lower()]
+            f.write(",".join(row) + "\n")
