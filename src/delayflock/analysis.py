@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dde import DiameterSeries, InitialHistory, Trajectory, diameters, x_spread_initial
+from .dde import DiameterSeries, InitialHistory, Trajectory, x_spread_initial
 from .digraph import Digraph, compute_metrics
-from .discrete import check_gate, discrete_diameters, initial_state
+from .discrete import check_gate, initial_state
 from .interaction import DelayProfile, WeightFunction, verify_admissible
 
 LONG_RANGE = "long-range"
@@ -460,10 +460,3 @@ def position_bound(traj: Trajectory, cert: FlockingCertificate,
     return PositionBoundReport(passed=dmax <= bound, bound=bound,
                                max_distance=dmax,
                                vacuous=bound > vacuous_above)
-
-
-def diameter_series_for(traj: Trajectory, tau, history=None, g=None) -> DiameterSeries:
-    """Dispatch to the continuous or discrete window computation."""
-    if traj.discrete:
-        return discrete_diameters(traj, int(tau))
-    return diameters(traj, tau, history=history, g=g)

@@ -120,12 +120,6 @@ class Trajectory:
     def dim(self) -> int:
         return self.xs.shape[2]
 
-    def index_of(self, t: float) -> int:
-        k = int(round((t - self.times[0]) / self.dt))
-        if not (0 <= k < len(self.times)) or abs(self.times[k] - t) > 1e-9 * max(1.0, abs(t)):
-            raise IntegrationError(f"time {t} not on the trajectory grid")
-        return k
-
     def state_at(self, t: float) -> tuple[np.ndarray, np.ndarray]:
         """Interpolated (x, v) of all agents at any covered time."""
         if t < self.times[0] - 1e-12 or t > self.times[-1] + 1e-12:
@@ -179,6 +173,21 @@ def _hermite_gather(times, vals, slopes, j_e, s_e, hi,
             + h01[:, None] * p1 + h11[:, None] * hc * m1)
 
 
+def edge_forces(x_i, x_delayed, v_i, v_delayed, ei, w: WeightFunction, n: int):
+    """Alignment forces summed per receiver over the arc list.
+
+    Row e of the (E, d) inputs belongs to the arc ej[e] -> ei[e]: the
+    receiver's own state and the sender's delayed state.  Returns the
+    (n, d) array whose row i is sum over arcs into i of
+    psi(|x_delayed - x_i|) * (v_delayed - v_i), summed in arc order.
+    """
+    r = np.linalg.norm(x_delayed - x_i, axis=1)
+    coef = np.asarray(w(r))[:, None] * (v_delayed - v_i)
+    dv = np.zeros((n, v_i.shape[1]))
+    np.add.at(dv, ei, coef)
+    return dv
+
+
 def rhs(t, x, v, lookup, g: Digraph, w: WeightFunction, p: DelayProfile):
     """Instantaneous derivative of the delayed alignment system.
 
@@ -188,23 +197,12 @@ def rhs(t, x, v, lookup, g: Digraph, w: WeightFunction, p: DelayProfile):
     """
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
-    n, d = x.shape
-    dv = np.zeros_like(v)
-    for i in range(n):
-        for j in np.flatnonzero(g.arcs[i]):
-            tau_ij = p(i, int(j), t)
-            if tau_ij == 0.0:
-                xj, vj = x[j], v[j]
-            else:
-                xj, vj = lookup(int(j), t - tau_ij)
-            r = float(np.linalg.norm(xj - x[i]))
-            dv[i] += w(r) * (vj - v[i])
-    return v.copy(), dv
-
-
-def _edge_list(g: Digraph):
     ei, ej = np.nonzero(g.arcs)
-    return ei, ej
+    tau_e = p.on_edges(ei, ej)(t)
+    xd, vd = x[ej], v[ej]
+    for e in np.flatnonzero(tau_e != 0.0):
+        xd[e], vd[e] = lookup(int(ej[e]), t - tau_e[e])
+    return v.copy(), edge_forces(x[ei], xd, v[ei], vd, ei, w, len(x))
 
 
 def integrate(history: InitialHistory, g: Digraph, w: WeightFunction,
@@ -236,39 +234,23 @@ def integrate(history: InitialHistory, g: Digraph, w: WeightFunction,
         xs[k], vs[k] = history.eval(times[k])
         dvs[k] = history.velocity_slope(times[k])
 
-    ei, ej = _edge_list(g)
-    n_edges = len(ei)
+    ei, ej = np.nonzero(g.arcs)
     hist_end_slope = history.velocity_slope(0.0)
     v_scale = max(float(np.abs(vs[: n_hist + 1]).max()), 1e-300)
     guard = blowup_factor * max(v_scale, 1.0)
-    constant_delay = p.kind in ("zero", "constant")
-    if constant_delay:
-        tau_e_fixed = np.array([p(int(i), int(j), 0.0) for i, j in zip(ei, ej)])
+    delay_at = p.on_edges(ei, ej)
 
     def stage_rhs(t_stage, x_stage, v_stage, hi):
         # hi: last grid index with a valid velocity slope
-        dv = np.zeros((n, d))
-        if n_edges == 0:
-            return v_stage, dv
-        tau_e = tau_e_fixed if constant_delay else np.array(
-            [p(int(i), int(j), t_stage) for i, j in zip(ei, ej)])
-        s_e = t_stage - tau_e
-        xd = np.empty((n_edges, d))
-        vd = np.empty((n_edges, d))
-        now = tau_e == 0.0
-        if np.any(now):
-            xd[now] = x_stage[ej[now]]
-            vd[now] = v_stage[ej[now]]
-        past = ~now
+        tau_e = delay_at(t_stage)
+        xd, vd = x_stage[ej], v_stage[ej]
+        past = tau_e != 0.0
         if np.any(past):
-            jp, sp = ej[past], s_e[past]
+            jp, sp = ej[past], t_stage - tau_e[past]
             xd[past] = _hermite_gather(times, xs, vs, jp, sp, hi)
             vd[past] = _hermite_gather(times, vs, dvs, jp, sp, hi,
                                        fix_idx=n_hist, fix_val=hist_end_slope)
-        r = np.linalg.norm(xd - x_stage[ei], axis=1)
-        coef = np.asarray(w(r))[:, None] * (vd - v_stage[ei])
-        np.add.at(dv, ei, coef)
-        return v_stage, dv
+        return v_stage, edge_forces(x_stage[ei], xd, v_stage[ei], vd, ei, w, n)
 
     idx = n_hist
     for _ in range(n_steps):
@@ -367,7 +349,7 @@ def _trailing_extreme(arr, win, reduce_fn):
 def x_spread_initial(history: InitialHistory, g: Digraph,
                      n_samples: int = 64) -> float:
     """Max over arcs (j -> i) of ||x_i(0) - x_j(s)||, s in [-tau, 0]."""
-    ei, ej = _edge_list(g)
+    ei, ej = np.nonzero(g.arcs)
     if len(ei) == 0:
         return 0.0
     x_now = history.x0

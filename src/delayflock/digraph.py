@@ -10,7 +10,6 @@ the maximal in-neighborhood size.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,11 +77,6 @@ class Digraph:
         self._check_index(i)
         return set(np.flatnonzero(self.arcs[i]).tolist())
 
-    def successors(self, i: int) -> np.ndarray:
-        """Vertices that i transmits to (targets of arcs leaving i)."""
-        self._check_index(i)
-        return np.flatnonzero(self.arcs[:, i])
-
     def distance(self, i: int, j: int) -> float:
         """Length of the shortest information-flow path i -> j.
 
@@ -90,21 +84,7 @@ class Digraph:
         """
         self._check_index(i)
         self._check_index(j)
-        d = self._bfs(i)
-        return d[j]
-
-    def _bfs(self, src: int) -> np.ndarray:
-        n = self.n_vertices
-        dist = np.full(n, INF)
-        dist[src] = 0
-        q = deque([src])
-        while q:
-            u = q.popleft()
-            for w in self.successors(u):
-                if dist[w] == INF:
-                    dist[w] = dist[u] + 1
-                    q.append(w)
-        return dist
+        return _bfs(self.arcs.T, i)[j]
 
     def _check_index(self, i: int):
         if not (0 <= i < self.n_vertices):
@@ -127,6 +107,20 @@ class GraphMetrics:
         return bool(self.roots)
 
 
+def _bfs(succ: np.ndarray, src: int) -> np.ndarray:
+    """Distances from src, one frontier per level; ``succ[u]`` marks the
+    vertices that u transmits to (the transposed arc matrix)."""
+    dist = np.full(succ.shape[0], INF)
+    dist[src] = 0
+    front = dist == 0
+    level = 0
+    while front.any():
+        level += 1
+        front = succ[front].any(axis=0) & (dist == INF)
+        dist[front] = level
+    return dist
+
+
 def compute_metrics(g: Digraph) -> GraphMetrics:
     """Roots, smallest spanning-tree depth, and max in-neighborhood size.
 
@@ -135,15 +129,10 @@ def compute_metrics(g: Digraph) -> GraphMetrics:
     depth over roots (inf when there is no root).  A single vertex is
     its own root with depth 0.
     """
-    n = g.n_vertices
-    roots = set()
-    gamma = INF
-    for r in range(n):
-        dist = g._bfs(r)
-        ecc = dist.max()
-        if math.isfinite(ecc):
-            roots.add(r)
-            gamma = min(gamma, ecc)
+    succ = np.ascontiguousarray(g.arcs.T)
+    ecc = np.array([_bfs(succ, r).max() for r in range(g.n_vertices)])
+    roots = np.flatnonzero(ecc < INF)
+    gamma_g = int(ecc[roots].min()) if roots.size else INF
     n_inf = int(g.arcs.sum(axis=1).max())
-    gamma_g = int(gamma) if math.isfinite(gamma) else INF
-    return GraphMetrics(roots=frozenset(roots), gamma_g=gamma_g, n_infinity=n_inf)
+    return GraphMetrics(roots=frozenset(roots.tolist()), gamma_g=gamma_g,
+                        n_infinity=n_inf)

@@ -9,13 +9,13 @@ overridden for exploration.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .dde import DiameterSeries, Trajectory, _trailing_extreme
+from .dde import DiameterSeries, Trajectory, _trailing_extreme, edge_forces
 from .digraph import Digraph, compute_metrics
-from .interaction import DelayProfile, WeightFunction
+from .interaction import AdmissibilityError, DelayProfile, WeightFunction
 
 
 class StabilityGateError(ValueError):
@@ -84,24 +84,31 @@ def initial_state(x0, v0, h: float, tau: int, history_x=None,
 def step(s: DiscreteState, g: Digraph, w: WeightFunction, p: DelayProfile,
          unsafe_h: bool = False) -> DiscreteState:
     """One Euler update; returns a new state with the buffer rotated."""
-    metrics = compute_metrics(g)
-    check_gate(w.effective_kappa, s.h, metrics.n_infinity, unsafe=unsafe_h)
-    x, v = _advance(s, g, w, p)
+    check_gate(w.effective_kappa, s.h, int(g.arcs.sum(axis=1).max()),
+               unsafe=unsafe_h)
+    ei, ej = np.nonzero(g.arcs)
+    lag = _lags(p, ei, ej)(s.t)
+    if lag.size and lag.max() > s.tau:
+        raise IndexError(f"lag {lag.max()} outside buffer depth {s.tau}")
+    back = s.tau - lag
+    x, v = _advance(s.x, s.v, s.buffer_x[back, ej], s.buffer_v[back, ej],
+                    ei, w, s.h)
     bx = np.concatenate([s.buffer_x[1:], x[None]], axis=0)
     bv = np.concatenate([s.buffer_v[1:], v[None]], axis=0)
     return DiscreteState(t=s.t + 1, h=s.h, tau=s.tau, buffer_x=bx, buffer_v=bv)
 
 
-def _advance(s: DiscreteState, g: Digraph, w: WeightFunction, p: DelayProfile):
-    x, v = s.x, s.v
-    dv = np.zeros_like(v)
-    for i in range(g.n_vertices):
-        for j in np.flatnonzero(g.arcs[i]):
-            lag = p.integer_delay(i, int(j), s.t)
-            xj, vj = s.delayed(int(j), lag)
-            r = float(np.linalg.norm(xj - x[i]))
-            dv[i] += w(r) * (vj - v[i])
-    return x + s.h * v, v + s.h * dv
+def _lags(p: DelayProfile, ei, ej):
+    """Integer delays of the arcs ej -> ei as a function of the step."""
+    if not p.integer_valued:
+        raise AdmissibilityError("profile is not integer-valued")
+    delay_at = p.on_edges(ei, ej)
+    return lambda t: np.rint(delay_at(t)).astype(np.intp)
+
+
+def _advance(x, v, x_delayed, v_delayed, ei, w: WeightFunction, h: float):
+    dv = edge_forces(x[ei], x_delayed, v[ei], v_delayed, ei, w, len(x))
+    return x + h * v, v + h * dv
 
 
 def simulate_discrete(x0, v0, g: Digraph, w: WeightFunction, p: DelayProfile,
@@ -122,13 +129,13 @@ def simulate_discrete(x0, v0, g: Digraph, w: WeightFunction, p: DelayProfile,
     vs = np.empty((M, n, d))
     xs[: tau + 1] = s.buffer_x
     vs[: tau + 1] = s.buffer_v
+    ei, ej = np.nonzero(g.arcs)
+    lags = _lags(p, ei, ej)
     for k in range(t_end):
-        x, v = _advance(s, g, w, p)
-        s.buffer_x = np.concatenate([s.buffer_x[1:], x[None]], axis=0)
-        s.buffer_v = np.concatenate([s.buffer_v[1:], v[None]], axis=0)
-        s.t += 1
-        xs[tau + 1 + k] = x
-        vs[tau + 1 + k] = v
+        now = tau + k
+        back = now - lags(k)
+        xs[now + 1], vs[now + 1] = _advance(xs[now], vs[now], xs[back, ej],
+                                            vs[back, ej], ei, w, h)
     return Trajectory(times=times, xs=xs, vs=vs, dt=1.0, n_hist=tau,
                       discrete=True)
 

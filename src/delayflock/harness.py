@@ -62,7 +62,6 @@ class Scenario:
     t_end: float = 50.0
     rho: float | None = None
     flock_tol: float = 1e-6
-    seed: int = 0
     unsafe_h: bool = False
 
     def replace(self, **kw) -> "Scenario":
@@ -160,7 +159,7 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> Scenario:
                  positions=positions, velocities=velocities,
                  dt=raw.get("dt", 0.01), h=raw.get("h", 0.05),
                  t_end=raw.get("t_end", 50.0), rho=raw.get("rho"),
-                 flock_tol=raw.get("flock_tol", 1e-6), seed=raw.get("seed", 0),
+                 flock_tol=raw.get("flock_tol", 1e-6),
                  unsafe_h=raw.get("unsafe_h", False))
     validate_scenario(s)
     return s

@@ -8,7 +8,7 @@ immutable and pure in (i, j, t), so instances can be shared freely.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -183,21 +183,46 @@ class DelayProfile:
 
     def __call__(self, i: int, j: int, t: float) -> float:
         """Delay on the arc j -> i at time t.  Zero on the diagonal."""
-        if i == j:
-            return 0.0
-        if self.kind == "zero":
+        if i == j or self.kind == "zero":
             return 0.0
         if self.kind == "constant":
             return self.value
         if self.kind == "sinusoidal":
-            v = self.mean + self.amplitude * np.sin(2 * np.pi * t / self.period)
-            return float(min(max(v, 0.0), self.tau_max))
+            return self._sinusoid(t)
         # piecewise-random: one draw per (edge, hold-interval), seeded
         k = int(np.floor(t / self.hold))
         rng = np.random.default_rng(np.random.SeedSequence([self.seed, i, j, k & 0x7FFFFFFF]))
         if self.integer_valued:
             return float(rng.integers(int(self.low), int(self.high) + 1))
         return float(self.low + (self.high - self.low) * rng.random())
+
+    def _sinusoid(self, t: float) -> float:
+        v = self.mean + self.amplitude * np.sin(2 * np.pi * t / self.period)
+        return float(min(max(v, 0.0), self.tau_max))
+
+    def on_edges(self, ei, ej):
+        """Delays of the arcs ej -> ei as a function of t, giving the
+        read-only (E,) array of ``self(ei[e], ej[e], t)``, bit for bit.
+        Piecewise-random delays draw each edge once per hold interval and
+        reuse the draws while t stays in that interval."""
+        ei = np.asarray(ei, dtype=int)
+        ej = np.asarray(ej, dtype=int)
+        off = ei != ej
+        if self.kind in ("zero", "constant"):
+            fixed = np.where(off, self.value if self.kind == "constant" else 0.0, 0.0)
+            return lambda t: fixed
+        if self.kind == "sinusoidal":
+            return lambda t: np.where(off, self._sinusoid(t), 0.0)
+        held = {}
+
+        def at(t):
+            k = int(np.floor(t / self.hold))
+            if k not in held:
+                held.clear()
+                held[k] = np.array([self(i, j, t) for i, j in
+                                    zip(ei.tolist(), ej.tolist())], dtype=float)
+            return held[k]
+        return at
 
     def integer_delay(self, i: int, j: int, t: int) -> int:
         """Integer delay for the discrete recursion at step t."""
@@ -211,14 +236,6 @@ class DelayProfile:
         if not self.integer_valued:
             raise AdmissibilityError("profile is not integer-valued")
         return int(np.ceil(self.tau_max))
-
-    def matrix(self, n: int, t: float) -> np.ndarray:
-        """tau_ij(t) for all pairs as an (n, n) array."""
-        m = np.empty((n, n))
-        for i in range(n):
-            for j in range(n):
-                m[i, j] = self(i, j, t)
-        return m
 
     @property
     def continuous_in_t(self) -> bool:
