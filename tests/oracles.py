@@ -124,3 +124,75 @@ def windowed_spread_rk4(arcs, x0, v0, psi, delay_steps, window_steps,
         wmax = np.maximum(wmax, top[back])
         wmin = np.minimum(wmin, bot[back])
     return (wmax - wmin).max(axis=1)
+
+
+def closure_metrics(arcs):
+    """(roots, gamma_g, n_infinity) by a reachability closure over
+    boolean matrix products: after level l, reach[r] holds every vertex
+    within distance l of r, so a root's eccentricity is the level at
+    which its row fills.  arcs[i][j] True means j transmits to i."""
+    step = np.asarray(arcs, dtype=bool).T.astype(np.float32)
+    n = step.shape[0]
+    reach = np.eye(n, dtype=bool)
+    ecc = np.full(n, INF)
+    level = 0
+    while True:
+        ecc[reach.all(axis=1) & np.isinf(ecc)] = level
+        new = reach | ((reach.astype(np.float32) @ step) > 0)
+        if (new == reach).all():
+            break
+        reach = new
+        level += 1
+    roots = {int(r) for r in np.flatnonzero(np.isfinite(ecc))}
+    gamma = int(min(ecc[r] for r in roots)) if roots else INF
+    return roots, gamma, int(np.asarray(arcs, dtype=bool).sum(axis=1).max())
+
+
+def random_rooted_arcs(rng, n, k_in):
+    """Boolean [receiver][sender] matrix on n vertices in which every
+    vertex has k_in in-arcs and the first vertex of a random order
+    reaches all others (each later vertex hears one earlier vertex)."""
+    order = rng.permutation(n)
+    m = np.zeros((n, n), dtype=bool)
+    for pos in range(n):
+        i = order[pos]
+        if pos:
+            m[i, order[rng.integers(pos)]] = True
+        while m[i].sum() < k_in:
+            j = rng.integers(n)
+            if j != i:
+                m[i, j] = True
+    return m
+
+
+def discrete_euler_reference(arcs, x0, v0, psi, lag, h, t_end):
+    """The Euler recursion by plain per-edge loops over Python floats.
+
+    x_i(t+1) = x_i(t) + h v_i(t) and
+    v_i(t+1) = v_i(t) + h * sum over arcs j -> i of
+               psi(|x_j(t - l) - x_i(t)|) (v_j(t - l) - v_i(t)),
+    with l = lag(i, j, t) and the constant state (x0, v0) before t = 0.
+    Returns the (t_end + 1, N, d) velocity table from t = 0.
+    """
+    arcs = np.asarray(arcs, dtype=bool)
+    n = arcs.shape[0]
+    xs = [[list(map(float, r)) for r in np.asarray(x0, dtype=float)]]
+    vs = [[list(map(float, r)) for r in np.asarray(v0, dtype=float)]]
+    for t in range(t_end):
+        x, v = xs[-1], vs[-1]
+        nx, nv = [], []
+        for i in range(n):
+            acc = [0.0] * len(x[i])
+            for j in range(n):
+                if not arcs[i][j]:
+                    continue
+                back = max(t - lag(i, j, t), 0)
+                xj, vj = xs[back][j], vs[back][j]
+                r = math.sqrt(sum((a - b) ** 2 for a, b in zip(xj, x[i])))
+                c = psi(r)
+                acc = [a + c * (b - vi) for a, b, vi in zip(acc, vj, v[i])]
+            nx.append([xi + h * vi for xi, vi in zip(x[i], v[i])])
+            nv.append([vi + h * a for vi, a in zip(v[i], acc)])
+        xs.append(nx)
+        vs.append(nv)
+    return np.array(vs)

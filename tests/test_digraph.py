@@ -7,7 +7,12 @@ from hypothesis import strategies as st
 
 from delayflock.digraph import Digraph, GraphError, compute_metrics
 
-from oracles import all_digraphs, floyd_warshall_metrics
+from oracles import (
+    all_digraphs,
+    closure_metrics,
+    floyd_warshall_metrics,
+    random_rooted_arcs,
+)
 
 # the four-agent topology of the reference experiments:
 # arcs (sender -> receiver) 1->2, 2->3, 3->1, 3->4 in 1-based labels
@@ -153,3 +158,42 @@ def test_adding_arcs_monotone(m, rnd):
     bigger = compute_metrics(Digraph(m2))
     assert bigger.n_infinity >= base.n_infinity
     assert bigger.gamma_g <= base.gamma_g
+
+
+@pytest.mark.parametrize("n, k_in, seed", [(200, 5, 0), (200, 2, 1),
+                                           (400, 5, 2), (400, 8, 3)])
+def test_closure_oracle_large_rooted(n, k_in, seed):
+    arcs = random_rooted_arcs(np.random.default_rng(seed), n, k_in)
+    roots, gamma, n_inf = closure_metrics(arcs)
+    m = compute_metrics(Digraph(arcs))
+    assert roots and m.roots == frozenset(roots)
+    assert (m.gamma_g, m.n_infinity) == (gamma, n_inf)
+
+
+@pytest.mark.parametrize("n, seed", [(200, 4), (400, 5)])
+def test_closure_oracle_large_rootless(n, seed):
+    # two rooted halves with no arc between them: no vertex reaches all
+    rng = np.random.default_rng(seed)
+    arcs = np.zeros((n, n), dtype=bool)
+    half = n // 2
+    arcs[:half, :half] = random_rooted_arcs(rng, half, 4)
+    arcs[half:, half:] = random_rooted_arcs(rng, n - half, 4)
+    m = compute_metrics(Digraph(arcs))
+    assert closure_metrics(arcs) == (set(), math.inf, m.n_infinity)
+    assert m.roots == frozenset() and m.gamma_g == math.inf
+
+
+def test_distance_matches_queue_bfs():
+    arcs = random_rooted_arcs(np.random.default_rng(6), 60, 2)
+    arcs[:, 7] = False                   # vertex 7 transmits to nobody
+    g = Digraph(arcs)
+    for src in (0, 7, 31):
+        want = {src: 0}
+        queue = [src]
+        for u in queue:
+            for v in range(60):
+                if arcs[v, u] and v not in want:
+                    want[v] = want[u] + 1
+                    queue.append(v)
+        for j in range(60):
+            assert g.distance(src, j) == want.get(j, math.inf)

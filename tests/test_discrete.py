@@ -11,7 +11,10 @@ from delayflock.discrete import (
     simulate_discrete,
     step,
 )
+from delayflock import discrete
 from delayflock.interaction import DelayProfile, WeightFunction
+
+from oracles import discrete_euler_reference, random_rooted_arcs
 
 FIG_ARCS = [(1, 2), (2, 3), (3, 1), (3, 4)]
 FIG_X0 = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
@@ -83,6 +86,65 @@ class TestStep:
         # agent 1 sees agent 2 one step back: v update 0 + 0.1*(2 - 0)
         assert np.allclose(s1.v[0], [0.2])
         assert np.allclose(s1.v[1], [3.0])
+
+
+class TestScalarReference:
+    """The edge-array recursion against plain per-edge loops.  The
+    kernel's axis norm and vector power may differ from their scalar
+    forms in the last bit, so the runs agree to a relative 1e-12."""
+
+    def _compare(self, p, t_end=40):
+        rng = np.random.default_rng(21)
+        arcs = random_rooted_arcs(rng, 30, 3)
+        w = WeightFunction(kind="cucker-smale", kappa=1.0, beta=0.4)
+        x0 = rng.uniform(-3, 3, size=(30, 2))
+        v0 = rng.uniform(-1, 1, size=(30, 2))
+        traj = simulate_discrete(x0, v0, Digraph(arcs), w, p, t_end=t_end,
+                                 h=0.1)
+        ref = discrete_euler_reference(
+            arcs, x0, v0, lambda r: (1.0 + r * r) ** -0.4,
+            p.integer_delay, 0.1, t_end)
+        got = traj.vs[traj.n_hist:]
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_constant_delay(self):
+        self._compare(DelayProfile.constant(2.0))
+
+    def test_zero_delay(self):
+        self._compare(DelayProfile.zero())
+
+    def test_random_delay_across_hold_intervals(self):
+        self._compare(DelayProfile(kind="piecewise-random", tau_max=3.0,
+                                   low=0, high=3, seed=8, hold=4.0,
+                                   integer_valued=True))
+
+    def test_step_matches_simulate(self):
+        rng = np.random.default_rng(5)
+        g = Digraph(random_rooted_arcs(rng, 12, 2))
+        w = WeightFunction(kind="cucker-smale", kappa=1.0, beta=0.3)
+        p = DelayProfile(kind="piecewise-random", tau_max=2.0, low=0,
+                         high=2, seed=1, hold=3.0, integer_valued=True)
+        x0 = rng.normal(size=(12, 2))
+        v0 = rng.normal(size=(12, 2))
+        traj = simulate_discrete(x0, v0, g, w, p, t_end=10, h=0.1)
+        s = initial_state(x0, v0, h=0.1, tau=2)
+        for _ in range(10):
+            s = step(s, g, w, p)
+        assert np.array_equal(s.buffer_v, traj.vs[-3:])
+        assert np.array_equal(s.buffer_x, traj.xs[-3:])
+
+    def test_step_runs_no_graph_search(self, monkeypatch):
+        def forbidden(g):
+            raise AssertionError("step() must not search the graph")
+
+        monkeypatch.setattr(discrete, "compute_metrics", forbidden)
+        g, w, p, h = pair_setup()
+        s = step(initial_state([[0.0], [0.0]], [[0.0], [1.0]], h=h, tau=0),
+                 g, w, p)
+        assert s.t == 1
+        with pytest.raises(StabilityGateError):    # kappa*h above 1/n_infinity
+            step(initial_state([[0.0], [0.0]], [[0.0], [1.0]], h=1.5, tau=0),
+                 g, w, p)
 
 
 class TestSimulate:

@@ -134,3 +134,80 @@ class TestIntegerDelays:
         p = DelayProfile.constant(0.5, tau_max=1.0)
         with pytest.raises(AdmissibilityError):
             p.integer_delay(0, 1, 0)
+
+
+def _profiles(integer_valued):
+    if integer_valued:
+        return [DelayProfile.zero(), DelayProfile.constant(2.0),
+                DelayProfile(kind="sinusoidal", tau_max=3.0, mean=1.5,
+                             amplitude=1.2, period=7.0, integer_valued=True),
+                DelayProfile(kind="piecewise-random", tau_max=3.0, low=0,
+                             high=3, seed=9, hold=3.0, integer_valued=True)]
+    return [DelayProfile(kind="zero", tau_max=1.0),
+            DelayProfile.constant(0.37, tau_max=1.0),
+            DelayProfile(kind="sinusoidal", tau_max=1.0, mean=0.5,
+                         amplitude=0.4, period=0.9),
+            DelayProfile(kind="piecewise-random", tau_max=1.0, low=0.1,
+                         high=0.9, seed=4, hold=0.25)]
+
+
+class TestOnEdges:
+    """The edge-array delays equal the per-edge call bit for bit."""
+
+    @staticmethod
+    def _edges():
+        rng = np.random.default_rng(2)
+        ei = rng.integers(0, 6, size=40)
+        ej = rng.integers(0, 6, size=40)
+        ej[:3] = ei[:3]                      # diagonal pairs read 0
+        return ei, ej
+
+    @staticmethod
+    def _per_edge(p, ei, ej, t):
+        return np.array([p(int(i), int(j), t) for i, j in zip(ei, ej)])
+
+    @pytest.mark.parametrize("k", range(4))
+    def test_rk4_stages_across_hold_boundaries(self, k):
+        # dt = 0.15 against hold 0.25: many steps have stages on both
+        # sides of a boundary, and t = 0.25 lands exactly on one
+        p = _profiles(integer_valued=False)[k]
+        ei, ej = self._edges()
+        at = p.on_edges(ei, ej)
+        dt = 0.15
+        for n in range(12):
+            for t in (n * dt, n * dt + dt / 2, n * dt + dt / 2, n * dt + dt):
+                got = at(t)
+                assert got.shape == (len(ei),)
+                assert got.tobytes() == self._per_edge(p, ei, ej, t).tobytes()
+        assert at(0.25).tobytes() == self._per_edge(p, ei, ej, 0.25).tobytes()
+
+    @pytest.mark.parametrize("k", range(4))
+    def test_integer_steps_across_hold_boundaries(self, k):
+        p = _profiles(integer_valued=True)[k]
+        ei, ej = self._edges()
+        at = p.on_edges(ei, ej)
+        for t in list(range(20)) + [4, 17, 0]:   # revisits earlier intervals
+            got = at(t)
+            assert got.tobytes() == self._per_edge(p, ei, ej, t).tobytes()
+            lags = [p.integer_delay(int(i), int(j), t) for i, j in zip(ei, ej)]
+            assert np.rint(got).astype(int).tolist() == lags
+
+    def test_one_draw_per_edge_per_hold_interval(self, monkeypatch):
+        p = _profiles(integer_valued=False)[3]
+        ei, ej = self._edges()
+        calls = []
+        draw = DelayProfile.__call__
+
+        def counted(self, i, j, t):
+            calls.append(t)
+            return draw(self, i, j, t)
+
+        monkeypatch.setattr(DelayProfile, "__call__", counted)
+        at = p.on_edges(ei, ej)
+        for t in np.arange(0.0, 1.0, 0.05):      # 20 calls, 4 intervals
+            at(t)
+        assert len(calls) == 4 * len(ei)
+
+    def test_empty_edge_list(self):
+        for p in _profiles(False) + _profiles(True):
+            assert p.on_edges([], [])(0.3).shape == (0,)
