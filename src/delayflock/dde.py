@@ -2,11 +2,12 @@
 
 The system is integrated by the method of steps: delayed state lookups
 during stage evaluation read the already-committed solution through
-cubic Hermite interpolation (positions use velocities as slopes,
-velocities use the stored stage-1 derivatives).  Lookups that land in
-the pre-initial interval read the supplied history; lookups slightly
-ahead of the last fully-specified segment (delays smaller than the
-step) extrapolate that segment.
+cubic Hermite interpolation (positions use velocities as slopes, and
+zero slopes on a constant history, which does not move; velocities use
+the stored stage-1 derivatives).  Lookups that land in the pre-initial
+interval read the supplied history; lookups slightly ahead of the last
+fully-specified segment (delays smaller than the step) extrapolate that
+segment.
 
 Also provides the windowed velocity-spread diagnostics: per-component
 trailing-window extrema over [t - tau, t], their spread, and the
@@ -95,10 +96,10 @@ class InitialHistory:
 class Trajectory:
     """Sampled solution on a uniform grid covering [-tau', t_end].
 
-    ``n_hist`` is the index of t = 0.  For continuous runs ``dvs``
-    holds velocity time-derivatives at the grid points so any interior
-    time can be resolved by cubic Hermite interpolation; discrete runs
-    leave it None and are sample-only.
+    ``n_hist`` is the index of t = 0.  For continuous runs ``dvs`` and
+    ``dxs`` hold the velocity and position time-derivatives at the grid
+    points so any interior time can be resolved by cubic Hermite
+    interpolation; discrete runs leave them None and are sample-only.
     """
 
     times: np.ndarray        # (M,)
@@ -107,9 +108,11 @@ class Trajectory:
     dt: float
     n_hist: int
     dvs: np.ndarray | None = None
-    # velocity slope at t=0 seen from the history side (the dynamics
-    # side lives in dvs[n_hist]; the derivative jumps there)
+    dxs: np.ndarray | None = None
+    # slopes at t=0 seen from the history side (the dynamics side lives
+    # in dvs[n_hist] and dxs[n_hist]; the derivatives jump there)
     hist_end_slope: np.ndarray | None = None
+    hist_end_xslope: np.ndarray | None = None
     discrete: bool = False
 
     @property
@@ -133,7 +136,8 @@ class Trajectory:
         n = self.n_agents
         js = np.arange(n)
         ss = np.full(n, float(t))
-        x = _hermite_gather(self.times, self.xs, self.vs, js, ss, len(self.times) - 1)
+        x = _hermite_gather(self.times, self.xs, self.dxs, js, ss, len(self.times) - 1,
+                            fix_idx=self.n_hist, fix_val=self.hist_end_xslope)
         v = _hermite_gather(self.times, self.vs, self.dvs, js, ss, len(self.times) - 1,
                             fix_idx=self.n_hist, fix_val=self.hist_end_slope)
         return x, v
@@ -234,6 +238,13 @@ def integrate(history: InitialHistory, g: Digraph, w: WeightFunction,
         xs[k], vs[k] = history.eval(times[k])
         dvs[k] = history.velocity_slope(times[k])
 
+    # a constant history does not move: its positions have zero slopes
+    # up to the history side of t = 0
+    if history.times is None:
+        dxs, hist_end_xslope = np.zeros((M, n, d)), np.zeros((n, d))
+        dxs[n_hist] = vs[n_hist]
+    else:
+        dxs, hist_end_xslope = vs, history.v0
     ei, ej = np.nonzero(g.arcs)
     hist_end_slope = history.velocity_slope(0.0)
     v_scale = max(float(np.abs(vs[: n_hist + 1]).max()), 1e-300)
@@ -245,9 +256,10 @@ def integrate(history: InitialHistory, g: Digraph, w: WeightFunction,
         tau_e = delay_at(t_stage)
         xd, vd = x_stage[ej], v_stage[ej]
         past = tau_e != 0.0
-        if np.any(past):
+        if past.any():
             jp, sp = ej[past], t_stage - tau_e[past]
-            xd[past] = _hermite_gather(times, xs, vs, jp, sp, hi)
+            xd[past] = _hermite_gather(times, xs, dxs, jp, sp, hi, fix_idx=n_hist,
+                                       fix_val=hist_end_xslope)
             vd[past] = _hermite_gather(times, vs, dvs, jp, sp, hi,
                                        fix_idx=n_hist, fix_val=hist_end_slope)
         return v_stage, edge_forces(x_stage[ei], xd, v_stage[ei], vd, ei, w, n)
@@ -265,14 +277,15 @@ def integrate(history: InitialHistory, g: Digraph, w: WeightFunction,
         k3x, k3v = stage_rhs(t + dt / 2, x + dt / 2 * k2x, v + dt / 2 * k2v, idx)
         k4x, k4v = stage_rhs(t + dt, x + dt * k3x, v + dt * k3v, idx)
         xs[idx + 1] = x + dt / 6 * (k1x + 2 * k2x + 2 * k3x + k4x)
-        vs[idx + 1] = v + dt / 6 * (k1v + 2 * k2v + 2 * k3v + k4v)
+        vs[idx + 1] = dxs[idx + 1] = v + dt / 6 * (k1v + 2 * k2v + 2 * k3v + k4v)
         idx += 1
         if not np.all(np.isfinite(vs[idx])) or np.abs(vs[idx]).max() > guard:
             raise IntegrationError(f"solution blew up at t = {times[idx]:g}")
     # final slope so dense output covers the last segment
     _, dvs[idx] = stage_rhs(times[idx], xs[idx], vs[idx], idx - 1)
     return Trajectory(times=times, xs=xs, vs=vs, dt=dt, n_hist=n_hist, dvs=dvs,
-                      hist_end_slope=hist_end_slope)
+                      hist_end_slope=hist_end_slope, dxs=dxs,
+                      hist_end_xslope=hist_end_xslope)
 
 
 @dataclass

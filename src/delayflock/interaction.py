@@ -73,7 +73,7 @@ class WeightFunction:
     def __call__(self, r):
         """Evaluate psi(r); r may be a scalar or an array, all >= 0."""
         r = np.asarray(r, dtype=float)
-        if np.any(r < 0):
+        if (r < 0).any():
             raise AdmissibilityError("weight argument must be nonnegative")
         k = self.effective_kappa
         if self.kind == "cucker-smale":

@@ -146,6 +146,48 @@ class TestIntegrate:
         assert errs[0] / errs[1] > 12.0
 
 
+class TestConstantHistory:
+    """A constant history does not move: lookups of positions on
+    [-tau, 0] read x0, not a cubic bent by the history velocities."""
+
+    def test_state_at_reads_the_stated_history(self):
+        g = Digraph.complete(2)
+        w = WeightFunction(kind="constant", kappa=1.0)
+        hist = InitialHistory.constant([[0.0], [0.0]], [[0.0], [1.0]], tau=1.0)
+        traj = integrate(hist, g, w, DelayProfile.constant(1.0), t_end=0.1,
+                         dt=0.01)
+        for t in (-0.5025, -0.0075, -0.9951):
+            x, v = traj.state_at(t)
+            assert np.array_equal(x, [[0.0], [0.0]])
+            assert np.array_equal(v, [[0.0], [1.0]])
+
+    @pytest.mark.parametrize("p", [
+        DelayProfile.constant(0.5025, tau_max=1.0),
+        DelayProfile(kind="sinusoidal", tau_max=1.0, mean=0.6,
+                     amplitude=0.3, period=0.37)])
+    def test_delayed_positions_inside_history(self, p):
+        # agent 1 hears agent 2, which does not move before t = 0; while
+        # the delay reaches into the history agent 1 solves
+        # x' = v, v' = (1 - v) / (1 + (1 - x)^2), here by a fine RK4
+        g = Digraph.from_arc_list(2, [(2, 1)], one_based=True)
+        w = WeightFunction(kind="cucker-smale", kappa=1.0, beta=1.0)
+        hist = InitialHistory.constant([[0.0], [1.0]], [[0.0], [1.0]], tau=1.0)
+        traj = integrate(hist, g, w, p, t_end=0.5, dt=0.01)
+
+        def f(y):
+            return np.array([y[1], (1 - y[1]) / (1 + (1 - y[0]) ** 2)])
+
+        y, h = np.zeros(2), 1e-4
+        for _ in range(5000):
+            k1 = f(y)
+            k2 = f(y + h / 2 * k1)
+            k3 = f(y + h / 2 * k2)
+            y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + f(y + h * k3))
+        x, v = traj.state_at(0.5)
+        assert abs(x[0, 0] - y[0]) < 1e-9
+        assert abs(v[0, 0] - y[1]) < 1e-9
+
+
 class TestDiameters:
     def test_fig_initial_values(self):
         g, w, p, hist = fig_setup()
