@@ -1,8 +1,9 @@
 """Independent brute-force oracles used to pin expected values.
 
 These deliberately avoid the library's own code paths: graph constants
-come from Floyd-Warshall over the raw arc matrix, and reference
-integrations use plain dense stepping.
+come from Floyd-Warshall or a reachability closure over the raw arc
+matrix, and reference integrations use plain dense stepping or per-edge
+loops.
 """
 import math
 

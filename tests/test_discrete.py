@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from delayflock import discrete
 from delayflock.dde import InitialHistory, integrate
 from delayflock.digraph import Digraph
 from delayflock.discrete import (
@@ -11,7 +12,6 @@ from delayflock.discrete import (
     simulate_discrete,
     step,
 )
-from delayflock import discrete
 from delayflock.interaction import DelayProfile, WeightFunction
 
 from oracles import discrete_euler_reference, random_rooted_arcs
