@@ -134,7 +134,7 @@ def cmd_sweep(args) -> int:
     if out:
         os.makedirs(out, exist_ok=True)
         out_path = os.path.join(out, "sweep.csv")
-    reports = harness.sweep(s, axes, out_path=out_path, n_jobs=args.jobs)
+    reports = harness.sweep(s, axes, out_path=out_path)
     bad = [r for r in reports
            if r.decay is not None and not r.decay]
     print(f"{len(reports)} points, "
@@ -175,7 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("scenario")
     q.add_argument("--axis", action="append", required=True,
                    metavar="name=min:max:steps")
-    q.add_argument("--jobs", type=int, default=1)
     q.add_argument("--out", default=None)
     q.set_defaults(fn=cmd_sweep)
     return p

@@ -16,6 +16,7 @@ initial delayed position spread over connected pairs.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,10 +61,6 @@ class InitialHistory:
             raise ValueError("history samples must end at t = 0")
         return cls(tau=float(-times[0]), x0=xs[-1], v0=vs[-1],
                    times=times, xs=xs, vs=vs)
-
-    @property
-    def n_agents(self) -> int:
-        return self.x0.shape[0]
 
     @property
     def dim(self) -> int:
@@ -133,48 +130,46 @@ class Trajectory:
             u = (t - self.times[k]) / self.dt
             return ((1 - u) * self.xs[k] + u * self.xs[k + 1],
                     (1 - u) * self.vs[k] + u * self.vs[k + 1])
-        n = self.n_agents
-        js = np.arange(n)
-        ss = np.full(n, float(t))
-        x = _hermite_gather(self.times, self.xs, self.dxs, js, ss, len(self.times) - 1,
-                            fix_idx=self.n_hist, fix_val=self.hist_end_xslope)
-        v = _hermite_gather(self.times, self.vs, self.dvs, js, ss, len(self.times) - 1,
-                            fix_idx=self.n_hist, fix_val=self.hist_end_slope)
+        x, v = _hermite_gather(self.times, ((self.xs, self.dxs, self.hist_end_xslope),
+                                            (self.vs, self.dvs, self.hist_end_slope)),
+                               np.arange(self.n_agents), np.full(self.n_agents, float(t)),
+                               len(self.times) - 1, self.n_hist)
         return x, v
 
 
-def _hermite_gather(times, vals, slopes, j_e, s_e, hi,
-                    fix_idx=None, fix_val=None):
-    """Cubic Hermite evaluation of vals[:, j_e[k]] at times s_e[k].
-
-    ``hi`` is the last grid index whose slope is valid; later lookups
-    extrapolate the segment ending at hi.  The slope at ``fix_idx`` is
-    two-valued (the derivative jumps where prescribed history meets the
-    dynamics): ``fix_val`` replaces it when the index is the right
-    endpoint of the queried segment.
+def _hermite_gather(times, tables, j_e, s_e, hi, fix_idx):
+    """Cubic Hermite evaluation of vals[:, j_e[k]] at times s_e[k] for
+    each (vals, slopes, fix_val) in ``tables``, sharing one segment
+    search and one set of basis weights.  ``hi`` is the last grid index
+    whose slope is valid; later lookups extrapolate the segment ending
+    at hi.  The slope at ``fix_idx`` is two-valued (the derivative jumps
+    where prescribed history meets the dynamics): a table's ``fix_val``
+    replaces it when the index is the right endpoint of the queried
+    segment.
     """
-    seg = np.searchsorted(times[:hi + 1], s_e, side="right") - 1
-    seg = np.clip(seg, 0, hi - 1)
+    seg = times[:hi + 1].searchsorted(s_e, side="right") - 1
+    seg = np.minimum(np.maximum(seg, 0), hi - 1)
+    seg1 = seg + 1
     t0 = times[seg]
-    h = times[seg + 1] - t0
+    h = times[seg1] - t0
     u = (s_e - t0) / h
     u2 = u * u
     u3 = u2 * u
-    h00 = 2 * u3 - 3 * u2 + 1
-    h10 = u3 - 2 * u2 + u
-    h01 = -2 * u3 + 3 * u2
-    h11 = u3 - u2
-    p0 = vals[seg, j_e]
-    p1 = vals[seg + 1, j_e]
-    m0 = slopes[seg, j_e]
-    m1 = slopes[seg + 1, j_e]
-    if fix_idx is not None:
-        at_fix = seg + 1 == fix_idx
-        if np.any(at_fix):
-            m1 = np.where(at_fix[:, None], fix_val[j_e], m1)
     hc = h[:, None]
-    return (h00[:, None] * p0 + h10[:, None] * hc * m0
-            + h01[:, None] * p1 + h11[:, None] * hc * m1)
+    h00 = (2 * u3 - 3 * u2 + 1)[:, None]
+    h10 = (u3 - 2 * u2 + u)[:, None] * hc
+    h01 = (-2 * u3 + 3 * u2)[:, None]
+    h11 = (u3 - u2)[:, None] * hc
+    at_fix = seg1 == fix_idx
+    fixed = at_fix.any()
+    out = []
+    for vals, slopes, fix_val in tables:
+        m1 = slopes[seg1, j_e]
+        if fixed:
+            m1 = np.where(at_fix[:, None], fix_val[j_e], m1)
+        out.append(h00 * vals[seg, j_e] + h10 * slopes[seg, j_e]
+                   + h01 * vals[seg1, j_e] + h11 * m1)
+    return out
 
 
 def edge_forces(x_i, x_delayed, v_i, v_delayed, ei, w: WeightFunction, n: int):
@@ -185,7 +180,8 @@ def edge_forces(x_i, x_delayed, v_i, v_delayed, ei, w: WeightFunction, n: int):
     (n, d) array whose row i is sum over arcs into i of
     psi(|x_delayed - x_i|) * (v_delayed - v_i), summed in arc order.
     """
-    r = np.linalg.norm(x_delayed - x_i, axis=1)
+    dx = x_delayed - x_i
+    r = np.sqrt(np.add.reduce(dx * dx, axis=1))
     coef = np.asarray(w(r))[:, None] * (v_delayed - v_i)
     dv = np.zeros((n, v_i.shape[1]))
     np.add.at(dv, ei, coef)
@@ -209,47 +205,81 @@ def rhs(t, x, v, lookup, g: Digraph, w: WeightFunction, p: DelayProfile):
     return v.copy(), edge_forces(x[ei], xd, v[ei], vd, ei, w, len(x))
 
 
-def integrate(history: InitialHistory, g: Digraph, w: WeightFunction,
-              p: DelayProfile, t_end: float, dt: float = 0.01,
-              blowup_factor: float = 1e6) -> Trajectory:
+def integrate(history: InitialHistory | Sequence[InitialHistory], g: Digraph,
+              w: WeightFunction | Sequence[WeightFunction], p: DelayProfile, t_end: float,
+              dt: float = 0.01, blowup_factor: float = 1e6) -> Trajectory | list[Trajectory]:
     """RK4 with interpolated history lookback (method of steps).
 
     Returns a Trajectory covering [-n_hist*dt, t_end] where n_hist*dt
     is tau rounded up to a whole number of steps (the extra reach is
     filled by the clamped history and never queried by the dynamics).
+    B member histories (and one weight or B weights) sharing g, p, t_end
+    and dt run as one block-diagonal system, member b owning agents
+    b*N .. (b+1)*N-1, so xs reshapes to (M, B, N, d); each keeps its own
+    blow-up guard and a lone run's arithmetic, and gets a Trajectory view.
     """
     if dt <= 0:
         raise IntegrationError(f"step size must be positive, got {dt}")
     if t_end <= 0:
         raise IntegrationError(f"horizon must be positive, got {t_end}")
-    n, d = history.n_agents, history.dim
-    if g.n_vertices != n:
-        raise IntegrationError(
-            f"graph has {g.n_vertices} vertices but history has {n} agents")
-    tau = max(history.tau, p.tau_max)
+    single = isinstance(history, InitialHistory)
+    hists = [history] if single else list(history)
+    B = len(hists)
+    ws = [w] * B if isinstance(w, WeightFunction) else list(w)
+    if not hists or len(ws) != B:
+        raise IntegrationError(f"{B} member histories but {len(ws)} weights")
+    n, d = g.n_vertices, hists[0].dim
+    for h in hists:
+        if h.x0.shape != (n, d):
+            raise IntegrationError(f"graph has {n} vertices but a member history has "
+                                   f"shape {h.x0.shape}")
+        if h.tau + 1e-12 < p.tau_max:
+            raise IntegrationError(f"history covers only [-{h.tau}, 0] but "
+                                   f"delays reach {p.tau_max}")
+    tau = max(p.tau_max, *(h.tau for h in hists))
     n_hist = int(math.ceil(tau / dt - 1e-12)) if tau > 0 else 0
     n_steps = int(math.ceil(t_end / dt - 1e-12))
     M = n_hist + n_steps + 1
+    nb = B * n
     times = (np.arange(M) - n_hist) * dt
-    xs = np.empty((M, n, d))
-    vs = np.empty((M, n, d))
-    dvs = np.zeros((M, n, d))
-    for k in range(n_hist + 1):
-        xs[k], vs[k] = history.eval(times[k])
-        dvs[k] = history.velocity_slope(times[k])
-
+    xs = np.empty((M, nb, d))
+    vs = np.empty((M, nb, d))
+    dvs = np.zeros((M, nb, d))
     # a constant history does not move: its positions have zero slopes
-    # up to the history side of t = 0
-    if history.times is None:
-        dxs, hist_end_xslope = np.zeros((M, n, d)), np.zeros((n, d))
-        dxs[n_hist] = vs[n_hist]
-    else:
-        dxs, hist_end_xslope = vs, history.v0
+    # up to the history side of t = 0; sampled ones use the velocities
+    dxs = np.zeros((M, nb, d))
+    hist_end_slope = np.empty((nb, d))
+    hist_end_xslope = np.zeros((nb, d))
+    members = [slice(b * n, (b + 1) * n) for b in range(B)]
+    for sl, h in zip(members, hists):
+        for k in range(n_hist + 1):
+            xs[k, sl], vs[k, sl] = h.eval(times[k])
+            dvs[k, sl] = h.velocity_slope(times[k])
+        hist_end_slope[sl] = h.velocity_slope(0.0)
+        if h.times is not None:
+            dxs[: n_hist + 1, sl] = vs[: n_hist + 1, sl]
+            hist_end_xslope[sl] = h.v0
+    dxs[n_hist] = vs[n_hist]
+    guard = blowup_factor * np.maximum(
+        np.abs(vs[: n_hist + 1]).reshape(n_hist + 1, B, -1).max(axis=(0, 2)), 1.0)
+
     ei, ej = np.nonzero(g.arcs)
-    hist_end_slope = history.velocity_slope(0.0)
-    v_scale = max(float(np.abs(vs[: n_hist + 1]).max()), 1e-300)
-    guard = blowup_factor * max(v_scale, 1.0)
+    n_arcs = len(ei)
+    ei, ej = np.tile(ei, B), np.tile(ej, B)
+    # member-local arc indices: random delays are drawn as in a lone run
     delay_at = p.on_edges(ei, ej)
+    offset = np.repeat(np.arange(B) * n, n_arcs)
+    ei, ej = ei + offset, ej + offset
+    # one weight call per run of members sharing a weight, with its own
+    # scalar parameters (an exponent array rounds differently at beta = 1);
+    # tabulated weights are compared by identity, as == fails on tables
+    keys = [id(m) if m.kind == "tabulated" else (m.kind, m.kappa, m.beta, m.normalize_by)
+            for m in ws]
+    starts = [b for b in range(B) if b == 0 or keys[b] != keys[b - 1]]
+    cuts = [b * n_arcs for b in starts] + [B * n_arcs]
+    psi = ws[0] if len(starts) == 1 else lambda r: np.concatenate(
+        [ws[b](r[lo:hi]) for b, lo, hi in zip(starts, cuts, cuts[1:])])
+    tables = ((xs, dxs, hist_end_xslope), (vs, dvs, hist_end_slope))
 
     def stage_rhs(t_stage, x_stage, v_stage, hi):
         # hi: last grid index with a valid velocity slope
@@ -257,12 +287,9 @@ def integrate(history: InitialHistory, g: Digraph, w: WeightFunction,
         xd, vd = x_stage[ej], v_stage[ej]
         past = tau_e != 0.0
         if past.any():
-            jp, sp = ej[past], t_stage - tau_e[past]
-            xd[past] = _hermite_gather(times, xs, dxs, jp, sp, hi, fix_idx=n_hist,
-                                       fix_val=hist_end_xslope)
-            vd[past] = _hermite_gather(times, vs, dvs, jp, sp, hi,
-                                       fix_idx=n_hist, fix_val=hist_end_slope)
-        return v_stage, edge_forces(x_stage[ei], xd, v_stage[ei], vd, ei, w, n)
+            xd[past], vd[past] = _hermite_gather(times, tables, ej[past],
+                                                 t_stage - tau_e[past], hi, n_hist)
+        return v_stage, edge_forces(x_stage[ei], xd, v_stage[ei], vd, ei, psi, nb)
 
     idx = n_hist
     for _ in range(n_steps):
@@ -279,13 +306,15 @@ def integrate(history: InitialHistory, g: Digraph, w: WeightFunction,
         xs[idx + 1] = x + dt / 6 * (k1x + 2 * k2x + 2 * k3x + k4x)
         vs[idx + 1] = dxs[idx + 1] = v + dt / 6 * (k1v + 2 * k2v + 2 * k3v + k4v)
         idx += 1
-        if not np.all(np.isfinite(vs[idx])) or np.abs(vs[idx]).max() > guard:
+        # a NaN or inf fails the comparison too
+        if not (np.abs(vs[idx]).reshape(B, -1).max(axis=1) <= guard).all():
             raise IntegrationError(f"solution blew up at t = {times[idx]:g}")
     # final slope so dense output covers the last segment
     _, dvs[idx] = stage_rhs(times[idx], xs[idx], vs[idx], idx - 1)
-    return Trajectory(times=times, xs=xs, vs=vs, dt=dt, n_hist=n_hist, dvs=dvs,
-                      hist_end_slope=hist_end_slope, dxs=dxs,
-                      hist_end_xslope=hist_end_xslope)
+    trajs = [Trajectory(times=times, xs=xs[:, sl], vs=vs[:, sl], dt=dt, n_hist=n_hist,
+                        dvs=dvs[:, sl], dxs=dxs[:, sl], hist_end_slope=hist_end_slope[sl],
+                        hist_end_xslope=hist_end_xslope[sl]) for sl in members]
+    return trajs[0] if single else trajs
 
 
 @dataclass

@@ -260,32 +260,41 @@ def write_certificate(cert: an.FlockingCertificate, path: str):
             f.write(f"{k}={_fmt(v)}\n")
 
 
-def run(s: Scenario, out_dir: str | None = None) -> RunReport:
-    """Certificate check, simulation, diagnostics, optional CSV export."""
-    history = s.initial_history()
-    cert = None
+def _certify(s: Scenario, history: InitialHistory):
     try:
         if s.model == "discrete":
-            cert = an.check_discrete(s.positions, s.velocities, s.graph, s.weight,
+            return an.check_discrete(s.positions, s.velocities, s.graph, s.weight,
                                      s.delay, s.h, rho=s.rho)
-        else:
-            cert = an.check_continuous(history, s.graph, s.weight, s.delay,
-                                       rho=s.rho)
+        return an.check_continuous(history, s.graph, s.weight, s.delay, rho=s.rho)
     except an.AnalysisError:
-        cert = None   # degenerate graph (no spanning tree / single agent)
+        return None   # degenerate graph (no spanning tree / single agent)
 
+
+def _run_group(group: list[Scenario], out_dir: str | None = None) -> list[RunReport]:
+    """Certificates, one simulation for members sharing graph, delay, dt,
+    t_end and history reach (discrete: one member), then each one's checks."""
+    histories = [s.initial_history() for s in group]
+    certs = [_certify(s, h) for s, h in zip(group, histories)]
+    s = group[0]
     if s.model == "discrete":
-        traj = simulate_discrete(s.positions, s.velocities, s.graph, s.weight,
-                                 s.delay, t_end=int(s.t_end), h=s.h,
-                                 unsafe_h=s.unsafe_h)
+        trajs = [simulate_discrete(s.positions, s.velocities, s.graph, s.weight,
+                                   s.delay, t_end=int(s.t_end), h=s.h,
+                                   unsafe_h=s.unsafe_h)]
+    else:
+        trajs = integrate(histories, s.graph, [m.weight for m in group], s.delay,
+                          t_end=s.t_end, dt=s.dt)
+    return [_report(*member, out_dir)
+            for member in zip(group, histories, certs, trajs)]
+
+
+def _report(s: Scenario, history: InitialHistory, cert, traj: Trajectory,
+            out_dir: str | None) -> RunReport:
+    if s.model == "discrete":
         series = discrete_diameters(traj, s.delay.integer_tau_max)
         mono_tol = 1e-9 * max(float(series.spread[0]), 1e-300)
     else:
-        traj = integrate(history, s.graph, s.weight, s.delay,
-                         t_end=s.t_end, dt=s.dt)
         series = diameters(traj, s.delay.tau_max, history=history, g=s.graph)
         mono_tol = 1e-6 * max(float(series.spread[0]), 1e-300)
-
     mono = check_monotone_diameter(series, tol=mono_tol)
     decay = None
     pos_check = None
@@ -311,6 +320,11 @@ def run(s: Scenario, out_dir: str | None = None) -> RunReport:
                      positions_check=pos_check, csv_paths=tuple(paths))
 
 
+def run(s: Scenario, out_dir: str | None = None) -> RunReport:
+    """Certificate check, simulation, diagnostics, optional CSV export."""
+    return _run_group([s], out_dir)[0]
+
+
 SWEEP_AXES = ("beta", "tau", "kappa", "h", "scale")
 
 
@@ -328,36 +342,34 @@ def _apply_axis(s: Scenario, axis: str, value: float) -> Scenario:
     raise ScenarioError(f"unknown sweep axis {axis!r}; valid: {SWEEP_AXES}")
 
 
-def _sweep_point(args):
-    template, names, values = args
-    s = template
-    for axis, val in zip(names, values):
-        s = _apply_axis(s, axis, val)
-    s = s.replace(name=template.name + "@" + ",".join(
-        f"{a}={_fmt(float(v))}" for a, v in zip(names, values)))
-    return run(s)
-
-
 def sweep(template: Scenario, axes: dict[str, list[float]],
-          out_path: str | None = None, n_jobs: int = 1) -> list[RunReport]:
-    """Run every point of the axis product grid, in grid order.
-
-    Returns the reports; optionally writes one CSV row per point.
-    Points are independent, so ``n_jobs`` > 1 runs them in a process
-    pool; report order stays grid order either way.
+          out_path: str | None = None) -> list[RunReport]:
+    """Run every point of the axis product grid; reports in grid order,
+    optionally one CSV row per point.  Continuous points sharing graph,
+    delay, dt, t_end and history reach (beta, kappa and scale axes) run
+    as one batched integration, each bit for bit as ``run`` gives it.
     """
     names = list(axes.keys())
     for a in names:
         if a not in SWEEP_AXES:
             raise ScenarioError(f"unknown sweep axis {a!r}; valid: {SWEEP_AXES}")
     grid = list(itertools.product(*(axes[a] for a in names))) or [()]
-    jobs = [(template, names, values) for values in grid]
-    if n_jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=n_jobs) as ex:
-            reports = list(ex.map(_sweep_point, jobs))
-    else:
-        reports = [_sweep_point(j) for j in jobs]
+    points = []
+    for values in grid:
+        s = template
+        for axis, val in zip(names, values):
+            s = _apply_axis(s, axis, val)
+        points.append(s.replace(name=template.name + "@" + ",".join(
+            f"{a}={_fmt(float(v))}" for a, v in zip(names, values))))
+    groups: dict[object, list[int]] = {}
+    for k, s in enumerate(points):
+        key = k if s.model == "discrete" else (
+            id(s.graph), s.delay, s.dt, s.t_end, s.initial_history().tau)
+        groups.setdefault(key, []).append(k)
+    reports = [None] * len(points)
+    for ks in groups.values():
+        for k, rep in zip(ks, _run_group([points[k] for k in ks])):
+            reports[k] = rep
     if out_path is not None:
         write_sweep_csv(reports, names, grid, out_path)
     return reports

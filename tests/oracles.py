@@ -197,3 +197,24 @@ def discrete_euler_reference(arcs, x0, v0, psi, lag, h, t_end):
         xs.append(nx)
         vs.append(nv)
     return np.array(vs)
+
+
+def hermite_reference(times, vals, slopes, t, hi, fix_idx, fix_val):
+    """Cubic Hermite value of every row of vals at one time t, by a
+    linear segment scan.
+
+    vals, slopes: (M, N, d) grid tables.  The segment is the last one
+    starting at or before t among segments 0 .. hi-1 (so times past
+    times[hi] extrapolate the segment ending at hi).  fix_val replaces
+    the right-endpoint slope when that endpoint is fix_idx.
+    """
+    k = 0
+    while k < hi - 1 and times[k + 1] <= t:
+        k += 1
+    h = times[k + 1] - times[k]
+    u = (t - times[k]) / h
+    m1 = fix_val if k + 1 == fix_idx else slopes[k + 1]
+    return ((2 * u ** 3 - 3 * u ** 2 + 1) * vals[k]
+            + (u ** 3 - 2 * u ** 2 + u) * h * slopes[k]
+            + (-2 * u ** 3 + 3 * u ** 2) * vals[k + 1]
+            + (u ** 3 - u ** 2) * h * m1)

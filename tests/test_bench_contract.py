@@ -2,6 +2,7 @@
 (bench/spans.py).  A refactor that renames or drops one of them breaks
 the traced benchmark with an AttributeError; this catches it first."""
 import importlib.util
+import inspect
 from pathlib import Path
 
 import delayflock
@@ -29,3 +30,9 @@ def test_every_boundary_resolves_to_a_callable():
 def test_leaf_methods_are_defined_on_their_classes():
     for cls in (DelayProfile, WeightFunction):
         assert callable(cls.__dict__.get("__call__")), cls.__name__
+
+
+def test_integrate_keeps_the_parameters_the_trace_counts_read():
+    # _integrate_counts binds the call and reads g, t_end and dt by name
+    params = inspect.signature(delayflock.harness.integrate).parameters
+    assert {"g", "t_end", "dt"} <= set(params)

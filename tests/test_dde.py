@@ -13,7 +13,7 @@ from delayflock.dde import (
 from delayflock.digraph import Digraph
 from delayflock.interaction import DelayProfile, WeightFunction
 
-from oracles import two_agent_ode_difference
+from oracles import hermite_reference, two_agent_ode_difference
 
 FIG_ARCS = [(1, 2), (2, 3), (3, 1), (3, 4)]
 FIG_X0 = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
@@ -144,6 +144,118 @@ class TestIntegrate:
             traj = integrate(hist, g, w, p, t_end=2.0, dt=dt)
             errs.append(np.abs(traj.state_at(2.0)[1] - vref).max())
         assert errs[0] / errs[1] > 12.0
+
+
+class TestBatch:
+    """Members integrated as one block-diagonal system match lone runs."""
+
+    @staticmethod
+    def members():
+        rng = np.random.default_rng(11)
+        times = np.linspace(-1.0, 0.0, 11)
+        sampled = InitialHistory.from_samples(
+            times, FIG_X0 + rng.normal(size=(11, 4, 2)), rng.normal(size=(11, 4, 2)))
+        hists = [InitialHistory.constant(FIG_X0, s * FIG_V0, tau=1.0)
+                 for s in (0.01, 1.0, 3.0)] + [sampled]
+        ws = [WeightFunction(kind="cucker-smale", kappa=1.0, beta=b)
+              for b in (1.0, 1.0, 0.25, 17 / 32)]
+        return hists, ws
+
+    @pytest.mark.parametrize("p", [
+        DelayProfile.constant(1.0),
+        DelayProfile.constant(0.013, tau_max=1.0),
+        DelayProfile(kind="sinusoidal", tau_max=1.0, mean=0.5, amplitude=0.4,
+                     period=0.7),
+        DelayProfile(kind="piecewise-random", tau_max=1.0, low=0.0, high=1.0,
+                     seed=3, hold=0.3)])
+    def test_members_match_lone_runs_bit_for_bit(self, p):
+        g = Digraph.from_arc_list(4, FIG_ARCS, one_based=True)
+        hists, ws = self.members()
+        batch = integrate(hists, g, ws, p, t_end=2.0, dt=0.02)
+        assert len(batch) == len(hists)
+        for h, w, got in zip(hists, ws, batch):
+            want = integrate(h, g, w, p, t_end=2.0, dt=0.02)
+            for name in ("times", "xs", "vs", "dvs", "dxs", "hist_end_slope",
+                         "hist_end_xslope"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+            assert got.n_hist == want.n_hist
+            for t in (-0.51, -0.005, 0.0, 1.234, 2.0):
+                for a, b in zip(got.state_at(t), want.state_at(t)):
+                    assert a.tobytes() == b.tobytes()
+
+    def test_one_weight_serves_every_member(self):
+        g, w, p, _ = fig_setup()
+        hists, _ = self.members()
+        batch = integrate(hists, g, w, p, t_end=1.0, dt=0.05)
+        for h, got in zip(hists, batch):
+            want = integrate(h, g, w, p, t_end=1.0, dt=0.05)
+            assert got.vs.tobytes() == want.vs.tobytes()
+
+    def test_blow_up_guard_is_per_member(self):
+        # RK4 at 2*kappa*dt = 4 multiplies the velocity gap by 5 a step:
+        # the small member passes its guard of 1e6 within 14 steps, far
+        # below the 1e10 guard of its large-velocity batch-mate
+        g = Digraph.complete(2)
+        p = DelayProfile.zero()
+        small = InitialHistory.constant([[0.0], [1.0]], [[0.0], [0.02]], tau=0.0)
+        large = InitialHistory.constant([[0.0], [1.0]], [[0.0], [1e4]], tau=0.0)
+        unstable = WeightFunction(kind="constant", kappa=20.0)
+        stable = WeightFunction(kind="constant", kappa=0.01)
+        with pytest.raises(IntegrationError) as lone:
+            integrate(small, g, unstable, p, t_end=1.4, dt=0.1)
+        integrate([large], g, [stable], p, t_end=1.4, dt=0.1)
+        for hists, ws in (([small, large], [unstable, stable]),
+                          ([large, small], [stable, unstable])):
+            with pytest.raises(IntegrationError) as batch:
+                integrate(hists, g, ws, p, t_end=1.4, dt=0.1)
+            assert str(batch.value) == str(lone.value)
+
+    def test_history_must_cover_the_delays(self):
+        g, w, p, hist = fig_setup()
+        short = InitialHistory.constant(FIG_X0, FIG_V0, tau=0.5)
+        with pytest.raises(IntegrationError, match="history covers only"):
+            integrate(short, g, w, p, t_end=1.0)
+        with pytest.raises(IntegrationError, match="history covers only"):
+            integrate([hist, short], g, w, p, t_end=1.0)
+
+    def test_member_shapes_and_weight_count(self):
+        g, w, p, hist = fig_setup()
+        three = InitialHistory.constant(FIG_X0[:3], FIG_V0[:3], tau=1.0)
+        with pytest.raises(IntegrationError):
+            integrate([hist, three], g, w, p, t_end=1.0)
+        with pytest.raises(IntegrationError):
+            integrate([hist, hist], g, [w], p, t_end=1.0)
+
+
+class TestHermiteGather:
+    @pytest.mark.parametrize("sampled", [False, True])
+    def test_state_at_matches_per_lookup_reference(self, sampled):
+        g, w, p, hist = fig_setup(scale=0.3)
+        if sampled:
+            rng = np.random.default_rng(4)
+            hist = InitialHistory.from_samples(
+                np.linspace(-1.0, 0.0, 6), FIG_X0 + rng.normal(size=(6, 4, 2)),
+                rng.normal(size=(6, 4, 2)))
+        traj = integrate([hist], g, [w], p, t_end=1.0, dt=0.05)[0]
+        hi = len(traj.times) - 1
+        # grid points, the segment ending at n_hist (where the slope
+        # jumps), t = 0 itself, interior times and the last grid time
+        ts = [-1.0, -0.37, -0.05, -0.01, -1e-9, 0.0, 1e-9, 0.02, 0.05,
+              0.512, 0.95, 0.99, 1.0]
+        for t in ts:
+            x, v = traj.state_at(t)
+            x_ref = hermite_reference(traj.times, traj.xs, traj.dxs, t, hi,
+                                      traj.n_hist, traj.hist_end_xslope)
+            v_ref = hermite_reference(traj.times, traj.vs, traj.dvs, t, hi,
+                                      traj.n_hist, traj.hist_end_slope)
+            assert np.allclose(x, x_ref, rtol=1e-13, atol=1e-14), t
+            assert np.allclose(v, v_ref, rtol=1e-13, atol=1e-14), t
+        # the history side of t = 0 reads the history's own slopes
+        x, v = traj.state_at(-0.01)
+        bent = hermite_reference(traj.times, traj.vs, traj.dvs, -0.01, hi,
+                                 None, None)
+        assert sampled or np.array_equal(x, FIG_X0)
+        assert not np.allclose(v, bent, rtol=1e-13, atol=1e-14)
 
 
 class TestConstantHistory:

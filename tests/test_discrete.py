@@ -146,6 +146,19 @@ class TestScalarReference:
             step(initial_state([[0.0], [0.0]], [[0.0], [1.0]], h=1.5, tau=0),
                  g, w, p)
 
+    def test_simulate_runs_no_graph_search(self, monkeypatch):
+        def forbidden(g):
+            raise AssertionError("simulate_discrete() must not search the graph")
+
+        monkeypatch.setattr(discrete, "compute_metrics", forbidden)
+        g, w, p, h = pair_setup()
+        traj = simulate_discrete([[0.0], [0.0]], [[0.0], [1.0]], g, w, p,
+                                 t_end=3, h=h)
+        assert traj.vs.shape == (4, 2, 1)
+        with pytest.raises(StabilityGateError):    # kappa*h above 1/n_infinity
+            simulate_discrete([[0.0], [0.0]], [[0.0], [1.0]], g, w, p,
+                              t_end=3, h=1.5)
+
 
 class TestSimulate:
     def test_window_extrema_monotone(self):

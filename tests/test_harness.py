@@ -1,9 +1,12 @@
+import dataclasses
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
 
+from delayflock import harness
 from delayflock.analysis import CRITICAL, SHORT_RANGE
 from delayflock.digraph import Digraph, compute_metrics
 from delayflock.harness import (
@@ -209,9 +212,57 @@ class TestSweep:
         with pytest.raises(ScenarioError):
             sweep(self.template(), {"viscosity": [1.0]})
 
+    def batch_sizes(self, monkeypatch):
+        sizes = []
+        integrate = harness.integrate
+
+        def counted(history, *args, **kwargs):
+            sizes.append(len(history))
+            return integrate(history, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "integrate", counted)
+        return sizes
+
+    def test_batched_points_match_single_runs(self, monkeypatch):
+        sizes = self.batch_sizes(monkeypatch)
+        axes = {"beta": [0.0, 0.25, 0.5, 17 / 32, 1.0], "kappa": [0.5, 1.0],
+                "scale": [1e-3, 30.0]}
+        reports = sweep(self.template(), axes)
+        assert sizes == [20]
+        for rep in reports:
+            assert_same(rep, run(rep.scenario))
+        assert sizes == [20] + [1] * 20
+
+    def test_tau_axis_gives_groups_of_one(self, monkeypatch):
+        sizes = self.batch_sizes(monkeypatch)
+        reports = sweep(self.template(), {"tau": [0.5, 1.0, 0.25]})
+        assert sizes == [1, 1, 1]
+        reports += sweep(self.template(), {"tau": [0.5, 1.0], "beta": [0.2, 0.6]})
+        assert sizes == [1, 1, 1, 2, 2]
+        for rep in reports:
+            assert_same(rep, run(rep.scenario))
+
     def test_deterministic_output(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         axes = {"scale": [0.5, 1.5]}
         sweep(self.template(), axes, out_path=str(a))
         sweep(self.template(), axes, out_path=str(b))
         assert a.read_bytes() == b.read_bytes()
+
+
+def assert_same(a, b, path="report"):
+    """a and b agree bit for bit, field by field."""
+    if dataclasses.is_dataclass(a):
+        assert type(a) is type(b), path
+        for f in dataclasses.fields(a):
+            assert_same(getattr(a, f.name), getattr(b, f.name), f"{path}.{f.name}")
+    elif isinstance(a, np.ndarray):
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), path
+    elif isinstance(a, (tuple, list)):
+        assert len(a) == len(b), path
+        for k, (x, y) in enumerate(zip(a, b)):
+            assert_same(x, y, f"{path}[{k}]")
+    elif isinstance(a, float):
+        assert struct.pack("d", a) == struct.pack("d", b), path
+    else:
+        assert a == b, path
