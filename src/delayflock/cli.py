@@ -1,6 +1,7 @@
 """Command-line entry points.
 
-Exit codes: 0 success, 2 scenario/validation error, 3 a certified run
+Exit codes: 0 success, 2 invalid input or a run that blew up (one
+``error:`` line from the one handler in ``main``), 3 a certified run
 violated its own decay guarantee (a defect, not a user error).
 """
 from __future__ import annotations
@@ -14,7 +15,9 @@ import numpy as np
 
 from . import analysis as an
 from . import harness
-from .digraph import Digraph, GraphError, compute_metrics
+from .dde import IntegrationError
+from .digraph import GraphError, compute_metrics
+from .discrete import StabilityGateError
 from .interaction import AdmissibilityError
 
 EXIT_OK = 0
@@ -53,7 +56,10 @@ def _print_report(rep: harness.RunReport):
         print(f"wrote {p}")
 
 
-def _defect_exit(rep: harness.RunReport) -> int:
+def _run_and_print(s: harness.Scenario, args) -> int:
+    """Run, print the report; exit 3 when a certified bound was broken."""
+    rep = harness.run(s, out_dir=_out_dir(args))
+    _print_report(rep)
     if rep.decay is not None and not rep.decay:
         return EXIT_DEFECT
     if rep.positions_check is not None and not rep.positions_check:
@@ -62,15 +68,8 @@ def _defect_exit(rep: harness.RunReport) -> int:
 
 
 def cmd_analyze_graph(args) -> int:
-    import json
-    with open(args.file) as f:
-        cfg = json.load(f)
-    gcfg = cfg.get("graph", cfg)
-    if gcfg.get("complete"):
-        g = Digraph.complete(gcfg["n"])
-    else:
-        g = Digraph.from_arc_list(gcfg["n"], [tuple(a) for a in gcfg["arcs"]],
-                                  one_based=True)
+    cfg = harness.read_json(args.file)
+    g = harness.parse_graph(cfg.get("graph", cfg))   # a scenario or a bare graph
     m = compute_metrics(g)
     gamma = "inf" if math.isinf(m.gamma_g) else str(int(m.gamma_g))
     roots = sorted(r + 1 for r in m.roots)
@@ -82,13 +81,7 @@ def cmd_analyze_graph(args) -> int:
 
 
 def cmd_check_condition(args) -> int:
-    s = harness.load_scenario(args.scenario)
-    if s.model == "discrete":
-        cert = an.check_discrete(s.positions, s.velocities, s.graph, s.weight,
-                                 s.delay, s.h, rho=s.rho)
-    else:
-        cert = an.check_continuous(s.initial_history(), s.graph, s.weight,
-                                   s.delay, rho=s.rho)
+    cert = harness.certify(harness.load_scenario(args.scenario))
     for k, v in cert.as_dict().items():
         print(f"{k}={v}")
     return EXIT_OK
@@ -100,16 +93,11 @@ def cmd_simulate(args) -> int:
         s = s.replace(t_end=args.t_end)
     if args.dt is not None:
         s = s.replace(dt=args.dt)
-    rep = harness.run(s, out_dir=_out_dir(args))
-    _print_report(rep)
-    return _defect_exit(rep)
+    return _run_and_print(s, args)
 
 
 def cmd_reproduce(args) -> int:
-    s = harness.preset(args.preset)
-    rep = harness.run(s, out_dir=_out_dir(args))
-    _print_report(rep)
-    return _defect_exit(rep)
+    return _run_and_print(harness.preset(args.preset), args)
 
 
 def _parse_axis(cfg: str):
@@ -184,8 +172,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (harness.ScenarioError, GraphError, AdmissibilityError,
-            an.AnalysisError, FileNotFoundError) as e:
+    except (harness.ScenarioError, GraphError, AdmissibilityError, an.AnalysisError,
+            StabilityGateError, IntegrationError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
 

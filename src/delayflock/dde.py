@@ -26,7 +26,12 @@ from .interaction import DelayProfile, WeightFunction
 
 
 class IntegrationError(RuntimeError):
-    """Integrator failure: bad step size, lookup out of range, blow-up."""
+    """Integrator failure: bad step size, lookup out of range, blow-up.
+    ``member`` is the index of the batch member that blew up, else None."""
+
+    def __init__(self, message: str, member: int | None = None):
+        super().__init__(message)
+        self.member = member
 
 
 @dataclass(frozen=True)
@@ -218,10 +223,10 @@ def integrate(history: InitialHistory | Sequence[InitialHistory], g: Digraph,
     b*N .. (b+1)*N-1, so xs reshapes to (M, B, N, d); each keeps its own
     blow-up guard and a lone run's arithmetic, and gets a Trajectory view.
     """
-    if dt <= 0:
-        raise IntegrationError(f"step size must be positive, got {dt}")
-    if t_end <= 0:
-        raise IntegrationError(f"horizon must be positive, got {t_end}")
+    if not 0 < dt < math.inf:
+        raise IntegrationError(f"step size must be positive and finite, got {dt}")
+    if not 0 < t_end < math.inf:
+        raise IntegrationError(f"horizon must be positive and finite, got {t_end}")
     single = isinstance(history, InitialHistory)
     hists = [history] if single else list(history)
     B = len(hists)
@@ -265,9 +270,11 @@ def integrate(history: InitialHistory | Sequence[InitialHistory], g: Digraph,
 
     ei, ej = np.nonzero(g.arcs)
     n_arcs = len(ei)
+    # every member has a lone run's delays: drawn once, on one member's arcs
+    local_at = p.on_edges(ei, ej)
+    arc = np.tile(np.arange(n_arcs), B)
+    delay_at = local_at if B == 1 else lambda t: local_at(t)[arc]
     ei, ej = np.tile(ei, B), np.tile(ej, B)
-    # member-local arc indices: random delays are drawn as in a lone run
-    delay_at = p.on_edges(ei, ej)
     offset = np.repeat(np.arange(B) * n, n_arcs)
     ei, ej = ei + offset, ej + offset
     # one weight call per run of members sharing a weight, with its own
@@ -307,8 +314,10 @@ def integrate(history: InitialHistory | Sequence[InitialHistory], g: Digraph,
         vs[idx + 1] = dxs[idx + 1] = v + dt / 6 * (k1v + 2 * k2v + 2 * k3v + k4v)
         idx += 1
         # a NaN or inf fails the comparison too
-        if not (np.abs(vs[idx]).reshape(B, -1).max(axis=1) <= guard).all():
-            raise IntegrationError(f"solution blew up at t = {times[idx]:g}")
+        ok = np.abs(vs[idx]).reshape(B, -1).max(axis=1) <= guard
+        if not ok.all():
+            raise IntegrationError(f"solution blew up at t = {times[idx]:g}",
+                                   member=int(ok.argmin()))
     # final slope so dense output covers the last segment
     _, dvs[idx] = stage_rhs(times[idx], xs[idx], vs[idx], idx - 1)
     trajs = [Trajectory(times=times, xs=xs[:, sl], vs=vs[:, sl], dt=dt, n_hist=n_hist,

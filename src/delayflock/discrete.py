@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dde import DiameterSeries, Trajectory, _trailing_extreme, edge_forces
+from .dde import DiameterSeries, Trajectory, diameters, edge_forces
 from .digraph import Digraph, compute_metrics  # noqa: F401  (traced here by bench/spans.py)
 from .interaction import AdmissibilityError, DelayProfile, WeightFunction
 
@@ -43,13 +43,6 @@ class DiscreteState:
     @property
     def v(self) -> np.ndarray:
         return self.buffer_v[-1]
-
-    def delayed(self, j: int, lag: int) -> tuple[np.ndarray, np.ndarray]:
-        """State of agent j at step t - lag, 0 <= lag <= tau."""
-        if not (0 <= lag <= self.tau):
-            raise IndexError(f"lag {lag} outside buffer depth {self.tau}")
-        k = self.tau - lag
-        return self.buffer_x[k, j], self.buffer_v[k, j]
 
 
 def check_gate(kappa: float, h: float, n_infinity: int, unsafe: bool = False):
@@ -144,12 +137,4 @@ def discrete_diameters(traj: Trajectory, tau: int) -> DiameterSeries:
     """Window extrema over the last tau+1 steps, per component."""
     if not traj.discrete:
         raise ValueError("expected a discrete trajectory")
-    vs = traj.vs
-    g_max = vs.max(axis=1)
-    g_min = vs.min(axis=1)
-    vbar = _trailing_extreme(g_max, tau, np.max)[traj.n_hist:]
-    vund = _trailing_extreme(g_min, tau, np.min)[traj.n_hist:]
-    spread_k = vbar - vund
-    return DiameterSeries(times=traj.times[traj.n_hist:], vbar=vbar, vund=vund,
-                          spread_k=spread_k, spread=spread_k.max(axis=1),
-                          x_spread0=0.0)
+    return diameters(traj, tau)

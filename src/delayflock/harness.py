@@ -19,23 +19,26 @@ import itertools
 import json
 import math
 import os
+import sys
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import analysis as an
-from .dde import InitialHistory, Trajectory, check_monotone_diameter, diameters, integrate
-from .digraph import Digraph, GraphError
+from .dde import (InitialHistory, IntegrationError, Trajectory, check_monotone_diameter,
+                  diameters, integrate)
+from .digraph import Digraph
 from .discrete import discrete_diameters, simulate_discrete
-from .interaction import AdmissibilityError, DelayProfile, WeightFunction, verify_admissible
+from .interaction import DelayProfile, WeightFunction, verify_admissible
 
 CSV_HEADER = "# delayflock-csv v1"
 OUTPUT_DIR_ENV = "DELAYFLOCK_OUT"
 
 BASE_POSITIONS = [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]
 BASE_VELOCITIES = [[1.0, -2.0], [3.0, -4.0], [5.0, 6.0], [-7.0, -8.0]]
-FIG_DIGRAPH_ARCS = [(1, 2), (2, 3), (3, 1), (3, 4)]   # (sender, receiver), 1-based
+FIG_DIGRAPH_ARCS = [[1, 2], [2, 3], [3, 1], [3, 4]]   # [sender, receiver], 1-based
 FIG2_SCALE = math.exp(-10) / (672 * math.sqrt(2))
 FIG4_SCALE = math.exp(-10) / (7056 * math.sqrt(2))
 
@@ -92,6 +95,86 @@ class RunReport:
         return self.time_to_tolerance is not None
 
 
+def _finite_table(v) -> bool:
+    a = np.asarray(v)
+    return a.dtype.kind in "iuf" and bool(np.isfinite(a).all())
+
+
+# what a scenario key holds: a Kind, or the schema of a nested object
+Kind = namedtuple("Kind", "text test")
+NUMBER = Kind("a finite number", lambda v: isinstance(v, (int, float))   # and no huge int
+              and not isinstance(v, bool) and abs(v) <= sys.float_info.max)
+COUNT = Kind("a nonnegative integer", lambda v: type(v) is int and v >= 0)
+FLAG = Kind("true or false", lambda v: isinstance(v, bool))
+TEXT = Kind("a string", lambda v: isinstance(v, str))
+OBJECT = Kind("a JSON object", lambda v: isinstance(v, dict))
+TABLE = Kind("a table of finite numbers", _finite_table)
+ARCS = Kind("a list of [sender, receiver] integer pairs",
+            lambda v: isinstance(v, list) and all(isinstance(a, list) and len(a) == 2
+                                                  and type(a[0]) is type(a[1]) is int
+                                                  for a in v))
+GRAPH_SCHEMA = {"n": COUNT, "arcs": ARCS, "complete": FLAG}
+SCENARIO_SCHEMA = {
+    "graph": OBJECT,    # parse_graph checks it against GRAPH_SCHEMA
+    "model": TEXT,
+    "weight": {"type": TEXT, "kappa": NUMBER, "beta": NUMBER, "normalize_by": NUMBER,
+               "r": TABLE, "values": TABLE},
+    "delay": {"type": TEXT, "tau": NUMBER, "integer": FLAG, "value": NUMBER,
+              "mean": NUMBER, "amplitude": NUMBER, "period": NUMBER, "seed": COUNT,
+              "hold": NUMBER, "low": NUMBER, "high": NUMBER},
+    "positions": TABLE, "velocities": TABLE, "velocity_scale": NUMBER, "dt": NUMBER,
+    "h": NUMBER, "t_end": NUMBER, "rho": NUMBER, "flock_tol": NUMBER, "unsafe_h": FLAG,
+}
+
+
+def _check(cfg, schema: dict, where: str = "") -> None:
+    """Raise ScenarioError unless cfg is an object whose keys the schema
+    knows, each holding a value of its kind; nested objects likewise."""
+    if not isinstance(cfg, dict):
+        raise ScenarioError(f"{where.rstrip('.') or 'scenario'} must be a JSON object")
+    for key, value in cfg.items():
+        if key not in schema:
+            import difflib   # error path only, so not paid at import time
+            near = difflib.get_close_matches(key, list(schema), n=1, cutoff=0.0)[0]
+            raise ScenarioError(f"unknown scenario key {where + key!r}; "
+                                f"did you mean {where + near!r}?")
+        kind = schema[key]
+        if isinstance(kind, dict):
+            _check(value, kind, where + key + ".")
+        elif not kind.test(value):
+            raise ScenarioError(f"scenario key {where + key!r} must be {kind.text}, "
+                                f"got {value!r:.60}")
+
+
+def read_json(path: str) -> dict:
+    """The JSON object in a file; a file that cannot be read or does not
+    hold a JSON object is a ScenarioError naming the path."""
+    try:
+        with open(path) as f:
+            raw = json.load(f)
+    except json.JSONDecodeError as e:
+        raise ScenarioError(f"{path}:{e.lineno}: {e.msg}") from e
+    except UnicodeDecodeError as e:
+        raise ScenarioError(f"{path}: not UTF-8 text ({e.reason})") from e
+    except OSError as e:
+        raise ScenarioError(f"{path}: {e.strerror}") from e
+    if not isinstance(raw, dict):
+        raise ScenarioError(f"{path}: expected a JSON object")
+    return raw
+
+
+def parse_graph(cfg) -> Digraph:
+    """The graph object of a scenario: ``{"n": N, "complete": true}`` or
+    ``{"n": N, "arcs": [[sender, receiver], ...]}`` with 1-based labels."""
+    _check(cfg, GRAPH_SCHEMA, "graph.")
+    if "n" not in cfg or not (cfg.get("complete") or "arcs" in cfg):
+        raise ScenarioError("graph needs 'n' and, unless complete, 'arcs'")
+    if cfg.get("complete"):
+        return Digraph.complete(cfg["n"])
+    return Digraph.from_arc_list(cfg["n"], [tuple(a) for a in cfg["arcs"]],
+                                 one_based=True)
+
+
 def _build_weight(cfg: dict) -> WeightFunction:
     kind = cfg.get("type", "cucker-smale")
     if kind == "tabulated-custom":
@@ -125,22 +208,16 @@ def _build_delay(cfg: dict, integer_valued: bool = False) -> DelayProfile:
 
 def load_scenario(path: str) -> Scenario:
     """Parse and fully validate a JSON scenario file."""
-    try:
-        with open(path) as f:
-            raw = json.load(f)
-    except json.JSONDecodeError as e:
-        raise ScenarioError(f"{path}:{e.lineno}: {e.msg}") from e
-    return scenario_from_dict(raw, name=os.path.basename(path))
+    return scenario_from_dict(read_json(path), name=os.path.basename(path))
 
 
 def scenario_from_dict(raw: dict, name: str = "scenario") -> Scenario:
+    """Build and fully validate a scenario from its JSON object; every
+    fault of the input, a value of the wrong kind among them, is a
+    ScenarioError."""
     try:
-        gcfg = raw["graph"]
-        if gcfg.get("complete"):
-            graph = Digraph.complete(gcfg["n"])
-        else:
-            graph = Digraph.from_arc_list(
-                gcfg["n"], [tuple(a) for a in gcfg["arcs"]], one_based=True)
+        _check(raw, SCENARIO_SCHEMA)
+        graph = parse_graph(raw["graph"])
         model = raw.get("model", "continuous")
         if model not in ("continuous", "discrete"):
             raise ScenarioError(f"model must be continuous or discrete, got {model!r}")
@@ -153,14 +230,14 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> Scenario:
             velocities = velocities * float(scale)
     except KeyError as e:
         raise ScenarioError(f"missing scenario key {e.args[0]!r}") from e
-    except (GraphError, AdmissibilityError) as e:
+    except ScenarioError:
+        raise
+    except (TypeError, ValueError) as e:   # GraphError and AdmissibilityError too
         raise ScenarioError(str(e)) from e
     s = Scenario(name=name, model=model, graph=graph, weight=weight, delay=delay,
                  positions=positions, velocities=velocities,
-                 dt=raw.get("dt", 0.01), h=raw.get("h", 0.05),
-                 t_end=raw.get("t_end", 50.0), rho=raw.get("rho"),
-                 flock_tol=raw.get("flock_tol", 1e-6),
-                 unsafe_h=raw.get("unsafe_h", False))
+                 **{k: raw[k] for k in ("dt", "h", "t_end", "rho", "flock_tol", "unsafe_h")
+                    if k in raw})
     validate_scenario(s)
     return s
 
@@ -177,16 +254,10 @@ def validate_scenario(s: Scenario):
     rep = verify_admissible(s.weight)
     if not rep:
         raise ScenarioError(f"weight is not admissible: {rep.violations[0]}")
-    if s.history is not None and s.history.tau + 1e-12 < s.delay.tau_max:
-        raise ScenarioError(
-            f"history covers only [-{s.history.tau}, 0] but delays reach "
-            f"{s.delay.tau_max}")
     if s.model == "continuous" and not s.delay.continuous_in_t:
         warnings.warn("discontinuous delay profile used with the continuous "
                       "integrator; accuracy near jumps is degraded",
                       stacklevel=2)
-    if s.model == "discrete" and not s.delay.integer_valued:
-        raise ScenarioError("discrete model needs an integer-valued delay profile")
 
 
 def preset(name: str) -> Scenario:
@@ -202,20 +273,15 @@ def preset(name: str) -> Scenario:
     if name not in PRESET_NAMES:
         raise ScenarioError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
     fig, variant = name.split("-")
-    beta = 0.25 if fig in ("fig2", "fig3") else 17.0 / 32.0
-    scale = {"fig2": FIG2_SCALE, "fig3": 1.0,
-             "fig4": FIG4_SCALE, "fig5": 1.0}[fig]
-    t_end = 20.0 if fig == "fig5" else 50.0
-    if variant == "complete":
-        graph = Digraph.complete(4)
-    else:
-        graph = Digraph.from_arc_list(4, FIG_DIGRAPH_ARCS, one_based=True)
-    weight = WeightFunction(kind="cucker-smale", kappa=1.0, beta=beta)
-    delay = DelayProfile.constant(1.0)
-    velocities = np.asarray(BASE_VELOCITIES) * scale
-    return Scenario(name=name, model="continuous", graph=graph, weight=weight,
-                    delay=delay, positions=np.asarray(BASE_POSITIONS),
-                    velocities=velocities, dt=0.01, t_end=t_end)
+    return scenario_from_dict({
+        "graph": ({"n": 4, "complete": True} if variant == "complete"
+                  else {"n": 4, "arcs": FIG_DIGRAPH_ARCS}),
+        "weight": {"beta": 0.25 if fig in ("fig2", "fig3") else 17.0 / 32.0},
+        "delay": {"type": "constant", "tau": 1.0, "integer": True},
+        "positions": BASE_POSITIONS, "velocities": BASE_VELOCITIES,
+        "velocity_scale": {"fig2": FIG2_SCALE, "fig3": 1.0,
+                           "fig4": FIG4_SCALE, "fig5": 1.0}[fig],
+        "t_end": 20.0 if fig == "fig5" else 50.0}, name=name)
 
 
 def _fmt(x) -> str:
@@ -260,29 +326,40 @@ def write_certificate(cert: an.FlockingCertificate, path: str):
             f.write(f"{k}={_fmt(v)}\n")
 
 
-def _certify(s: Scenario, history: InitialHistory):
-    try:
-        if s.model == "discrete":
-            return an.check_discrete(s.positions, s.velocities, s.graph, s.weight,
-                                     s.delay, s.h, rho=s.rho)
-        return an.check_continuous(history, s.graph, s.weight, s.delay, rho=s.rho)
-    except an.AnalysisError:
-        return None   # degenerate graph (no spanning tree / single agent)
+def certify(s: Scenario) -> an.FlockingCertificate:
+    """The scenario's flocking certificate, measured from its initial data;
+    AnalysisError on a degenerate graph (no spanning tree, or one agent)."""
+    if s.model == "discrete":
+        return an.check_discrete(s.positions, s.velocities, s.graph, s.weight,
+                                 s.delay, s.h, rho=s.rho)
+    return an.check_continuous(s.initial_history(), s.graph, s.weight, s.delay,
+                               rho=s.rho)
 
 
 def _run_group(group: list[Scenario], out_dir: str | None = None) -> list[RunReport]:
     """Certificates, one simulation for members sharing graph, delay, dt,
-    t_end and history reach (discrete: one member), then each one's checks."""
+    t_end and history reach (discrete: one member), then each one's checks.
+    A blow-up is raised with the name of the member that blew up."""
     histories = [s.initial_history() for s in group]
-    certs = [_certify(s, h) for s, h in zip(group, histories)]
+    certs = []
+    for s in group:
+        try:
+            certs.append(certify(s))
+        except an.AnalysisError:
+            certs.append(None)   # degenerate graph: the run goes on uncertified
     s = group[0]
     if s.model == "discrete":
         trajs = [simulate_discrete(s.positions, s.velocities, s.graph, s.weight,
                                    s.delay, t_end=int(s.t_end), h=s.h,
                                    unsafe_h=s.unsafe_h)]
     else:
-        trajs = integrate(histories, s.graph, [m.weight for m in group], s.delay,
-                          t_end=s.t_end, dt=s.dt)
+        try:
+            trajs = integrate(histories, s.graph, [m.weight for m in group], s.delay,
+                              t_end=s.t_end, dt=s.dt)
+        except IntegrationError as e:
+            if e.member is None:
+                raise
+            raise IntegrationError(f"{group[e.member].name}: {e}", e.member) from e
     return [_report(*member, out_dir)
             for member in zip(group, histories, certs, trajs)]
 

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -80,3 +81,62 @@ def test_sweep(scenario_file, tmp_path, capsys):
 def test_sweep_bad_axis(scenario_file, capsys):
     assert main(["sweep", scenario_file, "--axis", "scale=oops"]) == EXIT_VALIDATION
     assert "error:" in capsys.readouterr().err
+
+
+def test_analyze_graph_bare_graph(tmp_path, capsys):
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(SCENARIO["graph"]))
+    assert main(["analyze-graph", str(path)]) == EXIT_OK
+    assert "gamma_g=2" in capsys.readouterr().out
+
+
+def _file(tmp_path, raw):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(raw))
+    return str(path)
+
+
+GATE_FAILS = dict(SCENARIO, model="discrete", h=5.0)          # kappa*h >= 1/n_infinity
+NAN_POSITION = dict(SCENARIO, positions=[[math.nan, 0], [0, 1], [-1, 0], [0, -1]])
+# RK4 at kappa*dt = 500 grows the velocities past the 1e6 guard in one step
+BLOWS_UP = dict(SCENARIO, weight={"type": "cucker-smale", "kappa": 1000.0, "beta": 0.0},
+                velocity_scale=1.0, dt=0.5)
+NO_ARCS = dict(SCENARIO, graph={"n": 4})
+BAD_BETA = dict(SCENARIO, weight={"type": "cucker-smale", "kappa": 1.0, "beta": "x"})
+SHORT_ARC = dict(SCENARIO, graph={"n": 4, "arcs": [[1]]})
+
+
+@pytest.mark.parametrize("command, raw, flags, message", [
+    ("check-condition", GATE_FAILS, [], "kappa*h = 5 must be below"),
+    ("simulate", GATE_FAILS, [], "kappa*h = 5 must be below"),
+    ("simulate", NAN_POSITION, [], "'positions' must be a table of finite numbers"),
+    ("simulate", BLOWS_UP, [], "scenario.json: solution blew up at t = 0.5"),
+    ("simulate", SCENARIO, ["--dt", "-1"], "step size must be positive"),
+    ("simulate", SCENARIO, ["--t-end", "0"], "horizon must be positive"),
+    ("analyze-graph", NO_ARCS, [], "'arcs'"),
+    ("analyze-graph", "bad.json", [], "bad.json:2: Expecting value"),
+    ("check-condition", ".", [], "Is a directory"),
+    ("check-condition", BAD_BETA, [], "'weight.beta' must be a finite number"),
+    ("check-condition", SHORT_ARC, [], "'graph.arcs' must be a list of"),
+    ("simulate", dict(SCENARIO, t_end=10 ** 400), [], "'t_end' must be a finite number"),
+], ids=["gate-check", "gate-simulate", "nan-position", "blow-up", "negative-dt",
+        "zero-horizon", "missing-arcs", "malformed-json", "directory", "string-beta",
+        "one-vertex-arc", "huge-integer"])
+def test_bad_input_exits_2_with_one_line(command, raw, flags, message, tmp_path, capsys):
+    # raw is a scenario object, or the name of a file under tmp_path
+    (tmp_path / "bad.json").write_text('{"graph": \n !')
+    path = str(tmp_path / raw) if isinstance(raw, str) else _file(tmp_path, raw)
+    assert main([command, path] + flags) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ")
+    assert message in err
+    assert "Traceback" not in err
+
+
+def test_misspelt_key_names_the_closest_valid_one(tmp_path, capsys):
+    raw = {k: v for k, v in SCENARIO.items() if k != "t_end"}
+    raw["t_ned"] = 2.0
+    assert main(["simulate", _file(tmp_path, raw)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        "error: unknown scenario key 't_ned'; did you mean 't_end'?\n")

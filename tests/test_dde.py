@@ -210,6 +210,26 @@ class TestBatch:
                 integrate(hists, g, ws, p, t_end=1.4, dt=0.1)
             assert str(batch.value) == str(lone.value)
 
+    def test_random_delays_are_drawn_once_per_batch(self, monkeypatch):
+        g = Digraph.complete(4)
+        p = DelayProfile(kind="piecewise-random", tau_max=1.0, low=0.0, high=1.0,
+                         seed=5, hold=1.0)
+        hists, _ = self.members()
+        w = WeightFunction(kind="cucker-smale", kappa=1.0, beta=0.25)
+        draws = []
+        draw = DelayProfile.__call__
+
+        def counted(self, i, j, t):
+            draws.append(t)
+            return draw(self, i, j, t)
+
+        monkeypatch.setattr(DelayProfile, "__call__", counted)
+        integrate(hists[0], g, w, p, t_end=4.0, dt=0.05)
+        lone = len(draws)
+        integrate(hists + hists[:1], g, w, p, t_end=4.0, dt=0.05)
+        assert lone == 12 * 5                # 12 arcs, hold intervals 0..4
+        assert len(draws) == 2 * lone
+
     def test_history_must_cover_the_delays(self):
         g, w, p, hist = fig_setup()
         short = InitialHistory.constant(FIG_X0, FIG_V0, tau=0.5)

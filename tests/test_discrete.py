@@ -211,6 +211,22 @@ class TestSimulate:
             simulate_discrete([[0.0], [1.0]], [[0.0], [1.0]], g, w, p,
                               t_end=-1, h=h)
 
+    @pytest.mark.parametrize("tau", [0, 1, 3])
+    def test_discrete_diameters_are_trailing_window_extrema(self, tau):
+        rng = np.random.default_rng(tau)
+        g = Digraph.complete(5)
+        w = WeightFunction(kind="cucker-smale", kappa=1.0, beta=0.5)
+        p = DelayProfile.constant(float(tau)) if tau else DelayProfile.zero()
+        traj = simulate_discrete(rng.normal(size=(5, 2)), rng.normal(size=(5, 2)),
+                                 g, w, p, t_end=12, h=0.1)
+        series = discrete_diameters(traj, tau)
+        for q in range(13):
+            window = traj.vs[q: q + tau + 1]      # steps q - tau .. q
+            assert series.vbar[q].tolist() == window.max(axis=(0, 1)).tolist()
+            assert series.vund[q].tolist() == window.min(axis=(0, 1)).tolist()
+        assert series.spread.tolist() == series.spread_k.max(axis=1).tolist()
+        assert series.times.tolist() == list(range(13))
+
     def test_discrete_diameter_requires_discrete(self):
         g, w, _, _ = pair_setup()
         hist = InitialHistory.constant([[0.0], [1.0]], [[0.0], [1.0]], tau=0.0)

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import json
 import math
@@ -5,9 +6,12 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from delayflock import harness
 from delayflock.analysis import CRITICAL, SHORT_RANGE
+from delayflock.dde import IntegrationError
 from delayflock.digraph import Digraph, compute_metrics
 from delayflock.harness import (
     CSV_HEADER,
@@ -84,6 +88,58 @@ class TestLoading:
         s = scenario_from_dict(raw)
         assert s.model == "discrete"
         assert s.delay.integer_tau_max == 1
+
+
+def _numbers(obj, path=()):
+    """Paths to every number inside a JSON value."""
+    if isinstance(obj, dict):
+        for k, v in obj.items():
+            yield from _numbers(v, path + (k,))
+    elif isinstance(obj, list):
+        for i, v in enumerate(obj):
+            yield from _numbers(v, path + (i,))
+    elif isinstance(obj, (int, float)) and not isinstance(obj, bool):
+        yield path
+
+
+def _edit(path, value=None, drop=False):
+    raw = copy.deepcopy(GOOD_RAW)
+    node = raw
+    for k in path[:-1]:
+        node = node[k]
+    if drop:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    return raw
+
+
+REQUIRED = [("graph",), ("positions",), ("velocities",), ("graph", "n"), ("graph", "arcs")]
+SECTIONS = {(): harness.SCENARIO_SCHEMA, ("graph",): harness.GRAPH_SCHEMA,
+            ("weight",): harness.SCENARIO_SCHEMA["weight"],
+            ("delay",): harness.SCENARIO_SCHEMA["delay"]}
+BAD_NUMBERS = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf]), st.text(),
+                        st.lists(st.floats(allow_nan=False), max_size=3))
+
+
+@st.composite
+def _unknown_key(draw):
+    section = draw(st.sampled_from(sorted(SECTIONS)))
+    key = draw(st.text(min_size=1).filter(lambda k: k not in SECTIONS[section]))
+    return _edit(section + (key,), draw(st.integers()))
+
+
+CORRUPTED = st.one_of(
+    st.sampled_from(REQUIRED).map(lambda p: _edit(p, drop=True)),
+    _unknown_key(),
+    st.builds(_edit, st.sampled_from(list(_numbers(GOOD_RAW))), BAD_NUMBERS))
+
+
+@given(CORRUPTED)
+@settings(max_examples=300, deadline=None)
+def test_corrupted_scenario_raises_scenario_error_only(raw):
+    with pytest.raises(ScenarioError):
+        scenario_from_dict(raw)
 
 
 class TestPresets:
@@ -241,6 +297,13 @@ class TestSweep:
         assert sizes == [1, 1, 1, 2, 2]
         for rep in reports:
             assert_same(rep, run(rep.scenario))
+
+    def test_blow_up_names_its_point(self):
+        # a constant weight with kappa*dt = 50 makes RK4 grow the second
+        # point past its guard within a few steps; the first stays bounded
+        with pytest.raises(IntegrationError, match=r"^fig2-digraph@beta=0,kappa=1000: "
+                           r"solution blew up at t = "):
+            sweep(self.template(), {"beta": [0.0], "kappa": [1.0, 1000.0]})
 
     def test_deterministic_output(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
