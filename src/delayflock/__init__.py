@@ -4,7 +4,6 @@ per-edge communication delays on directed networks."""
 from .analysis import (
     FlockingCertificate,
     ModelParams,
-    R_of_rho,
     c_bar_infinity,
     c_infinity,
     check_continuous,
@@ -23,10 +22,9 @@ from .dde import (
     check_monotone_diameter,
     diameters,
     integrate,
-    rhs,
 )
 from .digraph import Digraph, GraphMetrics, compute_metrics
-from .discrete import DiscreteState, discrete_diameters, simulate_discrete, step
+from .discrete import discrete_diameters, simulate_discrete
 from .harness import RunReport, Scenario, load_scenario, preset, run, sweep
 from .interaction import DelayProfile, WeightFunction, verify_admissible
 
@@ -34,10 +32,10 @@ __all__ = [
     "Digraph", "GraphMetrics", "compute_metrics",
     "WeightFunction", "DelayProfile", "verify_admissible",
     "InitialHistory", "Trajectory", "DiameterSeries",
-    "integrate", "rhs", "diameters", "check_monotone_diameter",
-    "DiscreteState", "step", "simulate_discrete", "discrete_diameters",
+    "integrate", "diameters", "check_monotone_diameter",
+    "simulate_discrete", "discrete_diameters",
     "ModelParams", "FlockingCertificate", "c_infinity", "c_bar_infinity",
-    "rho_plus", "R_of_rho", "classify_regime",
+    "rho_plus", "classify_regime",
     "condition_rhs", "condition_supremum",
     "check_continuous", "check_discrete", "verify_decay", "position_bound",
     "Scenario", "RunReport", "load_scenario", "preset", "run", "sweep",

@@ -17,7 +17,7 @@ import numpy as np
 
 from .dde import DiameterSeries, InitialHistory, Trajectory, x_spread_initial
 from .digraph import Digraph, compute_metrics
-from .discrete import check_gate, initial_state
+from .discrete import check_gate, history_tables
 from .interaction import DelayProfile, WeightFunction, verify_admissible
 
 LONG_RANGE = "long-range"
@@ -116,18 +116,6 @@ def condition_rhs(rho, x0: float, w: WeightFunction, p: ModelParams):
     rho = np.asarray(rho, dtype=float)
     psi = np.asarray(w(x0 + rho), dtype=float)
     out = c * rho * psi ** p.gamma_g
-    return out if out.ndim else float(out)
-
-
-def R_of_rho(rho, x0: float, p: ModelParams):
-    """Condition curve for the algebraic weight,
-    C * kappa^gamma * rho / (1 + (x0 + rho)^2)^(beta*gamma)."""
-    if p.beta is None:
-        raise AnalysisError("R(rho) is defined for the algebraic weight only")
-    c = c_bar_infinity(p) if p.h is not None else c_infinity(p)
-    rho = np.asarray(rho, dtype=float)
-    out = (c * p.kappa ** p.gamma_g * rho
-           / (1.0 + (x0 + rho) ** 2) ** (p.beta * p.gamma_g))
     return out if out.ndim else float(out)
 
 
@@ -333,12 +321,12 @@ def check_discrete(x0_pos, v0, g: Digraph, w: WeightFunction, p: DelayProfile,
     v0 = np.atleast_2d(np.asarray(v0, dtype=float))
     mp = params_from_scenario(g, w, p, d=x0_pos.shape[1], h=h)
     tau = p.integer_tau_max
-    st = initial_state(x0_pos, v0, h, tau, history_x, history_v)
-    d0 = float((st.buffer_v.max(axis=(0, 1)) - st.buffer_v.min(axis=(0, 1))).max())
+    bx, bv = history_tables(x0_pos, v0, tau, history_x, history_v)
+    d0 = float((bv.max(axis=(0, 1)) - bv.min(axis=(0, 1))).max())
     ei, ej = np.nonzero(g.arcs)
     x0_meas = 0.0
     if len(ei):
-        diffs = st.buffer_x[-1][ei][None] - st.buffer_x[:, ej]
+        diffs = bx[-1][ei][None] - bx[:, ej]
         x0_meas = float(np.linalg.norm(diffs, axis=-1).max())
     return _certify("discrete", d0, x0_meas, g, w, mp, rho)
 

@@ -88,12 +88,8 @@ def cmd_check_condition(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    s = harness.load_scenario(args.scenario)
-    if args.t_end is not None:
-        s = s.replace(t_end=args.t_end)
-    if args.dt is not None:
-        s = s.replace(dt=args.dt)
-    return _run_and_print(s, args)
+    overrides = {k: v for k, v in (("t_end", args.t_end), ("dt", args.dt)) if v is not None}
+    return _run_and_print(harness.load_scenario(args.scenario, **overrides), args)
 
 
 def cmd_reproduce(args) -> int:

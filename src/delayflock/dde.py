@@ -9,6 +9,13 @@ interval read the supplied history; lookups slightly ahead of the last
 fully-specified segment (delays smaller than the step) extrapolate that
 segment.
 
+Zero, constant and sinusoidal delays take one value on every arc at a
+given time, so each stage has one lookup time: its segment and basis
+weights are planned for all stages before the loop, and a stage
+evaluates the tables once over all agents.  Piecewise-random delays
+differ from arc to arc and are gathered per arc at every stage.  Both
+paths give the same numbers, bit for bit.
+
 Also provides the windowed velocity-spread diagnostics: per-component
 trailing-window extrema over [t - tau, t], their spread, and the
 initial delayed position spread over connected pairs.
@@ -135,36 +142,48 @@ class Trajectory:
             u = (t - self.times[k]) / self.dt
             return ((1 - u) * self.xs[k] + u * self.xs[k + 1],
                     (1 - u) * self.vs[k] + u * self.vs[k + 1])
-        x, v = _hermite_gather(self.times, ((self.xs, self.dxs, self.hist_end_xslope),
-                                            (self.vs, self.dvs, self.hist_end_slope)),
-                               np.arange(self.n_agents), np.full(self.n_agents, float(t)),
-                               len(self.times) - 1, self.n_hist)
+        a, weights = _hermite_basis(self.times, float(t), len(self.times) - 1)
+        x, v = _hermite_rows(((self.xs, self.dxs, self.hist_end_xslope),
+                              (self.vs, self.dvs, self.hist_end_slope)),
+                             a, weights, a + 1 == self.n_hist)
         return x, v
+
+
+def _hermite_basis(times, s, hi):
+    """Segment index and cubic Hermite basis weights (h00, h10, h01, h11),
+    the slope weights scaled by the segment length, of query times s,
+    elementwise over arrays or scalars.  ``hi`` is the last grid index
+    whose slope is valid; later lookups extrapolate the segment ending
+    at hi.
+    """
+    seg = np.minimum(np.maximum(times.searchsorted(s, side="right") - 1, 0), hi - 1)
+    t0 = times[seg]
+    h = times[seg + 1] - t0
+    u = (s - t0) / h
+    u2 = u * u
+    u3 = u2 * u
+    return seg, (2 * u3 - 3 * u2 + 1, (u3 - 2 * u2 + u) * h, -2 * u3 + 3 * u2, (u3 - u2) * h)
+
+
+def _hermite_rows(tables, a, weights, jump):
+    """Every row of each (vals, slopes, fix_val) table at one time in
+    segment a with basis ``weights``.  The slope at a + 1 is fix_val when
+    ``jump`` (the derivative jumps where prescribed history meets the
+    dynamics)."""
+    h00, h10, h01, h11 = weights
+    return [h00 * vals[a] + h10 * slopes[a] + h01 * vals[a + 1]
+            + h11 * (fix_val if jump else slopes[a + 1]) for vals, slopes, fix_val in tables]
 
 
 def _hermite_gather(times, tables, j_e, s_e, hi, fix_idx):
     """Cubic Hermite evaluation of vals[:, j_e[k]] at times s_e[k] for
     each (vals, slopes, fix_val) in ``tables``, sharing one segment
-    search and one set of basis weights.  ``hi`` is the last grid index
-    whose slope is valid; later lookups extrapolate the segment ending
-    at hi.  The slope at ``fix_idx`` is two-valued (the derivative jumps
-    where prescribed history meets the dynamics): a table's ``fix_val``
-    replaces it when the index is the right endpoint of the queried
-    segment.
+    search and one set of basis weights; fix_val replaces the slope at
+    ``fix_idx`` when that is the right endpoint of the queried segment.
     """
-    seg = times[:hi + 1].searchsorted(s_e, side="right") - 1
-    seg = np.minimum(np.maximum(seg, 0), hi - 1)
+    seg, basis = _hermite_basis(times, s_e, hi)
+    h00, h10, h01, h11 = (b[:, None] for b in basis)
     seg1 = seg + 1
-    t0 = times[seg]
-    h = times[seg1] - t0
-    u = (s_e - t0) / h
-    u2 = u * u
-    u3 = u2 * u
-    hc = h[:, None]
-    h00 = (2 * u3 - 3 * u2 + 1)[:, None]
-    h10 = (u3 - 2 * u2 + u)[:, None] * hc
-    h01 = (-2 * u3 + 3 * u2)[:, None]
-    h11 = (u3 - u2)[:, None] * hc
     at_fix = seg1 == fix_idx
     fixed = at_fix.any()
     out = []
@@ -175,6 +194,30 @@ def _hermite_gather(times, tables, j_e, s_e, hi, fix_idx):
         out.append(h00 * vals[seg, j_e] + h10 * slopes[seg, j_e]
                    + h01 * vals[seg1, j_e] + h11 * m1)
     return out
+
+
+def _stage_plan(times, n_hist: int, n_steps: int, dt: float, p: DelayProfile):
+    """The lookups of integrate's 4*n_steps + 1 stage evaluations.
+
+    Stage s of the step from grid index k runs at times[k] + (0, dt/2,
+    dt/2, dt)[s] with last valid slope index (max(k - 1, 1), k, k, k)[s];
+    the final slope runs at times[-1] with index len(times) - 2.  Returns
+    those times and indices and, when every arc shares the delay, the
+    delays, each stage's one segment and basis weights, and whether that
+    segment ends at n_hist; piecewise-random delays, looked up per arc,
+    get None for these.
+    """
+    k = np.arange(n_hist, n_hist + n_steps)
+    t = times[k]
+    ts = np.append(np.stack([t, t + dt / 2, t + dt / 2, t + dt], axis=1), times[-1])
+    # stage 1 may not use the segment ending at k (its slope is what the
+    # step computes); delays shorter than dt extrapolate the segment before
+    his = np.append(np.stack([np.maximum(k - 1, 1), k, k, k], axis=1), len(times) - 2)
+    tau = p.shared(ts)
+    if tau is None:
+        return ts, his, None, None, None, None
+    seg, basis = _hermite_basis(times, ts - tau, his)
+    return ts, his, tau, seg, basis, seg + 1 == n_hist
 
 
 def edge_forces(x_i, x_delayed, v_i, v_delayed, ei, w: WeightFunction, n: int):
@@ -191,23 +234,6 @@ def edge_forces(x_i, x_delayed, v_i, v_delayed, ei, w: WeightFunction, n: int):
     dv = np.zeros((n, v_i.shape[1]))
     np.add.at(dv, ei, coef)
     return dv
-
-
-def rhs(t, x, v, lookup, g: Digraph, w: WeightFunction, p: DelayProfile):
-    """Instantaneous derivative of the delayed alignment system.
-
-    ``lookup(j, s)`` must return (x_j, v_j) for any s in [t - tau, t];
-    a zero delay on an edge uses the supplied current state directly.
-    Returns (dx, dv) with dx = v.
-    """
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    ei, ej = np.nonzero(g.arcs)
-    tau_e = p.on_edges(ei, ej)(t)
-    xd, vd = x[ej], v[ej]
-    for e in np.flatnonzero(tau_e != 0.0):
-        xd[e], vd[e] = lookup(int(ej[e]), t - tau_e[e])
-    return v.copy(), edge_forces(x[ei], xd, v[ei], vd, ei, w, len(x))
 
 
 def integrate(history: InitialHistory | Sequence[InitialHistory], g: Digraph,
@@ -287,29 +313,32 @@ def integrate(history: InitialHistory | Sequence[InitialHistory], g: Digraph,
     psi = ws[0] if len(starts) == 1 else lambda r: np.concatenate(
         [ws[b](r[lo:hi]) for b, lo, hi in zip(starts, cuts, cuts[1:])])
     tables = ((xs, dxs, hist_end_xslope), (vs, dvs, hist_end_slope))
+    ts, his, tau_s, seg, basis, jump = _stage_plan(times, n_hist, n_steps, dt, p)
 
-    def stage_rhs(t_stage, x_stage, v_stage, hi):
-        # hi: last grid index with a valid velocity slope
-        tau_e = delay_at(t_stage)
-        xd, vd = x_stage[ej], v_stage[ej]
-        past = tau_e != 0.0
-        if past.any():
-            xd[past], vd[past] = _hermite_gather(times, tables, ej[past],
-                                                 t_stage - tau_e[past], hi, n_hist)
+    def stage_rhs(k, x_stage, v_stage):
+        # k: index of the stage in the plan
+        if tau_s is None:
+            tau_e = delay_at(ts[k])
+            xd, vd = x_stage[ej], v_stage[ej]
+            past = tau_e != 0.0
+            if past.any():
+                xd[past], vd[past] = _hermite_gather(times, tables, ej[past],
+                                                     ts[k] - tau_e[past], his[k], n_hist)
+        elif tau_s[k] != 0.0:
+            xr, vr = _hermite_rows(tables, seg[k], [b[k] for b in basis], jump[k])
+            xd, vd = xr[ej], vr[ej]
+        else:
+            xd, vd = x_stage[ej], v_stage[ej]
         return v_stage, edge_forces(x_stage[ei], xd, v_stage[ei], vd, ei, psi, nb)
 
     idx = n_hist
-    for _ in range(n_steps):
-        t = times[idx]
+    for k in range(0, 4 * n_steps, 4):
         x, v = xs[idx], vs[idx]
-        # stage 1 may not use the segment ending at idx (its slope is
-        # what we are computing); delays shorter than dt extrapolate
-        # the previous segment
-        k1x, k1v = stage_rhs(t, x, v, max(idx - 1, 1))
+        k1x, k1v = stage_rhs(k, x, v)
         dvs[idx] = k1v
-        k2x, k2v = stage_rhs(t + dt / 2, x + dt / 2 * k1x, v + dt / 2 * k1v, idx)
-        k3x, k3v = stage_rhs(t + dt / 2, x + dt / 2 * k2x, v + dt / 2 * k2v, idx)
-        k4x, k4v = stage_rhs(t + dt, x + dt * k3x, v + dt * k3v, idx)
+        k2x, k2v = stage_rhs(k + 1, x + dt / 2 * k1x, v + dt / 2 * k1v)
+        k3x, k3v = stage_rhs(k + 2, x + dt / 2 * k2x, v + dt / 2 * k2v)
+        k4x, k4v = stage_rhs(k + 3, x + dt * k3x, v + dt * k3v)
         xs[idx + 1] = x + dt / 6 * (k1x + 2 * k2x + 2 * k3x + k4x)
         vs[idx + 1] = dxs[idx + 1] = v + dt / 6 * (k1v + 2 * k2v + 2 * k3v + k4v)
         idx += 1
@@ -319,7 +348,7 @@ def integrate(history: InitialHistory | Sequence[InitialHistory], g: Digraph,
             raise IntegrationError(f"solution blew up at t = {times[idx]:g}",
                                    member=int(ok.argmin()))
     # final slope so dense output covers the last segment
-    _, dvs[idx] = stage_rhs(times[idx], xs[idx], vs[idx], idx - 1)
+    _, dvs[idx] = stage_rhs(4 * n_steps, xs[idx], vs[idx])
     trajs = [Trajectory(times=times, xs=xs[:, sl], vs=vs[:, sl], dt=dt, n_hist=n_hist,
                         dvs=dvs[:, sl], dxs=dxs[:, sl], hist_end_slope=hist_end_slope[sl],
                         hist_end_xslope=hist_end_xslope[sl]) for sl in members]

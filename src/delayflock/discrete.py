@@ -9,8 +9,6 @@ overridden for exploration.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .dde import DiameterSeries, Trajectory, diameters, edge_forces
@@ -22,29 +20,6 @@ class StabilityGateError(ValueError):
     """kappa * h outside (0, 1/n_infinity)."""
 
 
-@dataclass
-class DiscreteState:
-    """Rolling window of the last tau+1 snapshots plus the step index.
-
-    buffer_x[k], buffer_v[k] hold the state at step t - tau + k, so the
-    final slot is the current state.
-    """
-
-    t: int
-    h: float
-    tau: int
-    buffer_x: np.ndarray      # (tau+1, N, d)
-    buffer_v: np.ndarray
-
-    @property
-    def x(self) -> np.ndarray:
-        return self.buffer_x[-1]
-
-    @property
-    def v(self) -> np.ndarray:
-        return self.buffer_v[-1]
-
-
 def check_gate(kappa: float, h: float, n_infinity: int, unsafe: bool = False):
     if h <= 0:
         raise StabilityGateError(f"step size must be positive, got {h}")
@@ -54,41 +29,21 @@ def check_gate(kappa: float, h: float, n_infinity: int, unsafe: bool = False):
             f"{1.0 / n_infinity:g}; pass unsafe_h=True to explore anyway")
 
 
-def initial_state(x0, v0, h: float, tau: int, history_x=None,
-                  history_v=None) -> DiscreteState:
-    """Buffered start state.
+def history_tables(x0, v0, tau: int, history_x=None, history_v=None):
+    """Positions and velocities at steps -tau .. 0, each (tau+1, N, d).
 
-    Negative steps default to the constant extension of (x0, v0);
-    explicit per-step tables (tau+1 snapshots, oldest first) override.
+    They default to the constant extension of (x0, v0); explicit
+    per-step tables (tau+1 snapshots, oldest first) override.
     """
     x0 = np.atleast_2d(np.asarray(x0, dtype=float))
     v0 = np.atleast_2d(np.asarray(v0, dtype=float))
     if history_x is None:
-        bx = np.repeat(x0[None], tau + 1, axis=0)
-        bv = np.repeat(v0[None], tau + 1, axis=0)
-    else:
-        bx = np.asarray(history_x, dtype=float).copy()
-        bv = np.asarray(history_v, dtype=float).copy()
-        if bx.shape != (tau + 1,) + x0.shape:
-            raise ValueError(f"history tables must have shape {(tau + 1,) + x0.shape}")
-    return DiscreteState(t=0, h=h, tau=tau, buffer_x=bx, buffer_v=bv)
-
-
-def step(s: DiscreteState, g: Digraph, w: WeightFunction, p: DelayProfile,
-         unsafe_h: bool = False) -> DiscreteState:
-    """One Euler update; returns a new state with the buffer rotated."""
-    check_gate(w.effective_kappa, s.h, int(g.arcs.sum(axis=1).max()),
-               unsafe=unsafe_h)
-    ei, ej = np.nonzero(g.arcs)
-    lag = _lags(p, ei, ej)(s.t)
-    if lag.size and lag.max() > s.tau:
-        raise IndexError(f"lag {lag.max()} outside buffer depth {s.tau}")
-    back = s.tau - lag
-    x, v = _advance(s.x, s.v, s.buffer_x[back, ej], s.buffer_v[back, ej],
-                    ei, w, s.h)
-    bx = np.concatenate([s.buffer_x[1:], x[None]], axis=0)
-    bv = np.concatenate([s.buffer_v[1:], v[None]], axis=0)
-    return DiscreteState(t=s.t + 1, h=s.h, tau=s.tau, buffer_x=bx, buffer_v=bv)
+        return np.repeat(x0[None], tau + 1, axis=0), np.repeat(v0[None], tau + 1, axis=0)
+    bx = np.asarray(history_x, dtype=float)
+    bv = np.asarray(history_v, dtype=float)
+    if bx.shape != (tau + 1,) + x0.shape:
+        raise ValueError(f"history tables must have shape {(tau + 1,) + x0.shape}")
+    return bx, bv
 
 
 def _lags(p: DelayProfile, ei, ej):
@@ -114,14 +69,13 @@ def simulate_discrete(x0, v0, g: Digraph, w: WeightFunction, p: DelayProfile,
     check_gate(w.effective_kappa, h, int(g.arcs.sum(axis=1).max()),
                unsafe=unsafe_h)
     tau = p.integer_tau_max
-    s = initial_state(x0, v0, h, tau, history_x, history_v)
-    n, d = s.x.shape
+    bx, bv = history_tables(x0, v0, tau, history_x, history_v)
     M = tau + t_end + 1
     times = np.arange(-tau, t_end + 1, dtype=float)
-    xs = np.empty((M, n, d))
-    vs = np.empty((M, n, d))
-    xs[: tau + 1] = s.buffer_x
-    vs[: tau + 1] = s.buffer_v
+    xs = np.empty((M,) + bx.shape[1:])
+    vs = np.empty((M,) + bx.shape[1:])
+    xs[: tau + 1] = bx
+    vs[: tau + 1] = bv
     ei, ej = np.nonzero(g.arcs)
     lags = _lags(p, ei, ej)
     for k in range(t_end):

@@ -206,9 +206,10 @@ def _build_delay(cfg: dict, integer_valued: bool = False) -> DelayProfile:
     raise ScenarioError(f"unknown delay type {kind!r}")
 
 
-def load_scenario(path: str) -> Scenario:
-    """Parse and fully validate a JSON scenario file."""
-    return scenario_from_dict(read_json(path), name=os.path.basename(path))
+def load_scenario(path: str, **overrides) -> Scenario:
+    """Parse and fully validate a JSON scenario file, its top-level keys
+    replaced by ``overrides`` first so that they are checked alike."""
+    return scenario_from_dict({**read_json(path), **overrides}, name=os.path.basename(path))
 
 
 def scenario_from_dict(raw: dict, name: str = "scenario") -> Scenario:
@@ -251,6 +252,8 @@ def validate_scenario(s: Scenario):
         raise ScenarioError(
             f"velocities table must match positions shape {s.positions.shape}, "
             f"got {s.velocities.shape}")
+    if s.model == "discrete" and s.t_end < 0:
+        raise ScenarioError(f"horizon must be nonnegative, got {s.t_end:g}")
     rep = verify_admissible(s.weight)
     if not rep:
         raise ScenarioError(f"weight is not admissible: {rep.violations[0]}")

@@ -224,6 +224,16 @@ class DelayProfile:
             return held[k]
         return at
 
+    def shared(self, ts) -> np.ndarray | None:
+        """The delay of every arc joining distinct agents at each time of
+        the array ts, bit for bit as ``on_edges`` gives it; None for
+        piecewise-random delays, which differ from arc to arc."""
+        if self.kind == "piecewise-random":
+            return None
+        if self.kind == "sinusoidal":
+            return np.array([self._sinusoid(t) for t in ts.tolist()])
+        return np.full(len(ts), self.value if self.kind == "constant" else 0.0)
+
     def integer_delay(self, i: int, j: int, t: int) -> int:
         """Integer delay for the discrete recursion at step t."""
         if not self.integer_valued:

@@ -55,6 +55,13 @@ def two_agent_ode_difference(t, kappa, v_diff0):
     return v_diff0 * math.exp(-2.0 * kappa * t)
 
 
+def two_agent_delayed_difference(t, kappa, v_diff0):
+    """The same pair with both arcs delayed by tau and a constant
+    history, for 0 <= t <= tau: each agent relaxes toward the other's
+    initial velocity, so the difference is v_diff0 (2 exp(-kappa t) - 1)."""
+    return v_diff0 * (2.0 * math.exp(-kappa * t) - 1.0)
+
+
 def arc_matrix(n, arcs):
     """Boolean [receiver][sender] matrix of 1-based (sender, receiver)
     pairs, the layout of the other oracles here."""

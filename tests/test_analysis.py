@@ -11,7 +11,6 @@ from delayflock.analysis import (
     SHORT_RANGE,
     AnalysisError,
     ModelParams,
-    R_of_rho,
     c_bar_infinity,
     c_infinity,
     check_continuous,
@@ -35,6 +34,13 @@ FIG_X0 = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
 FIG_V0 = np.array([[1.0, -2.0], [3.0, -4.0], [5.0, 6.0], [-7.0, -8.0]])
 FIG_PARAMS = ModelParams(gamma_g=2, n_infinity=1, kappa=1.0, tau=1.0, d=2,
                          beta=0.25)
+
+
+def curve(rho, x0, p):
+    """The condition curve C rho psi(x0 + rho)^gamma of the algebraic weight
+    with p's kappa and beta."""
+    w = WeightFunction(kind="cucker-smale", kappa=p.kappa, beta=p.beta)
+    return condition_rhs(rho, x0, w, p)
 
 
 class TestConstants:
@@ -117,15 +123,14 @@ class TestRegimes:
                         beta=17 / 32)
         rp = rho_plus(2.0, 17 / 32, 2)
         eps = 1e-6
-        deriv = (R_of_rho(rp + eps, 2.0, p) - R_of_rho(rp - eps, 2.0, p)) / (2 * eps)
-        scale = R_of_rho(rp, 2.0, p) / rp
+        deriv = (curve(rp + eps, 2.0, p) - curve(rp - eps, 2.0, p)) / (2 * eps)
+        scale = curve(rp, 2.0, p) / rp
         assert abs(deriv) <= 1e-6 * scale
 
     def test_curve_value_by_substitution(self):
         p = ModelParams(gamma_g=2, n_infinity=1, kappa=1.0, tau=1.0, d=2,
                         beta=17 / 32)
         want = c_infinity(p) * 2.0 / (1.0 + 16.0) ** (17 / 16)
-        assert R_of_rho(2.0, 2.0, p) == pytest.approx(want, rel=1e-14)
         w = WeightFunction(kind="cucker-smale", kappa=1.0, beta=17 / 32)
         assert condition_rhs(2.0, 2.0, w, p) == pytest.approx(want, rel=1e-13)
 
@@ -134,11 +139,11 @@ class TestRegimes:
         # long-range: strictly increasing and unbounded
         p_long = ModelParams(gamma_g=1, n_infinity=1, kappa=1.0, tau=1.0, d=2,
                              beta=0.25)
-        v = R_of_rho(rhos, 1.0, p_long)
+        v = curve(rhos, 1.0, p_long)
         assert np.all(np.diff(v) > 0)
         assert v[-1] > 1e2 * v[len(v) // 2]
         # critical: increasing, bounded by the supremum
-        v = R_of_rho(rhos, 1.0, FIG_PARAMS)
+        v = curve(rhos, 1.0, FIG_PARAMS)
         assert np.all(np.diff(v) > 0)
         w = WeightFunction(kind="cucker-smale", kappa=1.0, beta=0.25)
         sup = condition_supremum(1.0, w, FIG_PARAMS)
@@ -147,13 +152,13 @@ class TestRegimes:
         # short-range: rises then falls, with the peak at rho_plus
         p_short = ModelParams(gamma_g=2, n_infinity=1, kappa=1.0, tau=1.0,
                               d=2, beta=17 / 32)
-        v = R_of_rho(rhos, 1.0, p_short)
+        v = curve(rhos, 1.0, p_short)
         peak = int(np.argmax(v))
         assert 0 < peak < len(v) - 1
         assert np.all(np.diff(v[:peak]) > 0)
         assert np.all(np.diff(v[peak + 1:]) < 0)
         rp = rho_plus(1.0, 17 / 32, 2)
-        assert np.max(v) <= R_of_rho(rp, 1.0, p_short) * (1 + 1e-9)
+        assert np.max(v) <= curve(rp, 1.0, p_short) * (1 + 1e-9)
 
     def test_supremum_critical(self):
         w = WeightFunction(kind="cucker-smale", kappa=1.0, beta=0.25)

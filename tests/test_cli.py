@@ -104,6 +104,7 @@ BLOWS_UP = dict(SCENARIO, weight={"type": "cucker-smale", "kappa": 1000.0, "beta
 NO_ARCS = dict(SCENARIO, graph={"n": 4})
 BAD_BETA = dict(SCENARIO, weight={"type": "cucker-smale", "kappa": 1.0, "beta": "x"})
 SHORT_ARC = dict(SCENARIO, graph={"n": 4, "arcs": [[1]]})
+DISCRETE = dict(SCENARIO, model="discrete", h=0.1)
 
 
 @pytest.mark.parametrize("command, raw, flags, message", [
@@ -119,9 +120,15 @@ SHORT_ARC = dict(SCENARIO, graph={"n": 4, "arcs": [[1]]})
     ("check-condition", BAD_BETA, [], "'weight.beta' must be a finite number"),
     ("check-condition", SHORT_ARC, [], "'graph.arcs' must be a list of"),
     ("simulate", dict(SCENARIO, t_end=10 ** 400), [], "'t_end' must be a finite number"),
+    ("simulate", dict(DISCRETE, t_end=-2), [], "horizon must be nonnegative, got -2"),
+    ("simulate", DISCRETE, ["--t-end", "-3"], "horizon must be nonnegative, got -3"),
+    ("simulate", DISCRETE, ["--t-end", "nan"], "'t_end' must be a finite number, got nan"),
+    ("simulate", DISCRETE, ["--t-end", "inf"], "'t_end' must be a finite number, got inf"),
 ], ids=["gate-check", "gate-simulate", "nan-position", "blow-up", "negative-dt",
         "zero-horizon", "missing-arcs", "malformed-json", "directory", "string-beta",
-        "one-vertex-arc", "huge-integer"])
+        "one-vertex-arc", "huge-integer", "discrete-negative-horizon",
+        "discrete-negative-t-end-flag", "discrete-nan-t-end-flag",
+        "discrete-inf-t-end-flag"])
 def test_bad_input_exits_2_with_one_line(command, raw, flags, message, tmp_path, capsys):
     # raw is a scenario object, or the name of a file under tmp_path
     (tmp_path / "bad.json").write_text('{"graph": \n !')

@@ -1,23 +1,35 @@
 import numpy as np
 import pytest
 
+from delayflock import dde
 from delayflock.dde import (
     InitialHistory,
     IntegrationError,
     check_monotone_diameter,
     diameters,
+    _hermite_gather,
+    _hermite_rows,
+    _stage_plan,
+    edge_forces,
     integrate,
-    rhs,
     x_spread_initial,
 )
 from delayflock.digraph import Digraph
 from delayflock.interaction import DelayProfile, WeightFunction
 
-from oracles import hermite_reference, two_agent_ode_difference
+from oracles import (
+    hermite_reference,
+    two_agent_delayed_difference,
+    two_agent_ode_difference,
+)
 
 FIG_ARCS = [(1, 2), (2, 3), (3, 1), (3, 4)]
 FIG_X0 = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
 FIG_V0 = np.array([[1.0, -2.0], [3.0, -4.0], [5.0, 6.0], [-7.0, -8.0]])
+# dips a hair below 0 where sin = -1, at t = 0.3 + 0.4 k, which the
+# stage times of dt = 0.02 hit: the delay clips to exactly 0 there
+CLIPPING_SINUSOID = DelayProfile(kind="sinusoidal", tau_max=1.0, mean=0.3,
+                                 amplitude=0.3 + 1e-13, period=0.4)
 
 
 def fig_setup(scale=1.0, beta=0.25, tau=1.0):
@@ -29,46 +41,63 @@ def fig_setup(scale=1.0, beta=0.25, tau=1.0):
 
 
 class TestRhs:
+    """The right-hand side: edge_forces, and the delayed lookups of the
+    RK4 stages in integrate."""
+
     def test_single_agent_is_inert(self):
         g = Digraph(np.zeros((1, 1), dtype=bool))
         w = WeightFunction(kind="constant", kappa=1.0)
-        dx, dv = rhs(0.0, [[1.0, 2.0]], [[3.0, 4.0]], None, g,
-                     w, DelayProfile.zero())
-        assert np.array_equal(dx, [[3.0, 4.0]])
+        none = np.zeros((0, 2))
+        dv = edge_forces(none, none, none, none, np.zeros(0, dtype=int), w, 1)
         assert np.array_equal(dv, [[0.0, 0.0]])
+        hist = InitialHistory.constant([[1.0, 2.0]], [[3.0, 4.0]], tau=0.0)
+        traj = integrate(hist, g, w, DelayProfile.zero(), t_end=1.0, dt=0.1)
+        assert np.array_equal(traj.dvs, np.zeros_like(traj.dvs))
+        assert (traj.vs == [3.0, 4.0]).all()
+        assert np.allclose(traj.state_at(1.0)[0], [[4.0, 6.0]], rtol=0, atol=1e-14)
 
     def test_identical_velocities_give_zero(self):
         g = Digraph.complete(3)
         w = WeightFunction(kind="cucker-smale", kappa=2.0, beta=0.5)
         x = np.array([[0.0], [1.0], [5.0]])
         v = np.array([[2.0], [2.0], [2.0]])
-        dx, dv = rhs(0.0, x, v, None, g, w, DelayProfile.zero())
-        assert np.allclose(dv, 0.0)
+        ei, ej = np.nonzero(g.arcs)
+        dv = edge_forces(x[ei], x[ej], v[ei], v[ej], ei, w, 3)
+        assert np.array_equal(dv, np.zeros((3, 1)))
 
     def test_two_agents_unit_weight(self):
-        # coupled pair, kappa = 1 at any distance: dv_i = v_j - v_i
+        # coupled pair, kappa = 1 at any distance: dv_i = v_j - v_i, so the
+        # velocity gap changes at the closed form's rate at t = 0
         g = Digraph.complete(2)
         w = WeightFunction(kind="constant", kappa=1.0)
         x = np.array([[0.0], [1.0]])
         v = np.array([[0.0], [1.0]])
-        _, dv = rhs(0.0, x, v, None, g, w, DelayProfile.zero())
-        assert np.allclose(dv, [[1.0], [-1.0]])
+        ei, ej = np.nonzero(g.arcs)
+        dv = edge_forces(x[ei], x[ej], v[ei], v[ej], ei, w, 2)
+        assert np.array_equal(dv, [[1.0], [-1.0]])
+        eps = 1e-6
+        rate = (two_agent_ode_difference(eps, 1.0, 1.0)
+                - two_agent_ode_difference(-eps, 1.0, 1.0)) / (2 * eps)
+        assert dv[1, 0] - dv[0, 0] == pytest.approx(rate, rel=1e-9)
 
     def test_delayed_lookup_used(self):
-        g = Digraph.from_arc_list(2, [(2, 1)], one_based=True)  # 2 -> 1
+        # the force on receiver 0 uses the sender's delayed row ...
         w = WeightFunction(kind="constant", kappa=1.0)
-        p = DelayProfile.constant(0.5)
-        calls = []
-
-        def lookup(j, s):
-            calls.append((j, s))
-            return np.array([9.0]), np.array([4.0])
-
-        x = np.array([[0.0], [1.0]])
-        v = np.array([[1.0], [2.0]])
-        _, dv = rhs(2.0, x, v, lookup, g, w, p)
-        assert calls == [(1, 1.5)]
-        assert np.allclose(dv, [[3.0], [0.0]])
+        dv = edge_forces(np.array([[0.0]]), np.array([[9.0]]), np.array([[1.0]]),
+                         np.array([[4.0]]), np.array([0]), w, 2)
+        assert np.array_equal(dv, [[3.0], [0.0]])
+        # ... which integrate looks up tau back: until t = tau each agent
+        # of the pair hears the other's constant history
+        w = WeightFunction(kind="constant", kappa=0.7)
+        hist = InitialHistory.constant([[0.0], [1.0]], [[0.0], [1.0]], tau=0.5)
+        traj = integrate(hist, Digraph.complete(2), w, DelayProfile.constant(0.5),
+                         t_end=0.5, dt=1e-3)
+        for t in (0.1, 0.3, 0.5):
+            v = traj.state_at(t)[1]
+            want = two_agent_delayed_difference(t, 0.7, 1.0)
+            assert float(v[1, 0] - v[0, 0]) == pytest.approx(want, abs=1e-10)
+        # an undelayed pair would be far off by then
+        assert abs(want - two_agent_ode_difference(0.5, 0.7, 1.0)) > 0.05
 
 
 class TestIntegrate:
@@ -167,7 +196,9 @@ class TestBatch:
         DelayProfile(kind="sinusoidal", tau_max=1.0, mean=0.5, amplitude=0.4,
                      period=0.7),
         DelayProfile(kind="piecewise-random", tau_max=1.0, low=0.0, high=1.0,
-                     seed=3, hold=0.3)])
+                     seed=3, hold=0.3),
+        DelayProfile.zero(),
+        CLIPPING_SINUSOID])
     def test_members_match_lone_runs_bit_for_bit(self, p):
         g = Digraph.from_arc_list(4, FIG_ARCS, one_based=True)
         hists, ws = self.members()
@@ -276,6 +307,82 @@ class TestHermiteGather:
                                  None, None)
         assert sampled or np.array_equal(x, FIG_X0)
         assert not np.allclose(v, bent, rtol=1e-13, atol=1e-14)
+
+
+def plan_cases():
+    """(delay, member histories, member weights) of the per-stage plan
+    tests: zero, whole-step and sub-step constant delays, a sinusoid
+    that clips to 0, one shorter than dt, a sampled history, and four
+    members with mixed betas."""
+    g, w, _, hist = fig_setup(scale=0.3)
+    members, ws = TestBatch.members()
+    zero_hist = InitialHistory.constant(FIG_X0, 0.3 * FIG_V0, tau=0.0)
+    short = DelayProfile(kind="sinusoidal", tau_max=1.0, mean=0.01, amplitude=0.005,
+                         period=0.3)
+    return {"zero": (DelayProfile.zero(), [zero_hist], [w]),
+            "constant": (DelayProfile.constant(1.0), [hist], [w]),
+            "sub-step": (DelayProfile.constant(0.013, tau_max=1.0), [hist], [w]),
+            "clipping-sinusoid": (CLIPPING_SINUSOID, [hist], [w]),
+            "short-sinusoid": (short, [hist], [w]),
+            "sampled": (DelayProfile.constant(0.37, tau_max=1.0), members[3:], ws[3:]),
+            "batch": (DelayProfile(kind="sinusoidal", tau_max=1.0, mean=0.5,
+                                   amplitude=0.4, period=0.7), members, ws)}
+
+
+class TestStagePlan:
+    """Delays every arc shares are looked up once per stage, by basis
+    weights planned before the RK4 loop; bit for bit as the per-arc
+    gather, which piecewise-random delays use."""
+
+    @pytest.mark.parametrize("case", list(plan_cases()))
+    def test_plan_matches_per_arc_gather_stage_by_stage(self, case):
+        p, hists, ws = plan_cases()[case]
+        g = Digraph.from_arc_list(4, FIG_ARCS, one_based=True)
+        dt, n_steps = 0.02, 100
+        trajs = integrate(hists, g, ws, p, t_end=n_steps * dt, dt=dt)
+        times, n_hist = trajs[0].times, trajs[0].n_hist
+        tables = [(np.concatenate([getattr(t, a) for t in trajs], axis=1),
+                   np.concatenate([getattr(t, b) for t in trajs], axis=1),
+                   np.concatenate([getattr(t, c) for t in trajs]))
+                  for a, b, c in (("xs", "dxs", "hist_end_xslope"),
+                                  ("vs", "dvs", "hist_end_slope"))]
+        ei, ej = np.nonzero(g.arcs)
+        delay_at = p.on_edges(ei, ej)
+        ej = (ej + 4 * np.arange(len(trajs))[:, None]).ravel()
+        ts, his, tau, seg, basis, jump = _stage_plan(times, n_hist, n_steps, dt, p)
+        assert len(ts) == len(his) == len(tau) == 4 * n_steps + 1
+        looked_up = 0
+        for k in range(4 * n_steps + 1):
+            step, s = divmod(k, 4)
+            idx = n_hist + step
+            if step < n_steps:   # the loop's stage times and slope limits
+                assert ts[k] == times[idx] + (0, dt / 2, dt / 2, dt)[s]
+                assert his[k] == (max(idx - 1, 1), idx, idx, idx)[s]
+            else:
+                assert (ts[k], his[k]) == (times[idx], idx - 1)
+            tau_e = np.tile(delay_at(ts[k]), len(trajs))
+            assert tau_e.tobytes() == np.full(len(ej), tau[k]).tobytes()
+            if tau[k] == 0.0:
+                continue
+            looked_up += 1
+            want = _hermite_gather(times, tables, ej, ts[k] - tau_e, his[k], n_hist)
+            got = _hermite_rows(tables, seg[k], [b[k] for b in basis], jump[k])
+            for a, b in zip(got, want):
+                assert a[ej].tobytes() == b.tobytes(), k
+        assert looked_up == {"zero": 0, "clipping-sinusoid": 4 * n_steps - 9}.get(
+            case, 4 * n_steps + 1)
+        assert jump[tau != 0.0].any() == (looked_up > 0)   # the slope jump at t = 0 is read
+
+    @pytest.mark.parametrize("case", list(plan_cases()))
+    def test_integrate_matches_the_per_arc_path(self, case, monkeypatch):
+        p, hists, ws = plan_cases()[case]
+        g = Digraph.from_arc_list(4, FIG_ARCS, one_based=True)
+        planned = integrate(hists, g, ws, p, t_end=2.0, dt=0.02)
+        plan = dde._stage_plan   # as piecewise-random delays get it: no shared delay
+        monkeypatch.setattr(dde, "_stage_plan", lambda *a: plan(*a)[:2] + (None,) * 4)
+        for got, want in zip(planned, integrate(hists, g, ws, p, t_end=2.0, dt=0.02)):
+            for name in ("xs", "vs", "dxs", "dvs"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
 
 class TestConstantHistory:

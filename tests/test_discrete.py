@@ -8,9 +8,7 @@ from delayflock.discrete import (
     StabilityGateError,
     check_gate,
     discrete_diameters,
-    initial_state,
     simulate_discrete,
-    step,
 )
 from delayflock.interaction import DelayProfile, WeightFunction
 
@@ -57,11 +55,10 @@ class TestGate:
 class TestStep:
     def test_single_euler_update(self):
         g, w, p, h = pair_setup()
-        s = initial_state([[0.0], [0.0]], [[0.0], [1.0]], h=h, tau=0)
-        s1 = step(s, g, w, p)
-        assert np.allclose(s1.x, [[0.0], [0.1]])
-        assert np.allclose(s1.v, [[0.1], [0.9]])
-        assert s1.t == 1
+        traj = simulate_discrete([[0.0], [0.0]], [[0.0], [1.0]], g, w, p, t_end=1, h=h)
+        assert np.allclose(traj.xs[-1], [[0.0], [0.1]])
+        assert np.allclose(traj.vs[-1], [[0.1], [0.9]])
+        assert traj.times.tolist() == [0.0, 1.0]
 
     def test_two_agent_geometric_decay(self):
         # the velocity difference contracts by (1 - 2*kappa*h) each step
@@ -80,12 +77,11 @@ class TestStep:
         p = DelayProfile.constant(1.0)
         hx = np.array([[[0.0], [5.0]], [[0.0], [6.0]]])
         hv = np.array([[[0.0], [2.0]], [[0.0], [3.0]]])
-        s = initial_state([[0.0], [6.0]], [[0.0], [3.0]], h=0.1, tau=1,
-                          history_x=hx, history_v=hv)
-        s1 = step(s, g, w, p)
+        traj = simulate_discrete([[0.0], [6.0]], [[0.0], [3.0]], g, w, p, t_end=1,
+                                 h=0.1, history_x=hx, history_v=hv)
         # agent 1 sees agent 2 one step back: v update 0 + 0.1*(2 - 0)
-        assert np.allclose(s1.v[0], [0.2])
-        assert np.allclose(s1.v[1], [3.0])
+        assert np.allclose(traj.vs[-1, 0], [0.2])
+        assert np.allclose(traj.vs[-1, 1], [3.0])
 
 
 class TestScalarReference:
@@ -117,34 +113,6 @@ class TestScalarReference:
         self._compare(DelayProfile(kind="piecewise-random", tau_max=3.0,
                                    low=0, high=3, seed=8, hold=4.0,
                                    integer_valued=True))
-
-    def test_step_matches_simulate(self):
-        rng = np.random.default_rng(5)
-        g = Digraph(random_rooted_arcs(rng, 12, 2))
-        w = WeightFunction(kind="cucker-smale", kappa=1.0, beta=0.3)
-        p = DelayProfile(kind="piecewise-random", tau_max=2.0, low=0,
-                         high=2, seed=1, hold=3.0, integer_valued=True)
-        x0 = rng.normal(size=(12, 2))
-        v0 = rng.normal(size=(12, 2))
-        traj = simulate_discrete(x0, v0, g, w, p, t_end=10, h=0.1)
-        s = initial_state(x0, v0, h=0.1, tau=2)
-        for _ in range(10):
-            s = step(s, g, w, p)
-        assert np.array_equal(s.buffer_v, traj.vs[-3:])
-        assert np.array_equal(s.buffer_x, traj.xs[-3:])
-
-    def test_step_runs_no_graph_search(self, monkeypatch):
-        def forbidden(g):
-            raise AssertionError("step() must not search the graph")
-
-        monkeypatch.setattr(discrete, "compute_metrics", forbidden)
-        g, w, p, h = pair_setup()
-        s = step(initial_state([[0.0], [0.0]], [[0.0], [1.0]], h=h, tau=0),
-                 g, w, p)
-        assert s.t == 1
-        with pytest.raises(StabilityGateError):    # kappa*h above 1/n_infinity
-            step(initial_state([[0.0], [0.0]], [[0.0], [1.0]], h=1.5, tau=0),
-                 g, w, p)
 
     def test_simulate_runs_no_graph_search(self, monkeypatch):
         def forbidden(g):
