@@ -34,7 +34,7 @@ def main():
     ref = integrate(hist, g, w, DelayProfile.zero(), t_end=t_end, dt=5e-4)
     vref = ref.state_at(t_end)[1]
     for h in (0.08, 0.04, 0.02, 0.01):
-        traj = simulate_discrete(X0, V0, g, w, DelayProfile.zero(),
+        traj = simulate_discrete(hist, g, w, DelayProfile.zero(),
                                  t_end=int(round(t_end / h)), h=h)
         err = np.abs(traj.vs[-1] - vref).max()
         print(f"  h = {h:5.3f}: max velocity error {err:.3e}")
@@ -44,8 +44,9 @@ def main():
     from delayflock import condition_supremum
     delay = DelayProfile(kind="constant", value=1.0, tau_max=1.0,
                          integer_valued=True)
+    small = InitialHistory.constant(X0, 1e-9 * V0, tau=1.0)
     for h in (0.4, 0.2, 0.1, 0.05):
-        cert = check_discrete(X0, 1e-9 * V0, g, w, delay, h=h)
+        cert = check_discrete(small, g, w, delay, h=h)
         sup = condition_supremum(cert.measured_X0, w, cert.params)
         print(f"  h = {h:4.2f}: verdict={cert.verdict}, admissible D(0) "
               f"up to {sup:.4e}, delta={cert.delta:.6f} "

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dde import DiameterSeries, InitialHistory, Trajectory, x_spread_initial
+from .dde import DiameterSeries, InitialHistory, Trajectory
 from .digraph import Digraph, compute_metrics
-from .discrete import check_gate, history_tables
+from .discrete import check_gate
 from .interaction import DelayProfile, WeightFunction, verify_admissible
 
 LONG_RANGE = "long-range"
@@ -244,8 +244,16 @@ def _leq(a: float, b: float) -> bool:
     return a <= b * (1.0 + _CMP_RTOL) + 1e-300
 
 
-def _certify(model: str, d0: float, x0: float, g: Digraph, w: WeightFunction,
-             p: ModelParams, rho: float | None) -> FlockingCertificate:
+def _certify(history: InitialHistory, g: Digraph, w: WeightFunction, dp: DelayProfile,
+             h: float | None, rho: float | None) -> FlockingCertificate:
+    """The certificate of either model: the discrete one when h is set."""
+    rep = verify_admissible(w)
+    if not rep:
+        raise AnalysisError(f"weight is not admissible: {rep.violations[:1]}")
+    p = params_from_scenario(g, w, dp, d=history.dim, h=h)
+    d0 = _initial_spread(history, p.tau)
+    x0 = x_spread_initial(history, g)
+    model = "continuous" if h is None else "discrete"
     c = c_bar_infinity(p) if model == "discrete" else c_infinity(p)
     regime = NON_CS
     if w.kind == "cucker-smale":
@@ -300,35 +308,14 @@ def check_continuous(history: InitialHistory, g: Digraph, w: WeightFunction,
     D(0) and X(0) are measured from the history itself, not taken from
     configuration.
     """
-    rep = verify_admissible(w)
-    if not rep:
-        raise AnalysisError(f"weight is not admissible: {rep.violations[:1]}")
-    mp = params_from_scenario(g, w, p, d=history.dim)
-    d0 = _initial_spread(history, mp.tau)
-    x0 = x_spread_initial(history, g)
-    return _certify("continuous", d0, x0, g, w, mp, rho)
+    return _certify(history, g, w, p, None, rho)
 
 
-def check_discrete(x0_pos, v0, g: Digraph, w: WeightFunction, p: DelayProfile,
-                   h: float, history_x=None, history_v=None,
-                   rho: float | None = None) -> FlockingCertificate:
+def check_discrete(history: InitialHistory, g: Digraph, w: WeightFunction,
+                   p: DelayProfile, h: float, rho: float | None = None) -> FlockingCertificate:
     """Discrete analogue of check_continuous (integer delays, gate on
-    kappa * h enforced by the constants)."""
-    rep = verify_admissible(w)
-    if not rep:
-        raise AnalysisError(f"weight is not admissible: {rep.violations[:1]}")
-    x0_pos = np.atleast_2d(np.asarray(x0_pos, dtype=float))
-    v0 = np.atleast_2d(np.asarray(v0, dtype=float))
-    mp = params_from_scenario(g, w, p, d=x0_pos.shape[1], h=h)
-    tau = p.integer_tau_max
-    bx, bv = history_tables(x0_pos, v0, tau, history_x, history_v)
-    d0 = float((bv.max(axis=(0, 1)) - bv.min(axis=(0, 1))).max())
-    ei, ej = np.nonzero(g.arcs)
-    x0_meas = 0.0
-    if len(ei):
-        diffs = bx[-1][ei][None] - bx[:, ej]
-        x0_meas = float(np.linalg.norm(diffs, axis=-1).max())
-    return _certify("discrete", d0, x0_meas, g, w, mp, rho)
+    kappa * h enforced by the constants), measured alike."""
+    return _certify(history, g, w, p, h, rho)
 
 
 def _initial_spread(history: InitialHistory, tau: float,
@@ -346,6 +333,26 @@ def _initial_spread(history: InitialHistory, tau: float,
         vmax = v.max(axis=0) if vmax is None else np.maximum(vmax, v.max(axis=0))
         vmin = v.min(axis=0) if vmin is None else np.minimum(vmin, v.min(axis=0))
     return float((vmax - vmin).max())
+
+
+def x_spread_initial(history: InitialHistory, g: Digraph,
+                     n_samples: int = 64) -> float:
+    """X(0): max over arcs (j -> i) of ||x_i(0) - x_j(s)||, s in [-tau, 0]."""
+    ei, ej = np.nonzero(g.arcs)
+    if len(ei) == 0:
+        return 0.0
+    x_now = history.x0
+    best = 0.0
+    if history.times is None:
+        sample_ts = [0.0]
+    else:
+        sample_ts = np.union1d(history.times,
+                               np.linspace(-history.tau, 0.0, n_samples))
+    for s in sample_ts:
+        x_s, _ = history.eval(float(s))
+        diff = x_now[ei] - x_s[ej]
+        best = max(best, float(np.linalg.norm(diff, axis=1).max()))
+    return best
 
 
 @dataclass(frozen=True)

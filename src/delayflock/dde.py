@@ -17,8 +17,7 @@ differ from arc to arc and are gathered per arc at every stage.  Both
 paths give the same numbers, bit for bit.
 
 Also provides the windowed velocity-spread diagnostics: per-component
-trailing-window extrema over [t - tau, t], their spread, and the
-initial delayed position spread over connected pairs.
+trailing-window extrema over [t - tau, t] and their spread.
 """
 from __future__ import annotations
 
@@ -149,6 +148,17 @@ class Trajectory:
         return x, v
 
 
+def check_history(history: InitialHistory, shape: tuple, p: DelayProfile):
+    """Refuse a history whose agent table is not of ``shape`` (N, d) or
+    that does not reach back to the longest delay."""
+    if history.x0.shape != shape:
+        raise IntegrationError(f"graph has {shape[0]} vertices but a member history "
+                               f"has shape {history.x0.shape}")
+    if history.tau + 1e-12 < p.tau_max:
+        raise IntegrationError(f"history covers only [-{history.tau}, 0] but "
+                               f"delays reach {p.tau_max}")
+
+
 def _hermite_basis(times, s, hi):
     """Segment index and cubic Hermite basis weights (h00, h10, h01, h11),
     the slope weights scaled by the segment length, of query times s,
@@ -261,14 +271,10 @@ def integrate(history: InitialHistory | Sequence[InitialHistory], g: Digraph,
         raise IntegrationError(f"{B} member histories but {len(ws)} weights")
     n, d = g.n_vertices, hists[0].dim
     for h in hists:
-        if h.x0.shape != (n, d):
-            raise IntegrationError(f"graph has {n} vertices but a member history has "
-                                   f"shape {h.x0.shape}")
-        if h.tau + 1e-12 < p.tau_max:
-            raise IntegrationError(f"history covers only [-{h.tau}, 0] but "
-                                   f"delays reach {p.tau_max}")
+        check_history(h, (n, d), p)
     tau = max(p.tau_max, *(h.tau for h in hists))
-    n_hist = int(math.ceil(tau / dt - 1e-12)) if tau > 0 else 0
+    # any positive delay gets a history step, however short
+    n_hist = max(1, math.ceil(tau / dt - 1e-12)) if tau > 0 else 0
     n_steps = int(math.ceil(t_end / dt - 1e-12))
     M = n_hist + n_steps + 1
     nb = B * n
@@ -360,8 +366,7 @@ class DiameterSeries:
     """Trailing-window velocity extrema and spreads along a run.
 
     vbar/vund are (Q, d) per-component window max/min; spread_k their
-    difference; spread the max over components.  x_spread0 is the
-    initial delayed position spread over connected pairs.
+    difference; spread the max over components.
     """
 
     times: np.ndarray
@@ -369,13 +374,6 @@ class DiameterSeries:
     vund: np.ndarray
     spread_k: np.ndarray
     spread: np.ndarray
-    x_spread0: float
-
-    def at(self, t: float) -> float:
-        k = int(round((t - self.times[0]) / (self.times[1] - self.times[0])))
-        if not (0 <= k < len(self.times)):
-            raise IndexError(f"time {t} outside diameter series")
-        return float(self.spread[k])
 
 
 def _segment_extrema(vals, slopes, dt, fix_idx=None, fix_val=None):
@@ -426,34 +424,12 @@ def _trailing_extreme(arr, win, reduce_fn):
     return reduce_fn(sw, axis=-1)
 
 
-def x_spread_initial(history: InitialHistory, g: Digraph,
-                     n_samples: int = 64) -> float:
-    """Max over arcs (j -> i) of ||x_i(0) - x_j(s)||, s in [-tau, 0]."""
-    ei, ej = np.nonzero(g.arcs)
-    if len(ei) == 0:
-        return 0.0
-    x_now = history.x0
-    best = 0.0
-    if history.times is None:
-        sample_ts = [0.0]
-    else:
-        sample_ts = np.union1d(history.times,
-                               np.linspace(-history.tau, 0.0, n_samples))
-    for s in sample_ts:
-        x_s, _ = history.eval(float(s))
-        diff = x_now[ei] - x_s[ej]
-        best = max(best, float(np.linalg.norm(diff, axis=1).max()))
-    return best
-
-
-def diameters(traj: Trajectory, tau: float, history: InitialHistory | None = None,
-              g: Digraph | None = None) -> DiameterSeries:
+def diameters(traj: Trajectory, tau: float) -> DiameterSeries:
     """Windowed velocity extrema along a trajectory.
 
     The window [t - tau, t] is evaluated for every grid time t >= 0
     from the grid samples plus the analytic interior extrema of each
-    Hermite segment (sample-only for discrete runs).  x_spread0 needs
-    the history and graph; it is 0 when they are omitted.
+    Hermite segment (sample-only for discrete runs).
     """
     win = int(round(tau / traj.dt))
     if win * traj.dt < tau - 1e-9 * max(tau, 1.0):
@@ -480,12 +456,8 @@ def diameters(traj: Trajectory, tau: float, history: InitialHistory | None = Non
     vbar = vbar_all[q0:]
     vund = vund_all[q0:]
     spread_k = vbar - vund
-    spread = spread_k.max(axis=1)
-    x0 = 0.0
-    if history is not None and g is not None:
-        x0 = x_spread_initial(history, g)
     return DiameterSeries(times=times, vbar=vbar, vund=vund,
-                          spread_k=spread_k, spread=spread, x_spread0=x0)
+                          spread_k=spread_k, spread=spread_k.max(axis=1))
 
 
 @dataclass(frozen=True)

@@ -59,7 +59,6 @@ class Scenario:
     delay: DelayProfile
     positions: np.ndarray           # (N, d)
     velocities: np.ndarray          # (N, d)
-    history: InitialHistory | None = None   # overrides constant history
     dt: float = 0.01
     h: float = 0.05
     t_end: float = 50.0
@@ -71,8 +70,6 @@ class Scenario:
         return dataclasses.replace(self, **kw)
 
     def initial_history(self) -> InitialHistory:
-        if self.history is not None:
-            return self.history
         return InitialHistory.constant(self.positions, self.velocities,
                                        tau=self.delay.tau_max)
 
@@ -254,6 +251,9 @@ def validate_scenario(s: Scenario):
             f"got {s.velocities.shape}")
     if s.model == "discrete" and s.t_end < 0:
         raise ScenarioError(f"horizon must be nonnegative, got {s.t_end:g}")
+    if s.model == "discrete" and not float(s.t_end).is_integer():
+        raise ScenarioError(f"discrete horizon must be a whole number of steps, "
+                            f"got {s.t_end:g}")
     rep = verify_admissible(s.weight)
     if not rep:
         raise ScenarioError(f"weight is not admissible: {rep.violations[0]}")
@@ -333,16 +333,16 @@ def certify(s: Scenario) -> an.FlockingCertificate:
     """The scenario's flocking certificate, measured from its initial data;
     AnalysisError on a degenerate graph (no spanning tree, or one agent)."""
     if s.model == "discrete":
-        return an.check_discrete(s.positions, s.velocities, s.graph, s.weight,
-                                 s.delay, s.h, rho=s.rho)
+        return an.check_discrete(s.initial_history(), s.graph, s.weight, s.delay, s.h,
+                                 rho=s.rho)
     return an.check_continuous(s.initial_history(), s.graph, s.weight, s.delay,
                                rho=s.rho)
 
 
 def _run_group(group: list[Scenario], out_dir: str | None = None) -> list[RunReport]:
-    """Certificates, one simulation for members sharing graph, delay, dt,
-    t_end and history reach (discrete: one member), then each one's checks.
-    A blow-up is raised with the name of the member that blew up."""
+    """Certificates, one simulation for members sharing graph, delay, dt
+    and t_end (discrete: one member), then each one's checks.  A blow-up
+    is raised with the name of the member that blew up."""
     histories = [s.initial_history() for s in group]
     certs = []
     for s in group:
@@ -352,9 +352,8 @@ def _run_group(group: list[Scenario], out_dir: str | None = None) -> list[RunRep
             certs.append(None)   # degenerate graph: the run goes on uncertified
     s = group[0]
     if s.model == "discrete":
-        trajs = [simulate_discrete(s.positions, s.velocities, s.graph, s.weight,
-                                   s.delay, t_end=int(s.t_end), h=s.h,
-                                   unsafe_h=s.unsafe_h)]
+        trajs = [simulate_discrete(histories[0], s.graph, s.weight, s.delay,
+                                   t_end=int(s.t_end), h=s.h, unsafe_h=s.unsafe_h)]
     else:
         try:
             trajs = integrate(histories, s.graph, [m.weight for m in group], s.delay,
@@ -363,17 +362,15 @@ def _run_group(group: list[Scenario], out_dir: str | None = None) -> list[RunRep
             if e.member is None:
                 raise
             raise IntegrationError(f"{group[e.member].name}: {e}", e.member) from e
-    return [_report(*member, out_dir)
-            for member in zip(group, histories, certs, trajs)]
+    return [_report(*member, out_dir) for member in zip(group, certs, trajs)]
 
 
-def _report(s: Scenario, history: InitialHistory, cert, traj: Trajectory,
-            out_dir: str | None) -> RunReport:
+def _report(s: Scenario, cert, traj: Trajectory, out_dir: str | None) -> RunReport:
     if s.model == "discrete":
         series = discrete_diameters(traj, s.delay.integer_tau_max)
         mono_tol = 1e-9 * max(float(series.spread[0]), 1e-300)
     else:
-        series = diameters(traj, s.delay.tau_max, history=history, g=s.graph)
+        series = diameters(traj, s.delay.tau_max)
         mono_tol = 1e-6 * max(float(series.spread[0]), 1e-300)
     mono = check_monotone_diameter(series, tol=mono_tol)
     decay = None
@@ -426,8 +423,8 @@ def sweep(template: Scenario, axes: dict[str, list[float]],
           out_path: str | None = None) -> list[RunReport]:
     """Run every point of the axis product grid; reports in grid order,
     optionally one CSV row per point.  Continuous points sharing graph,
-    delay, dt, t_end and history reach (beta, kappa and scale axes) run
-    as one batched integration, each bit for bit as ``run`` gives it.
+    delay, dt and t_end (beta, kappa and scale axes) run as one batched
+    integration, each bit for bit as ``run`` gives it.
     """
     names = list(axes.keys())
     for a in names:
@@ -443,8 +440,7 @@ def sweep(template: Scenario, axes: dict[str, list[float]],
             f"{a}={_fmt(float(v))}" for a, v in zip(names, values))))
     groups: dict[object, list[int]] = {}
     for k, s in enumerate(points):
-        key = k if s.model == "discrete" else (
-            id(s.graph), s.delay, s.dt, s.t_end, s.initial_history().tau)
+        key = k if s.model == "discrete" else (id(s.graph), s.delay, s.dt, s.t_end)
         groups.setdefault(key, []).append(k)
     reports = [None] * len(points)
     for ks in groups.values():

@@ -234,13 +234,6 @@ class DelayProfile:
             return np.array([self._sinusoid(t) for t in ts.tolist()])
         return np.full(len(ts), self.value if self.kind == "constant" else 0.0)
 
-    def integer_delay(self, i: int, j: int, t: int) -> int:
-        """Integer delay for the discrete recursion at step t."""
-        if not self.integer_valued:
-            raise AdmissibilityError("profile is not integer-valued")
-        v = self(i, j, t)
-        return int(round(v))
-
     @property
     def integer_tau_max(self) -> int:
         if not self.integer_valued:

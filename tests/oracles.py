@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 
+from delayflock.interaction import AdmissibilityError
+
 INF = math.inf
 
 
@@ -171,6 +173,14 @@ def random_rooted_arcs(rng, n, k_in):
             if j != i:
                 m[i, j] = True
     return m
+
+
+def integer_delay(p, i, j, t):
+    """Whole-step delay of the arc j -> i at step t, by the profile's
+    per-edge call: the lag the discrete recursion reads, edge by edge."""
+    if not p.integer_valued:
+        raise AdmissibilityError("profile is not integer-valued")
+    return int(round(p(i, j, t)))
 
 
 def discrete_euler_reference(arcs, x0, v0, psi, lag, h, t_end):

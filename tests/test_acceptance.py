@@ -104,8 +104,8 @@ def test_criterion_3_ode_oracle():
     err_c = abs(float(v[0, 0] - v[1, 0]) + two_agent_ode_difference(1.0, 1.0, 1.0))
 
     h = 0.1
-    dtraj = simulate_discrete([[0.0], [0.0]], [[0.0], [1.0]], g, w, p,
-                              t_end=50, h=h)
+    dhist = InitialHistory.constant([[0.0], [0.0]], [[0.0], [1.0]], tau=0.0)
+    dtraj = simulate_discrete(dhist, g, w, p, t_end=50, h=h)
     diff = dtraj.vs[:, 1, 0] - dtraj.vs[:, 0, 0]
     factor = 1.0 - 2.0 * h
     err_d = max(abs(diff[k + 1] - factor * diff[k]) for k in range(50))

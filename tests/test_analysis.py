@@ -276,13 +276,32 @@ class TestCertificates:
         assert d["model"] == "continuous"
 
 
+def pair_history(v0):
+    """Two agents at the origin with velocities v0, constant in time."""
+    return InitialHistory.constant([[0.0], [0.0]], v0, tau=0.0)
+
+
 class TestDiscreteCertificates:
+    @pytest.mark.parametrize("sampled", [False, True], ids=["constant", "sampled"])
+    def test_both_models_measure_the_same_initial_data(self, sampled):
+        hist, g, w, p = continuous_inputs(1e-3)
+        if sampled:
+            # velocities that grow toward t = 0 on the whole steps -1, 0
+            hist = InitialHistory.from_samples([-1.0, 0.0], [FIG_X0 - FIG_V0, FIG_X0],
+                                               [0.5 * FIG_V0, FIG_V0])
+        cont = check_continuous(hist, g, w, p)
+        disc = check_discrete(hist, g, w, p, h=0.05)
+        assert disc.model == "discrete" and cont.model == "continuous"
+        assert disc.measured_D0 == cont.measured_D0
+        assert disc.measured_X0 == cont.measured_X0
+        assert disc.measured_D0 == pytest.approx(14.0 * (1.0 if sampled else 1e-3), rel=1e-15)
+
     def test_pair_critical_guaranteed(self):
         # two agents, gamma=1, beta=1/2 is the critical regime;
         # spread 0.1 sits below the supremum 0.225 of the condition curve
         g = Digraph.complete(2)
         w = WeightFunction(kind="cucker-smale", kappa=1.0, beta=0.5)
-        cert = check_discrete([[0.0], [0.0]], [[0.0], [0.1]], g, w,
+        cert = check_discrete(pair_history([[0.0], [0.1]]), g, w,
                               DelayProfile.zero(), h=0.1)
         assert cert.regime == CRITICAL
         assert cert.guaranteed
@@ -293,7 +312,7 @@ class TestDiscreteCertificates:
     def test_pair_boundary_scale(self):
         g = Digraph.complete(2)
         w = WeightFunction(kind="cucker-smale", kappa=1.0, beta=0.5)
-        cert = check_discrete([[0.0], [0.0]], [[0.0], [0.225]], g, w,
+        cert = check_discrete(pair_history([[0.0], [0.225]]), g, w,
                               DelayProfile.zero(), h=0.1)
         # D(0) sits exactly on the supremum of the condition curve; the
         # non-strict comparison must still certify (either through a grid
@@ -305,7 +324,7 @@ class TestDiscreteCertificates:
         g = Digraph.complete(2)
         w = WeightFunction(kind="cucker-smale", kappa=1.0, beta=0.5)
         with pytest.raises(StabilityGateError):
-            check_discrete([[0.0], [0.0]], [[0.0], [0.1]], g, w,
+            check_discrete(pair_history([[0.0], [0.1]]), g, w,
                            DelayProfile.zero(), h=1.5)
 
     def test_threshold_improves_as_h_shrinks(self):
@@ -313,7 +332,7 @@ class TestDiscreteCertificates:
         w = WeightFunction(kind="cucker-smale", kappa=1.0, beta=0.5)
         sups = []
         for h in (0.4, 0.2, 0.1, 0.05):
-            cert = check_discrete([[0.0], [0.0]], [[0.0], [0.01]], g, w,
+            cert = check_discrete(pair_history([[0.0], [0.01]]), g, w,
                                   DelayProfile.zero(), h=h)
             sups.append(condition_supremum(cert.measured_X0, w, cert.params))
         assert all(a < b for a, b in zip(sups, sups[1:]))
@@ -324,7 +343,7 @@ class TestDecayAndPositions:
         hist, g, w, p = continuous_inputs(scale)
         cert = check_continuous(hist, g, w, p)
         traj = integrate(hist, g, w, p, t_end=t_end, dt=0.01)
-        series = diameters(traj, tau=1.0, history=hist, g=g)
+        series = diameters(traj, tau=1.0)
         return cert, traj, series
 
     def test_decay_bound_holds(self):

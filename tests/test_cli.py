@@ -124,11 +124,13 @@ DISCRETE = dict(SCENARIO, model="discrete", h=0.1)
     ("simulate", DISCRETE, ["--t-end", "-3"], "horizon must be nonnegative, got -3"),
     ("simulate", DISCRETE, ["--t-end", "nan"], "'t_end' must be a finite number, got nan"),
     ("simulate", DISCRETE, ["--t-end", "inf"], "'t_end' must be a finite number, got inf"),
+    ("simulate", DISCRETE, ["--t-end", "2.5"],
+     "discrete horizon must be a whole number of steps, got 2.5"),
 ], ids=["gate-check", "gate-simulate", "nan-position", "blow-up", "negative-dt",
         "zero-horizon", "missing-arcs", "malformed-json", "directory", "string-beta",
         "one-vertex-arc", "huge-integer", "discrete-negative-horizon",
         "discrete-negative-t-end-flag", "discrete-nan-t-end-flag",
-        "discrete-inf-t-end-flag"])
+        "discrete-inf-t-end-flag", "discrete-fractional-t-end-flag"])
 def test_bad_input_exits_2_with_one_line(command, raw, flags, message, tmp_path, capsys):
     # raw is a scenario object, or the name of a file under tmp_path
     (tmp_path / "bad.json").write_text('{"graph": \n !')

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from delayflock import dde
+from delayflock.analysis import x_spread_initial
 from delayflock.dde import (
     InitialHistory,
     IntegrationError,
@@ -12,7 +13,6 @@ from delayflock.dde import (
     _stage_plan,
     edge_forces,
     integrate,
-    x_spread_initial,
 )
 from delayflock.digraph import Digraph
 from delayflock.interaction import DelayProfile, WeightFunction
@@ -162,6 +162,20 @@ class TestIntegrate:
             integrate(hist, g, w, p, t_end=-1.0)
         with pytest.raises(IntegrationError):
             integrate(hist, Digraph.complete(3), w, p, t_end=1.0)
+
+    def test_delay_far_below_the_step_gets_a_history_step(self):
+        # 1e-15 is below the 1e-12 * dt slack of the history length, yet
+        # its stages still look up the past: they must read the history,
+        # as a delay of 1e-12 (one history step either way) does
+        g = Digraph.complete(2)
+        w = WeightFunction(kind="constant", kappa=1.0)
+        gaps = []
+        for tau in (1e-15, 1e-12):
+            hist = InitialHistory.constant([[0.0], [0.0]], [[0.0], [1.0]], tau=tau)
+            traj = integrate(hist, g, w, DelayProfile.constant(tau), t_end=1.0, dt=0.01)
+            assert traj.n_hist == 1
+            gaps.append(float(traj.vs[-1, 1, 0] - traj.vs[-1, 0, 0]))
+        assert gaps[0] == pytest.approx(gaps[1], rel=1e-9)
 
     def test_convergence_order(self):
         # classical 4th-order step: halving dt shrinks the error ~16x
@@ -431,7 +445,7 @@ class TestDiameters:
     def test_fig_initial_values(self):
         g, w, p, hist = fig_setup()
         traj = integrate(hist, g, w, p, t_end=1.0, dt=0.01)
-        series = diameters(traj, tau=1.0, history=hist, g=g)
+        series = diameters(traj, tau=1.0)
         assert series.spread[0] == pytest.approx(14.0, rel=1e-12)
         assert x_spread_initial(hist, g) == pytest.approx(2.0, rel=1e-12)
 
@@ -440,13 +454,13 @@ class TestDiameters:
         w = WeightFunction(kind="constant", kappa=1.0)
         hist = InitialHistory.constant([[0.0]], [[3.0]], tau=0.0)
         traj = integrate(hist, g, w, DelayProfile.zero(), t_end=1.0, dt=0.1)
-        series = diameters(traj, tau=0.0, history=hist, g=g)
+        series = diameters(traj, tau=0.0)
         assert np.allclose(series.spread, 0.0)
 
     def test_monotone_on_fig_run(self):
         g, w, p, hist = fig_setup(scale=0.01)
         traj = integrate(hist, g, w, p, t_end=10.0, dt=0.01)
-        series = diameters(traj, tau=1.0, history=hist, g=g)
+        series = diameters(traj, tau=1.0)
         rep = check_monotone_diameter(series, tol=1e-9 * series.spread[0])
         assert rep
         assert rep.max_increase <= 1e-9 * series.spread[0]
@@ -454,7 +468,7 @@ class TestDiameters:
     def test_monotone_check_flags_bump(self):
         g, w, p, hist = fig_setup(scale=0.01)
         traj = integrate(hist, g, w, p, t_end=2.0, dt=0.01)
-        series = diameters(traj, tau=1.0, history=hist, g=g)
+        series = diameters(traj, tau=1.0)
         series.spread[50] += 0.5 * series.spread[0]
         rep = check_monotone_diameter(series, tol=1e-9)
         assert not rep

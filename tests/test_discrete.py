@@ -1,8 +1,10 @@
+import functools
+
 import numpy as np
 import pytest
 
 from delayflock import discrete
-from delayflock.dde import InitialHistory, integrate
+from delayflock.dde import InitialHistory, IntegrationError, integrate
 from delayflock.digraph import Digraph
 from delayflock.discrete import (
     StabilityGateError,
@@ -12,11 +14,16 @@ from delayflock.discrete import (
 )
 from delayflock.interaction import DelayProfile, WeightFunction
 
-from oracles import discrete_euler_reference, random_rooted_arcs
+from oracles import discrete_euler_reference, integer_delay, random_rooted_arcs
 
 FIG_ARCS = [(1, 2), (2, 3), (3, 1), (3, 4)]
 FIG_X0 = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
 FIG_V0 = np.array([[1.0, -2.0], [3.0, -4.0], [5.0, 6.0], [-7.0, -8.0]])
+
+
+def const(x0, v0, p):
+    """The constant history of (x0, v0), reaching back to p's longest delay."""
+    return InitialHistory.constant(x0, v0, tau=p.tau_max)
 
 
 def pair_setup(kappa=1.0, h=0.1):
@@ -46,16 +53,17 @@ class TestGate:
     def test_simulate_enforces_gate(self):
         g, w, p, _ = pair_setup()
         with pytest.raises(StabilityGateError):
-            simulate_discrete([[0.0], [0.0]], [[0.0], [1.0]], g, w, p,
+            simulate_discrete(const([[0.0], [0.0]], [[0.0], [1.0]], p), g, w, p,
                               t_end=5, h=1.5)
-        simulate_discrete([[0.0], [0.0]], [[0.0], [1.0]], g, w, p,
+        simulate_discrete(const([[0.0], [0.0]], [[0.0], [1.0]], p), g, w, p,
                           t_end=5, h=1.5, unsafe_h=True)
 
 
 class TestStep:
     def test_single_euler_update(self):
         g, w, p, h = pair_setup()
-        traj = simulate_discrete([[0.0], [0.0]], [[0.0], [1.0]], g, w, p, t_end=1, h=h)
+        traj = simulate_discrete(const([[0.0], [0.0]], [[0.0], [1.0]], p), g, w, p,
+                                 t_end=1, h=h)
         assert np.allclose(traj.xs[-1], [[0.0], [0.1]])
         assert np.allclose(traj.vs[-1], [[0.1], [0.9]])
         assert traj.times.tolist() == [0.0, 1.0]
@@ -63,7 +71,7 @@ class TestStep:
     def test_two_agent_geometric_decay(self):
         # the velocity difference contracts by (1 - 2*kappa*h) each step
         g, w, p, h = pair_setup(kappa=0.8, h=0.2)
-        traj = simulate_discrete([[0.0], [0.0]], [[0.0], [1.0]], g, w, p,
+        traj = simulate_discrete(const([[0.0], [0.0]], [[0.0], [1.0]], p), g, w, p,
                                  t_end=40, h=h)
         diff = traj.vs[:, 1, 0] - traj.vs[:, 0, 0]
         factor = 1.0 - 2 * 0.8 * 0.2
@@ -77,8 +85,8 @@ class TestStep:
         p = DelayProfile.constant(1.0)
         hx = np.array([[[0.0], [5.0]], [[0.0], [6.0]]])
         hv = np.array([[[0.0], [2.0]], [[0.0], [3.0]]])
-        traj = simulate_discrete([[0.0], [6.0]], [[0.0], [3.0]], g, w, p, t_end=1,
-                                 h=0.1, history_x=hx, history_v=hv)
+        hist = InitialHistory.from_samples([-1.0, 0.0], hx, hv)
+        traj = simulate_discrete(hist, g, w, p, t_end=1, h=0.1)
         # agent 1 sees agent 2 one step back: v update 0 + 0.1*(2 - 0)
         assert np.allclose(traj.vs[-1, 0], [0.2])
         assert np.allclose(traj.vs[-1, 1], [3.0])
@@ -95,11 +103,11 @@ class TestScalarReference:
         w = WeightFunction(kind="cucker-smale", kappa=1.0, beta=0.4)
         x0 = rng.uniform(-3, 3, size=(30, 2))
         v0 = rng.uniform(-1, 1, size=(30, 2))
-        traj = simulate_discrete(x0, v0, Digraph(arcs), w, p, t_end=t_end,
+        traj = simulate_discrete(const(x0, v0, p), Digraph(arcs), w, p, t_end=t_end,
                                  h=0.1)
         ref = discrete_euler_reference(
             arcs, x0, v0, lambda r: (1.0 + r * r) ** -0.4,
-            p.integer_delay, 0.1, t_end)
+            functools.partial(integer_delay, p), 0.1, t_end)
         got = traj.vs[traj.n_hist:]
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
@@ -120,11 +128,11 @@ class TestScalarReference:
 
         monkeypatch.setattr(discrete, "compute_metrics", forbidden)
         g, w, p, h = pair_setup()
-        traj = simulate_discrete([[0.0], [0.0]], [[0.0], [1.0]], g, w, p,
+        traj = simulate_discrete(const([[0.0], [0.0]], [[0.0], [1.0]], p), g, w, p,
                                  t_end=3, h=h)
         assert traj.vs.shape == (4, 2, 1)
         with pytest.raises(StabilityGateError):    # kappa*h above 1/n_infinity
-            simulate_discrete([[0.0], [0.0]], [[0.0], [1.0]], g, w, p,
+            simulate_discrete(const([[0.0], [0.0]], [[0.0], [1.0]], p), g, w, p,
                               t_end=3, h=1.5)
 
 
@@ -133,7 +141,7 @@ class TestSimulate:
         g = Digraph.from_arc_list(4, FIG_ARCS, one_based=True)
         w = WeightFunction(kind="cucker-smale", kappa=1.0, beta=0.25)
         p = DelayProfile.constant(1.0)
-        traj = simulate_discrete(FIG_X0, 0.01 * FIG_V0, g, w, p,
+        traj = simulate_discrete(const(FIG_X0, 0.01 * FIG_V0, p), g, w, p,
                                  t_end=400, h=0.05)
         series = discrete_diameters(traj, tau=1)
         assert np.all(np.diff(series.vbar, axis=0) <= 1e-12)
@@ -150,7 +158,7 @@ class TestSimulate:
                          seed=5, hold=1.0, integer_valued=True)
         x0 = rng.normal(size=(3, 2))
         v0 = rng.normal(size=(3, 2))
-        traj = simulate_discrete(x0, v0, g, w, p, t_end=200, h=0.1)
+        traj = simulate_discrete(const(x0, v0, p), g, w, p, t_end=200, h=0.1)
         for k in range(2):
             assert traj.vs[:, :, k].max() <= v0[:, k].max() + 1e-12
             assert traj.vs[:, :, k].min() >= v0[:, k].min() - 1e-12
@@ -165,19 +173,45 @@ class TestSimulate:
         vref = ref.state_at(2.0)[1]
         errs = []
         for h in (0.02, 0.01):
-            traj = simulate_discrete(x0, v0, g, w, DelayProfile.zero(),
+            traj = simulate_discrete(hist, g, w, DelayProfile.zero(),
                                      t_end=int(round(2.0 / h)), h=h)
             errs.append(np.abs(traj.vs[-1] - vref).max())
         assert errs[0] / errs[1] == pytest.approx(2.0, rel=0.15)
 
     def test_zero_steps(self):
         g, w, p, h = pair_setup()
-        traj = simulate_discrete([[0.0], [1.0]], [[0.0], [1.0]], g, w, p,
-                                 t_end=0, h=h)
+        hist = const([[0.0], [1.0]], [[0.0], [1.0]], p)
+        traj = simulate_discrete(hist, g, w, p, t_end=0, h=h)
         assert traj.vs.shape[0] == 1
         with pytest.raises(ValueError):
-            simulate_discrete([[0.0], [1.0]], [[0.0], [1.0]], g, w, p,
-                              t_end=-1, h=h)
+            simulate_discrete(hist, g, w, p, t_end=-1, h=h)
+
+    def test_sampled_history_fills_the_rows_at_whole_steps(self):
+        rng = np.random.default_rng(5)
+        g = Digraph.complete(3)
+        w = WeightFunction(kind="cucker-smale", kappa=1.0, beta=0.5)
+        p = DelayProfile.constant(3.0)
+        hx, hv = rng.normal(size=(2, 6, 3, 2))     # steps -5 .. 0, more than tau
+        hist = InitialHistory.from_samples(np.arange(-5.0, 1.0), hx, hv)
+        traj = simulate_discrete(hist, g, w, p, t_end=4, h=0.1)
+        assert traj.times.tolist() == list(range(-3, 5))
+        assert traj.xs[:4].tobytes() == hx[2:].tobytes()
+        assert traj.vs[:4].tobytes() == hv[2:].tobytes()
+        # the first step hears every neighbour's state of step -3
+        x, v = hx[-1], hv[-1]
+        for i in range(3):
+            dv = sum(w(float(np.linalg.norm(hx[2, j] - x[i]))) * (hv[2, j] - v[i])
+                     for j in range(3) if j != i)
+            assert traj.vs[4, i] == pytest.approx(v[i] + 0.1 * dv, rel=1e-12)
+            assert traj.xs[4, i].tolist() == (x[i] + 0.1 * v[i]).tolist()
+
+    def test_history_must_reach_the_longest_delay(self):
+        g, w, _, h = pair_setup()
+        p = DelayProfile.constant(2.0)
+        hist = InitialHistory.constant([[0.0], [1.0]], [[0.0], [1.0]], tau=1.0)
+        with pytest.raises(IntegrationError, match="covers only"):
+            simulate_discrete(hist, g, w, p, t_end=3, h=h)
+        simulate_discrete(const([[0.0], [1.0]], [[0.0], [1.0]], p), g, w, p, t_end=3, h=h)
 
     @pytest.mark.parametrize("tau", [0, 1, 3])
     def test_discrete_diameters_are_trailing_window_extrema(self, tau):
@@ -185,7 +219,7 @@ class TestSimulate:
         g = Digraph.complete(5)
         w = WeightFunction(kind="cucker-smale", kappa=1.0, beta=0.5)
         p = DelayProfile.constant(float(tau)) if tau else DelayProfile.zero()
-        traj = simulate_discrete(rng.normal(size=(5, 2)), rng.normal(size=(5, 2)),
+        traj = simulate_discrete(const(rng.normal(size=(5, 2)), rng.normal(size=(5, 2)), p),
                                  g, w, p, t_end=12, h=0.1)
         series = discrete_diameters(traj, tau)
         for q in range(13):

@@ -5,12 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from delayflock.dde import InitialHistory
+from delayflock.digraph import Digraph
+from delayflock.discrete import simulate_discrete
 from delayflock.interaction import (
     AdmissibilityError,
     DelayProfile,
     WeightFunction,
     verify_admissible,
 )
+
+from oracles import integer_delay
 
 
 class TestWeightEval:
@@ -110,30 +115,56 @@ class TestDelayEval:
             DelayProfile(kind="sinusoidal", tau_max=1.0, mean=0.8, amplitude=0.5)
 
 
+def _lags_read(p, t_end=20):
+    """The lags of the arc 2 -> 1 at steps 0 .. t_end - 1, as a discrete
+    run reads them.  Agent 2 relaxes toward agent 3, which stays at rest,
+    so its velocity halves at every step, history included; agent 1's
+    update then shows which of agent 2's steps it heard."""
+    tau = p.integer_tau_max
+    g = Digraph.from_arc_list(3, [(2, 1), (3, 2)], one_based=True)
+    w = WeightFunction(kind="constant", kappa=1.0)
+    times = np.arange(-max(tau, 1), 1.0)
+    hv = np.zeros((len(times), 3, 1))
+    hv[:, 1, 0] = 0.5 ** times
+    hist = InitialHistory.from_samples(times, np.zeros_like(hv), hv)
+    v = simulate_discrete(hist, g, w, p, t_end=t_end, h=0.5).vs[:, :, 0]
+    heard = v[tau:-1, 0] + (v[tau + 1:, 0] - v[tau:-1, 0]) / 0.5
+    row = np.abs(heard[:, None] - v[None, :, 1]).argmin(axis=1)
+    return (np.arange(t_end) + tau - row).tolist()
+
+
 class TestIntegerDelays:
+    """The integer view of a profile: per edge by the reference in
+    tests/oracles.py, and as the discrete recursion reads it."""
+
     def test_constant_one(self):
         p = DelayProfile.constant(1.0)
-        assert p.integer_delay(0, 1, 5) == 1
-        assert p.integer_delay(1, 1, 5) == 0
+        assert integer_delay(p, 0, 1, 5) == 1
+        assert integer_delay(p, 1, 1, 5) == 0
+        assert _lags_read(p) == [1] * 20
 
     def test_zero_profile(self):
         p = DelayProfile.zero()
-        assert p.integer_delay(0, 1, 0) == 0
+        assert integer_delay(p, 0, 1, 0) == 0
         assert p.integer_tau_max == 0
+        assert _lags_read(p) == [0] * 20
 
     def test_seeded_random_deterministic(self):
         kw = dict(kind="piecewise-random", tau_max=2.0, low=0, high=2,
                   seed=42, hold=1.0, integer_valued=True)
         p1, p2 = DelayProfile(**kw), DelayProfile(**kw)
-        seq1 = [p1.integer_delay(0, 1, t) for t in range(50)]
-        seq2 = [p2.integer_delay(0, 1, t) for t in range(50)]
+        seq1 = [integer_delay(p1, 0, 1, t) for t in range(50)]
+        seq2 = [integer_delay(p2, 0, 1, t) for t in range(50)]
         assert seq1 == seq2
-        assert set(seq1) <= {0, 1, 2}
+        assert set(seq1) == {0, 1, 2}
+        assert _lags_read(p1) == _lags_read(p2) == seq1[:20]
 
     def test_non_integer_profile_rejected(self):
         p = DelayProfile.constant(0.5, tau_max=1.0)
         with pytest.raises(AdmissibilityError):
-            p.integer_delay(0, 1, 0)
+            integer_delay(p, 0, 1, 0)
+        with pytest.raises(AdmissibilityError):
+            _lags_read(p)
 
 
 def _profiles(integer_valued):
@@ -189,7 +220,7 @@ class TestOnEdges:
         for t in list(range(20)) + [4, 17, 0]:   # revisits earlier intervals
             got = at(t)
             assert got.tobytes() == self._per_edge(p, ei, ej, t).tobytes()
-            lags = [p.integer_delay(int(i), int(j), t) for i, j in zip(ei, ej)]
+            lags = [integer_delay(p, int(i), int(j), t) for i, j in zip(ei, ej)]
             assert np.rint(got).astype(int).tolist() == lags
 
     def test_one_draw_per_edge_per_hold_interval(self, monkeypatch):
