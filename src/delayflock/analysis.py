@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dde import DiameterSeries, InitialHistory, Trajectory
+from .dde import DiameterSeries, InitialHistory, Trajectory, check_history
 from .digraph import Digraph, compute_metrics
 from .discrete import check_gate
 from .interaction import DelayProfile, WeightFunction, verify_admissible
@@ -29,6 +29,9 @@ NON_CS = "non-CS-weight"
 # cases: 200 points per decade, then one golden-section refinement
 RHO_DECADES = (1e-6, 1e9)
 RHO_PER_DECADE = 200
+
+# a position bound above this says nothing about a run and is flagged vacuous
+VACUOUS_ABOVE = 1e9
 
 
 class AnalysisError(ValueError):
@@ -250,9 +253,9 @@ def _certify(history: InitialHistory, g: Digraph, w: WeightFunction, dp: DelayPr
     rep = verify_admissible(w)
     if not rep:
         raise AnalysisError(f"weight is not admissible: {rep.violations[:1]}")
+    check_history(history, (g.n_vertices, history.dim), dp)
     p = params_from_scenario(g, w, dp, d=history.dim, h=h)
-    d0 = _initial_spread(history, p.tau)
-    x0 = x_spread_initial(history, g)
+    d0, x0 = initial_spreads(history, g, p.tau)
     model = "continuous" if h is None else "discrete"
     c = c_bar_infinity(p) if model == "discrete" else c_infinity(p)
     regime = NON_CS
@@ -318,41 +321,20 @@ def check_discrete(history: InitialHistory, g: Digraph, w: WeightFunction,
     return _certify(history, g, w, p, h, rho)
 
 
-def _initial_spread(history: InitialHistory, tau: float,
-                    n_samples: int = 128) -> float:
-    """D(0): max over components of the velocity spread over agents and
-    the window [-tau, 0]."""
-    if history.times is None:
-        v = history.v0
-        return float((v.max(axis=0) - v.min(axis=0)).max())
-    ts = np.union1d(history.times, np.linspace(-tau, 0.0, n_samples))
-    vmax = None
-    vmin = None
-    for t in ts:
-        _, v = history.eval(float(t))
-        vmax = v.max(axis=0) if vmax is None else np.maximum(vmax, v.max(axis=0))
-        vmin = v.min(axis=0) if vmin is None else np.minimum(vmin, v.min(axis=0))
-    return float((vmax - vmin).max())
-
-
-def x_spread_initial(history: InitialHistory, g: Digraph,
-                     n_samples: int = 64) -> float:
-    """X(0): max over arcs (j -> i) of ||x_i(0) - x_j(s)||, s in [-tau, 0]."""
+def initial_spreads(history: InitialHistory, g: Digraph, tau: float) -> tuple[float, float]:
+    """D(0) and X(0) on the window [-tau, 0]: the largest velocity
+    spread over agents and times (max over components), and the largest
+    ||x_i(0) - x_j(s)|| over arcs (j -> i) and times s.  The history is
+    linear between its sample times, so both are attained at the window
+    ends or at a sample time inside, the only times read."""
+    ts = [-tau, 0.0]
+    if history.times is not None:
+        inside = history.times[(history.times > -tau) & (history.times < 0.0)]
+        ts = np.concatenate(([-tau], inside, [0.0]))
+    x, v, _, _ = history.eval(ts)
+    d0 = float((v.max(axis=(0, 1)) - v.min(axis=(0, 1))).max())
     ei, ej = np.nonzero(g.arcs)
-    if len(ei) == 0:
-        return 0.0
-    x_now = history.x0
-    best = 0.0
-    if history.times is None:
-        sample_ts = [0.0]
-    else:
-        sample_ts = np.union1d(history.times,
-                               np.linspace(-history.tau, 0.0, n_samples))
-    for s in sample_ts:
-        x_s, _ = history.eval(float(s))
-        diff = x_now[ei] - x_s[ej]
-        best = max(best, float(np.linalg.norm(diff, axis=1).max()))
-    return best
+    return d0, float(np.linalg.norm(x[-1, ei] - x[:, ej], axis=-1).max(initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -380,8 +362,7 @@ def verify_decay(series: DiameterSeries, cert: FlockingCertificate,
     """
     if not cert.guaranteed:
         raise AnalysisError("decay verification requires a guaranteed verdict")
-    p = cert.params
-    block = p.gamma_g * (2 * p.tau + 1)
+    block = cert.block_length
     d0 = float(series.spread[0])
     t_last = float(series.times[-1])
     dt = float(series.times[1] - series.times[0]) if len(series.times) > 1 else 1.0
@@ -423,19 +404,17 @@ class PositionBoundReport:
         return self.passed
 
 
-def position_bound(traj: Trajectory, cert: FlockingCertificate,
-                   vacuous_above: float = 1e9) -> PositionBoundReport:
+def position_bound(traj: Trajectory, cert: FlockingCertificate) -> PositionBoundReport:
     """Check the uniform relative-position bound implied by the decay.
 
     bound = max_pairs sum_k |x_i^k(0) - x_j^k(0)|
             + d * D(0) * gamma * (2*tau+1) / (delta * ln(1/delta)),
     compared against the largest pairwise distance over the whole run.
     The bound explodes as delta -> 1 and is flagged vacuous past
-    ``vacuous_above``.
+    VACUOUS_ABOVE.
     """
     if not cert.guaranteed:
         raise AnalysisError("position bound requires a guaranteed verdict")
-    p = cert.params
     n = traj.n_agents
     k0 = traj.n_hist
     x0 = traj.xs[k0]
@@ -444,14 +423,14 @@ def position_bound(traj: Trajectory, cert: FlockingCertificate,
         return PositionBoundReport(passed=True, bound=0.0, max_distance=0.0,
                                    vacuous=False)
     l1 = np.abs(x0[iu] - x0[ju]).sum(axis=1).max()
-    block = p.gamma_g * (2 * p.tau + 1)
     ln_inv = -math.log(cert.delta)
     if ln_inv <= 0:
         bound = math.inf
     else:
-        bound = float(l1 + p.d * cert.measured_D0 * block / (cert.delta * ln_inv))
+        bound = float(l1 + cert.params.d * cert.measured_D0 * cert.block_length
+                      / (cert.delta * ln_inv))
     xs = traj.xs[k0:]
     dmax = float(np.linalg.norm(xs[:, iu] - xs[:, ju], axis=-1).max())
     return PositionBoundReport(passed=dmax <= bound, bound=bound,
                                max_distance=dmax,
-                               vacuous=bound > vacuous_above)
+                               vacuous=bound > VACUOUS_ABOVE)

@@ -2,12 +2,13 @@
 
 The system is integrated by the method of steps: delayed state lookups
 during stage evaluation read the already-committed solution through
-cubic Hermite interpolation (positions use velocities as slopes, and
-zero slopes on a constant history, which does not move; velocities use
-the stored stage-1 derivatives).  Lookups that land in the pre-initial
-interval read the supplied history; lookups slightly ahead of the last
-fully-specified segment (delays smaller than the step) extrapolate that
-segment.
+cubic Hermite interpolation (from t = 0 on, positions use velocities as
+slopes and velocities the stored stage-1 derivatives).  On [-tau, 0]
+the grid holds the piecewise-linear history and its own slopes, so a
+lookup there reads the history exactly, except on a grid segment where
+a sample time bends it: there the gap is at most (4/27) * dt times the
+jump in slope.  Lookups slightly ahead of the last fully-specified
+segment (delays smaller than the step) extrapolate that segment.
 
 Zero, constant and sinusoidal delays take one value on every arc at a
 given time, so each stage has one lookup time: its segment and basis
@@ -31,6 +32,10 @@ from .digraph import Digraph
 from .interaction import DelayProfile, WeightFunction
 
 
+# a velocity beyond this multiple of its member's largest history one (or 1) is a blow-up
+BLOWUP_FACTOR = 1e6
+
+
 class IntegrationError(RuntimeError):
     """Integrator failure: bad step size, lookup out of range, blow-up.
     ``member`` is the index of the batch member that blew up, else None."""
@@ -42,16 +47,18 @@ class IntegrationError(RuntimeError):
 
 @dataclass(frozen=True)
 class InitialHistory:
-    """Per-agent (x, v) data on [-tau, 0].
+    """Per-agent (x, v) data on [-tau, 0], one piecewise-linear function
+    of time.
 
-    Constant histories store one snapshot; sampled histories carry
-    dense tables with linear interpolation (clamped at the ends).
+    A sampled history is the linear interpolation of its samples and
+    holds the first sample before the first sample time; a constant
+    history stores one snapshot and does not move.
     """
 
     tau: float
     x0: np.ndarray                     # (N, d) value at t = 0
     v0: np.ndarray
-    times: np.ndarray | None = None    # (K,) increasing, covering [-tau, 0]
+    times: np.ndarray | None = None    # (K,) strictly increasing, ending at 0
     xs: np.ndarray | None = None       # (K, N, d)
     vs: np.ndarray | None = None
 
@@ -68,6 +75,12 @@ class InitialHistory:
         times = np.asarray(times, dtype=float)
         xs = np.asarray(xs, dtype=float)
         vs = np.asarray(vs, dtype=float)
+        if times.ndim != 1 or len(times) < 2:
+            raise ValueError(f"a sampled history needs two or more samples, got {times.size}")
+        if not (np.diff(times) > 0).all():
+            raise ValueError("history sample times must be strictly increasing")
+        if xs.ndim != 3 or xs.shape[0] != len(times) or vs.shape != xs.shape:
+            raise ValueError(f"history tables must be (K, N, d), got {xs.shape}, {vs.shape}")
         if times[-1] != 0.0:
             raise ValueError("history samples must end at t = 0")
         return cls(tau=float(-times[0]), x0=xs[-1], v0=vs[-1],
@@ -77,27 +90,25 @@ class InitialHistory:
     def dim(self) -> int:
         return self.x0.shape[1]
 
-    def eval(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """State of all agents at t <= 0 (clamped below -tau)."""
+    def eval(self, ts) -> tuple[np.ndarray, ...]:
+        """(x, v, dx, dv) of all agents at the times ts <= 0, each
+        (T, N, d): the interpolant and its slopes, those of the segment
+        to the right of a sample time (to the left at t = 0).  Times
+        before the first sample read that sample with the first
+        segment's slopes; a constant history has zero slopes."""
+        ts = np.asarray(ts, dtype=float)
         if self.times is None:
-            return self.x0, self.v0
-        t = min(max(t, self.times[0]), 0.0)
-        k = int(np.clip(np.searchsorted(self.times, t, side="right") - 1,
-                        0, len(self.times) - 2))
-        t0, t1 = self.times[k], self.times[k + 1]
-        u = 0.0 if t1 == t0 else (t - t0) / (t1 - t0)
-        return ((1 - u) * self.xs[k] + u * self.xs[k + 1],
-                (1 - u) * self.vs[k] + u * self.vs[k + 1])
-
-    def velocity_slope(self, t: float) -> np.ndarray:
-        """d/dt of the history velocity (finite difference for tables)."""
-        if self.times is None:
-            return np.zeros_like(self.v0)
-        t = min(max(t, self.times[0]), 0.0)
-        k = int(np.clip(np.searchsorted(self.times, t, side="right") - 1,
-                        0, len(self.times) - 2))
-        dt = self.times[k + 1] - self.times[k]
-        return (self.vs[k + 1] - self.vs[k]) / dt
+            shape = ts.shape + self.x0.shape
+            return (np.broadcast_to(self.x0, shape), np.broadcast_to(self.v0, shape),
+                    np.zeros(shape), np.zeros(shape))
+        ts = np.minimum(np.maximum(ts, self.times[0]), 0.0)
+        k = _segment(self.times, ts, len(self.times) - 1)
+        t0 = self.times[k][:, None, None]
+        h = self.times[k + 1][:, None, None] - t0
+        u = (ts[:, None, None] - t0) / h
+        xs, vs = self.xs, self.vs
+        return ((1 - u) * xs[k] + u * xs[k + 1], (1 - u) * vs[k] + u * vs[k + 1],
+                (xs[k + 1] - xs[k]) / h, (vs[k + 1] - vs[k]) / h)
 
 
 @dataclass
@@ -136,8 +147,7 @@ class Trajectory:
         if t < self.times[0] - 1e-12 or t > self.times[-1] + 1e-12:
             raise IntegrationError(f"time {t} outside covered interval")
         if self.dvs is None:
-            k = int(np.clip(np.searchsorted(self.times, t, side="right") - 1,
-                            0, len(self.times) - 2))
+            k = _segment(self.times, t, len(self.times) - 1)
             u = (t - self.times[k]) / self.dt
             return ((1 - u) * self.xs[k] + u * self.xs[k + 1],
                     (1 - u) * self.vs[k] + u * self.vs[k + 1])
@@ -159,6 +169,13 @@ def check_history(history: InitialHistory, shape: tuple, p: DelayProfile):
                                f"delays reach {p.tau_max}")
 
 
+def _segment(times, s, hi):
+    """Index k of the segment [times[k], times[k + 1]] holding each query
+    time s, elementwise; times before times[0] get the first segment and
+    times past times[hi] the segment ending at hi."""
+    return np.minimum(np.maximum(times.searchsorted(s, side="right") - 1, 0), hi - 1)
+
+
 def _hermite_basis(times, s, hi):
     """Segment index and cubic Hermite basis weights (h00, h10, h01, h11),
     the slope weights scaled by the segment length, of query times s,
@@ -166,7 +183,7 @@ def _hermite_basis(times, s, hi):
     whose slope is valid; later lookups extrapolate the segment ending
     at hi.
     """
-    seg = np.minimum(np.maximum(times.searchsorted(s, side="right") - 1, 0), hi - 1)
+    seg = _segment(times, s, hi)
     t0 = times[seg]
     h = times[seg + 1] - t0
     u = (s - t0) / h
@@ -248,7 +265,7 @@ def edge_forces(x_i, x_delayed, v_i, v_delayed, ei, w: WeightFunction, n: int):
 
 def integrate(history: InitialHistory | Sequence[InitialHistory], g: Digraph,
               w: WeightFunction | Sequence[WeightFunction], p: DelayProfile, t_end: float,
-              dt: float = 0.01, blowup_factor: float = 1e6) -> Trajectory | list[Trajectory]:
+              dt: float = 0.01) -> Trajectory | list[Trajectory]:
     """RK4 with interpolated history lookback (method of steps).
 
     Returns a Trajectory covering [-n_hist*dt, t_end] where n_hist*dt
@@ -281,23 +298,16 @@ def integrate(history: InitialHistory | Sequence[InitialHistory], g: Digraph,
     times = (np.arange(M) - n_hist) * dt
     xs = np.empty((M, nb, d))
     vs = np.empty((M, nb, d))
-    dvs = np.zeros((M, nb, d))
-    # a constant history does not move: its positions have zero slopes
-    # up to the history side of t = 0; sampled ones use the velocities
     dxs = np.zeros((M, nb, d))
-    hist_end_slope = np.empty((nb, d))
-    hist_end_xslope = np.zeros((nb, d))
+    dvs = np.zeros((M, nb, d))
     members = [slice(b * n, (b + 1) * n) for b in range(B)]
     for sl, h in zip(members, hists):
-        for k in range(n_hist + 1):
-            xs[k, sl], vs[k, sl] = h.eval(times[k])
-            dvs[k, sl] = h.velocity_slope(times[k])
-        hist_end_slope[sl] = h.velocity_slope(0.0)
-        if h.times is not None:
-            dxs[: n_hist + 1, sl] = vs[: n_hist + 1, sl]
-            hist_end_xslope[sl] = h.v0
+        (xs[: n_hist + 1, sl], vs[: n_hist + 1, sl],
+         dxs[: n_hist + 1, sl], dvs[: n_hist + 1, sl]) = h.eval(times[: n_hist + 1])
+    # the history side of t = 0; the dynamics side replaces row n_hist
+    hist_end_xslope, hist_end_slope = dxs[n_hist].copy(), dvs[n_hist].copy()
     dxs[n_hist] = vs[n_hist]
-    guard = blowup_factor * np.maximum(
+    guard = BLOWUP_FACTOR * np.maximum(
         np.abs(vs[: n_hist + 1]).reshape(n_hist + 1, B, -1).max(axis=(0, 2)), 1.0)
 
     ei, ej = np.nonzero(g.arcs)

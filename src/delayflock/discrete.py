@@ -46,8 +46,7 @@ def simulate_discrete(history: InitialHistory, g: Digraph, w: WeightFunction,
     times = np.arange(-tau, t_end + 1, dtype=float)
     xs = np.empty((len(times),) + history.x0.shape)
     vs = np.empty_like(xs)
-    for k in range(tau + 1):
-        xs[k], vs[k] = history.eval(times[k])
+    xs[: tau + 1], vs[: tau + 1], _, _ = history.eval(times[: tau + 1])
     ei, ej = np.nonzero(g.arcs)
     delay_at = p.on_edges(ei, ej)
     for k in range(t_end):

@@ -452,24 +452,16 @@ def sweep(template: Scenario, axes: dict[str, list[float]],
 
 
 def write_sweep_csv(reports, names, grid, path: str):
-    cols = list(names) + ["gamma_g", "n_infinity", "kappa", "tau", "beta", "h",
-                          "D0", "X0", "rho", "threshold", "delta", "verdict",
-                          "final_spread", "time_to_tolerance", "flocked"]
+    keys = ("gamma_g", "n_infinity", "kappa", "tau", "beta", "h",   # FlockingCertificate.as_dict
+            "D0", "X0", "rho", "threshold", "delta", "verdict")
+    cols = [*names, *keys, "final_spread", "time_to_tolerance", "flocked"]
     with open(path, "w") as f:
         f.write(CSV_HEADER + "\n")
         f.write(",".join(cols) + "\n")
         for values, rep in zip(grid, reports):
-            c = rep.certificate
+            cert = {} if rep.certificate is None else rep.certificate.as_dict()
             row = [_fmt(float(v)) for v in values]
-            if c is not None:
-                p = c.params
-                row += [_fmt(v) for v in (p.gamma_g, p.n_infinity, p.kappa, p.tau,
-                                          "" if p.beta is None else p.beta,
-                                          "" if p.h is None else p.h,
-                                          c.measured_D0, c.measured_X0, c.rho,
-                                          c.threshold, c.delta, c.verdict)]
-            else:
-                row += [""] * 12
+            row += ["" if cert.get(k) is None else _fmt(cert[k]) for k in keys]
             row += [_fmt(rep.final_spread),
                     "" if rep.time_to_tolerance is None else _fmt(rep.time_to_tolerance),
                     str(rep.flocked).lower()]

@@ -235,3 +235,42 @@ def hermite_reference(times, vals, slopes, t, hi, fix_idx, fix_val):
             + (u ** 3 - 2 * u ** 2 + u) * h * slopes[k]
             + (-2 * u ** 3 + 3 * u ** 2) * vals[k + 1]
             + (u ** 3 - u ** 2) * h * m1)
+
+
+def history_spreads_reference(times, xs, vs, arcs, tau):
+    """D(0) and X(0) of a sampled history on [-tau, 0], by reading it at
+    each breakpoint there: the window ends and the sample times inside.
+
+    Between samples the history is the linear interpolation
+    (1 - u) * a + u * b, found by a linear segment scan; a sample time
+    reads its sample.  D(0) is the largest max-minus-min over agents and
+    those times, per component; X(0) the largest distance from x_i(0)
+    to x_j(s) over arcs j -> i (arcs[i][j] True) and those times s.
+    """
+    times = [float(t) for t in times]
+
+    def state(tab, t):
+        if t in times:
+            return np.asarray(tab[times.index(t)], dtype=float)
+        k = 0
+        while times[k + 1] <= t:
+            k += 1
+        u = (t - times[k]) / (times[k + 1] - times[k])
+        return (1 - u) * np.asarray(tab[k]) + u * np.asarray(tab[k + 1])
+
+    window = [-tau] + [t for t in times if -tau < t < 0.0] + [0.0]
+    n, d = np.asarray(xs[0]).shape
+    d0 = 0.0
+    for c in range(d):
+        vals = [float(state(vs, t)[i, c]) for t in window for i in range(n)]
+        d0 = max(d0, max(vals) - min(vals))
+    x_now = state(xs, 0.0)
+    x0 = 0.0
+    for t in window:
+        x_s = state(xs, t)
+        for i in range(n):
+            for j in range(n):
+                if arcs[i][j]:
+                    diff = [float(a - b) for a, b in zip(x_now[i], x_s[j])]
+                    x0 = max(x0, math.sqrt(sum(e * e for e in diff)))
+    return d0, x0

@@ -24,10 +24,12 @@ from delayflock.analysis import (
     rho_plus,
     verify_decay,
 )
-from delayflock.dde import InitialHistory, diameters, integrate
+from delayflock.dde import InitialHistory, IntegrationError, diameters, integrate
 from delayflock.digraph import Digraph
 from delayflock.discrete import StabilityGateError
 from delayflock.interaction import DelayProfile, WeightFunction
+
+from oracles import history_spreads_reference
 
 FIG_ARCS = [(1, 2), (2, 3), (3, 1), (3, 4)]
 FIG_X0 = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
@@ -336,6 +338,66 @@ class TestDiscreteCertificates:
                                   DelayProfile.zero(), h=h)
             sups.append(condition_supremum(cert.measured_X0, w, cert.params))
         assert all(a < b for a, b in zip(sups, sups[1:]))
+
+
+class TestInitialData:
+    """D(0) and X(0) are measured on the window [-tau, 0] of the delay
+    bound, from the piecewise-linear history."""
+
+    def test_window_is_the_delay_bound(self):
+        # the history reaches back to -3, the delay only to -1: the
+        # velocity gap of 10 and the position 5 at t = -3 lie outside
+        times = [-3.0, -2.0, -1.0, 0.0]
+        xs = [[[0.0], [5.0]]] + [[[0.0], [0.0]]] * 3
+        vs = [[[0.0], [10.0]]] + [[[0.0], [1.0]]] * 3
+        hist = InitialHistory.from_samples(times, xs, vs)
+        g = Digraph.complete(2)
+        w = WeightFunction(kind="cucker-smale", kappa=1.0, beta=0.25)
+        p = DelayProfile.constant(1.0)
+        for cert in (check_continuous(hist, g, w, p), check_discrete(hist, g, w, p, h=0.1)):
+            assert cert.measured_D0 == 1.0
+            assert cert.measured_X0 == 0.0
+
+    def test_history_shorter_than_the_delay_is_refused(self):
+        hist, g, w, _ = continuous_inputs(1e-3)
+        p = DelayProfile.constant(2.0)
+        with pytest.raises(IntegrationError, match="history covers only"):
+            check_continuous(hist, g, w, p)
+        with pytest.raises(IntegrationError, match="history covers only"):
+            check_discrete(hist, g, w, p, h=0.05)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 4), st.integers(1, 3),
+           st.integers(2, 8), st.floats(0.0, 1.0))
+    @settings(max_examples=100, deadline=None)
+    def test_spreads_are_exact_at_the_breakpoints(self, seed, n, d, k, frac):
+        rng = np.random.default_rng(seed)
+        times = np.unique(np.append(-rng.uniform(0.05, 3.0, k - 1), 0.0))
+        xs = rng.normal(scale=3.0, size=(len(times), n, d))
+        vs = rng.normal(size=(len(times), n, d))
+        hist = InitialHistory.from_samples(times, xs, vs)
+        tau = frac * hist.tau
+        arcs = rng.random((n, n)) < 0.5
+        arcs[np.arange(1, n), np.arange(n - 1)] = True   # a path: a spanning tree
+        np.fill_diagonal(arcs, False)
+        g = Digraph(arcs)
+        w = WeightFunction(kind="cucker-smale", kappa=1.0, beta=0.25)
+        p = DelayProfile.constant(tau) if tau > 0 else DelayProfile.zero()
+        cert = check_continuous(hist, g, w, p)
+        d0, x0 = history_spreads_reference(times, xs, vs, arcs, tau)
+        assert cert.measured_D0 == d0
+        assert cert.measured_X0 == x0
+        # no time between the breakpoints reads a larger spread; the
+        # dense interpolation may round a few ulps above its end values
+        dense = np.linspace(-tau, 0.0, 1000)
+        x_d = np.stack([[np.interp(dense, times, xs[:, i, c]) for c in range(d)]
+                        for i in range(n)])              # (n, d, 1000)
+        v_d = np.stack([[np.interp(dense, times, vs[:, i, c]) for c in range(d)]
+                        for i in range(n)])
+        dense_d0 = (v_d.max(axis=(0, 2)) - v_d.min(axis=(0, 2))).max()
+        ei, ej = np.nonzero(arcs)
+        dense_x0 = np.linalg.norm(x_d[ei, :, -1:] - x_d[ej], axis=1).max()
+        assert cert.measured_D0 >= dense_d0 - 1e-12 * (1.0 + dense_d0)
+        assert cert.measured_X0 >= dense_x0 - 1e-12 * (1.0 + dense_x0)
 
 
 class TestDecayAndPositions:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from delayflock import dde
-from delayflock.analysis import x_spread_initial
+from delayflock.analysis import initial_spreads
 from delayflock.dde import (
     InitialHistory,
     IntegrationError,
@@ -399,6 +399,71 @@ class TestStagePlan:
                 assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
 
+class TestInitialHistory:
+    """The history is one piecewise-linear function of time, read by one
+    vectorized eval."""
+
+    @pytest.mark.parametrize("times, shape, match", [
+        ([0.0], (1, 2, 1), "two or more samples"),
+        ([-1.0, -1.0, 0.0], (3, 2, 1), "strictly increasing"),
+        ([-1.0, -2.0, 0.0], (3, 2, 1), "strictly increasing"),
+        ([-1.0, 0.0], (2, 2), r"\(K, N, d\)"),
+        ([-1.0, 0.0], (3, 2, 1), r"\(K, N, d\)"),
+    ], ids=["one-sample", "repeated-time", "decreasing-times", "flat-table", "row-count"])
+    def test_from_samples_refuses_malformed_tables(self, times, shape, match):
+        with pytest.raises(ValueError, match=match):
+            InitialHistory.from_samples(times, np.zeros(shape), np.zeros(shape))
+
+    def test_eval_is_the_linear_interpolation(self):
+        xs = np.array([[[0.0]], [[2.0]], [[2.0]]])
+        vs = np.array([[[1.0]], [[-1.0]], [[3.0]]])
+        hist = InitialHistory.from_samples([-2.0, -1.0, 0.0], xs, vs)
+        x, v, dx, dv = hist.eval([-3.0, -2.0, -1.5, -1.0, -0.25, 0.0])
+        assert x.shape == v.shape == dx.shape == dv.shape == (6, 1, 1)
+        assert x.ravel().tolist() == [0.0, 0.0, 1.0, 2.0, 2.0, 2.0]
+        assert v.ravel().tolist() == [1.0, 1.0, 0.0, -1.0, 2.0, 3.0]
+        # the segment to the right of a sample time, to the left at t = 0
+        assert dx.ravel().tolist() == [2.0, 2.0, 2.0, 0.0, 0.0, 0.0]
+        assert dv.ravel().tolist() == [-2.0, -2.0, -2.0, 4.0, 4.0, 4.0]
+        const = InitialHistory.constant(FIG_X0, FIG_V0, tau=1.0)
+        x, v, dx, dv = const.eval([-1.0, -0.3, 0.0])
+        assert np.array_equal(x, np.broadcast_to(FIG_X0, (3, 4, 2)))
+        assert np.array_equal(v, np.broadcast_to(FIG_V0, (3, 4, 2)))
+        assert not dx.any() and not dv.any()
+
+    def test_state_at_reads_the_history(self):
+        # 11 samples on [-1, 0] and dt = 0.01: the grid holds the history
+        # and its slopes, so a lookup reads it up to rounding, except on a
+        # grid segment that a sample time bends: the Hermite cubic there
+        # leaves it by at most (4/27) dt |jump in slope|
+        rng = np.random.default_rng(11)
+        times = np.linspace(-1.0, 0.0, 11)
+        xs = rng.normal(size=(11, 4, 2))
+        vs = rng.normal(size=(11, 4, 2))
+        hist = InitialHistory.from_samples(times, xs, vs)
+        g, w, p, _ = fig_setup()
+        dt = 0.01
+        traj = integrate(hist, g, w, p, t_end=0.05, dt=dt)
+        jumps = []
+        for tab in (xs, vs):
+            slope = np.diff(tab, axis=0) / np.diff(times)[:, None, None]
+            jumps.append(np.concatenate([np.zeros((1, 4, 2)), np.diff(slope, axis=0),
+                                         np.zeros((1, 4, 2))]))   # at each sample time
+        bent = 0
+        for k in range(traj.n_hist):
+            t0, t1 = traj.times[k], traj.times[k + 1]
+            inside = np.flatnonzero((times > t0) & (times <= t1))
+            bent += len(inside) > 0
+            for u in (0.1, 1 / 3, 0.5, 2 / 3, 0.9):
+                t = t0 + u * (t1 - t0)
+                got = traj.state_at(t)
+                want = hist.eval([t])[:2]
+                for a, b, jump in zip(got, want, jumps):
+                    bound = 4 / 27 * dt * np.abs(jump[inside]).sum(axis=0) + 1e-12
+                    assert (np.abs(a - b[0]) <= bound).all(), (t, np.abs(a - b[0]).max())
+        assert bent == 10
+
+
 class TestConstantHistory:
     """A constant history does not move: lookups of positions on
     [-tau, 0] read x0, not a cubic bent by the history velocities."""
@@ -447,7 +512,7 @@ class TestDiameters:
         traj = integrate(hist, g, w, p, t_end=1.0, dt=0.01)
         series = diameters(traj, tau=1.0)
         assert series.spread[0] == pytest.approx(14.0, rel=1e-12)
-        assert x_spread_initial(hist, g) == pytest.approx(2.0, rel=1e-12)
+        assert initial_spreads(hist, g, 1.0)[1] == pytest.approx(2.0, rel=1e-12)
 
     def test_single_agent_zero(self):
         g = Digraph(np.zeros((1, 1), dtype=bool))
