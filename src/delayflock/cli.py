@@ -169,7 +169,7 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (harness.ScenarioError, GraphError, AdmissibilityError, an.AnalysisError,
-            StabilityGateError, IntegrationError, OSError) as e:
+            StabilityGateError, IntegrationError, OSError, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
 

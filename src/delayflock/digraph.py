@@ -4,8 +4,9 @@ A digraph is stored as a dense boolean arc matrix ``arcs`` with the
 receiver on the row and the sender on the column: ``arcs[i, j]`` is
 True when agent j transmits information to agent i.  Two derived
 quantities drive every threshold formula downstream: the smallest
-spanning-tree depth (minimum over roots of the BFS eccentricity) and
-the maximal in-neighborhood size.
+spanning-tree depth gamma_g (the least BFS eccentricity of a root; one
+reachability closure over all sources finds it, stopping at the first
+full row) and the maximal in-neighborhood size.
 """
 from __future__ import annotations
 
@@ -109,7 +110,7 @@ class GraphMetrics:
 
 def _bfs(succ: np.ndarray, src: int) -> np.ndarray:
     """Distances from src, one frontier per level; ``succ[u]`` marks the
-    vertices that u transmits to (the transposed arc matrix)."""
+    vertices one step from u (``arcs.T`` along arcs, ``arcs`` against)."""
     dist = np.full(succ.shape[0], INF)
     dist[src] = 0
     front = dist == 0
@@ -124,15 +125,26 @@ def _bfs(succ: np.ndarray, src: int) -> np.ndarray:
 def compute_metrics(g: Digraph) -> GraphMetrics:
     """Roots, smallest spanning-tree depth, and max in-neighborhood size.
 
-    A root is a vertex from which every other vertex is reachable.  The
-    depth of a root is its BFS eccentricity; gamma_g is the minimum
-    depth over roots (inf when there is no root).  A single vertex is
-    its own root with depth 0.
+    A root is a vertex from which every other vertex is reachable; its
+    depth is its BFS eccentricity, and gamma_g is the minimum depth over
+    roots (inf when there is no root).  All sources advance together:
+    after level l, ``reach[r]`` holds the vertices within distance l of
+    r, one float32 matrix product per level (exact for N < 2^24).  The
+    first level at which a row fills is gamma_g, so the closure stops
+    there, and the roots are the vertices that reach that row's vertex:
+    whoever reaches a root reaches everything.  A rootless graph stops
+    when no row grows.  A single vertex is its own root, depth 0.
     """
-    succ = np.ascontiguousarray(g.arcs.T)
-    ecc = np.array([_bfs(succ, r).max() for r in range(g.n_vertices)])
-    roots = np.flatnonzero(ecc < INF)
-    gamma_g = int(ecc[roots].min()) if roots.size else INF
+    succ = g.arcs.T.astype(np.float32)
+    reach = np.eye(g.n_vertices, dtype=bool)
+    front, level = reach, 0
+    while not (full := reach.all(axis=1)).any() and front.any():
+        front = ((front.astype(np.float32) @ succ) > 0) & ~reach
+        reach |= front
+        level += 1
     n_inf = int(g.arcs.sum(axis=1).max())
-    return GraphMetrics(roots=frozenset(roots.tolist()), gamma_g=gamma_g,
+    if not full.any():
+        return GraphMetrics(n_infinity=n_inf)
+    roots = np.flatnonzero(_bfs(g.arcs, int(full.argmax())) < INF)
+    return GraphMetrics(roots=frozenset(roots.tolist()), gamma_g=level,
                         n_infinity=n_inf)

@@ -156,6 +156,8 @@ class DelayProfile:
                 raise AdmissibilityError(
                     f"constant delay {self.value} outside [0, {self.tau_max}]")
         elif self.kind == "sinusoidal":
+            if not 0 < self.period < np.inf:
+                raise AdmissibilityError(f"sinusoid period {self.period} not positive and finite")
             if self.mean - abs(self.amplitude) < -1e-12:
                 raise AdmissibilityError("sinusoidal delay dips below zero")
             if self.mean + abs(self.amplitude) > self.tau_max + 1e-12:

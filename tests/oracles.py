@@ -1,9 +1,9 @@
 """Independent brute-force oracles used to pin expected values.
 
 These deliberately avoid the library's own code paths: graph constants
-come from Floyd-Warshall or a reachability closure over the raw arc
-matrix, and reference integrations use plain dense stepping or per-edge
-loops.
+come from Floyd-Warshall, a BFS from every vertex, or a reachability
+closure run to convergence over the raw arc matrix, and reference
+integrations use plain dense stepping or per-edge loops.
 """
 import math
 
@@ -156,6 +156,30 @@ def closure_metrics(arcs):
     roots = {int(r) for r in np.flatnonzero(np.isfinite(ecc))}
     gamma = int(min(ecc[r] for r in roots)) if roots else INF
     return roots, gamma, int(np.asarray(arcs, dtype=bool).sum(axis=1).max())
+
+
+def bfs_metrics(arcs):
+    """(roots, gamma_g, n_infinity) by one frontier BFS from every vertex:
+    a root is a vertex whose BFS reaches all others, and gamma_g is the
+    least eccentricity of a root.  arcs[i][j] True means j transmits to
+    i."""
+    arcs = np.asarray(arcs, dtype=bool)
+    succ = np.ascontiguousarray(arcs.T)
+    n = arcs.shape[0]
+    ecc = np.empty(n)
+    for src in range(n):
+        dist = np.full(n, INF)
+        dist[src] = 0
+        front = dist == 0
+        level = 0
+        while front.any():
+            level += 1
+            front = succ[front].any(axis=0) & (dist == INF)
+            dist[front] = level
+        ecc[src] = dist.max()
+    roots = {int(r) for r in np.flatnonzero(ecc < INF)}
+    gamma = int(min(ecc[r] for r in roots)) if roots else INF
+    return roots, gamma, int(arcs.sum(axis=1).max())
 
 
 def random_rooted_arcs(rng, n, k_in):

@@ -4,6 +4,7 @@ import math
 import pytest
 
 from delayflock.cli import EXIT_OK, EXIT_VALIDATION, main
+from delayflock.digraph import Digraph
 
 SCENARIO = {
     "graph": {"n": 4, "arcs": [[1, 2], [2, 3], [3, 1], [3, 4]]},
@@ -105,6 +106,7 @@ NO_ARCS = dict(SCENARIO, graph={"n": 4})
 BAD_BETA = dict(SCENARIO, weight={"type": "cucker-smale", "kappa": 1.0, "beta": "x"})
 SHORT_ARC = dict(SCENARIO, graph={"n": 4, "arcs": [[1]]})
 DISCRETE = dict(SCENARIO, model="discrete", h=0.1)
+ZERO_PERIOD = dict(SCENARIO, delay={"type": "sinusoidal", "tau": 1.0, "period": 0})
 
 
 @pytest.mark.parametrize("command, raw, flags, message", [
@@ -126,11 +128,14 @@ DISCRETE = dict(SCENARIO, model="discrete", h=0.1)
     ("simulate", DISCRETE, ["--t-end", "inf"], "'t_end' must be a finite number, got inf"),
     ("simulate", DISCRETE, ["--t-end", "2.5"],
      "discrete horizon must be a whole number of steps, got 2.5"),
+    ("simulate", ZERO_PERIOD, [], "sinusoid period 0 not positive and finite"),
+    ("check-condition", ZERO_PERIOD, [], "sinusoid period 0 not positive and finite"),
 ], ids=["gate-check", "gate-simulate", "nan-position", "blow-up", "negative-dt",
         "zero-horizon", "missing-arcs", "malformed-json", "directory", "string-beta",
         "one-vertex-arc", "huge-integer", "discrete-negative-horizon",
         "discrete-negative-t-end-flag", "discrete-nan-t-end-flag",
-        "discrete-inf-t-end-flag", "discrete-fractional-t-end-flag"])
+        "discrete-inf-t-end-flag", "discrete-fractional-t-end-flag",
+        "zero-period-simulate", "zero-period-check"])
 def test_bad_input_exits_2_with_one_line(command, raw, flags, message, tmp_path, capsys):
     # raw is a scenario object, or the name of a file under tmp_path
     (tmp_path / "bad.json").write_text('{"graph": \n !')
@@ -141,6 +146,18 @@ def test_bad_input_exits_2_with_one_line(command, raw, flags, message, tmp_path,
     assert err.startswith("error: ")
     assert message in err
     assert "Traceback" not in err
+
+
+def test_graph_too_large_to_allocate_exits_2(tmp_path, capsys, monkeypatch):
+    # numpy raises MemoryError for the terabyte arc matrix of a million
+    # vertices; a stand-in raises it here without the allocation
+    def refuse(cls, n, arcs, one_based=False):
+        raise MemoryError(f"Unable to allocate an array with shape ({n}, {n})")
+    monkeypatch.setattr(Digraph, "from_arc_list", classmethod(refuse))
+    raw = dict(SCENARIO, graph={"n": 1000000, "arcs": [[1, 2]]})
+    assert main(["analyze-graph", _file(tmp_path, raw)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        "error: Unable to allocate an array with shape (1000000, 1000000)\n")
 
 
 def test_misspelt_key_names_the_closest_valid_one(tmp_path, capsys):

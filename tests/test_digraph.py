@@ -9,6 +9,7 @@ from delayflock.digraph import Digraph, GraphError, compute_metrics
 
 from oracles import (
     all_digraphs,
+    bfs_metrics,
     closure_metrics,
     floyd_warshall_metrics,
     random_rooted_arcs,
@@ -96,6 +97,24 @@ def test_metrics_single_vertex():
     assert m.roots == frozenset({0})
 
 
+@pytest.mark.parametrize("g, roots, gamma, n_inf", [
+    # the fig graph with the path 1 -> 5 -> 6 -> 7 hanging off root 1:
+    # roots 2 and 3 have eccentricities 5 and 4, above gamma_g = 3, and
+    # the closure stops at level 3, before their rows fill
+    (Digraph.from_arc_list(7, FIG_ARCS + [(1, 5), (5, 6), (6, 7)], one_based=True),
+     {0, 1, 2}, 3, 1),
+    (Digraph.from_arc_list(400, [(k, k + 1) for k in range(399)]), {0}, 399, 1),
+    # two directed 5-cycles with no arc between them: no vertex reaches all
+    (Digraph.from_arc_list(10, [(k, (k + 1) % 5 + k // 5 * 5) for k in range(10)]),
+     set(), math.inf, 1),
+    (Digraph(np.zeros((3, 3), dtype=bool)), set(), math.inf, 0),
+], ids=["fig-with-tail", "path-400", "two-cycles", "arcless-3"])
+def test_metrics_early_stop_cases(g, roots, gamma, n_inf):
+    m = compute_metrics(g)
+    assert (m.roots, m.gamma_g, m.n_infinity) == (frozenset(roots), gamma, n_inf)
+    assert bfs_metrics(g.arcs) == (roots, gamma, n_inf)
+
+
 def test_self_loop_rejected():
     m = np.zeros((2, 2), dtype=bool)
     m[0, 0] = True
@@ -126,6 +145,27 @@ def arc_matrix(draw, n_max=6, symmetric=False):
         m = m | m.T
         np.fill_diagonal(m, False)
     return m
+
+
+@st.composite
+def sparse_arc_matrix(draw, n_max=8):
+    # one arc in `spread` of the possible ones, so that sparse, rootless
+    # and deep graphs come up as often as dense ones
+    n = draw(st.integers(min_value=1, max_value=n_max))
+    spread = draw(st.integers(min_value=1, max_value=6))
+    bits = draw(st.lists(st.integers(0, spread - 1), min_size=n * n, max_size=n * n))
+    m = np.array(bits).reshape(n, n) == 0
+    np.fill_diagonal(m, False)
+    return m
+
+
+@given(sparse_arc_matrix())
+@settings(max_examples=300, deadline=None)
+def test_metrics_match_floyd_warshall(m):
+    roots, gamma, n_inf = floyd_warshall_metrics(m)
+    metrics = compute_metrics(Digraph(m))
+    assert (metrics.roots, metrics.gamma_g, metrics.n_infinity) == (
+        frozenset(roots), gamma, n_inf)
 
 
 @given(arc_matrix())
@@ -165,6 +205,7 @@ def test_adding_arcs_monotone(m, rnd):
 def test_closure_oracle_large_rooted(n, k_in, seed):
     arcs = random_rooted_arcs(np.random.default_rng(seed), n, k_in)
     roots, gamma, n_inf = closure_metrics(arcs)
+    assert bfs_metrics(arcs) == (roots, gamma, n_inf)
     m = compute_metrics(Digraph(arcs))
     assert roots and m.roots == frozenset(roots)
     assert (m.gamma_g, m.n_infinity) == (gamma, n_inf)
@@ -180,6 +221,7 @@ def test_closure_oracle_large_rootless(n, seed):
     arcs[half:, half:] = random_rooted_arcs(rng, n - half, 4)
     m = compute_metrics(Digraph(arcs))
     assert closure_metrics(arcs) == (set(), math.inf, m.n_infinity)
+    assert bfs_metrics(arcs) == (set(), math.inf, m.n_infinity)
     assert m.roots == frozenset() and m.gamma_g == math.inf
 
 
