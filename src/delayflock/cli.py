@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 2 invalid input or a run that blew up (one
 ``error:`` line from the one handler in ``main``), 3 a certified run
-violated its own decay guarantee (a defect, not a user error).
+broke its own decay or position bound (a defect, not a user error).
 """
 from __future__ import annotations
 
@@ -60,11 +60,7 @@ def _run_and_print(s: harness.Scenario, args) -> int:
     """Run, print the report; exit 3 when a certified bound was broken."""
     rep = harness.run(s, out_dir=_out_dir(args))
     _print_report(rep)
-    if rep.decay is not None and not rep.decay:
-        return EXIT_DEFECT
-    if rep.positions_check is not None and not rep.positions_check:
-        return EXIT_DEFECT
-    return EXIT_OK
+    return EXIT_DEFECT if rep.bound_broken else EXIT_OK
 
 
 def cmd_analyze_graph(args) -> int:
@@ -104,6 +100,8 @@ def _parse_axis(cfg: str):
     except ValueError:
         raise harness.ScenarioError(
             f"axis must look like name=min:max:steps, got {cfg!r}")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise harness.ScenarioError(f"axis {name!r} needs finite bounds, got {cfg!r}")
     if steps < 1:
         raise harness.ScenarioError(f"axis {name!r} needs at least one step")
     values = [lo] if steps == 1 else list(np.linspace(lo, hi, steps))
@@ -119,11 +117,10 @@ def cmd_sweep(args) -> int:
         os.makedirs(out, exist_ok=True)
         out_path = os.path.join(out, "sweep.csv")
     reports = harness.sweep(s, axes, out_path=out_path)
-    bad = [r for r in reports
-           if r.decay is not None and not r.decay]
+    bad = [r for r in reports if r.bound_broken]
     print(f"{len(reports)} points, "
           f"{sum(1 for r in reports if r.certificate and r.certificate.guaranteed)} "
-          f"certified, {len(bad)} decay violations")
+          f"certified, {len(bad)} bound violations")
     if out_path:
         print(f"wrote {out_path}")
     return EXIT_DEFECT if bad else EXIT_OK

@@ -23,8 +23,8 @@ class StabilityGateError(ValueError):
 
 
 def check_gate(kappa: float, h: float, n_infinity: int, unsafe: bool = False):
-    if h <= 0:
-        raise StabilityGateError(f"step size must be positive, got {h}")
+    if not 0 < h < np.inf:
+        raise StabilityGateError(f"step size must be positive and finite, got {h}")
     if n_infinity > 0 and kappa * h >= 1.0 / n_infinity and not unsafe:
         raise StabilityGateError(
             f"kappa*h = {kappa * h:g} must be below 1/n_infinity = "

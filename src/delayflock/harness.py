@@ -91,6 +91,12 @@ class RunReport:
     def flocked(self) -> bool:
         return self.time_to_tolerance is not None
 
+    @property
+    def bound_broken(self) -> bool:
+        """A certified run broke its decay or its position bound: a defect."""
+        return (self.decay is not None and not self.decay
+                or self.positions_check is not None and not self.positions_check)
+
 
 def _finite_table(v) -> bool:
     a = np.asarray(v)
@@ -293,34 +299,31 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _write_csv(path: str, cols: list[str], lines):
+    """The header line, the column line, then the body lines as they come."""
+    with open(path, "w") as f:
+        f.write(f"{CSV_HEADER}\n{','.join(cols)}\n")
+        f.writelines(lines)
+
+
 def write_trajectory_csv(traj: Trajectory, path: str):
     d = traj.dim
     cols = (["t", "agent"] + [f"x{k + 1}" for k in range(d)]
             + [f"v{k + 1}" for k in range(d)])
-    with open(path, "w") as f:
-        f.write(CSV_HEADER + "\n")
-        f.write(",".join(cols) + "\n")
-        for m, t in enumerate(traj.times):
-            for i in range(traj.n_agents):
-                row = [_fmt(float(t)), str(i)]
-                row += [_fmt(float(v)) for v in traj.xs[m, i]]
-                row += [_fmt(float(v)) for v in traj.vs[m, i]]
-                f.write(",".join(row) + "\n")
+    line = "%.17g,%d" + ",%.17g" * (2 * d) + "\n"   # %.17g prints a float as _fmt does
+    _write_csv(path, cols, (   # one string per time, so one time's rows are held at once
+        "".join(line % (t, i, *cells) for i, cells in enumerate(np.hstack((x, v)).tolist()))
+        for t, x, v in zip(traj.times.tolist(), traj.xs, traj.vs)))
 
 
 def write_diameters_csv(series, path: str):
     d = series.vbar.shape[1]
     cols = (["t", "D"] + [f"D{k + 1}" for k in range(d)]
             + [f"vbar{k + 1}" for k in range(d)] + [f"vund{k + 1}" for k in range(d)])
-    with open(path, "w") as f:
-        f.write(CSV_HEADER + "\n")
-        f.write(",".join(cols) + "\n")
-        for q, t in enumerate(series.times):
-            row = [_fmt(float(t)), _fmt(float(series.spread[q]))]
-            row += [_fmt(float(v)) for v in series.spread_k[q]]
-            row += [_fmt(float(v)) for v in series.vbar[q]]
-            row += [_fmt(float(v)) for v in series.vund[q]]
-            f.write(",".join(row) + "\n")
+    line = ",".join(["%.17g"] * len(cols)) + "\n"
+    rows = np.column_stack((series.times, series.spread, series.spread_k,
+                            series.vbar, series.vund))
+    _write_csv(path, cols, (line % tuple(r.tolist()) for r in rows))
 
 
 def write_certificate(cert: an.FlockingCertificate, path: str):
@@ -414,9 +417,7 @@ def _apply_axis(s: Scenario, axis: str, value: float) -> Scenario:
         return s.replace(delay=DelayProfile.constant(float(value)))
     if axis == "h":
         return s.replace(h=float(value))
-    if axis == "scale":
-        return s.replace(velocities=s.velocities * float(value))
-    raise ScenarioError(f"unknown sweep axis {axis!r}; valid: {SWEEP_AXES}")
+    return s.replace(velocities=s.velocities * float(value))   # "scale"; sweep checked the name
 
 
 def sweep(template: Scenario, axes: dict[str, list[float]],
@@ -455,14 +456,12 @@ def write_sweep_csv(reports, names, grid, path: str):
     keys = ("gamma_g", "n_infinity", "kappa", "tau", "beta", "h",   # FlockingCertificate.as_dict
             "D0", "X0", "rho", "threshold", "delta", "verdict")
     cols = [*names, *keys, "final_spread", "time_to_tolerance", "flocked"]
-    with open(path, "w") as f:
-        f.write(CSV_HEADER + "\n")
-        f.write(",".join(cols) + "\n")
-        for values, rep in zip(grid, reports):
-            cert = {} if rep.certificate is None else rep.certificate.as_dict()
-            row = [_fmt(float(v)) for v in values]
-            row += ["" if cert.get(k) is None else _fmt(cert[k]) for k in keys]
-            row += [_fmt(rep.final_spread),
-                    "" if rep.time_to_tolerance is None else _fmt(rep.time_to_tolerance),
-                    str(rep.flocked).lower()]
-            f.write(",".join(row) + "\n")
+
+    def line(values, rep: RunReport) -> str:
+        cert = {} if rep.certificate is None else rep.certificate.as_dict()
+        return ",".join([*(_fmt(float(v)) for v in values),
+                         *("" if cert.get(k) is None else _fmt(cert[k]) for k in keys),
+                         _fmt(rep.final_spread),
+                         "" if rep.time_to_tolerance is None else _fmt(rep.time_to_tolerance),
+                         str(rep.flocked).lower()]) + "\n"
+    _write_csv(path, cols, map(line, grid, reports))

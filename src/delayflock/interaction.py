@@ -8,6 +8,7 @@ immutable and pure in (i, j, t), so instances can be shared freely.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,13 +42,12 @@ class WeightFunction:
     normalize_by: int | None = None
 
     def __post_init__(self):
-        if self.kappa <= 0:
-            raise AdmissibilityError(f"kappa must be positive, got {self.kappa}")
+        if not 0 < self.kappa < np.inf:
+            raise AdmissibilityError(f"kappa must be positive and finite, got {self.kappa}")
         if self.kind == "cucker-smale":
-            if self.beta < 0:
-                raise AdmissibilityError(f"beta must be nonnegative, got {self.beta}")
-        elif self.kind == "constant":
-            pass
+            if not 0 <= self.beta < np.inf:
+                raise AdmissibilityError(
+                    f"beta must be nonnegative and finite, got {self.beta}")
         elif self.kind == "tabulated":
             if self.table_r is None or self.table_v is None:
                 raise AdmissibilityError("tabulated weight needs table_r and table_v")
@@ -61,7 +61,7 @@ class WeightFunction:
             v.setflags(write=False)
             object.__setattr__(self, "table_r", r)
             object.__setattr__(self, "table_v", v)
-        else:
+        elif self.kind != "constant":
             raise AdmissibilityError(f"unknown weight kind {self.kind!r}")
 
     @property
@@ -155,6 +155,8 @@ class DelayProfile:
             if not (0 <= self.value <= self.tau_max):
                 raise AdmissibilityError(
                     f"constant delay {self.value} outside [0, {self.tau_max}]")
+            if self.integer_valued and self.value != int(self.value):
+                raise AdmissibilityError("integer-valued profile with fractional value")
         elif self.kind == "sinusoidal":
             if not 0 < self.period < np.inf:
                 raise AdmissibilityError(f"sinusoid period {self.period} not positive and finite")
@@ -167,11 +169,11 @@ class DelayProfile:
                 raise AdmissibilityError("random delay range outside [0, tau_max]")
             if self.hold <= 0:
                 raise AdmissibilityError("hold interval must be positive")
+            if self.integer_valued and math.ceil(self.low) > math.floor(self.high):
+                raise AdmissibilityError(
+                    f"random delay range [{self.low}, {self.high}] holds no whole number")
         elif self.kind != "zero":
             raise AdmissibilityError(f"unknown delay kind {self.kind!r}")
-        if self.integer_valued and self.kind in ("constant",):
-            if self.value != int(self.value):
-                raise AdmissibilityError("integer-valued profile with fractional value")
 
     @classmethod
     def zero(cls) -> "DelayProfile":
@@ -195,7 +197,7 @@ class DelayProfile:
         k = int(np.floor(t / self.hold))
         rng = np.random.default_rng(np.random.SeedSequence([self.seed, i, j, k & 0x7FFFFFFF]))
         if self.integer_valued:
-            return float(rng.integers(int(self.low), int(self.high) + 1))
+            return float(rng.integers(math.ceil(self.low), math.floor(self.high) + 1))
         return float(self.low + (self.high - self.low) * rng.random())
 
     def _sinusoid(self, t: float) -> float:

@@ -298,3 +298,44 @@ def history_spreads_reference(times, xs, vs, arcs, tau):
                     diff = [float(a - b) for a, b in zip(x_now[i], x_s[j])]
                     x0 = max(x0, math.sqrt(sum(e * e for e in diff)))
     return d0, x0
+
+
+def _cell(x) -> str:
+    return format(x, ".17g") if isinstance(x, float) else str(x)
+
+
+def csv_reference(cols, rows) -> str:
+    """The text of a delayflock CSV written cell by cell: the header line,
+    the column line, then one line per row, a float cell printed as
+    format(x, ".17g") and any other cell by str."""
+    lines = ["# delayflock-csv v1", ",".join(cols)]
+    lines += [",".join(_cell(c) for c in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def trajectory_csv_reference(traj) -> str:
+    """One row (t, agent, x..., v...) per time and agent."""
+    d = traj.xs.shape[2]
+    cols = (["t", "agent"] + [f"x{k + 1}" for k in range(d)]
+            + [f"v{k + 1}" for k in range(d)])
+    rows = [[float(t), i] + [float(v) for v in traj.xs[m, i]]
+            + [float(v) for v in traj.vs[m, i]]
+            for m, t in enumerate(traj.times) for i in range(traj.xs.shape[1])]
+    return csv_reference(cols, rows)
+
+
+def diameters_csv_reference(series) -> str:
+    """One row (t, D, D_k..., vbar_k..., vund_k...) per window time."""
+    d = series.vbar.shape[1]
+    cols = (["t", "D"] + [f"D{k + 1}" for k in range(d)]
+            + [f"vbar{k + 1}" for k in range(d)] + [f"vund{k + 1}" for k in range(d)])
+    rows = [[float(t), float(series.spread[q])]
+            + [float(v) for part in (series.spread_k, series.vbar, series.vund)
+               for v in part[q]]
+            for q, t in enumerate(series.times)]
+    return csv_reference(cols, rows)
+
+
+def certificate_reference(fields: dict) -> str:
+    """One key=value line per certificate field."""
+    return "".join(f"{k}={_cell(v)}\n" for k, v in fields.items())

@@ -1,9 +1,11 @@
+import dataclasses
 import json
 import math
 
 import pytest
 
-from delayflock.cli import EXIT_OK, EXIT_VALIDATION, main
+from delayflock import analysis
+from delayflock.cli import EXIT_DEFECT, EXIT_OK, EXIT_VALIDATION, main
 from delayflock.digraph import Digraph
 
 SCENARIO = {
@@ -84,6 +86,23 @@ def test_sweep_bad_axis(scenario_file, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bound", ["verify_decay", "position_bound"])
+@pytest.mark.parametrize("command", [["simulate"], ["sweep", "--axis", "scale=1:1:1"]],
+                         ids=["simulate", "sweep"])
+def test_broken_certified_bound_exits_3(bound, command, scenario_file, monkeypatch, capsys):
+    checked = getattr(analysis, bound)
+
+    def broken(*args):
+        return dataclasses.replace(checked(*args), passed=False)
+    monkeypatch.setattr(analysis, bound, broken)
+    assert main([command[0], scenario_file, *command[1:]]) == EXIT_DEFECT
+    out = capsys.readouterr().out
+    if command[0] == "sweep":
+        assert "1 certified, 1 bound violations" in out
+    else:
+        assert "VIOLATED" in out
+
+
 def test_analyze_graph_bare_graph(tmp_path, capsys):
     path = tmp_path / "graph.json"
     path.write_text(json.dumps(SCENARIO["graph"]))
@@ -130,12 +149,18 @@ ZERO_PERIOD = dict(SCENARIO, delay={"type": "sinusoidal", "tau": 1.0, "period": 
      "discrete horizon must be a whole number of steps, got 2.5"),
     ("simulate", ZERO_PERIOD, [], "sinusoid period 0 not positive and finite"),
     ("check-condition", ZERO_PERIOD, [], "sinusoid period 0 not positive and finite"),
+    ("sweep", DISCRETE, ["--axis", "h=nan:nan:1"], "axis 'h' needs finite bounds"),
+    ("sweep", SCENARIO, ["--axis", "beta=nan:nan:1"], "axis 'beta' needs finite bounds"),
+    ("sweep", SCENARIO, ["--axis", "kappa=nan:nan:1"], "axis 'kappa' needs finite bounds"),
+    ("sweep", SCENARIO, ["--axis", "scale=nan:nan:1"], "axis 'scale' needs finite bounds"),
+    ("sweep", SCENARIO, ["--axis", "kappa=inf:inf:1"], "axis 'kappa' needs finite bounds"),
 ], ids=["gate-check", "gate-simulate", "nan-position", "blow-up", "negative-dt",
         "zero-horizon", "missing-arcs", "malformed-json", "directory", "string-beta",
         "one-vertex-arc", "huge-integer", "discrete-negative-horizon",
         "discrete-negative-t-end-flag", "discrete-nan-t-end-flag",
         "discrete-inf-t-end-flag", "discrete-fractional-t-end-flag",
-        "zero-period-simulate", "zero-period-check"])
+        "zero-period-simulate", "zero-period-check", "sweep-nan-h", "sweep-nan-beta",
+        "sweep-nan-kappa", "sweep-nan-scale", "sweep-inf-kappa"])
 def test_bad_input_exits_2_with_one_line(command, raw, flags, message, tmp_path, capsys):
     # raw is a scenario object, or the name of a file under tmp_path
     (tmp_path / "bad.json").write_text('{"graph": \n !')

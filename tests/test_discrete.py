@@ -1,4 +1,5 @@
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -49,6 +50,11 @@ class TestGate:
     def test_nonpositive_h(self):
         with pytest.raises(StabilityGateError):
             check_gate(kappa=1.0, h=0.0, n_infinity=1)
+
+    @pytest.mark.parametrize("h", [math.nan, math.inf])
+    def test_non_finite_h(self, h):
+        with pytest.raises(StabilityGateError, match="positive and finite"):
+            check_gate(kappa=1.0, h=h, n_infinity=1, unsafe=True)
 
     def test_simulate_enforces_gate(self):
         g, w, p, _ = pair_setup()

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from delayflock import harness
 from delayflock.analysis import CRITICAL, SHORT_RANGE
-from delayflock.dde import IntegrationError
+from delayflock.dde import DiameterSeries, IntegrationError, Trajectory
 from delayflock.digraph import Digraph, compute_metrics
 from delayflock.harness import (
     CSV_HEADER,
@@ -25,6 +25,8 @@ from delayflock.harness import (
     sweep,
 )
 from delayflock.interaction import DelayProfile, WeightFunction
+
+from oracles import certificate_reference, diameters_csv_reference, trajectory_csv_reference
 
 GOOD_RAW = {
     "graph": {"n": 4, "arcs": [[1, 2], [2, 3], [3, 1], [3, 4]]},
@@ -236,6 +238,44 @@ class TestRun:
         assert rep.monotonicity
         assert rep.decay
         assert rep.final_spread < 0.1
+
+
+class TestCsvFormat:
+    """The writers give, byte for byte, the text of the per-cell reference
+    writer in tests/oracles.py."""
+
+    SPECIAL = [-0.0, math.inf, -math.inf, math.nan, 5e-324]
+
+    def _table(self, shape, seed):
+        a = np.random.default_rng(seed).normal(size=shape).ravel()
+        a[:len(self.SPECIAL)] = self.SPECIAL
+        return a.reshape(shape)
+
+    def test_special_values(self, tmp_path):
+        times = np.array([-1.0, -0.0, 5e-324, 0.1, math.nan])
+        traj = Trajectory(times=times, xs=self._table((5, 3, 2), 0),
+                          vs=self._table((5, 3, 2), 1), dt=1.0, n_hist=1)
+        spread_k = self._table((5, 2), 2)
+        series = DiameterSeries(times=times, vbar=self._table((5, 2), 3),
+                                vund=self._table((5, 2), 4), spread_k=spread_k,
+                                spread=spread_k.max(axis=1))
+        harness.write_trajectory_csv(traj, str(tmp_path / "t.csv"))
+        harness.write_diameters_csv(series, str(tmp_path / "d.csv"))
+        text = (tmp_path / "t.csv").read_bytes()
+        assert text == trajectory_csv_reference(traj).encode()
+        assert (tmp_path / "d.csv").read_bytes() == diameters_csv_reference(series).encode()
+        for cell in (b"-0,", b",inf", b",-inf", b",nan", b"4.9406564584124654e-324,", b"0.10000000000000001,"):
+            assert cell in text
+
+    def test_preset_files(self, tmp_path):
+        rep = run(preset("fig2-digraph"), str(tmp_path))
+        refs = (trajectory_csv_reference(rep.trajectory),
+                diameters_csv_reference(rep.diameter_series),
+                certificate_reference(rep.certificate.as_dict()))
+        assert len(rep.csv_paths) == len(refs)
+        for path, ref in zip(rep.csv_paths, refs):
+            with open(path, "rb") as f:
+                assert f.read() == ref.encode(), path
 
 
 class TestSweep:

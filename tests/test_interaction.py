@@ -52,6 +52,13 @@ class TestWeightEval:
         assert w(lo) >= w(hi)
         assert 0 < w(hi) <= kappa
 
+    @pytest.mark.parametrize("kw", [dict(kappa=math.nan), dict(kappa=math.inf),
+                                    dict(beta=math.nan), dict(beta=math.inf)],
+                             ids=["nan-kappa", "inf-kappa", "nan-beta", "inf-beta"])
+    def test_non_finite_parameter_rejected(self, kw):
+        with pytest.raises(AdmissibilityError, match="finite"):
+            WeightFunction(**kw)
+
 
 class TestVerifyAdmissible:
     def test_algebraic_passes(self):
@@ -158,6 +165,15 @@ class TestIntegerDelays:
         assert seq1 == seq2
         assert set(seq1) == {0, 1, 2}
         assert _lags_read(p1) == _lags_read(p2) == seq1[:20]
+
+    def test_random_draws_stay_in_a_fractional_range(self):
+        # the only whole number in [0.5, 1.5] is 1
+        p = DelayProfile(kind="piecewise-random", low=0.5, high=1.5, tau_max=2.0,
+                         integer_valued=True)
+        assert {integer_delay(p, 0, 1, t) for t in range(200)} == {1}
+        with pytest.raises(AdmissibilityError, match="holds no whole number"):
+            DelayProfile(kind="piecewise-random", low=0.2, high=0.8, tau_max=1.0,
+                         integer_valued=True)
 
     def test_non_integer_profile_rejected(self):
         p = DelayProfile.constant(0.5, tau_max=1.0)
