@@ -429,8 +429,10 @@ def position_bound(traj: Trajectory, cert: FlockingCertificate) -> PositionBound
     else:
         bound = float(l1 + cert.params.d * cert.measured_D0 * cert.block_length
                       / (cert.delta * ln_inv))
-    xs = traj.xs[k0:]
-    dmax = float(np.linalg.norm(xs[:, iu] - xs[:, ju], axis=-1).max())
+    # blocks of about 2^14 pairs: bounded memory, and few Python-level steps on small flocks
+    xs, rows = traj.xs[k0:], max(1, 2 ** 14 // len(iu))
+    dmax = float(np.max([np.linalg.norm(xs[k:k + rows, iu] - xs[k:k + rows, ju], axis=-1).max()
+                         for k in range(0, len(xs), rows)]))
     return PositionBoundReport(passed=dmax <= bound, bound=bound,
                                max_distance=dmax,
                                vacuous=bound > VACUOUS_ABOVE)

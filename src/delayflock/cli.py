@@ -32,7 +32,7 @@ def _out_dir(args) -> str | None:
 def _print_report(rep: harness.RunReport):
     c = rep.certificate
     if c is None:
-        print("certificate: n/a (degenerate graph)")
+        print(f"certificate: n/a ({rep.no_certificate})")
     else:
         print(f"certificate: verdict={c.verdict} regime={c.regime} "
               f"D0={c.measured_D0:.6g} X0={c.measured_X0:.6g} "

@@ -10,12 +10,12 @@ a sample time bends it: there the gap is at most (4/27) * dt times the
 jump in slope.  Lookups slightly ahead of the last fully-specified
 segment (delays smaller than the step) extrapolate that segment.
 
-Zero, constant and sinusoidal delays take one value on every arc at a
-given time, so each stage has one lookup time: its segment and basis
-weights are planned for all stages before the loop, and a stage
-evaluates the tables once over all agents.  Piecewise-random delays
-differ from arc to arc and are gathered per arc at every stage.  Both
-paths give the same numbers, bit for bit.
+The state (x, v) is one array, so a stage does one lookup and a step
+one update.  Zero, constant and sinusoidal delays take one value on
+every arc at a given time, so each stage has one lookup time: its
+segment and basis weights are planned before the loop.  Piecewise-random
+delays differ from arc to arc and are gathered per arc at every stage.
+Both paths give the same numbers, bit for bit.
 
 Also provides the windowed velocity-spread diagnostics: per-component
 trailing-window extrema over [t - tau, t] and their spread.
@@ -152,10 +152,23 @@ class Trajectory:
             return ((1 - u) * self.xs[k] + u * self.xs[k + 1],
                     (1 - u) * self.vs[k] + u * self.vs[k + 1])
         a, weights = _hermite_basis(self.times, float(t), len(self.times) - 1)
-        x, v = _hermite_rows(((self.xs, self.dxs, self.hist_end_xslope),
-                              (self.vs, self.dvs, self.hist_end_slope)),
-                             a, weights, a + 1 == self.n_hist)
-        return x, v
+        jump = a + 1 == self.n_hist
+        return (_hermite_rows((self.xs, self.dxs, self.hist_end_xslope), a, weights, jump),
+                _hermite_rows((self.vs, self.dvs, self.hist_end_slope), a, weights, jump))
+
+
+def blowup_guard(history_vs, members: int):
+    """Both models' blow-up check of a velocity row at time t, for
+    ``members`` equal-sized members with history velocities (K, rows, d);
+    a NaN or inf fails it too."""
+    limit = BLOWUP_FACTOR * np.maximum(
+        np.abs(history_vs).reshape(len(history_vs), members, -1).max(axis=(0, 2)), 1.0)
+
+    def check(v, t):
+        ok = np.abs(v).reshape(members, -1).max(axis=1) <= limit
+        if not ok.all():
+            raise IntegrationError(f"solution blew up at t = {t:g}", member=int(ok.argmin()))
+    return check
 
 
 def check_history(history: InitialHistory, shape: tuple, p: DelayProfile):
@@ -192,35 +205,32 @@ def _hermite_basis(times, s, hi):
     return seg, (2 * u3 - 3 * u2 + 1, (u3 - 2 * u2 + u) * h, -2 * u3 + 3 * u2, (u3 - u2) * h)
 
 
-def _hermite_rows(tables, a, weights, jump):
-    """Every row of each (vals, slopes, fix_val) table at one time in
+def _hermite_rows(table, a, weights, jump):
+    """Every row of the (vals, slopes, fix_val) table at one time in
     segment a with basis ``weights``.  The slope at a + 1 is fix_val when
     ``jump`` (the derivative jumps where prescribed history meets the
     dynamics)."""
+    vals, slopes, fix_val = table
     h00, h10, h01, h11 = weights
-    return [h00 * vals[a] + h10 * slopes[a] + h01 * vals[a + 1]
-            + h11 * (fix_val if jump else slopes[a + 1]) for vals, slopes, fix_val in tables]
+    return (h00 * vals[a] + h10 * slopes[a] + h01 * vals[a + 1]
+            + h11 * (fix_val if jump else slopes[a + 1]))
 
 
-def _hermite_gather(times, tables, j_e, s_e, hi, fix_idx):
+def _hermite_gather(times, table, j_e, s_e, hi, fix_idx):
     """Cubic Hermite evaluation of vals[:, j_e[k]] at times s_e[k] for
-    each (vals, slopes, fix_val) in ``tables``, sharing one segment
-    search and one set of basis weights; fix_val replaces the slope at
-    ``fix_idx`` when that is the right endpoint of the queried segment.
+    the (M, rows, 2, d) state table (vals, slopes, fix_val); fix_val
+    replaces the slope at ``fix_idx`` when that is the right endpoint
+    of the queried segment.
     """
+    vals, slopes, fix_val = table
     seg, basis = _hermite_basis(times, s_e, hi)
-    h00, h10, h01, h11 = (b[:, None] for b in basis)
+    h00, h10, h01, h11 = (b[:, None, None] for b in basis)
     seg1 = seg + 1
     at_fix = seg1 == fix_idx
-    fixed = at_fix.any()
-    out = []
-    for vals, slopes, fix_val in tables:
-        m1 = slopes[seg1, j_e]
-        if fixed:
-            m1 = np.where(at_fix[:, None], fix_val[j_e], m1)
-        out.append(h00 * vals[seg, j_e] + h10 * slopes[seg, j_e]
-                   + h01 * vals[seg1, j_e] + h11 * m1)
-    return out
+    m1 = slopes[seg1, j_e]
+    if at_fix.any():
+        m1 = np.where(at_fix[:, None, None], fix_val[j_e], m1)
+    return h00 * vals[seg, j_e] + h10 * slopes[seg, j_e] + h01 * vals[seg1, j_e] + h11 * m1
 
 
 def _stage_plan(times, n_hist: int, n_steps: int, dt: float, p: DelayProfile):
@@ -240,9 +250,10 @@ def _stage_plan(times, n_hist: int, n_steps: int, dt: float, p: DelayProfile):
     # stage 1 may not use the segment ending at k (its slope is what the
     # step computes); delays shorter than dt extrapolate the segment before
     his = np.append(np.stack([np.maximum(k - 1, 1), k, k, k], axis=1), len(times) - 2)
-    tau = p.shared(ts)
-    if tau is None:
+    if p.kind == "piecewise-random":
         return ts, his, None, None, None, None
+    at = p.on_edges((), ())
+    tau = np.array([at(t) for t in ts.tolist()])
     seg, basis = _hermite_basis(times, ts - tau, his)
     return ts, his, tau, seg, basis, seg + 1 == n_hist
 
@@ -296,29 +307,23 @@ def integrate(history: InitialHistory | Sequence[InitialHistory], g: Digraph,
     M = n_hist + n_steps + 1
     nb = B * n
     times = (np.arange(M) - n_hist) * dt
-    xs = np.empty((M, nb, d))
-    vs = np.empty((M, nb, d))
-    dxs = np.zeros((M, nb, d))
-    dvs = np.zeros((M, nb, d))
+    # ys[k, agent] = (x, v) and dys its time derivative (dx, dv)
+    ys = np.empty((M, nb, 2, d))
+    dys = np.zeros((M, nb, 2, d))
     members = [slice(b * n, (b + 1) * n) for b in range(B)]
     for sl, h in zip(members, hists):
-        (xs[: n_hist + 1, sl], vs[: n_hist + 1, sl],
-         dxs[: n_hist + 1, sl], dvs[: n_hist + 1, sl]) = h.eval(times[: n_hist + 1])
+        (ys[: n_hist + 1, sl, 0], ys[: n_hist + 1, sl, 1],
+         dys[: n_hist + 1, sl, 0], dys[: n_hist + 1, sl, 1]) = h.eval(times[: n_hist + 1])
     # the history side of t = 0; the dynamics side replaces row n_hist
-    hist_end_xslope, hist_end_slope = dxs[n_hist].copy(), dvs[n_hist].copy()
-    dxs[n_hist] = vs[n_hist]
-    guard = BLOWUP_FACTOR * np.maximum(
-        np.abs(vs[: n_hist + 1]).reshape(n_hist + 1, B, -1).max(axis=(0, 2)), 1.0)
+    hist_end = dys[n_hist].copy()
+    check_blowup = blowup_guard(ys[: n_hist + 1, :, 1], B)
 
     ei, ej = np.nonzero(g.arcs)
     n_arcs = len(ei)
     # every member has a lone run's delays: drawn once, on one member's arcs
-    local_at = p.on_edges(ei, ej)
-    arc = np.tile(np.arange(n_arcs), B)
-    delay_at = local_at if B == 1 else lambda t: local_at(t)[arc]
-    ei, ej = np.tile(ei, B), np.tile(ej, B)
+    at = p.on_edges(ei, ej)
     offset = np.repeat(np.arange(B) * n, n_arcs)
-    ei, ej = ei + offset, ej + offset
+    ei, ej = np.tile(ei, B) + offset, np.tile(ej, B) + offset
     # one weight call per run of members sharing a weight, with its own
     # scalar parameters (an exponent array rounds differently at beta = 1);
     # tabulated weights are compared by identity, as == fails on tables
@@ -328,46 +333,40 @@ def integrate(history: InitialHistory | Sequence[InitialHistory], g: Digraph,
     cuts = [b * n_arcs for b in starts] + [B * n_arcs]
     psi = ws[0] if len(starts) == 1 else lambda r: np.concatenate(
         [ws[b](r[lo:hi]) for b, lo, hi in zip(starts, cuts, cuts[1:])])
-    tables = ((xs, dxs, hist_end_xslope), (vs, dvs, hist_end_slope))
+    table = (ys, dys, hist_end)
     ts, his, tau_s, seg, basis, jump = _stage_plan(times, n_hist, n_steps, dt, p)
 
-    def stage_rhs(k, x_stage, v_stage):
-        # k: index of the stage in the plan
+    def stage_rhs(k, y):
+        # k: index of the stage in the plan; returns the slope (v, dv) at y
         if tau_s is None:
-            tau_e = delay_at(ts[k])
-            xd, vd = x_stage[ej], v_stage[ej]
+            tau_e = np.tile(np.broadcast_to(at(ts[k]), n_arcs), B)
+            yd = y[ej]
             past = tau_e != 0.0
             if past.any():
-                xd[past], vd[past] = _hermite_gather(times, tables, ej[past],
-                                                     ts[k] - tau_e[past], his[k], n_hist)
+                yd[past] = _hermite_gather(times, table, ej[past], ts[k] - tau_e[past],
+                                           his[k], n_hist)
         elif tau_s[k] != 0.0:
-            xr, vr = _hermite_rows(tables, seg[k], [b[k] for b in basis], jump[k])
-            xd, vd = xr[ej], vr[ej]
+            yd = _hermite_rows(table, seg[k], [b[k] for b in basis], jump[k])[ej]
         else:
-            xd, vd = x_stage[ej], v_stage[ej]
-        return v_stage, edge_forces(x_stage[ei], xd, v_stage[ei], vd, ei, psi, nb)
+            yd = y[ej]
+        dv = edge_forces(y[ei, 0], yd[:, 0], y[ei, 1], yd[:, 1], ei, psi, nb)
+        return np.concatenate((y[:, 1:], dv[:, None]), axis=1)
 
     idx = n_hist
     for k in range(0, 4 * n_steps, 4):
-        x, v = xs[idx], vs[idx]
-        k1x, k1v = stage_rhs(k, x, v)
-        dvs[idx] = k1v
-        k2x, k2v = stage_rhs(k + 1, x + dt / 2 * k1x, v + dt / 2 * k1v)
-        k3x, k3v = stage_rhs(k + 2, x + dt / 2 * k2x, v + dt / 2 * k2v)
-        k4x, k4v = stage_rhs(k + 3, x + dt * k3x, v + dt * k3v)
-        xs[idx + 1] = x + dt / 6 * (k1x + 2 * k2x + 2 * k3x + k4x)
-        vs[idx + 1] = dxs[idx + 1] = v + dt / 6 * (k1v + 2 * k2v + 2 * k3v + k4v)
+        y = ys[idx]
+        dys[idx] = k1 = stage_rhs(k, y)
+        k2 = stage_rhs(k + 1, y + dt / 2 * k1)
+        k3 = stage_rhs(k + 2, y + dt / 2 * k2)
+        k4 = stage_rhs(k + 3, y + dt * k3)
+        ys[idx + 1] = y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         idx += 1
-        # a NaN or inf fails the comparison too
-        ok = np.abs(vs[idx]).reshape(B, -1).max(axis=1) <= guard
-        if not ok.all():
-            raise IntegrationError(f"solution blew up at t = {times[idx]:g}",
-                                   member=int(ok.argmin()))
+        check_blowup(ys[idx, :, 1], times[idx])
     # final slope so dense output covers the last segment
-    _, dvs[idx] = stage_rhs(4 * n_steps, xs[idx], vs[idx])
-    trajs = [Trajectory(times=times, xs=xs[:, sl], vs=vs[:, sl], dt=dt, n_hist=n_hist,
-                        dvs=dvs[:, sl], dxs=dxs[:, sl], hist_end_slope=hist_end_slope[sl],
-                        hist_end_xslope=hist_end_xslope[sl]) for sl in members]
+    dys[idx] = stage_rhs(4 * n_steps, ys[idx])
+    trajs = [Trajectory(times=times, xs=ys[:, sl, 0], vs=ys[:, sl, 1], dt=dt, n_hist=n_hist,
+                        dvs=dys[:, sl, 1], dxs=dys[:, sl, 0], hist_end_slope=hist_end[sl, 1],
+                        hist_end_xslope=hist_end[sl, 0]) for sl in members]
     return trajs[0] if single else trajs
 
 

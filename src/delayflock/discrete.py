@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dde import (DiameterSeries, InitialHistory, Trajectory, check_history, diameters,
-                  edge_forces)
+from .dde import (DiameterSeries, InitialHistory, Trajectory, blowup_guard, check_history,
+                  diameters, edge_forces)
 from .digraph import Digraph, compute_metrics  # noqa: F401  (traced here by bench/spans.py)
 from .interaction import DelayProfile, WeightFunction
 
@@ -36,7 +36,7 @@ def simulate_discrete(history: InitialHistory, g: Digraph, w: WeightFunction,
                       unsafe_h: bool = False) -> Trajectory:
     """Run the recursion for t_end steps from the history's states at
     steps -tau .. 0; returns a sample-only Trajectory on the integer
-    step grid {-tau, ..., t_end}."""
+    step grid {-tau, ..., t_end}, or raises IntegrationError at a blow-up."""
     if t_end < 0:
         raise ValueError(f"t_end must be nonnegative, got {t_end}")
     check_gate(w.effective_kappa, h, int(g.arcs.sum(axis=1).max()),
@@ -47,13 +47,15 @@ def simulate_discrete(history: InitialHistory, g: Digraph, w: WeightFunction,
     xs = np.empty((len(times),) + history.x0.shape)
     vs = np.empty_like(xs)
     xs[: tau + 1], vs[: tau + 1], _, _ = history.eval(times[: tau + 1])
+    check_blowup = blowup_guard(vs[: tau + 1], 1)
     ei, ej = np.nonzero(g.arcs)
     delay_at = p.on_edges(ei, ej)
     for k in range(t_end):
         x, v = xs[tau + k], vs[tau + k]
-        back = tau + k - np.rint(delay_at(k)).astype(np.intp)
+        back = tau + k - np.rint(delay_at(k)).astype(np.intp)   # one lag, or one per arc
         dv = edge_forces(x[ei], xs[back, ej], v[ei], vs[back, ej], ei, w, len(x))
         xs[tau + k + 1], vs[tau + k + 1] = x + h * v, v + h * dv
+        check_blowup(vs[tau + k + 1], k + 1)
     return Trajectory(times=times, xs=xs, vs=vs, dt=1.0, n_hist=tau,
                       discrete=True)
 

@@ -30,7 +30,7 @@ from . import analysis as an
 from .dde import (InitialHistory, IntegrationError, Trajectory, check_monotone_diameter,
                   diameters, integrate)
 from .digraph import Digraph
-from .discrete import discrete_diameters, simulate_discrete
+from .discrete import StabilityGateError, discrete_diameters, simulate_discrete
 from .interaction import DelayProfile, WeightFunction, verify_admissible
 
 CSV_HEADER = "# delayflock-csv v1"
@@ -86,6 +86,7 @@ class RunReport:
     decay: an.DecayReport | None
     positions_check: an.PositionBoundReport | None
     csv_paths: tuple = ()
+    no_certificate: str = ""     # why certificate is None
 
     @property
     def flocked(self) -> bool:
@@ -334,7 +335,8 @@ def write_certificate(cert: an.FlockingCertificate, path: str):
 
 def certify(s: Scenario) -> an.FlockingCertificate:
     """The scenario's flocking certificate, measured from its initial data;
-    AnalysisError on a degenerate graph (no spanning tree, or one agent)."""
+    AnalysisError on a degenerate graph (no spanning tree, or one agent),
+    StabilityGateError on a discrete step size past the gate."""
     if s.model == "discrete":
         return an.check_discrete(s.initial_history(), s.graph, s.weight, s.delay, s.h,
                                  rho=s.rho)
@@ -348,27 +350,31 @@ def _run_group(group: list[Scenario], out_dir: str | None = None) -> list[RunRep
     is raised with the name of the member that blew up."""
     histories = [s.initial_history() for s in group]
     certs = []
-    for s in group:
+    for s in group:   # an uncertified run goes on, with the reason it has no certificate
         try:
-            certs.append(certify(s))
+            certs.append((certify(s), ""))
         except an.AnalysisError:
-            certs.append(None)   # degenerate graph: the run goes on uncertified
+            certs.append((None, "degenerate graph"))
+        except StabilityGateError:
+            if not s.unsafe_h:
+                raise
+            certs.append((None, "kappa*h past the stability gate, run with unsafe_h"))
     s = group[0]
-    if s.model == "discrete":
-        trajs = [simulate_discrete(histories[0], s.graph, s.weight, s.delay,
-                                   t_end=int(s.t_end), h=s.h, unsafe_h=s.unsafe_h)]
-    else:
-        try:
+    try:
+        if s.model == "discrete":
+            trajs = [simulate_discrete(histories[0], s.graph, s.weight, s.delay,
+                                       t_end=int(s.t_end), h=s.h, unsafe_h=s.unsafe_h)]
+        else:
             trajs = integrate(histories, s.graph, [m.weight for m in group], s.delay,
                               t_end=s.t_end, dt=s.dt)
-        except IntegrationError as e:
-            if e.member is None:
-                raise
-            raise IntegrationError(f"{group[e.member].name}: {e}", e.member) from e
-    return [_report(*member, out_dir) for member in zip(group, certs, trajs)]
+    except IntegrationError as e:
+        if e.member is None:
+            raise
+        raise IntegrationError(f"{group[e.member].name}: {e}", e.member) from e
+    return [_report(s, *c, traj, out_dir) for s, c, traj in zip(group, certs, trajs)]
 
 
-def _report(s: Scenario, cert, traj: Trajectory, out_dir: str | None) -> RunReport:
+def _report(s: Scenario, cert, why: str, traj: Trajectory, out_dir: str | None) -> RunReport:
     if s.model == "discrete":
         series = discrete_diameters(traj, s.delay.integer_tau_max)
         mono_tol = 1e-9 * max(float(series.spread[0]), 1e-300)
@@ -397,7 +403,7 @@ def _report(s: Scenario, cert, traj: Trajectory, out_dir: str | None) -> RunRepo
                      diameter_series=series,
                      final_spread=float(series.spread[-1]),
                      time_to_tolerance=ttt, monotonicity=mono, decay=decay,
-                     positions_check=pos_check, csv_paths=tuple(paths))
+                     positions_check=pos_check, csv_paths=tuple(paths), no_certificate=why)
 
 
 def run(s: Scenario, out_dir: str | None = None) -> RunReport:
@@ -431,7 +437,9 @@ def sweep(template: Scenario, axes: dict[str, list[float]],
     for a in names:
         if a not in SWEEP_AXES:
             raise ScenarioError(f"unknown sweep axis {a!r}; valid: {SWEEP_AXES}")
-    grid = list(itertools.product(*(axes[a] for a in names))) or [()]
+        if not len(axes[a]):
+            raise ScenarioError(f"sweep axis {a!r} has no values")
+    grid = list(itertools.product(*(axes[a] for a in names)))
     points = []
     for values in grid:
         s = template

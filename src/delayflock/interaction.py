@@ -205,38 +205,26 @@ class DelayProfile:
         return float(min(max(v, 0.0), self.tau_max))
 
     def on_edges(self, ei, ej):
-        """Delays of the arcs ej -> ei as a function of t, giving the
-        read-only (E,) array of ``self(ei[e], ej[e], t)``, bit for bit.
-        Piecewise-random delays draw each edge once per hold interval and
-        reuse the draws while t stays in that interval."""
-        ei = np.asarray(ei, dtype=int)
-        ej = np.asarray(ej, dtype=int)
-        off = ei != ej
-        if self.kind in ("zero", "constant"):
-            fixed = np.where(off, self.value if self.kind == "constant" else 0.0, 0.0)
-            return lambda t: fixed
+        """Delays of the arcs ej -> ei (i != j) as a function of t, bit for
+        bit as ``self(ei[e], ej[e], t)``: the one float every arc shares
+        for zero, constant and sinusoidal delays, else the (E,) array of
+        per-arc draws, drawn once per hold interval and reused while t
+        stays in that interval."""
         if self.kind == "sinusoidal":
-            return lambda t: np.where(off, self._sinusoid(t), 0.0)
+            return self._sinusoid
+        if self.kind != "piecewise-random":
+            fixed = float(self.value) if self.kind == "constant" else 0.0
+            return lambda t: fixed
+        ei, ej = np.asarray(ei, dtype=int).tolist(), np.asarray(ej, dtype=int).tolist()
         held = {}
 
         def at(t):
             k = int(np.floor(t / self.hold))
             if k not in held:
                 held.clear()
-                held[k] = np.array([self(i, j, t) for i, j in
-                                    zip(ei.tolist(), ej.tolist())], dtype=float)
+                held[k] = np.array([self(i, j, t) for i, j in zip(ei, ej)], dtype=float)
             return held[k]
         return at
-
-    def shared(self, ts) -> np.ndarray | None:
-        """The delay of every arc joining distinct agents at each time of
-        the array ts, bit for bit as ``on_edges`` gives it; None for
-        piecewise-random delays, which differ from arc to arc."""
-        if self.kind == "piecewise-random":
-            return None
-        if self.kind == "sinusoidal":
-            return np.array([self._sinusoid(t) for t in ts.tolist()])
-        return np.full(len(ts), self.value if self.kind == "constant" else 0.0)
 
     @property
     def integer_tau_max(self) -> int:

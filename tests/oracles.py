@@ -261,6 +261,14 @@ def hermite_reference(times, vals, slopes, t, hi, fix_idx, fix_val):
             + (u ** 3 - u ** 2) * h * m1)
 
 
+def max_pair_distance_reference(xs):
+    """The largest distance between two agents over every time row of xs
+    (M, N, d), from all rows' pair differences at once: M * N(N-1)/2 * d
+    floats, where analysis.position_bound takes one row at a time."""
+    iu, ju = np.triu_indices(xs.shape[1], k=1)
+    return float(np.linalg.norm(xs[:, iu] - xs[:, ju], axis=-1).max())
+
+
 def history_spreads_reference(times, xs, vs, arcs, tau):
     """D(0) and X(0) of a sampled history on [-tau, 0], by reading it at
     each breakpoint there: the window ends and the sample times inside.

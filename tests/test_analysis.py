@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,12 +25,12 @@ from delayflock.analysis import (
     rho_plus,
     verify_decay,
 )
-from delayflock.dde import InitialHistory, IntegrationError, diameters, integrate
+from delayflock.dde import InitialHistory, IntegrationError, Trajectory, diameters, integrate
 from delayflock.digraph import Digraph
 from delayflock.discrete import StabilityGateError
 from delayflock.interaction import DelayProfile, WeightFunction
 
-from oracles import history_spreads_reference
+from oracles import history_spreads_reference, max_pair_distance_reference
 
 FIG_ARCS = [(1, 2), (2, 3), (3, 1), (3, 4)]
 FIG_X0 = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
@@ -426,6 +427,24 @@ class TestDecayAndPositions:
         rep = position_bound(traj, cert)
         assert rep
         assert rep.max_distance <= rep.bound
+
+    def test_max_distance_in_bounded_blocks_of_rows(self):
+        # 100 agents, 501 rows: all rows' pair differences at once would
+        # take 491 * 4950 * 2 floats (39 MB), three arrays of that size
+        rng = np.random.default_rng(3)
+        xs = 10 * rng.normal(size=(501, 100, 2))
+        traj = Trajectory(times=0.1 * np.arange(-10, 491), xs=xs, vs=np.zeros_like(xs),
+                          dt=0.1, n_hist=10)
+        hist, g, w, p = continuous_inputs(0.5 * FIG2_SCALE)
+        cert = check_continuous(hist, g, w, p)
+        tracemalloc.start()
+        try:
+            rep = position_bound(traj, cert)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.max_distance == max_pair_distance_reference(xs[10:])
+        assert peak < 2e6
 
     def test_fabricated_violation_detected(self):
         cert, _, series = self.run_certified()

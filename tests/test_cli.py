@@ -126,6 +126,12 @@ BAD_BETA = dict(SCENARIO, weight={"type": "cucker-smale", "kappa": 1.0, "beta": 
 SHORT_ARC = dict(SCENARIO, graph={"n": 4, "arcs": [[1]]})
 DISCRETE = dict(SCENARIO, model="discrete", h=0.1)
 ZERO_PERIOD = dict(SCENARIO, delay={"type": "sinusoidal", "tau": 1.0, "period": 0})
+# past the Euler gate on purpose: the velocity gap gains a factor 1 - 2*kappa*h = -5
+# a step, so the largest speed (1 + 5^k) / 2 passes the 1e6 guard at step 10
+UNSAFE_DIVERGES = {"graph": {"n": 2, "complete": True}, "model": "discrete",
+                   "weight": {"type": "constant", "kappa": 1.0}, "delay": {"type": "zero"},
+                   "positions": [[0.0], [1.0]], "velocities": [[0.0], [1.0]],
+                   "h": 3, "t_end": 20, "unsafe_h": True}
 
 
 @pytest.mark.parametrize("command, raw, flags, message", [
@@ -154,13 +160,18 @@ ZERO_PERIOD = dict(SCENARIO, delay={"type": "sinusoidal", "tau": 1.0, "period": 
     ("sweep", SCENARIO, ["--axis", "kappa=nan:nan:1"], "axis 'kappa' needs finite bounds"),
     ("sweep", SCENARIO, ["--axis", "scale=nan:nan:1"], "axis 'scale' needs finite bounds"),
     ("sweep", SCENARIO, ["--axis", "kappa=inf:inf:1"], "axis 'kappa' needs finite bounds"),
+    ("check-condition", UNSAFE_DIVERGES, [], "kappa*h = 3 must be below 1/n_infinity = 1"),
+    ("simulate", UNSAFE_DIVERGES, [], "error: scenario.json: solution blew up at t = 10\n"),
+    ("sweep", UNSAFE_DIVERGES, ["--axis", "h=3:3:1"],
+     "error: scenario.json@h=3: solution blew up at t = 10\n"),
 ], ids=["gate-check", "gate-simulate", "nan-position", "blow-up", "negative-dt",
         "zero-horizon", "missing-arcs", "malformed-json", "directory", "string-beta",
         "one-vertex-arc", "huge-integer", "discrete-negative-horizon",
         "discrete-negative-t-end-flag", "discrete-nan-t-end-flag",
         "discrete-inf-t-end-flag", "discrete-fractional-t-end-flag",
         "zero-period-simulate", "zero-period-check", "sweep-nan-h", "sweep-nan-beta",
-        "sweep-nan-kappa", "sweep-nan-scale", "sweep-inf-kappa"])
+        "sweep-nan-kappa", "sweep-nan-scale", "sweep-inf-kappa", "unsafe-check",
+        "unsafe-blow-up-simulate", "unsafe-blow-up-sweep"])
 def test_bad_input_exits_2_with_one_line(command, raw, flags, message, tmp_path, capsys):
     # raw is a scenario object, or the name of a file under tmp_path
     (tmp_path / "bad.json").write_text('{"graph": \n !')
@@ -183,6 +194,16 @@ def test_graph_too_large_to_allocate_exits_2(tmp_path, capsys, monkeypatch):
     assert main(["analyze-graph", _file(tmp_path, raw)]) == EXIT_VALIDATION
     assert capsys.readouterr().err == (
         "error: Unable to allocate an array with shape (1000000, 1000000)\n")
+
+
+def test_unsafe_step_runs_uncertified(tmp_path, capsys):
+    # three agents, all-to-all: kappa*h = 0.6 is past the gate 1/n_infinity = 0.5,
+    # yet the velocity gap contracts by 1 - 3*kappa*h = -0.8 a step
+    raw = dict(UNSAFE_DIVERGES, graph={"n": 3, "complete": True}, h=0.6,
+               positions=[[0.0], [1.0], [2.0]], velocities=[[0.0], [1.0], [2.0]])
+    assert main(["simulate", _file(tmp_path, raw)]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[0] == (
+        "certificate: n/a (kappa*h past the stability gate, run with unsafe_h)")
 
 
 def test_misspelt_key_names_the_closest_valid_one(tmp_path, capsys):

@@ -355,11 +355,12 @@ class TestStagePlan:
         dt, n_steps = 0.02, 100
         trajs = integrate(hists, g, ws, p, t_end=n_steps * dt, dt=dt)
         times, n_hist = trajs[0].times, trajs[0].n_hist
-        tables = [(np.concatenate([getattr(t, a) for t in trajs], axis=1),
-                   np.concatenate([getattr(t, b) for t in trajs], axis=1),
-                   np.concatenate([getattr(t, c) for t in trajs]))
-                  for a, b, c in (("xs", "dxs", "hist_end_xslope"),
-                                  ("vs", "dvs", "hist_end_slope"))]
+
+        def state(x, v):   # the members' x and v views as one (..., rows, 2, d) array
+            return np.stack([np.concatenate([getattr(t, a) for t in trajs], axis=-2)
+                             for a in (x, v)], axis=-2)
+        table = (state("xs", "vs"), state("dxs", "dvs"),
+                 state("hist_end_xslope", "hist_end_slope"))
         ei, ej = np.nonzero(g.arcs)
         delay_at = p.on_edges(ei, ej)
         ej = (ej + 4 * np.arange(len(trajs))[:, None]).ravel()
@@ -374,15 +375,14 @@ class TestStagePlan:
                 assert his[k] == (max(idx - 1, 1), idx, idx, idx)[s]
             else:
                 assert (ts[k], his[k]) == (times[idx], idx - 1)
-            tau_e = np.tile(delay_at(ts[k]), len(trajs))
-            assert tau_e.tobytes() == np.full(len(ej), tau[k]).tobytes()
+            assert np.float64(delay_at(ts[k])).tobytes() == tau[k].tobytes()
             if tau[k] == 0.0:
                 continue
             looked_up += 1
-            want = _hermite_gather(times, tables, ej, ts[k] - tau_e, his[k], n_hist)
-            got = _hermite_rows(tables, seg[k], [b[k] for b in basis], jump[k])
-            for a, b in zip(got, want):
-                assert a[ej].tobytes() == b.tobytes(), k
+            tau_e = np.full(len(ej), tau[k])
+            want = _hermite_gather(times, table, ej, ts[k] - tau_e, his[k], n_hist)
+            got = _hermite_rows(table, seg[k], [b[k] for b in basis], jump[k])
+            assert got[ej].tobytes() == want.tobytes(), k
         assert looked_up == {"zero": 0, "clipping-sinusoid": 4 * n_steps - 9}.get(
             case, 4 * n_steps + 1)
         assert jump[tau != 0.0].any() == (looked_up > 0)   # the slope jump at t = 0 is read

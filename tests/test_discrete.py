@@ -64,6 +64,16 @@ class TestGate:
         simulate_discrete(const([[0.0], [0.0]], [[0.0], [1.0]], p), g, w, p,
                           t_end=5, h=1.5, unsafe_h=True)
 
+    def test_unsafe_run_has_a_blow_up_guard(self):
+        # the velocity gap gains a factor 1 - 2*kappa*h = -5 a step, so the
+        # largest speed (1 + 5^k) / 2 passes the guard of 1e6 at step 10
+        g, w, p, _ = pair_setup()
+        hist = const([[0.0], [0.0]], [[0.0], [1.0]], p)
+        simulate_discrete(hist, g, w, p, t_end=9, h=3.0, unsafe_h=True)
+        with pytest.raises(IntegrationError, match="^solution blew up at t = 10$") as e:
+            simulate_discrete(hist, g, w, p, t_end=20, h=3.0, unsafe_h=True)
+        assert e.value.member == 0
+
 
 class TestStep:
     def test_single_euler_update(self):

@@ -219,6 +219,7 @@ class TestRun:
                      velocities=np.array([[1.0, 1.0]]), t_end=1.0)
         rep = run(s)
         assert rep.certificate is None
+        assert rep.no_certificate == "degenerate graph"
         assert rep.final_spread == 0.0
         assert rep.flocked
         assert rep.time_to_tolerance == 0.0
@@ -307,6 +308,12 @@ class TestSweep:
     def test_unknown_axis(self):
         with pytest.raises(ScenarioError):
             sweep(self.template(), {"viscosity": [1.0]})
+
+    def test_axis_without_values(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        with pytest.raises(ScenarioError, match="^sweep axis 'beta' has no values$"):
+            sweep(self.template(), {"scale": [1.0], "beta": []}, out_path=str(out))
+        assert not out.exists()
 
     def batch_sizes(self, monkeypatch):
         sizes = []

@@ -199,7 +199,10 @@ def _profiles(integer_valued):
 
 
 class TestOnEdges:
-    """The edge-array delays equal the per-edge call bit for bit."""
+    """The edge-array delays equal the per-edge call bit for bit: zero,
+    constant and sinusoidal delays as the one float every arc joining
+    distinct agents shares, piecewise-random ones as an (E,) array,
+    diagonal pairs included."""
 
     @staticmethod
     def _edges():
@@ -210,8 +213,18 @@ class TestOnEdges:
         return ei, ej
 
     @staticmethod
-    def _per_edge(p, ei, ej, t):
-        return np.array([p(int(i), int(j), t) for i, j in zip(ei, ej)])
+    def _check(p, at, ei, ej, t):
+        """at(t) against p(i, j, t) on every arc; returns at(t)."""
+        got = at(t)
+        want = np.array([p(int(i), int(j), t) for i, j in zip(ei, ej)])
+        if p.kind == "piecewise-random":
+            assert got.shape == (len(ei),)
+            assert got.tobytes() == want.tobytes()
+        else:
+            off = ei != ej
+            assert type(got) is float
+            assert np.full(off.sum(), got).tobytes() == want[off].tobytes()
+        return got
 
     @pytest.mark.parametrize("k", range(4))
     def test_rk4_stages_across_hold_boundaries(self, k):
@@ -223,21 +236,19 @@ class TestOnEdges:
         dt = 0.15
         for n in range(12):
             for t in (n * dt, n * dt + dt / 2, n * dt + dt / 2, n * dt + dt):
-                got = at(t)
-                assert got.shape == (len(ei),)
-                assert got.tobytes() == self._per_edge(p, ei, ej, t).tobytes()
-        assert at(0.25).tobytes() == self._per_edge(p, ei, ej, 0.25).tobytes()
+                self._check(p, at, ei, ej, t)
+        self._check(p, at, ei, ej, 0.25)
 
     @pytest.mark.parametrize("k", range(4))
     def test_integer_steps_across_hold_boundaries(self, k):
         p = _profiles(integer_valued=True)[k]
         ei, ej = self._edges()
         at = p.on_edges(ei, ej)
+        off = ei != ej
         for t in list(range(20)) + [4, 17, 0]:   # revisits earlier intervals
-            got = at(t)
-            assert got.tobytes() == self._per_edge(p, ei, ej, t).tobytes()
+            got = np.broadcast_to(self._check(p, at, ei, ej, t), len(ei))
             lags = [integer_delay(p, int(i), int(j), t) for i, j in zip(ei, ej)]
-            assert np.rint(got).astype(int).tolist() == lags
+            assert np.rint(got[off]).astype(int).tolist() == np.array(lags)[off].tolist()
 
     def test_one_draw_per_edge_per_hold_interval(self, monkeypatch):
         p = _profiles(integer_valued=False)[3]
@@ -257,4 +268,5 @@ class TestOnEdges:
 
     def test_empty_edge_list(self):
         for p in _profiles(False) + _profiles(True):
-            assert p.on_edges([], [])(0.3).shape == (0,)
+            got = p.on_edges([], [])(0.3)
+            assert got.shape == (0,) if p.kind == "piecewise-random" else type(got) is float
