@@ -28,7 +28,8 @@ def check_gate(kappa: float, h: float, n_infinity: int, unsafe: bool = False):
     if n_infinity > 0 and kappa * h >= 1.0 / n_infinity and not unsafe:
         raise StabilityGateError(
             f"kappa*h = {kappa * h:g} must be below 1/n_infinity = "
-            f"{1.0 / n_infinity:g}; pass unsafe_h=True to explore anyway")
+            f"{1.0 / n_infinity:g}; no certificate exists past the gate, and a run "
+            "with unsafe_h=True goes on uncertified")
 
 
 def simulate_discrete(history: InitialHistory, g: Digraph, w: WeightFunction,

@@ -230,9 +230,7 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> Scenario:
         delay = _build_delay(raw.get("delay", {}), integer_valued=(model == "discrete"))
         positions = np.asarray(raw["positions"], dtype=float)
         velocities = np.asarray(raw["velocities"], dtype=float)
-        scale = raw.get("velocity_scale")
-        if scale is not None:
-            velocities = velocities * float(scale)
+        velocities = _scaled(velocities, raw.get("velocity_scale", 1.0))
     except KeyError as e:
         raise ScenarioError(f"missing scenario key {e.args[0]!r}") from e
     except ScenarioError:
@@ -423,7 +421,15 @@ def _apply_axis(s: Scenario, axis: str, value: float) -> Scenario:
         return s.replace(delay=DelayProfile.constant(float(value)))
     if axis == "h":
         return s.replace(h=float(value))
-    return s.replace(velocities=s.velocities * float(value))   # "scale"; sweep checked the name
+    return s.replace(velocities=_scaled(s.velocities, value))   # sweep checked the name
+
+
+def _scaled(velocities: np.ndarray, scale: float) -> np.ndarray:
+    with np.errstate(over="ignore"):
+        v = velocities * float(scale)
+    if not np.isfinite(v).all():
+        raise ScenarioError(f"velocity scale {float(scale):g} overflows the velocities")
+    return v
 
 
 def sweep(template: Scenario, axes: dict[str, list[float]],
@@ -439,6 +445,8 @@ def sweep(template: Scenario, axes: dict[str, list[float]],
             raise ScenarioError(f"unknown sweep axis {a!r}; valid: {SWEEP_AXES}")
         if not len(axes[a]):
             raise ScenarioError(f"sweep axis {a!r} has no values")
+        if a == "tau" and template.delay.kind not in ("zero", "constant"):
+            raise ScenarioError(f"sweep axis 'tau' needs a constant delay, not {template.delay.kind}")
     grid = list(itertools.product(*(axes[a] for a in names)))
     points = []
     for values in grid:

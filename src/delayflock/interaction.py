@@ -8,6 +8,7 @@ immutable and pure in (i, j, t), so instances can be shared freely.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -16,6 +17,49 @@ import numpy as np
 
 class AdmissibilityError(ValueError):
     """Weight or delay violates a required bound."""
+
+
+_M32 = 2 ** 32 - 1
+_PCG_M = 0x2360ED051FC65DA44385DF649FCCF645        # PCG64's 128-bit multiplier M
+
+
+def _first_outputs(entropy):
+    """First outputs of ``default_rng(SeedSequence(entropy))``, lane by lane, for
+    four or more 32-bit words held in Python ints or uint64 arrays of lanes."""
+    const, mult = 0x43B0D7E5, 0x931E8875
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * mult & _M32
+        value = value * const & _M32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        r = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+        return r ^ r >> 16
+
+    def mul128(hi, lo, c):    # (hi, lo) * c mod 2**128; lo * c0 in full from 32-bit limbs
+        c1, c0 = divmod(c % 2 ** 128, 2 ** 64)
+        a0, a1, b0, b1 = lo & _M32, lo >> 32, c0 & _M32, c0 >> 32
+        mid = (a0 * b0 >> 32) + (a0 * b1 & _M32) + (a1 * b0 & _M32)
+        high = a1 * b1 + (a0 * b1 >> 32) + (a1 * b0 >> 32) + (mid >> 32)
+        return high + hi * c0 + lo * c1, lo * c0
+    pool = [hashmix(w) for w in entropy[:4]]
+    for src, dst in itertools.permutations(range(4), 2):
+        pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w, dst in itertools.product(entropy[4:], range(4)):
+        pool[dst] = mix(pool[dst], hashmix(w))
+    const, mult = 0x8B51F9DD, 0x58F38DED           # generate_state(4, np.uint64)
+    w32 = [hashmix(pool[d % 4]) for d in range(8)]
+    s = [w32[2 * d] | w32[2 * d + 1] << 32 for d in range(4)]
+    # seeding and the first step leave state = initstate * M**2 + inc * (M**2 + M + 1)
+    a_hi, a_lo = mul128(s[0], s[1], _PCG_M ** 2)
+    b_hi, b_lo = mul128(s[2] << 1 | s[3] >> 63, s[3] << 1 | 1, _PCG_M ** 2 + _PCG_M + 1)
+    lo = a_lo + b_lo
+    hi = a_hi + b_hi + (lo < a_lo)
+    x, rot = hi ^ lo, hi >> 58
+    return x >> rot | x << ((64 - rot) & 63)
 
 
 @dataclass(frozen=True)
@@ -169,6 +213,8 @@ class DelayProfile:
                 raise AdmissibilityError("random delay range outside [0, tau_max]")
             if self.hold <= 0:
                 raise AdmissibilityError("hold interval must be positive")
+            if self.seed < 0:
+                raise AdmissibilityError(f"random delay seed {self.seed} is negative")
             if self.integer_valued and math.ceil(self.low) > math.floor(self.high):
                 raise AdmissibilityError(
                     f"random delay range [{self.low}, {self.high}] holds no whole number")
@@ -215,16 +261,35 @@ class DelayProfile:
         if self.kind != "piecewise-random":
             fixed = float(self.value) if self.kind == "constant" else 0.0
             return lambda t: fixed
-        ei, ej = np.asarray(ei, dtype=int).tolist(), np.asarray(ej, dtype=int).tolist()
+        ei, ej = np.asarray(ei, dtype=np.uint64), np.asarray(ej, dtype=np.uint64)
         held = {}
 
         def at(t):
             k = int(np.floor(t / self.hold))
             if k not in held:
                 held.clear()
-                held[k] = np.array([self(i, j, t) for i, j in zip(ei, ej)], dtype=float)
+                held[k] = self._held_draws(ei, ej, t, k)
             return held[k]
         return at
+
+    def _held_draws(self, ei, ej, t, k):
+        """``self(i, j, t)`` on all arcs at once, k the hold index of t; diagonal lanes,
+        Lemire's rejections and ranges of over 2**32 integers take the per-arc call."""
+        seed = int(self.seed)
+        words = [(seed >> s) & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
+        x = _first_outputs(words + [ei, ej, k & 0x7FFFFFFF])
+        redo = ei == ej
+        if self.integer_valued:
+            low = math.ceil(self.low)
+            excl = math.floor(self.high) + 1 - low
+            m = (x & _M32) * min(excl, 2 ** 32)     # Lemire on the low 32 bits
+            draws = (low + (m >> 32)).astype(float)
+            redo |= excl > 2 ** 32 or (m & _M32) < (2 ** 32 - excl) % excl
+        else:
+            draws = self.low + (self.high - self.low) * ((x >> 11) * 2.0 ** -53)
+        for e in np.flatnonzero(redo):
+            draws[e] = self(int(ei[e]), int(ej[e]), t)
+        return draws
 
     @property
     def integer_tau_max(self) -> int:

@@ -132,6 +132,8 @@ UNSAFE_DIVERGES = {"graph": {"n": 2, "complete": True}, "model": "discrete",
                    "weight": {"type": "constant", "kappa": 1.0}, "delay": {"type": "zero"},
                    "positions": [[0.0], [1.0]], "velocities": [[0.0], [1.0]],
                    "h": 3, "t_end": 20, "unsafe_h": True}
+RANDOM_DELAY = dict(DISCRETE, delay={"type": "piecewise-random", "tau": 1.0, "seed": 3,
+                                     "hold": 0.5})
 
 
 @pytest.mark.parametrize("command, raw, flags, message", [
@@ -164,6 +166,12 @@ UNSAFE_DIVERGES = {"graph": {"n": 2, "complete": True}, "model": "discrete",
     ("simulate", UNSAFE_DIVERGES, [], "error: scenario.json: solution blew up at t = 10\n"),
     ("sweep", UNSAFE_DIVERGES, ["--axis", "h=3:3:1"],
      "error: scenario.json@h=3: solution blew up at t = 10\n"),
+    ("sweep", dict(DISCRETE, velocity_scale=1.0), ["--axis", "scale=1e308:1e308:1"],
+     "error: velocity scale 1e+308 overflows the velocities\n"),
+    ("simulate", dict(SCENARIO, velocity_scale=1e308), [],
+     "error: velocity scale 1e+308 overflows the velocities\n"),
+    ("sweep", RANDOM_DELAY, ["--axis", "tau=1:1:1"],
+     "error: sweep axis 'tau' needs a constant delay, not piecewise-random\n"),
 ], ids=["gate-check", "gate-simulate", "nan-position", "blow-up", "negative-dt",
         "zero-horizon", "missing-arcs", "malformed-json", "directory", "string-beta",
         "one-vertex-arc", "huge-integer", "discrete-negative-horizon",
@@ -171,7 +179,8 @@ UNSAFE_DIVERGES = {"graph": {"n": 2, "complete": True}, "model": "discrete",
         "discrete-inf-t-end-flag", "discrete-fractional-t-end-flag",
         "zero-period-simulate", "zero-period-check", "sweep-nan-h", "sweep-nan-beta",
         "sweep-nan-kappa", "sweep-nan-scale", "sweep-inf-kappa", "unsafe-check",
-        "unsafe-blow-up-simulate", "unsafe-blow-up-sweep"])
+        "unsafe-blow-up-simulate", "unsafe-blow-up-sweep", "sweep-scale-overflow",
+        "velocity-scale-overflow", "sweep-tau-random"])
 def test_bad_input_exits_2_with_one_line(command, raw, flags, message, tmp_path, capsys):
     # raw is a scenario object, or the name of a file under tmp_path
     (tmp_path / "bad.json").write_text('{"graph": \n !')
@@ -204,6 +213,14 @@ def test_unsafe_step_runs_uncertified(tmp_path, capsys):
     assert main(["simulate", _file(tmp_path, raw)]) == EXIT_OK
     assert capsys.readouterr().out.splitlines()[0] == (
         "certificate: n/a (kappa*h past the stability gate, run with unsafe_h)")
+
+
+def test_gate_with_unsafe_h_set_says_no_certificate_exists(tmp_path, capsys):
+    # the scenario already sets unsafe_h, so the line gives no advice to set it
+    assert main(["check-condition", _file(tmp_path, UNSAFE_DIVERGES)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        "error: kappa*h = 3 must be below 1/n_infinity = 1; no certificate exists past "
+        "the gate, and a run with unsafe_h=True goes on uncertified\n")
 
 
 def test_misspelt_key_names_the_closest_valid_one(tmp_path, capsys):

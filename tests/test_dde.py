@@ -261,14 +261,14 @@ class TestBatch:
                          seed=5, hold=1.0)
         hists, _ = self.members()
         w = WeightFunction(kind="cucker-smale", kappa=1.0, beta=0.25)
-        draws = []
-        draw = DelayProfile.__call__
+        draws = []                           # one entry per arc drawn
+        held = DelayProfile._held_draws
 
-        def counted(self, i, j, t):
-            draws.append(t)
-            return draw(self, i, j, t)
+        def counted(self, ei, ej, t, k):
+            draws.extend([t] * len(ei))
+            return held(self, ei, ej, t, k)
 
-        monkeypatch.setattr(DelayProfile, "__call__", counted)
+        monkeypatch.setattr(DelayProfile, "_held_draws", counted)
         integrate(hists[0], g, w, p, t_end=4.0, dt=0.05)
         lone = len(draws)
         integrate(hists + hists[:1], g, w, p, t_end=4.0, dt=0.05)

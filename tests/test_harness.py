@@ -315,6 +315,26 @@ class TestSweep:
             sweep(self.template(), {"scale": [1.0], "beta": []}, out_path=str(out))
         assert not out.exists()
 
+    def test_tau_axis_needs_a_constant_delay(self):
+        # the axis sets DelayProfile.constant(tau); on a time-varying template
+        # it would run another delay than the template's without a word
+        for delay in (DelayProfile(kind="piecewise-random", tau_max=1.0, high=1.0, seed=3,
+                                   hold=0.5),
+                      DelayProfile(kind="sinusoidal", tau_max=1.0, mean=0.5, amplitude=0.5)):
+            with pytest.raises(ScenarioError, match="^sweep axis 'tau' needs a constant "
+                                                    f"delay, not {delay.kind}$"):
+                sweep(self.template().replace(delay=delay), {"tau": [1.0]})
+        for delay in (DelayProfile.zero(), DelayProfile.constant(1.0)):
+            rep, = sweep(self.template().replace(delay=delay), {"tau": [0.5]})
+            assert rep.scenario.delay == DelayProfile.constant(0.5)
+
+    def test_scale_axis_overflow_is_refused(self):
+        s = self.template().replace(velocities=np.array(harness.BASE_VELOCITIES))
+        with pytest.raises(ScenarioError, match="^velocity scale 1e\\+308 overflows"):
+            sweep(s, {"scale": [1e308]})
+        with pytest.raises(ScenarioError, match="^velocity scale nan overflows"):
+            sweep(s, {"scale": [math.nan]})
+
     def batch_sizes(self, monkeypatch):
         sizes = []
         integrate = harness.integrate

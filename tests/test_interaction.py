@@ -120,6 +120,10 @@ class TestDelayEval:
             DelayProfile(kind="constant", value=2.0, tau_max=1.0)
         with pytest.raises(AdmissibilityError):
             DelayProfile(kind="sinusoidal", tau_max=1.0, mean=0.8, amplitude=0.5)
+        # SeedSequence refuses a negative seed; the vectorized draw would
+        # split it into words and draw from them instead of failing
+        with pytest.raises(AdmissibilityError, match="seed -1 is negative"):
+            DelayProfile(kind="piecewise-random", tau_max=1.0, high=1.0, seed=-1)
 
 
 def _lags_read(p, t_end=20):
@@ -253,14 +257,14 @@ class TestOnEdges:
     def test_one_draw_per_edge_per_hold_interval(self, monkeypatch):
         p = _profiles(integer_valued=False)[3]
         ei, ej = self._edges()
-        calls = []
-        draw = DelayProfile.__call__
+        calls = []                           # one entry per arc drawn
+        held = DelayProfile._held_draws
 
-        def counted(self, i, j, t):
-            calls.append(t)
-            return draw(self, i, j, t)
+        def counted(self, ei, ej, t, k):
+            calls.extend([t] * len(ei))
+            return held(self, ei, ej, t, k)
 
-        monkeypatch.setattr(DelayProfile, "__call__", counted)
+        monkeypatch.setattr(DelayProfile, "_held_draws", counted)
         at = p.on_edges(ei, ej)
         for t in np.arange(0.0, 1.0, 0.05):      # 20 calls, 4 intervals
             at(t)
@@ -270,3 +274,98 @@ class TestOnEdges:
         for p in _profiles(False) + _profiles(True):
             got = p.on_edges([], [])(0.3)
             assert got.shape == (0,) if p.kind == "piecewise-random" else type(got) is float
+
+
+def _counting_calls(monkeypatch):
+    """Patch DelayProfile.__call__ to record its arguments; returns the record."""
+    calls = []
+    draw = DelayProfile.__call__
+
+    def counted(self, i, j, t):
+        calls.append((i, j, t))
+        return draw(self, i, j, t)
+    monkeypatch.setattr(DelayProfile, "__call__", counted)
+    return calls
+
+
+class TestHeldDraws:
+    """The vectorized draw of a hold interval equals ``__call__`` bit for
+    bit on every arc: numpy's SeedSequence and PCG64 under the installed
+    numpy are the reference."""
+
+    HOLD = 0.5
+
+    @staticmethod
+    def _arcs(n_arcs=120, n_agents=200, seed=3):
+        rng = np.random.default_rng(seed)
+        ei = rng.integers(0, n_agents, size=n_arcs)
+        ej = rng.integers(0, n_agents, size=n_arcs)
+        ej[:4] = ei[:4]                      # diagonal pairs read 0
+        return ei, ej
+
+    @staticmethod
+    def _graph_arcs(seed):
+        """The 1000 arcs of a 200-agent graph, 5 senders per agent, no self-arcs."""
+        ei = np.repeat(np.arange(200), 5)
+        return ei, (ei + np.random.default_rng(seed).integers(1, 200, size=1000)) % 200
+
+    def _check(self, p, ei, ej, k):
+        t = (k + 0.5) * self.HOLD             # inside hold interval k
+        assert math.floor(t / self.HOLD) == k
+        got = p.on_edges(ei, ej)(t)
+        want = np.array([p(int(i), int(j), t) for i, j in zip(ei, ej)], dtype=float)
+        assert got.dtype == np.float64 and got.shape == (len(ei),)
+        assert got.tobytes() == want.tobytes()
+
+    def _profile(self, seed, low, high, integer_valued):
+        return DelayProfile(kind="piecewise-random", tau_max=float(high), low=low, high=high,
+                            seed=seed, hold=self.HOLD, integer_valued=integer_valued)
+
+    # seeds of one, two and three uint32 words; k past the 0x7FFFFFFF mask
+    SEEDS = [0, 7, 2 ** 31 - 1, 2 ** 40 + 3, 2 ** 64 + 5]
+    HOLDS = [0, 1, 2 ** 31 - 1, 2 ** 31, 2 ** 33 + 1]
+    # float ranges; integer ranges without rejections, with about half the
+    # lanes rejected, of exactly 2**32 values and of more than 2**32 values
+    RANGES = [(0.1, 0.9, False), (0.0, 1.0, False), (2.5, 2.5, False), (0.0, 1e-300, False),
+              (0, 3, True), (1, 5, True), (0, 2 ** 31, True), (0, 2 ** 32 - 1, True),
+              (2 ** 20, 2 ** 20 + 2 ** 33, True)]
+
+    @pytest.mark.parametrize("low, high, integer_valued", RANGES)
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_every_arc_matches_the_call(self, seed, low, high, integer_valued):
+        p = self._profile(seed, low, high, integer_valued)
+        for k in self.HOLDS:
+            self._check(p, *self._arcs(), k)
+            self._check(p, [], [], k)
+
+    @pytest.mark.parametrize("low, high, rejected", [
+        (0.1, 0.9, (0.0, 0.0)), (0, 3, (0.0, 0.0)), (1, 5, (0.0, 0.0)),
+        (0, 2 ** 31, (0.3, 0.7)), (0, 2 ** 32 - 1, (0.0, 0.0)), (0, 2 ** 33, (1.0, 1.0))])
+    def test_per_arc_calls_only_where_the_kernel_cannot_draw(self, low, high, rejected,
+                                                             monkeypatch):
+        # [0, 2**31] has 2**31 + 1 values, so Lemire's method rejects about
+        # half the lanes; [0, 2**33] has more than 2**32 values, so every lane
+        p = self._profile(11, low, high, isinstance(low, int))
+        ei, ej = self._graph_arcs(5)
+        calls = _counting_calls(monkeypatch)
+        p.on_edges(ei, ej)(0.2)
+        assert rejected[0] <= len(calls) / len(ei) <= rejected[1]
+        self._check(p, ei, ej, 0)
+
+    def test_float_draws_make_no_per_arc_call(self, monkeypatch):
+        p = self._profile(0, 0.0, 1.0, False)
+        calls = _counting_calls(monkeypatch)
+        at = p.on_edges(*self._graph_arcs(1))
+        for t in (0.0, 0.3, 0.6, 7.2):
+            at(t)
+        assert calls == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 100), k=st.integers(-2 ** 40, 2 ** 40),
+           arcs=st.lists(st.tuples(st.integers(0, 2 ** 20), st.integers(0, 2 ** 20)),
+                         max_size=30),
+           integer_valued=st.booleans())
+    def test_random_seeds_holds_and_arcs(self, seed, k, arcs, integer_valued):
+        p = self._profile(seed, 1, 6, integer_valued)
+        ei, ej = (np.array(a, dtype=int).reshape(-1) for a in zip(*arcs)) if arcs else ([], [])
+        self._check(p, ei, ej, k)
