@@ -142,13 +142,21 @@ def condition_supremum(x0: float, w: WeightFunction, p: ModelParams) -> float:
     return math.nan
 
 
+def _log_gap(rho: float, x0: float, w: WeightFunction, p: ModelParams, h: float | None) -> float:
+    """log(1 - delta) of the Euler recursion with step h, or of the continuous system."""
+    g, ni, k, tau = p.gamma_g, p.n_infinity, p.kappa, p.tau
+    if h is None:
+        return (g * math.log(float(w(x0 + rho))) - ni * k * g * (3 * tau + 2)
+                - math.log(2.0) - g * math.log1p(ni * k))
+    return (g * math.log(h) + g * math.log(float(w(x0 + rho)))
+            + g * (3 * tau + 1) * math.log1p(-h * ni * k)
+            - math.log(2.0) - g * math.log1p(ni * k))
+
+
 def delta_continuous(rho: float, x0: float, w: WeightFunction,
                      p: ModelParams) -> float:
     """Per-block contraction factor for the continuous system."""
-    g, ni, k, tau = p.gamma_g, p.n_infinity, p.kappa, p.tau
-    log_sub = (g * math.log(float(w(x0 + rho))) - ni * k * g * (3 * tau + 2)
-               - math.log(2.0) - g * math.log1p(ni * k))
-    return 1.0 - math.exp(log_sub)
+    return 1.0 - math.exp(_log_gap(rho, x0, w, p, None))
 
 
 def delta_discrete(rho: float, x0: float, w: WeightFunction,
@@ -156,11 +164,7 @@ def delta_discrete(rho: float, x0: float, w: WeightFunction,
     """Per-block contraction factor for the Euler recursion."""
     if p.h is None:
         raise AnalysisError("discrete delta needs a step size h")
-    g, ni, k, tau, h = p.gamma_g, p.n_infinity, p.kappa, p.tau, p.h
-    log_sub = (g * math.log(h) + g * math.log(float(w(x0 + rho)))
-               + g * (3 * tau + 1) * math.log1p(-h * ni * k)
-               - math.log(2.0) - g * math.log1p(ni * k))
-    return 1.0 - math.exp(log_sub)
+    return 1.0 - math.exp(_log_gap(rho, x0, w, p, p.h))
 
 
 @dataclass(frozen=True)
@@ -174,7 +178,8 @@ class FlockingCertificate:
     measured_D0: float
     measured_X0: float
     regime: str
-    delta: float
+    delta: float                 # rounded; the bounds use log_delta, which keeps its digits
+    log_delta: float
     verdict: str                 # "guaranteed" | "not-guaranteed"
     margin: float
     boundary_limit_used: bool = False
@@ -280,11 +285,11 @@ def _certify(history: InitialHistory, g: Digraph, w: WeightFunction, dp: DelayPr
                 threshold = sup
                 satisfied = True
                 boundary = True
-    delta_fn = delta_discrete if model == "discrete" else delta_continuous
-    delta = delta_fn(rho, x0, w, p)
+    gap = math.exp(_log_gap(rho, x0, w, p, h))
     return FlockingCertificate(
         model=model, c_const=c, rho=float(rho), threshold=threshold,
-        measured_D0=d0, measured_X0=x0, regime=regime, delta=delta,
+        measured_D0=d0, measured_X0=x0, regime=regime, delta=1.0 - gap,
+        log_delta=math.log1p(-gap),
         verdict="guaranteed" if satisfied else "not-guaranteed",
         margin=threshold - d0, boundary_limit_used=boundary, params=p)
 
@@ -373,7 +378,7 @@ def verify_decay(series: DiameterSeries, cert: FlockingCertificate,
         t = n * block
         k = int(round((t - series.times[0]) / dt))
         k = min(k, len(series.spread) - 1)
-        bound = cert.delta ** n * d0 * (1.0 + tol)
+        bound = math.exp(n * cert.log_delta) * d0 * (1.0 + tol)
         val = float(series.spread[k])
         excess = val - bound
         worst = max(worst, excess)
@@ -387,10 +392,9 @@ def verify_decay(series: DiameterSeries, cert: FlockingCertificate,
         ts = series.times[pos]
         ys = np.log(series.spread[pos])
         rate = float(np.polyfit(ts, ys, 1)[0])
-    bound_rate = math.log(cert.delta) / block if cert.delta > 0 else -math.inf
     return DecayReport(passed=not failures, n_checked=n,
                        worst_excess=worst, empirical_rate=rate,
-                       bound_rate=bound_rate, failures=tuple(failures))
+                       bound_rate=cert.log_delta / block, failures=tuple(failures))
 
 
 @dataclass(frozen=True)
@@ -423,7 +427,7 @@ def position_bound(traj: Trajectory, cert: FlockingCertificate) -> PositionBound
         return PositionBoundReport(passed=True, bound=0.0, max_distance=0.0,
                                    vacuous=False)
     l1 = np.abs(x0[iu] - x0[ju]).sum(axis=1).max()
-    ln_inv = -math.log(cert.delta)
+    ln_inv = -cert.log_delta
     if ln_inv <= 0:
         bound = math.inf
     else:

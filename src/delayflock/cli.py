@@ -10,6 +10,7 @@ import argparse
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -163,12 +164,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.fn(args)
-    except (harness.ScenarioError, GraphError, AdmissibilityError, an.AnalysisError,
-            StabilityGateError, IntegrationError, OSError, MemoryError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_VALIDATION
+    with warnings.catch_warnings(record=True) as caught:   # printed below, one line each
+        try:
+            code = args.fn(args)
+        except (harness.ScenarioError, GraphError, AdmissibilityError, an.AnalysisError,
+                StabilityGateError, IntegrationError, OSError, MemoryError) as e:
+            print(f"error: {e}", file=sys.stderr)
+            return EXIT_VALIDATION
+    sys.stderr.writelines(f"warning: {w.message}\n" for w in caught)
+    return code
 
 
 if __name__ == "__main__":

@@ -12,10 +12,10 @@ segment (delays smaller than the step) extrapolate that segment.
 
 The state (x, v) is one array, so a stage does one lookup and a step
 one update.  Zero, constant and sinusoidal delays take one value on
-every arc at a given time, so each stage has one lookup time: its
-segment and basis weights are planned before the loop.  Piecewise-random
-delays differ from arc to arc and are gathered per arc at every stage.
-Both paths give the same numbers, bit for bit.
+every arc at a given time, so each stage has one lookup time, planned
+before the loop, and the stages whose rows are committed are looked up
+in one call.  Piecewise-random delays are gathered per arc at every
+stage.  Both paths give the same numbers, bit for bit.
 
 Also provides the windowed velocity-spread diagnostics: per-component
 trailing-window extrema over [t - tau, t] and their spread.
@@ -29,11 +29,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .digraph import Digraph
-from .interaction import DelayProfile, WeightFunction
+from .interaction import DelayProfile, WeightFunction, batch_weight
 
 
 # a velocity beyond this multiple of its member's largest history one (or 1) is a blow-up
 BLOWUP_FACTOR = 1e6
+# the most arc rows (one (x, v) row per arc and stage) a block of planned lookups gathers
+LOOKUP_BLOCK_ROWS = 2 ** 14
 
 
 class IntegrationError(RuntimeError):
@@ -205,15 +207,16 @@ def _hermite_basis(times, s, hi):
     return seg, (2 * u3 - 3 * u2 + 1, (u3 - 2 * u2 + u) * h, -2 * u3 + 3 * u2, (u3 - u2) * h)
 
 
-def _hermite_rows(table, a, weights, jump):
-    """Every row of the (vals, slopes, fix_val) table at one time in
-    segment a with basis ``weights``.  The slope at a + 1 is fix_val when
+def _hermite_rows(table, a, weights, jump, rows=slice(None)):
+    """The given rows of the (vals, slopes, fix_val) table at times in
+    segments a with basis ``weights``: one time, or arrays of times that
+    broadcast against the rows.  The slope at a + 1 is fix_val where
     ``jump`` (the derivative jumps where prescribed history meets the
     dynamics)."""
     vals, slopes, fix_val = table
     h00, h10, h01, h11 = weights
-    return (h00 * vals[a] + h10 * slopes[a] + h01 * vals[a + 1]
-            + h11 * (fix_val if jump else slopes[a + 1]))
+    return (h00 * vals[a, rows] + h10 * slopes[a, rows] + h01 * vals[a + 1, rows]
+            + h11 * np.where(jump, fix_val[rows], slopes[a + 1, rows]))
 
 
 def _hermite_gather(times, table, j_e, s_e, hi, fix_idx):
@@ -324,20 +327,19 @@ def integrate(history: InitialHistory | Sequence[InitialHistory], g: Digraph,
     at = p.on_edges(ei, ej)
     offset = np.repeat(np.arange(B) * n, n_arcs)
     ei, ej = np.tile(ei, B) + offset, np.tile(ej, B) + offset
-    # one weight call per run of members sharing a weight, with its own
-    # scalar parameters (an exponent array rounds differently at beta = 1);
-    # tabulated weights are compared by identity, as == fails on tables
-    keys = [id(m) if m.kind == "tabulated" else (m.kind, m.kappa, m.beta, m.normalize_by)
-            for m in ws]
-    starts = [b for b in range(B) if b == 0 or keys[b] != keys[b - 1]]
-    cuts = [b * n_arcs for b in starts] + [B * n_arcs]
-    psi = ws[0] if len(starts) == 1 else lambda r: np.concatenate(
-        [ws[b](r[lo:hi]) for b, lo, hi in zip(starts, cuts, cuts[1:])])
+    psi = batch_weight(ws, n_arcs)
     table = (ys, dys, hist_end)
     ts, his, tau_s, seg, basis, jump = _stage_plan(times, n_hist, n_steps, dt, p)
+    if tau_s is not None:
+        # the block of stages opened at k reads rows committed by then, up to his[k]
+        # (or fixed, up to n_hist), and holds at most LOOKUP_BLOCK_ROWS gathered arc rows
+        ready = np.maximum.accumulate(seg + 1).searchsorted(np.maximum(his, n_hist), "right")
+        ends = np.minimum(ready, np.arange(len(ts)) + max(1, LOOKUP_BLOCK_ROWS // (len(ej) or 1)))
+    block, lo, hi = None, 0, 0
 
     def stage_rhs(k, y):
         # k: index of the stage in the plan; returns the slope (v, dv) at y
+        nonlocal lo, hi, block
         if tau_s is None:
             tau_e = np.tile(np.broadcast_to(at(ts[k]), n_arcs), B)
             yd = y[ej]
@@ -346,7 +348,11 @@ def integrate(history: InitialHistory | Sequence[InitialHistory], g: Digraph,
                 yd[past] = _hermite_gather(times, table, ej[past], ts[k] - tau_e[past],
                                            his[k], n_hist)
         elif tau_s[k] != 0.0:
-            yd = _hermite_rows(table, seg[k], [b[k] for b in basis], jump[k])[ej]
+            if k >= hi:
+                lo, hi = k, ends[k]
+                block = _hermite_rows(table, seg[lo:hi, None], [b[lo:hi, None, None, None]
+                                      for b in basis], jump[lo:hi, None, None, None], ej)
+            yd = block[k - lo]
         else:
             yd = y[ej]
         dv = edge_forces(y[ei, 0], yd[:, 0], y[ei, 1], yd[:, 1], ei, psi, nb)

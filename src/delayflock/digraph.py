@@ -135,6 +135,8 @@ def compute_metrics(g: Digraph) -> GraphMetrics:
     whoever reaches a root reaches everything.  A rootless graph stops
     when no row grows.  A single vertex is its own root, depth 0.
     """
+    if "_metrics" in g.__dict__:   # the graph is frozen: one closure, kept on it
+        return g._metrics
     succ = g.arcs.T.astype(np.float32)
     reach = np.eye(g.n_vertices, dtype=bool)
     front, level = reach, 0
@@ -143,8 +145,9 @@ def compute_metrics(g: Digraph) -> GraphMetrics:
         reach |= front
         level += 1
     n_inf = int(g.arcs.sum(axis=1).max())
-    if not full.any():
-        return GraphMetrics(n_infinity=n_inf)
-    roots = np.flatnonzero(_bfs(g.arcs, int(full.argmax())) < INF)
-    return GraphMetrics(roots=frozenset(roots.tolist()), gamma_g=level,
-                        n_infinity=n_inf)
+    m = GraphMetrics(n_infinity=n_inf)
+    if full.any():
+        roots = np.flatnonzero(_bfs(g.arcs, int(full.argmax())) < INF)
+        m = GraphMetrics(roots=frozenset(roots.tolist()), gamma_g=level, n_infinity=n_inf)
+    object.__setattr__(g, "_metrics", m)
+    return m

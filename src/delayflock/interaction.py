@@ -131,6 +131,28 @@ class WeightFunction:
         return out if out.ndim else float(out)
 
 
+def batch_weight(ws, n_arcs: int):
+    """One psi on the arcs of the members ws, member b's on lanes b*n_arcs onward, bit for
+    bit as its own call on norms, whose sign it does not check: kappa_e * (1 + r^2)^-beta,
+    a constant weight with exponent -0.0.  numpy takes a scalar exponent -1 as a reciprocal,
+    which an array exponent misses by an ulp, so lanes at beta = 1 divide."""
+    params = [(m.effective_kappa, -0.0 if m.kind == "constant" else -m.beta) for m in ws]
+    tabs = [(b * n_arcs, m) for b, m in enumerate(ws) if m.kind == "tabulated"]
+    kappa, e = params[0] if len(set(params)) == 1 else np.repeat(np.array(params).T, n_arcs, 1)
+    recip = e == -1.0 if np.ndim(e) and (e == -1.0).any() else None
+
+    def psi(r):
+        base = 1.0 + r * r
+        out = base ** e
+        if recip is not None:
+            np.divide(1.0, base, out=out, where=recip)
+        out = kappa * out
+        for lo, m in tabs:   # tabulated members interpolate their own lanes
+            out[lo:lo + n_arcs] = m(r[lo:lo + n_arcs])
+        return out
+    return psi
+
+
 @dataclass(frozen=True)
 class AdmissibilityReport:
     passed: bool

@@ -28,6 +28,7 @@ from delayflock.analysis import (
 from delayflock.dde import InitialHistory, IntegrationError, Trajectory, diameters, integrate
 from delayflock.digraph import Digraph
 from delayflock.discrete import StabilityGateError
+from delayflock.harness import run, scenario_from_dict
 from delayflock.interaction import DelayProfile, WeightFunction
 
 from oracles import history_spreads_reference, max_pair_distance_reference
@@ -445,6 +446,23 @@ class TestDecayAndPositions:
             tracemalloc.stop()
         assert rep.max_distance == max_pair_distance_reference(xs[10:])
         assert peak < 2e6
+
+    def test_delta_rounding_to_one_keeps_its_rate(self):
+        # ten agents all-to-all with a constant weight: 1 - delta is
+        # exp(-45) / 20, below half an ulp of 1, so delta rounds to 1.0
+        # while the bounds read the gap from log_delta
+        rng = np.random.default_rng(2)
+        s = scenario_from_dict({"graph": {"n": 10, "complete": True},
+                                "delay": {"type": "constant", "tau": 1.0},
+                                "positions": rng.normal(size=(10, 2)).tolist(),
+                                "velocities": rng.normal(size=(10, 2)).tolist(),
+                                "velocity_scale": 1e-20, "t_end": 3.0, "dt": 0.05})
+        rep = run(s)
+        cert = rep.certificate
+        assert cert.guaranteed and cert.delta == 1.0
+        assert cert.log_delta == pytest.approx(-math.exp(-45) / 20, rel=1e-12)
+        assert rep.decay and rep.decay.bound_rate == cert.log_delta / 3
+        assert rep.positions_check and math.isfinite(rep.positions_check.bound)
 
     def test_fabricated_violation_detected(self):
         cert, _, series = self.run_certified()

@@ -1,9 +1,13 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import delayflock
 from delayflock import analysis
 from delayflock.cli import EXIT_DEFECT, EXIT_OK, EXIT_VALIDATION, main
 from delayflock.digraph import Digraph
@@ -229,3 +233,31 @@ def test_misspelt_key_names_the_closest_valid_one(tmp_path, capsys):
     assert main(["simulate", _file(tmp_path, raw)]) == EXIT_VALIDATION
     assert capsys.readouterr().err == (
         "error: unknown scenario key 't_ned'; did you mean 't_end'?\n")
+
+
+CONTINUOUS_RANDOM = dict(SCENARIO, delay={"type": "piecewise-random", "tau": 1.0, "seed": 3,
+                                          "hold": 0.5})
+DISCONTINUOUS = ("warning: discontinuous delay profile used with the continuous integrator; "
+                 "accuracy near jumps is degraded\n")
+
+
+def _cli(tmp_path, *argv):
+    """Exit code and the real stderr of the command-line tool in its own process."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(delayflock.__file__)))
+    done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m",
+                           "delayflock.cli", *argv], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    return done.returncode, done.stderr
+
+
+def test_library_warning_prints_as_one_line(tmp_path):
+    code, err = _cli(tmp_path, "simulate", _file(tmp_path, CONTINUOUS_RANDOM),
+                     "--t-end", "1")
+    assert (code, err) == (EXIT_OK, DISCONTINUOUS)
+
+
+def test_refused_input_prints_only_its_error_line(tmp_path):
+    code, err = _cli(tmp_path, "sweep", _file(tmp_path, CONTINUOUS_RANDOM),
+                     "--axis", "tau=1:1:1")
+    assert (code, err) == (
+        EXIT_VALIDATION, "error: sweep axis 'tau' needs a constant delay, not piecewise-random\n")

@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from delayflock import dde
 from delayflock.analysis import initial_spreads
@@ -204,6 +208,20 @@ class TestBatch:
               for b in (1.0, 1.0, 0.25, 17 / 32)]
         return hists, ws
 
+    @staticmethod
+    def mixed_weights():
+        """Members whose weights take every branch of the batch weight: betas
+        0, 1 (a reciprocal), 0.25 and 17/32, a constant, a normalized and a
+        tabulated weight."""
+        hists, _ = TestBatch.members()
+        ws = [WeightFunction(kind="cucker-smale", kappa=1.3, beta=b)
+              for b in (0.0, 1.0, 0.25, 17 / 32)]
+        ws += [WeightFunction(kind="constant", kappa=0.7),
+               WeightFunction(kind="cucker-smale", kappa=2.0, beta=1.0, normalize_by=4),
+               WeightFunction(kind="tabulated", kappa=1.0, table_r=np.array([0.0, 1.0, 5.0]),
+                              table_v=np.array([1.0, 0.8, 0.1]))]
+        return [hists[k % len(hists)] for k in range(len(ws))], ws
+
     @pytest.mark.parametrize("p", [
         DelayProfile.constant(1.0),
         DelayProfile.constant(0.013, tau_max=1.0),
@@ -215,18 +233,18 @@ class TestBatch:
         CLIPPING_SINUSOID])
     def test_members_match_lone_runs_bit_for_bit(self, p):
         g = Digraph.from_arc_list(4, FIG_ARCS, one_based=True)
-        hists, ws = self.members()
-        batch = integrate(hists, g, ws, p, t_end=2.0, dt=0.02)
-        assert len(batch) == len(hists)
-        for h, w, got in zip(hists, ws, batch):
-            want = integrate(h, g, w, p, t_end=2.0, dt=0.02)
-            for name in ("times", "xs", "vs", "dvs", "dxs", "hist_end_slope",
-                         "hist_end_xslope"):
-                assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
-            assert got.n_hist == want.n_hist
-            for t in (-0.51, -0.005, 0.0, 1.234, 2.0):
-                for a, b in zip(got.state_at(t), want.state_at(t)):
-                    assert a.tobytes() == b.tobytes()
+        for hists, ws in (self.members(), self.mixed_weights()):
+            batch = integrate(hists, g, ws, p, t_end=2.0, dt=0.02)
+            assert len(batch) == len(hists)
+            for h, w, got in zip(hists, ws, batch):
+                want = integrate(h, g, w, p, t_end=2.0, dt=0.02)
+                for name in ("times", "xs", "vs", "dvs", "dxs", "hist_end_slope",
+                             "hist_end_xslope"):
+                    assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+                assert got.n_hist == want.n_hist
+                for t in (-0.51, -0.005, 0.0, 1.234, 2.0):
+                    for a, b in zip(got.state_at(t), want.state_at(t)):
+                        assert a.tobytes() == b.tobytes()
 
     def test_one_weight_serves_every_member(self):
         g, w, p, _ = fig_setup()
@@ -344,9 +362,9 @@ def plan_cases():
 
 
 class TestStagePlan:
-    """Delays every arc shares are looked up once per stage, by basis
-    weights planned before the RK4 loop; bit for bit as the per-arc
-    gather, which piecewise-random delays use."""
+    """Delays every arc shares are looked up by basis weights planned
+    before the RK4 loop, a block of stages per call; bit for bit as the
+    per-arc gather, which piecewise-random delays use."""
 
     @pytest.mark.parametrize("case", list(plan_cases()))
     def test_plan_matches_per_arc_gather_stage_by_stage(self, case):
@@ -392,11 +410,93 @@ class TestStagePlan:
         p, hists, ws = plan_cases()[case]
         g = Digraph.from_arc_list(4, FIG_ARCS, one_based=True)
         planned = integrate(hists, g, ws, p, t_end=2.0, dt=0.02)
-        plan = dde._stage_plan   # as piecewise-random delays get it: no shared delay
-        monkeypatch.setattr(dde, "_stage_plan", lambda *a: plan(*a)[:2] + (None,) * 4)
-        for got, want in zip(planned, integrate(hists, g, ws, p, t_end=2.0, dt=0.02)):
-            for name in ("xs", "vs", "dxs", "dvs"):
-                assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        assert_per_arc_path_agrees(planned, hists, g, ws, p, 2.0, 0.02, monkeypatch)
+
+    @pytest.mark.parametrize("cap", [dde.LOOKUP_BLOCK_ROWS, 40])
+    @pytest.mark.parametrize("case", list(plan_cases()))
+    def test_each_block_reads_only_committed_rows(self, case, cap, monkeypatch):
+        # a block of lookups opened at stage k may read only slopes up to
+        # his[k], or the fixed history side of the slope jump at n_hist, and
+        # gathers at most cap arc rows; each shared-delay stage is in one block
+        p, hists, ws = plan_cases()[case]
+        g = Digraph.from_arc_list(4, FIG_ARCS, one_based=True)
+        dt, n_steps, n_arcs = 0.02, 100, 4 * len(hists)
+        stages, blocks = [], []
+        forces, rows = dde.edge_forces, dde._hermite_rows
+
+        def counted(*args):   # one edge_forces call per stage, after its lookup
+            stages.append(None)
+            return forces(*args)
+
+        def recorded(table, a, weights, jump, *gather):
+            blocks.append((len(stages), a.ravel().copy(), np.ravel(jump).copy()))
+            return rows(table, a, weights, jump, *gather)
+        monkeypatch.setattr(dde, "LOOKUP_BLOCK_ROWS", cap)
+        monkeypatch.setattr(dde, "edge_forces", counted)
+        monkeypatch.setattr(dde, "_hermite_rows", recorded)
+        planned = integrate(hists, g, ws, p, t_end=n_steps * dt, dt=dt)
+        ts, his, tau, seg, _, jump = _stage_plan(planned[0].times, planned[0].n_hist,
+                                                 n_steps, dt, p)
+        covered = np.zeros(len(ts), dtype=bool)
+        for k, a, jumps in blocks:
+            assert tau[k] != 0.0 and not covered[k]
+            assert 1 <= len(a) <= max(1, cap // n_arcs)
+            assert a.tobytes() == seg[k:k + len(a)].tobytes()
+            assert jumps.tobytes() == jump[k:k + len(a)].tobytes()
+            assert ((a + 1 <= his[k]) | jumps).all(), k
+            covered[k:k + len(a)] = True
+        assert covered[tau != 0.0].all()
+        assert len(blocks) < (tau != 0.0).sum() or not blocks   # stages do share blocks
+        monkeypatch.setattr(dde, "_hermite_rows", rows)
+        assert_per_arc_path_agrees(planned, hists, g, ws, p, n_steps * dt, dt, monkeypatch)
+
+    @settings(max_examples=40, deadline=None)
+    @given(ratio=st.one_of(st.sampled_from([0.3, 1.0, 1.5, 2.0, 7.0, 3.25]),
+                           st.floats(0.01, 12.0)),
+           sinusoid=st.booleans(), swing=st.floats(0.0, 1.0), period=st.floats(0.05, 3.0))
+    def test_integrate_matches_the_per_arc_path_at_any_delay(self, ratio, sinusoid, swing,
+                                                            period):
+        # delays below one step, between one and two, whole and fractional
+        # numbers of steps, and sinusoids of any depth and period
+        dt = 0.05
+        tau = ratio * dt
+        p = (DelayProfile(kind="sinusoidal", tau_max=tau, mean=tau / 2,
+                          amplitude=swing * tau / 2, period=period)
+             if sinusoid else DelayProfile.constant(tau))
+        g = Digraph.from_arc_list(4, FIG_ARCS, one_based=True)
+        hists = [InitialHistory.constant(FIG_X0, s * FIG_V0, tau=tau) for s in (0.3, 1.0)]
+        ws = [WeightFunction(kind="cucker-smale", beta=b) for b in (0.3, 1.0)]
+        planned = integrate(hists, g, ws, p, t_end=1.0, dt=dt)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            assert_per_arc_path_agrees(planned, hists, g, ws, p, 1.0, dt, monkeypatch)
+
+    def test_blocks_of_a_long_delay_take_bounded_memory(self):
+        # a delay of 2000 steps: every stage of the run could be read from
+        # the history at once, 801 stages x 380 arcs x 2 x 2 floats (9.7 MB)
+        # per array; capped blocks hold 43 stages
+        g = Digraph.complete(20)
+        rng = np.random.default_rng(5)
+        hist = InitialHistory.constant(rng.normal(size=(20, 2)), rng.normal(size=(20, 2)),
+                                       tau=2.0)
+        w = WeightFunction(kind="cucker-smale", beta=0.5)
+        tracemalloc.start()
+        try:
+            traj = integrate(hist, g, w, DelayProfile.constant(2.0), t_end=0.2, dt=0.001)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert traj.n_hist == 2000
+        state_tables = 2 * 2 * traj.xs.nbytes   # (x, v) and its slopes: 2.8 MB
+        assert peak < state_tables + 4e6
+
+
+def assert_per_arc_path_agrees(planned, hists, g, ws, p, t_end, dt, monkeypatch):
+    """planned is integrate's run bit for bit as the per-arc gather gives it."""
+    plan = dde._stage_plan   # as piecewise-random delays get it: no shared delay
+    monkeypatch.setattr(dde, "_stage_plan", lambda *a: plan(*a)[:2] + (None,) * 4)
+    for got, want in zip(planned, integrate(hists, g, ws, p, t_end=t_end, dt=dt)):
+        for name in ("xs", "vs", "dxs", "dvs"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
 
 class TestInitialHistory:

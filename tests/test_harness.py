@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delayflock import harness
+from delayflock import digraph, harness
 from delayflock.analysis import CRITICAL, SHORT_RANGE
 from delayflock.dde import DiameterSeries, IntegrationError, Trajectory
 from delayflock.digraph import Digraph, compute_metrics
@@ -371,6 +371,26 @@ class TestSweep:
         with pytest.raises(IntegrationError, match=r"^fig2-digraph@beta=0,kappa=1000: "
                            r"solution blew up at t = "):
             sweep(self.template(), {"beta": [0.0], "kappa": [1.0, 1000.0]})
+
+    def test_graph_constants_once_per_graph(self, monkeypatch):
+        # every point of a beta sweep certifies on the template's graph,
+        # whose frontier closure ends in one reverse search for the roots
+        searches = []
+        bfs = digraph._bfs
+        monkeypatch.setattr(digraph, "_bfs", lambda succ, src: searches.append(src) or
+                            bfs(succ, src))
+        n = 50
+        arcs = [[i + 1, (i + 1) % n + 1] for i in range(n)] + [[1, k] for k in range(3, n, 7)]
+        rng = np.random.default_rng(4)
+        s = scenario_from_dict({"graph": {"n": n, "arcs": arcs},
+                                "delay": {"type": "constant", "tau": 1.0},
+                                "positions": rng.normal(size=(n, 2)).tolist(),
+                                "velocities": rng.normal(size=(n, 2)).tolist(),
+                                "t_end": 0.5, "dt": 0.05})
+        reports = sweep(s, {"beta": [0.1, 0.4, 1.0]})
+        assert len(searches) == 1
+        assert {r.certificate.params.gamma_g for r in reports} == {compute_metrics(
+            Digraph(s.graph.arcs)).gamma_g}
 
     def test_deterministic_output(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
