@@ -34,7 +34,7 @@ from .interaction import DelayProfile, WeightFunction, batch_weight
 
 # a velocity beyond this multiple of its member's largest history one (or 1) is a blow-up
 BLOWUP_FACTOR = 1e6
-# the most arc rows (one (x, v) row per arc and stage) a block of planned lookups gathers
+# the most agent rows (one (x, v) row per agent and stage) a block of planned lookups holds
 LOOKUP_BLOCK_ROWS = 2 ** 14
 
 
@@ -207,16 +207,15 @@ def _hermite_basis(times, s, hi):
     return seg, (2 * u3 - 3 * u2 + 1, (u3 - 2 * u2 + u) * h, -2 * u3 + 3 * u2, (u3 - u2) * h)
 
 
-def _hermite_rows(table, a, weights, jump, rows=slice(None)):
-    """The given rows of the (vals, slopes, fix_val) table at times in
-    segments a with basis ``weights``: one time, or arrays of times that
-    broadcast against the rows.  The slope at a + 1 is fix_val where
-    ``jump`` (the derivative jumps where prescribed history meets the
-    dynamics)."""
+def _hermite_rows(table, a, weights, jump):
+    """Every row of the (vals, slopes, fix_val) table at times in
+    segments a with basis ``weights``: one time, or a leading axis of
+    times.  The slope at a + 1 is fix_val where ``jump`` (the derivative
+    jumps where prescribed history meets the dynamics)."""
     vals, slopes, fix_val = table
     h00, h10, h01, h11 = weights
-    return (h00 * vals[a, rows] + h10 * slopes[a, rows] + h01 * vals[a + 1, rows]
-            + h11 * np.where(jump, fix_val[rows], slopes[a + 1, rows]))
+    return (h00 * vals[a] + h10 * slopes[a] + h01 * vals[a + 1]
+            + h11 * np.where(jump, fix_val, slopes[a + 1]))
 
 
 def _hermite_gather(times, table, j_e, s_e, hi, fix_idx):
@@ -332,9 +331,9 @@ def integrate(history: InitialHistory | Sequence[InitialHistory], g: Digraph,
     ts, his, tau_s, seg, basis, jump = _stage_plan(times, n_hist, n_steps, dt, p)
     if tau_s is not None:
         # the block of stages opened at k reads rows committed by then, up to his[k]
-        # (or fixed, up to n_hist), and holds at most LOOKUP_BLOCK_ROWS gathered arc rows
+        # (or fixed, up to n_hist), and holds at most LOOKUP_BLOCK_ROWS agent rows
         ready = np.maximum.accumulate(seg + 1).searchsorted(np.maximum(his, n_hist), "right")
-        ends = np.minimum(ready, np.arange(len(ts)) + max(1, LOOKUP_BLOCK_ROWS // (len(ej) or 1)))
+        ends = np.minimum(ready, np.arange(len(ts)) + max(1, LOOKUP_BLOCK_ROWS // nb))
     block, lo, hi = None, 0, 0
 
     def stage_rhs(k, y):
@@ -350,9 +349,9 @@ def integrate(history: InitialHistory | Sequence[InitialHistory], g: Digraph,
         elif tau_s[k] != 0.0:
             if k >= hi:
                 lo, hi = k, ends[k]
-                block = _hermite_rows(table, seg[lo:hi, None], [b[lo:hi, None, None, None]
-                                      for b in basis], jump[lo:hi, None, None, None], ej)
-            yd = block[k - lo]
+                block = _hermite_rows(table, seg[lo:hi], [b[lo:hi, None, None, None]
+                                      for b in basis], jump[lo:hi, None, None, None])
+            yd = block[k - lo][ej]
         else:
             yd = y[ej]
         dv = edge_forces(y[ei, 0], yd[:, 0], y[ei, 1], yd[:, 1], ei, psi, nb)

@@ -136,6 +136,8 @@ def batch_weight(ws, n_arcs: int):
     bit as its own call on norms, whose sign it does not check: kappa_e * (1 + r^2)^-beta,
     a constant weight with exponent -0.0.  numpy takes a scalar exponent -1 as a reciprocal,
     which an array exponent misses by an ulp, so lanes at beta = 1 divide."""
+    if ws[0].kind == "tabulated" and all(m is ws[0] for m in ws):
+        return ws[0]   # one interpolation for the batch, not a wasted power
     params = [(m.effective_kappa, -0.0 if m.kind == "constant" else -m.beta) for m in ws]
     tabs = [(b * n_arcs, m) for b, m in enumerate(ws) if m.kind == "tabulated"]
     kappa, e = params[0] if len(set(params)) == 1 else np.repeat(np.array(params).T, n_arcs, 1)

@@ -417,10 +417,10 @@ class TestStagePlan:
     def test_each_block_reads_only_committed_rows(self, case, cap, monkeypatch):
         # a block of lookups opened at stage k may read only slopes up to
         # his[k], or the fixed history side of the slope jump at n_hist, and
-        # gathers at most cap arc rows; each shared-delay stage is in one block
+        # holds at most cap agent rows; each shared-delay stage is in one block
         p, hists, ws = plan_cases()[case]
         g = Digraph.from_arc_list(4, FIG_ARCS, one_based=True)
-        dt, n_steps, n_arcs = 0.02, 100, 4 * len(hists)
+        dt, n_steps, n_rows = 0.02, 100, 4 * len(hists)
         stages, blocks = [], []
         forces, rows = dde.edge_forces, dde._hermite_rows
 
@@ -428,9 +428,9 @@ class TestStagePlan:
             stages.append(None)
             return forces(*args)
 
-        def recorded(table, a, weights, jump, *gather):
-            blocks.append((len(stages), a.ravel().copy(), np.ravel(jump).copy()))
-            return rows(table, a, weights, jump, *gather)
+        def recorded(table, a, weights, jump):
+            blocks.append((len(stages), a.copy(), np.ravel(jump).copy()))
+            return rows(table, a, weights, jump)
         monkeypatch.setattr(dde, "LOOKUP_BLOCK_ROWS", cap)
         monkeypatch.setattr(dde, "edge_forces", counted)
         monkeypatch.setattr(dde, "_hermite_rows", recorded)
@@ -440,7 +440,7 @@ class TestStagePlan:
         covered = np.zeros(len(ts), dtype=bool)
         for k, a, jumps in blocks:
             assert tau[k] != 0.0 and not covered[k]
-            assert 1 <= len(a) <= max(1, cap // n_arcs)
+            assert 1 <= len(a) <= max(1, cap // n_rows)
             assert a.tobytes() == seg[k:k + len(a)].tobytes()
             assert jumps.tobytes() == jump[k:k + len(a)].tobytes()
             assert ((a + 1 <= his[k]) | jumps).all(), k
@@ -471,22 +471,23 @@ class TestStagePlan:
             assert_per_arc_path_agrees(planned, hists, g, ws, p, 1.0, dt, monkeypatch)
 
     def test_blocks_of_a_long_delay_take_bounded_memory(self):
-        # a delay of 2000 steps: every stage of the run could be read from
-        # the history at once, 801 stages x 380 arcs x 2 x 2 floats (9.7 MB)
-        # per array; capped blocks hold 43 stages
-        g = Digraph.complete(20)
+        # a delay of 500 steps: the first 2000 stages could be read from the
+        # history at once, 2000 stages x 100 agents x 2 x 2 floats (3.2 MB)
+        # per array, 26 MB at peak; capped blocks hold 163 stages
+        n = 100
+        g = Digraph.from_arc_list(n, [(i, (i + 1) % n) for i in range(n)])
         rng = np.random.default_rng(5)
-        hist = InitialHistory.constant(rng.normal(size=(20, 2)), rng.normal(size=(20, 2)),
-                                       tau=2.0)
+        hist = InitialHistory.constant(rng.normal(size=(n, 2)), rng.normal(size=(n, 2)),
+                                       tau=0.5)
         w = WeightFunction(kind="cucker-smale", beta=0.5)
         tracemalloc.start()
         try:
-            traj = integrate(hist, g, w, DelayProfile.constant(2.0), t_end=0.2, dt=0.001)
+            traj = integrate(hist, g, w, DelayProfile.constant(0.5), t_end=0.5, dt=0.001)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert traj.n_hist == 2000
-        state_tables = 2 * 2 * traj.xs.nbytes   # (x, v) and its slopes: 2.8 MB
+        assert traj.n_hist == 500
+        state_tables = 2 * 2 * traj.xs.nbytes   # (x, v) and its slopes: 6.4 MB
         assert peak < state_tables + 4e6
 
 

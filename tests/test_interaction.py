@@ -12,6 +12,7 @@ from delayflock.interaction import (
     AdmissibilityError,
     DelayProfile,
     WeightFunction,
+    batch_weight,
     verify_admissible,
 )
 
@@ -42,6 +43,17 @@ class TestWeightEval:
     def test_normalized_variant(self):
         w = WeightFunction(kind="cucker-smale", kappa=1.0, beta=0.0, normalize_by=4)
         assert w(3.0) == pytest.approx(0.25)
+
+    def test_batch_sharing_one_tabulated_weight_interpolates_once(self):
+        # the batch's psi is the member's own call: one np.interp a stage,
+        # no power evaluated on lanes the table then overwrites
+        w = WeightFunction(kind="tabulated", kappa=1.0, table_r=[0.0, 1.0, 5.0],
+                           table_v=[2.0, 1.0, 0.5], normalize_by=3)
+        assert batch_weight([w, w, w], 4) is w
+        twin = WeightFunction(kind="tabulated", kappa=1.0, table_r=[0.0, 1.0, 5.0],
+                              table_v=[2.0, 1.0, 0.5], normalize_by=3)
+        r = np.linspace(0.0, 6.0, 8)
+        assert batch_weight([w, twin], 4)(r).tobytes() == w(r).tobytes()
 
     @given(st.floats(0, 50), st.floats(0, 50),
            st.floats(0.01, 10), st.floats(0, 3))
