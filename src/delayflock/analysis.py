@@ -38,6 +38,12 @@ class AnalysisError(ValueError):
     pass
 
 
+class SpreadOverflowError(ValueError):
+    """D(0) or X(0) of the initial data overflows a float.  Unlike an
+    AnalysisError (a degenerate graph), a run without a certificate does
+    not get round it: the data is out of range."""
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Everything the closed-form constants depend on."""
@@ -261,6 +267,9 @@ def _certify(history: InitialHistory, g: Digraph, w: WeightFunction, dp: DelayPr
     check_history(history, (g.n_vertices, history.dim), dp)
     p = params_from_scenario(g, w, dp, d=history.dim, h=h)
     d0, x0 = initial_spreads(history, g, p.tau)
+    if not (math.isfinite(d0) and math.isfinite(x0)):
+        raise SpreadOverflowError(f"initial spreads overflow: D(0) = {d0:g}, X(0) = {x0:g}; "
+                                  "rescale the positions and velocities")
     model = "continuous" if h is None else "discrete"
     c = c_bar_infinity(p) if model == "discrete" else c_infinity(p)
     regime = NON_CS
@@ -337,9 +346,10 @@ def initial_spreads(history: InitialHistory, g: Digraph, tau: float) -> tuple[fl
         inside = history.times[(history.times > -tau) & (history.times < 0.0)]
         ts = np.concatenate(([-tau], inside, [0.0]))
     x, v, _, _ = history.eval(ts)
-    d0 = float((v.max(axis=(0, 1)) - v.min(axis=(0, 1))).max())
     ei, ej = np.nonzero(g.arcs)
-    return d0, float(np.linalg.norm(x[-1, ei] - x[:, ej], axis=-1).max(initial=0.0))
+    with np.errstate(over="ignore"):   # an overflow reads inf, which _certify refuses
+        d0 = float((v.max(axis=(0, 1)) - v.min(axis=(0, 1))).max())
+        return d0, float(np.linalg.norm(x[-1, ei] - x[:, ej], axis=-1).max(initial=0.0))
 
 
 @dataclass(frozen=True)

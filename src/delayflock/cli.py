@@ -168,7 +168,8 @@ def main(argv=None) -> int:
         try:
             code = args.fn(args)
         except (harness.ScenarioError, GraphError, AdmissibilityError, an.AnalysisError,
-                StabilityGateError, IntegrationError, OSError, MemoryError) as e:
+                an.SpreadOverflowError, StabilityGateError, IntegrationError, OSError,
+                MemoryError) as e:
             print(f"error: {e}", file=sys.stderr)
             return EXIT_VALIDATION
     sys.stderr.writelines(f"warning: {w.message}\n" for w in caught)

@@ -309,10 +309,17 @@ def write_trajectory_csv(traj: Trajectory, path: str):
     d = traj.dim
     cols = (["t", "agent"] + [f"x{k + 1}" for k in range(d)]
             + [f"v{k + 1}" for k in range(d)])
-    line = "%.17g,%d" + ",%.17g" * (2 * d) + "\n"   # %.17g prints a float as _fmt does
-    _write_csv(path, cols, (   # one string per time, so one time's rows are held at once
-        "".join(line % (t, i, *cells) for i, cells in enumerate(np.hstack((x, v)).tolist()))
-        for t, x, v in zip(traj.times.tolist(), traj.xs, traj.vs)))
+    # the N lines of one time row, a NUL where t goes; %.17g prints a float as _fmt does
+    template = "".join(f"\0,{i}" + ",%.17g" * (2 * d) + "\n" for i in range(traj.n_agents))
+
+    def lines():   # one string per time, so one time's rows are held at once
+        key = pieces = None
+        for t, x, v in zip(traj.times.tolist(), traj.xs, traj.vs):
+            cells = np.hstack((x, v))
+            if (b := cells.tobytes()) != key:   # bytes, as -0.0 and 0.0 print apart
+                key, pieces = b, (template % tuple(cells.ravel().tolist())).split("\0")
+            yield ("%.17g" % t).join(pieces)
+    _write_csv(path, cols, lines())
 
 
 def write_diameters_csv(series, path: str):
@@ -334,6 +341,7 @@ def write_certificate(cert: an.FlockingCertificate, path: str):
 def certify(s: Scenario) -> an.FlockingCertificate:
     """The scenario's flocking certificate, measured from its initial data;
     AnalysisError on a degenerate graph (no spanning tree, or one agent),
+    SpreadOverflowError on initial data whose D(0) or X(0) overflows,
     StabilityGateError on a discrete step size past the gate."""
     if s.model == "discrete":
         return an.check_discrete(s.initial_history(), s.graph, s.weight, s.delay, s.h,

@@ -138,6 +138,11 @@ UNSAFE_DIVERGES = {"graph": {"n": 2, "complete": True}, "model": "discrete",
                    "h": 3, "t_end": 20, "unsafe_h": True}
 RANDOM_DELAY = dict(DISCRETE, delay={"type": "piecewise-random", "tau": 1.0, "seed": 3,
                                      "hold": 0.5})
+# agents 1e200 apart: ||x_1 - x_2|| overflows, so X(0) is inf
+FAR_APART = {"graph": {"n": 2, "complete": True}, "weight": {"type": "constant", "kappa": 1.0},
+             "delay": {"type": "constant", "tau": 1.0}, "positions": [[0.0], [1e200]],
+             "velocities": [[0.0], [1.0]], "t_end": 1.0, "dt": 0.1}
+FAST_APART = dict(FAR_APART, positions=[[0.0], [1.0]], velocities=[[-1e308], [1e308]])
 
 
 @pytest.mark.parametrize("command, raw, flags, message", [
@@ -176,6 +181,13 @@ RANDOM_DELAY = dict(DISCRETE, delay={"type": "piecewise-random", "tau": 1.0, "se
      "error: velocity scale 1e+308 overflows the velocities\n"),
     ("sweep", RANDOM_DELAY, ["--axis", "tau=1:1:1"],
      "error: sweep axis 'tau' needs a constant delay, not piecewise-random\n"),
+    ("check-condition", FAR_APART, [], "error: initial spreads overflow: D(0) = 1, X(0) = inf"),
+    ("simulate", FAR_APART, [], "error: initial spreads overflow: D(0) = 1, X(0) = inf"),
+    ("sweep", FAR_APART, ["--axis", "kappa=1:2:2"],
+     "error: initial spreads overflow: D(0) = 1, X(0) = inf"),
+    ("simulate", dict(FAR_APART, model="discrete", h=0.1), [],
+     "error: initial spreads overflow: D(0) = 1, X(0) = inf"),
+    ("simulate", FAST_APART, [], "error: initial spreads overflow: D(0) = inf, X(0) = 1"),
 ], ids=["gate-check", "gate-simulate", "nan-position", "blow-up", "negative-dt",
         "zero-horizon", "missing-arcs", "malformed-json", "directory", "string-beta",
         "one-vertex-arc", "huge-integer", "discrete-negative-horizon",
@@ -184,7 +196,8 @@ RANDOM_DELAY = dict(DISCRETE, delay={"type": "piecewise-random", "tau": 1.0, "se
         "zero-period-simulate", "zero-period-check", "sweep-nan-h", "sweep-nan-beta",
         "sweep-nan-kappa", "sweep-nan-scale", "sweep-inf-kappa", "unsafe-check",
         "unsafe-blow-up-simulate", "unsafe-blow-up-sweep", "sweep-scale-overflow",
-        "velocity-scale-overflow", "sweep-tau-random"])
+        "velocity-scale-overflow", "sweep-tau-random", "far-apart-check",
+        "far-apart-simulate", "far-apart-sweep", "far-apart-discrete", "velocity-gap-overflow"])
 def test_bad_input_exits_2_with_one_line(command, raw, flags, message, tmp_path, capsys):
     # raw is a scenario object, or the name of a file under tmp_path
     (tmp_path / "bad.json").write_text('{"graph": \n !')

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delayflock import digraph, harness
-from delayflock.analysis import CRITICAL, SHORT_RANGE
-from delayflock.dde import DiameterSeries, IntegrationError, Trajectory
+from delayflock.analysis import CRITICAL, SHORT_RANGE, AnalysisError, SpreadOverflowError
+from delayflock.dde import (DiameterSeries, InitialHistory, IntegrationError, Trajectory,
+                            integrate)
 from delayflock.digraph import Digraph, compute_metrics
 from delayflock.harness import (
     CSV_HEADER,
@@ -224,6 +226,18 @@ class TestRun:
         assert rep.flocked
         assert rep.time_to_tolerance == 0.0
 
+    def test_overflowing_spread_is_refused_not_run_uncertified(self):
+        # X(0) overflows to inf; the run must not go on as a "degenerate graph"
+        s = Scenario(name="far", model="continuous", graph=Digraph.complete(2),
+                     weight=WeightFunction(kind="constant", kappa=1.0),
+                     delay=DelayProfile.constant(1.0), positions=np.array([[0.0], [1e200]]),
+                     velocities=np.array([[0.0], [1.0]]), t_end=1.0, dt=0.1)
+        assert not issubclass(SpreadOverflowError, AnalysisError)
+        for model in ("continuous", "discrete"):
+            with pytest.raises(SpreadOverflowError, match="^initial spreads overflow: "
+                                                          "D\\(0\\) = 1, X\\(0\\) = inf;"):
+                run(s.replace(model=model, h=0.1))
+
     def test_discrete_run(self):
         s = Scenario(name="pair", model="discrete",
                      graph=Digraph.complete(2),
@@ -249,7 +263,8 @@ class TestCsvFormat:
 
     def _table(self, shape, seed):
         a = np.random.default_rng(seed).normal(size=shape).ravel()
-        a[:len(self.SPECIAL)] = self.SPECIAL
+        k = min(a.size, len(self.SPECIAL))
+        a[:k] = self.SPECIAL[:k]
         return a.reshape(shape)
 
     def test_special_values(self, tmp_path):
@@ -267,6 +282,79 @@ class TestCsvFormat:
         assert (tmp_path / "d.csv").read_bytes() == diameters_csv_reference(series).encode()
         for cell in (b"-0,", b",inf", b",-inf", b",nan", b"4.9406564584124654e-324,", b"0.10000000000000001,"):
             assert cell in text
+
+    def _written(self, traj, tmp_path) -> bytes:
+        harness.write_trajectory_csv(traj, str(tmp_path / "t.csv"))
+        return (tmp_path / "t.csv").read_bytes()
+
+    def _rows(self, *cells, d=1):
+        """A trajectory whose m-th time row holds cells[m] in every x and v cell."""
+        table = np.array(cells, dtype=float)[:, None, None] * np.ones((1, 2, d))
+        return Trajectory(times=np.arange(len(cells), dtype=float), xs=table,
+                          vs=table.copy(), dt=1.0, n_hist=0)
+
+    def test_rows_apart_only_by_the_sign_of_zero(self, tmp_path):
+        # equal to array_equal, apart as bytes: each row is formatted anew
+        traj = self._rows(0.0, -0.0, -0.0, 0.0, 0.0)
+        text = self._written(traj, tmp_path)
+        assert text == trajectory_csv_reference(traj).encode()
+        assert text.count(b",-0,-0\n") == 4 and text.count(b",0,0\n") == 6
+
+    def test_repeated_rows_of_nan(self, tmp_path):
+        traj = self._rows(math.nan, math.nan, 1.0, math.nan, -math.inf, -math.inf)
+        assert self._written(traj, tmp_path) == trajectory_csv_reference(traj).encode()
+
+    def test_constant_history_rows_repeat(self, tmp_path):
+        # the n_hist + 1 rows up to t = 0 hold the same (x, v) bytes
+        traj = run(preset("fig2-digraph").replace(t_end=1.0, dt=0.1)).trajectory
+        first = traj.xs[0].tobytes() + traj.vs[0].tobytes()
+        assert all(traj.xs[m].tobytes() + traj.vs[m].tobytes() == first
+                   for m in range(traj.n_hist + 1))
+        assert self._written(traj, tmp_path) == trajectory_csv_reference(traj).encode()
+
+    def test_sampled_history_run(self, tmp_path):
+        s = preset("fig2-digraph")
+        times = np.array([-1.0, -0.5, 0.0])
+        xs = s.positions + times[:, None, None] * s.velocities
+        vs = s.velocities * (1.0 + times[:, None, None])
+        traj = integrate(InitialHistory.from_samples(times, xs, vs), s.graph, s.weight,
+                         s.delay, t_end=0.5, dt=0.1)
+        assert self._written(traj, tmp_path) == trajectory_csv_reference(traj).encode()
+
+    @pytest.mark.parametrize("n, d", [(3, 1), (3, 3), (1, 2), (1, 1)])
+    def test_dimensions_and_single_agent(self, n, d, tmp_path):
+        traj = Trajectory(times=np.linspace(-0.5, 1.0, 4), xs=self._table((4, n, d), 5),
+                          vs=self._table((4, n, d), 6), dt=0.5, n_hist=1)
+        assert self._written(traj, tmp_path) == trajectory_csv_reference(traj).encode()
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 3), st.integers(1, 3), st.lists(st.integers(0, 3), min_size=1,
+                                                          max_size=8),
+           st.integers(0, 2 ** 32 - 1))
+    def test_runs_of_repeated_rows(self, tmp_path_factory, n, d, picks, seed):
+        # every row is one of four random (x, v) tables, so runs of repeats come often
+        pool = self._table((4, 2, n, d), seed)
+        pool[2, 0, 0, 0] = 0.0
+        pool[3] = pool[2]
+        pool[3, 0, 0, 0] = -0.0   # table 3 is table 2 but for the sign of one zero
+        traj = Trajectory(times=np.arange(len(picks)) * 0.1, xs=pool[picks, 0],
+                          vs=pool[picks, 1], dt=0.1, n_hist=0)
+        tmp_path = tmp_path_factory.mktemp("csv")
+        assert self._written(traj, tmp_path) == trajectory_csv_reference(traj).encode()
+
+    def test_one_time_row_held_at_a_time(self, tmp_path):
+        # 200 agents x 1000 rows is about 22 MB of text; the writer holds one row of it
+        traj = Trajectory(times=np.linspace(-1.0, 10.0, 1000),
+                          xs=self._table((1000, 200, 2), 7), vs=self._table((1000, 200, 2), 8),
+                          dt=0.011, n_hist=0)
+        tracemalloc.start()
+        try:
+            harness.write_trajectory_csv(traj, str(tmp_path / "t.csv"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "t.csv").stat().st_size > 20e6
+        assert peak < 4e6
 
     def test_preset_files(self, tmp_path):
         rep = run(preset("fig2-digraph"), str(tmp_path))
