@@ -11,11 +11,12 @@ jump in slope.  Lookups slightly ahead of the last fully-specified
 segment (delays smaller than the step) extrapolate that segment.
 
 The state (x, v) is one array, so a stage does one lookup and a step
-one update.  Zero, constant and sinusoidal delays take one value on
-every arc at a given time, so each stage has one lookup time, planned
-before the loop, and the stages whose rows are committed are looked up
-in one call.  Piecewise-random delays are gathered per arc at every
-stage.  Both paths give the same numbers, bit for bit.
+one update.  Every stage's delays are planned before the loop, and the
+stages whose rows are committed are looked up in one call: on agent
+rows when every arc shares the delay (zero, constant, sinusoidal), on
+arc rows when each arc has its own (piecewise-random, which holds its
+draws over an interval).  Both give the per-arc lookup's numbers, bit
+for bit.
 
 Also provides the windowed velocity-spread diagnostics: per-component
 trailing-window extrema over [t - tau, t] and their spread.
@@ -134,7 +135,6 @@ class Trajectory:
     # in dvs[n_hist] and dxs[n_hist]; the derivatives jump there)
     hist_end_slope: np.ndarray | None = None
     hist_end_xslope: np.ndarray | None = None
-    discrete: bool = False
 
     @property
     def n_agents(self) -> int:
@@ -207,44 +207,28 @@ def _hermite_basis(times, s, hi):
     return seg, (2 * u3 - 3 * u2 + 1, (u3 - 2 * u2 + u) * h, -2 * u3 + 3 * u2, (u3 - u2) * h)
 
 
-def _hermite_rows(table, a, weights, jump):
-    """Every row of the (vals, slopes, fix_val) table at times in
-    segments a with basis ``weights``: one time, or a leading axis of
-    times.  The slope at a + 1 is fix_val where ``jump`` (the derivative
-    jumps where prescribed history meets the dynamics)."""
+def _hermite_rows(table, a, weights, jump, cols=slice(None)):
+    """Rows ``cols`` (all by default) of the (vals, slopes, fix_val) table at times in
+    segments a with basis ``weights``, broadcast together: one time, or
+    leading axes of times.  The slope at a + 1 is fix_val where ``jump``
+    (the derivative jumps where prescribed history meets the dynamics)."""
     vals, slopes, fix_val = table
     h00, h10, h01, h11 = weights
-    return (h00 * vals[a] + h10 * slopes[a] + h01 * vals[a + 1]
-            + h11 * np.where(jump, fix_val, slopes[a + 1]))
+    return (h00 * vals[a, cols] + h10 * slopes[a, cols] + h01 * vals[a + 1, cols]
+            + h11 * np.where(jump, fix_val[cols], slopes[a + 1, cols]))
 
 
-def _hermite_gather(times, table, j_e, s_e, hi, fix_idx):
-    """Cubic Hermite evaluation of vals[:, j_e[k]] at times s_e[k] for
-    the (M, rows, 2, d) state table (vals, slopes, fix_val); fix_val
-    replaces the slope at ``fix_idx`` when that is the right endpoint
-    of the queried segment.
-    """
-    vals, slopes, fix_val = table
-    seg, basis = _hermite_basis(times, s_e, hi)
-    h00, h10, h01, h11 = (b[:, None, None] for b in basis)
-    seg1 = seg + 1
-    at_fix = seg1 == fix_idx
-    m1 = slopes[seg1, j_e]
-    if at_fix.any():
-        m1 = np.where(at_fix[:, None, None], fix_val[j_e], m1)
-    return h00 * vals[seg, j_e] + h10 * slopes[seg, j_e] + h01 * vals[seg1, j_e] + h11 * m1
-
-
-def _stage_plan(times, n_hist: int, n_steps: int, dt: float, p: DelayProfile):
+def _stage_plan(times, n_hist: int, n_steps: int, dt: float, at, members: int):
     """The lookups of integrate's 4*n_steps + 1 stage evaluations.
 
     Stage s of the step from grid index k runs at times[k] + (0, dt/2,
     dt/2, dt)[s] with last valid slope index (max(k - 1, 1), k, k, k)[s];
     the final slope runs at times[-1] with index len(times) - 2.  Returns
-    those times and indices and, when every arc shares the delay, the
-    delays, each stage's one segment and basis weights, and whether that
-    segment ends at n_hist; piecewise-random delays, looked up per arc,
-    get None for these.
+    those times and indices, each stage's delays from ``at`` (an (S, 1)
+    array when every arc shares them, else one (members * E,) array per
+    stage, the same object over a hold interval), each stage's shortest
+    nonzero delay (0 if none) and the farthest segment a stage reads,
+    the one of that delay.
     """
     k = np.arange(n_hist, n_hist + n_steps)
     t = times[k]
@@ -252,12 +236,19 @@ def _stage_plan(times, n_hist: int, n_steps: int, dt: float, p: DelayProfile):
     # stage 1 may not use the segment ending at k (its slope is what the
     # step computes); delays shorter than dt extrapolate the segment before
     his = np.append(np.stack([np.maximum(k - 1, 1), k, k, k], axis=1), len(times) - 2)
-    if p.kind == "piecewise-random":
-        return ts, his, None, None, None, None
-    at = p.on_edges((), ())
-    tau = np.array([at(t) for t in ts.tolist()])
-    seg, basis = _hermite_basis(times, ts - tau, his)
-    return ts, his, tau, seg, basis, seg + 1 == n_hist
+    taus = [at(t) for t in ts.tolist()]
+    if np.ndim(taus[0]) == 0:
+        tau = np.array(taus)[:, None]
+        short = tau[:, 0]
+    else:
+        held = {}   # per hold interval: the members' delays and the shortest nonzero one
+        for d in taus:
+            if id(d) not in held:
+                held[id(d)] = (np.tile(d, members),
+                               np.min(d, where=d != 0.0, initial=d.max(initial=0.0)))
+        tau = [held[id(d)][0] for d in taus]
+        short = np.array([held[id(d)][1] for d in taus])
+    return ts, his, tau, short, _segment(times, ts - short, his)
 
 
 def edge_forces(x_i, x_delayed, v_i, v_delayed, ei, w: WeightFunction, n: int):
@@ -328,32 +319,34 @@ def integrate(history: InitialHistory | Sequence[InitialHistory], g: Digraph,
     ei, ej = np.tile(ei, B) + offset, np.tile(ej, B) + offset
     psi = batch_weight(ws, n_arcs)
     table = (ys, dys, hist_end)
-    ts, his, tau_s, seg, basis, jump = _stage_plan(times, n_hist, n_steps, dt, p)
-    if tau_s is not None:
-        # the block of stages opened at k reads rows committed by then, up to his[k]
-        # (or fixed, up to n_hist), and holds at most LOOKUP_BLOCK_ROWS agent rows
-        ready = np.maximum.accumulate(seg + 1).searchsorted(np.maximum(his, n_hist), "right")
-        ends = np.minimum(ready, np.arange(len(ts)) + max(1, LOOKUP_BLOCK_ROWS // nb))
+    ts, his, tau_s, short, seg = _stage_plan(times, n_hist, n_steps, dt, at, B)
+    # a delay every arc shares (one, or none for no arcs) is looked up on agent
+    # rows, and each stage gathers its arcs from them; per-arc delays on arc rows
+    shared = len(tau_s[0]) <= 1
+    cols = np.arange(nb) if shared else ej
+    # the block of stages opened at k reads rows committed by then, up to his[k]
+    # (or fixed, up to n_hist), and holds at most LOOKUP_BLOCK_ROWS rows
+    ready = np.maximum.accumulate(seg + 1).searchsorted(np.maximum(his, n_hist), "right")
+    ends = np.minimum(ready, np.arange(len(ts)) + max(1, LOOKUP_BLOCK_ROWS // len(cols)))
     block, lo, hi = None, 0, 0
 
     def stage_rhs(k, y):
         # k: index of the stage in the plan; returns the slope (v, dv) at y
         nonlocal lo, hi, block
-        if tau_s is None:
-            tau_e = np.tile(np.broadcast_to(at(ts[k]), n_arcs), B)
+        if short[k] == 0.0:
             yd = y[ej]
-            past = tau_e != 0.0
-            if past.any():
-                yd[past] = _hermite_gather(times, table, ej[past], ts[k] - tau_e[past],
-                                           his[k], n_hist)
-        elif tau_s[k] != 0.0:
+        else:
             if k >= hi:
                 lo, hi = k, ends[k]
-                block = _hermite_rows(table, seg[lo:hi], [b[lo:hi, None, None, None]
-                                      for b in basis], jump[lo:hi, None, None, None])
-            yd = block[k - lo][ej]
-        else:
-            yd = y[ej]
+                s = ts[lo:hi, None]
+                # an arc at delay 0 reads y; its lane looks up the stage's shortest delay
+                a, basis = _hermite_basis(times, np.minimum(s - np.array(tau_s[lo:hi]),
+                                                            s - short[lo:hi, None]),
+                                          his[lo:hi, None])
+                block = _hermite_rows(table, a, [b[..., None, None] for b in basis],
+                                      (a + 1 == n_hist)[..., None, None], cols)
+            yd = (block[k - lo][ej] if shared
+                  else np.where(tau_s[k][:, None, None] == 0.0, y[ej], block[k - lo]))
         dv = edge_forces(y[ei, 0], yd[:, 0], y[ei, 1], yd[:, 1], ei, psi, nb)
         return np.concatenate((y[:, 1:], dv[:, None]), axis=1)
 

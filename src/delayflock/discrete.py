@@ -57,12 +57,12 @@ def simulate_discrete(history: InitialHistory, g: Digraph, w: WeightFunction,
         dv = edge_forces(x[ei], xs[back, ej], v[ei], vs[back, ej], ei, w, len(x))
         xs[tau + k + 1], vs[tau + k + 1] = x + h * v, v + h * dv
         check_blowup(vs[tau + k + 1], k + 1)
-    return Trajectory(times=times, xs=xs, vs=vs, dt=1.0, n_hist=tau,
-                      discrete=True)
+    return Trajectory(times=times, xs=xs, vs=vs, dt=1.0, n_hist=tau)
 
 
 def discrete_diameters(traj: Trajectory, tau: int) -> DiameterSeries:
-    """Window extrema over the last tau+1 steps, per component."""
-    if not traj.discrete:
+    """Window extrema over the last tau+1 steps, per component, of a
+    sample-only trajectory (one without Hermite slopes)."""
+    if traj.dvs is not None:
         raise ValueError("expected a discrete trajectory")
     return diameters(traj, tau)

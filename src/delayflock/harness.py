@@ -479,7 +479,9 @@ def sweep(template: Scenario, axes: dict[str, list[float]],
 def write_sweep_csv(reports, names, grid, path: str):
     keys = ("gamma_g", "n_infinity", "kappa", "tau", "beta", "h",   # FlockingCertificate.as_dict
             "D0", "X0", "rho", "threshold", "delta", "verdict")
-    cols = [*names, *keys, "final_spread", "time_to_tolerance", "flocked"]
+    # a certificate key that is also an axis is written as cert_<key>
+    cols = [*names, *(f"cert_{k}" if k in names else k for k in keys),
+            "final_spread", "time_to_tolerance", "flocked"]
 
     def line(values, rep: RunReport) -> str:
         cert = {} if rep.certificate is None else rep.certificate.as_dict()

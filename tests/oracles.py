@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 
+from delayflock.dde import _hermite_basis
 from delayflock.interaction import AdmissibilityError
 
 INF = math.inf
@@ -259,6 +260,25 @@ def hermite_reference(times, vals, slopes, t, hi, fix_idx, fix_val):
             + (u ** 3 - 2 * u ** 2 + u) * h * slopes[k]
             + (-2 * u ** 3 + 3 * u ** 2) * vals[k + 1]
             + (u ** 3 - u ** 2) * h * m1)
+
+
+# the per-arc reference of integrate's planned lookups, one stage at a time;
+# it shares the segment search and basis weights, _hermite_basis, with them
+def _hermite_gather(times, table, j_e, s_e, hi, fix_idx):
+    """Cubic Hermite evaluation of vals[:, j_e[k]] at times s_e[k] for
+    the (M, rows, 2, d) state table (vals, slopes, fix_val); fix_val
+    replaces the slope at ``fix_idx`` when that is the right endpoint
+    of the queried segment.
+    """
+    vals, slopes, fix_val = table
+    seg, basis = _hermite_basis(times, s_e, hi)
+    h00, h10, h01, h11 = (b[:, None, None] for b in basis)
+    seg1 = seg + 1
+    at_fix = seg1 == fix_idx
+    m1 = slopes[seg1, j_e]
+    if at_fix.any():
+        m1 = np.where(at_fix[:, None, None], fix_val[j_e], m1)
+    return h00 * vals[seg, j_e] + h10 * slopes[seg, j_e] + h01 * vals[seg1, j_e] + h11 * m1
 
 
 def max_pair_distance_reference(xs):

@@ -12,8 +12,7 @@ from delayflock.dde import (
     IntegrationError,
     check_monotone_diameter,
     diameters,
-    _hermite_gather,
-    _hermite_rows,
+    _hermite_basis,
     _stage_plan,
     edge_forces,
     integrate,
@@ -22,6 +21,7 @@ from delayflock.digraph import Digraph
 from delayflock.interaction import DelayProfile, WeightFunction
 
 from oracles import (
+    _hermite_gather,
     hermite_reference,
     two_agent_delayed_difference,
     two_agent_ode_difference,
@@ -344,13 +344,18 @@ class TestHermiteGather:
 def plan_cases():
     """(delay, member histories, member weights) of the per-stage plan
     tests: zero, whole-step and sub-step constant delays, a sinusoid
-    that clips to 0, one shorter than dt, a sampled history, and four
-    members with mixed betas."""
+    that clips to 0, one shorter than dt, a sampled history, four
+    members with mixed betas, and random delays: from 0, from 2.5 * dt
+    (four members), and whole numbers from 0 with every arc at 0 on the
+    first hold interval."""
     g, w, _, hist = fig_setup(scale=0.3)
     members, ws = TestBatch.members()
     zero_hist = InitialHistory.constant(FIG_X0, 0.3 * FIG_V0, tau=0.0)
     short = DelayProfile(kind="sinusoidal", tau_max=1.0, mean=0.01, amplitude=0.005,
                          period=0.3)
+
+    def random(**kw):
+        return DelayProfile(kind="piecewise-random", tau_max=1.0, high=1.0, **kw)
     return {"zero": (DelayProfile.zero(), [zero_hist], [w]),
             "constant": (DelayProfile.constant(1.0), [hist], [w]),
             "sub-step": (DelayProfile.constant(0.013, tau_max=1.0), [hist], [w]),
@@ -358,21 +363,51 @@ def plan_cases():
             "short-sinusoid": (short, [hist], [w]),
             "sampled": (DelayProfile.constant(0.37, tau_max=1.0), members[3:], ws[3:]),
             "batch": (DelayProfile(kind="sinusoidal", tau_max=1.0, mean=0.5,
-                                   amplitude=0.4, period=0.7), members, ws)}
+                                   amplitude=0.4, period=0.7), members, ws),
+            "random-from-0": (random(seed=3, hold=0.3), [hist], [w]),
+            "random-from-2.5dt": (random(low=0.05, seed=8, hold=0.25), members, ws),
+            "random-integer": (random(seed=4, hold=0.25, integer_valued=True), [hist], [w])}
+
+
+def record_lookups(monkeypatch, cap=None):
+    """Run integrate through recorders: returns the list that gets each
+    stage's delayed states, the (E, 2, d) rows edge_forces reads, and the
+    list that gets (first stage, segments, jumps, rows, looked-up rows) of
+    each block of lookups, its stage counted by the edge_forces calls
+    before it."""
+    stages, blocks = [], []
+    forces, rows = dde.edge_forces, dde._hermite_rows
+
+    def counted(x_i, x_delayed, v_i, v_delayed, *args):   # one call per stage
+        stages.append(np.stack((x_delayed, v_delayed), axis=1))
+        return forces(x_i, x_delayed, v_i, v_delayed, *args)
+
+    def recorded(table, a, weights, jump, cols=slice(None)):
+        out = rows(table, a, weights, jump, cols)
+        blocks.append((len(stages), a.copy(), np.ravel(jump).reshape(a.shape).copy(),
+                       np.asarray(cols).copy(), out.copy()))
+        return out
+    if cap is not None:
+        monkeypatch.setattr(dde, "LOOKUP_BLOCK_ROWS", cap)
+    monkeypatch.setattr(dde, "edge_forces", counted)
+    monkeypatch.setattr(dde, "_hermite_rows", recorded)
+    return stages, blocks
 
 
 class TestStagePlan:
-    """Delays every arc shares are looked up by basis weights planned
-    before the RK4 loop, a block of stages per call; bit for bit as the
-    per-arc gather, which piecewise-random delays use."""
+    """Every stage's delays are planned before the RK4 loop and looked up
+    a block of stages per call, on agent rows when every arc shares the
+    delay and on arc rows for per-arc delays; bit for bit as the per-arc
+    gather (oracles._hermite_gather)."""
 
     @pytest.mark.parametrize("case", list(plan_cases()))
-    def test_plan_matches_per_arc_gather_stage_by_stage(self, case):
+    def test_plan_matches_per_arc_gather_stage_by_stage(self, case, monkeypatch):
         p, hists, ws = plan_cases()[case]
         g = Digraph.from_arc_list(4, FIG_ARCS, one_based=True)
         dt, n_steps = 0.02, 100
+        delayed, _ = record_lookups(monkeypatch)
         trajs = integrate(hists, g, ws, p, t_end=n_steps * dt, dt=dt)
-        times, n_hist = trajs[0].times, trajs[0].n_hist
+        times, n_hist, B = trajs[0].times, trajs[0].n_hist, len(trajs)
 
         def state(x, v):   # the members' x and v views as one (..., rows, 2, d) array
             return np.stack([np.concatenate([getattr(t, a) for t in trajs], axis=-2)
@@ -381,10 +416,12 @@ class TestStagePlan:
                  state("hist_end_xslope", "hist_end_slope"))
         ei, ej = np.nonzero(g.arcs)
         delay_at = p.on_edges(ei, ej)
-        ej = (ej + 4 * np.arange(len(trajs))[:, None]).ravel()
-        ts, his, tau, seg, basis, jump = _stage_plan(times, n_hist, n_steps, dt, p)
-        assert len(ts) == len(his) == len(tau) == 4 * n_steps + 1
-        looked_up = 0
+        ts, his, tau, short, seg = _stage_plan(times, n_hist, n_steps, dt,
+                                               p.on_edges(ei, ej), B)
+        assert len(ts) == len(his) == len(tau) == len(short) == len(seg) == 4 * n_steps + 1
+        assert len(delayed) == 4 * n_steps + 1
+        ej = (ej + 4 * np.arange(B)[:, None]).ravel()
+        looked_up, jumped = 0, False
         for k in range(4 * n_steps + 1):
             step, s = divmod(k, 4)
             idx = n_hist + step
@@ -393,62 +430,62 @@ class TestStagePlan:
                 assert his[k] == (max(idx - 1, 1), idx, idx, idx)[s]
             else:
                 assert (ts[k], his[k]) == (times[idx], idx - 1)
-            assert np.float64(delay_at(ts[k])).tobytes() == tau[k].tobytes()
-            if tau[k] == 0.0:
+            tau_e = np.tile(np.broadcast_to(delay_at(ts[k]), len(ei)), B)
+            assert np.broadcast_to(tau[k], tau_e.shape).tobytes() == tau_e.tobytes()
+            past = tau_e != 0.0
+            assert short[k] == (tau_e[past].min() if past.any() else 0.0)
+            if s == 0:   # an arc at delay 0 reads the stage's state, here a committed row
+                assert delayed[k][~past].tobytes() == table[0][idx, ej[~past]].tobytes()
+            if not past.any():
                 continue
             looked_up += 1
-            tau_e = np.full(len(ej), tau[k])
-            want = _hermite_gather(times, table, ej, ts[k] - tau_e, his[k], n_hist)
-            got = _hermite_rows(table, seg[k], [b[k] for b in basis], jump[k])
-            assert got[ej].tobytes() == want.tobytes(), k
-        assert looked_up == {"zero": 0, "clipping-sinusoid": 4 * n_steps - 9}.get(
-            case, 4 * n_steps + 1)
-        assert jump[tau != 0.0].any() == (looked_up > 0)   # the slope jump at t = 0 is read
+            want = _hermite_gather(times, table, ej[past], ts[k] - tau_e[past], his[k], n_hist)
+            assert delayed[k][past].tobytes() == want.tobytes(), k
+            jumped |= (_hermite_basis(times, ts[k] - tau_e[past], his[k])[0] + 1
+                       == n_hist).any()
+        # random-integer holds every arc at 0 over its first 49 stages, t < 0.25
+        assert looked_up == {"zero": 0, "clipping-sinusoid": 4 * n_steps - 9,
+                             "random-integer": 4 * n_steps - 48}.get(case, 4 * n_steps + 1)
+        assert jumped == (looked_up > 0)   # the slope jump at t = 0 is read
 
     @pytest.mark.parametrize("case", list(plan_cases()))
-    def test_integrate_matches_the_per_arc_path(self, case, monkeypatch):
+    def test_integrate_matches_the_per_arc_path(self, case):
         p, hists, ws = plan_cases()[case]
         g = Digraph.from_arc_list(4, FIG_ARCS, one_based=True)
         planned = integrate(hists, g, ws, p, t_end=2.0, dt=0.02)
-        assert_per_arc_path_agrees(planned, hists, g, ws, p, 2.0, 0.02, monkeypatch)
+        assert_per_arc_path_agrees(planned, hists, g, ws, p, 2.0, 0.02)
 
     @pytest.mark.parametrize("cap", [dde.LOOKUP_BLOCK_ROWS, 40])
     @pytest.mark.parametrize("case", list(plan_cases()))
     def test_each_block_reads_only_committed_rows(self, case, cap, monkeypatch):
         # a block of lookups opened at stage k may read only slopes up to
         # his[k], or the fixed history side of the slope jump at n_hist, and
-        # holds at most cap agent rows; each shared-delay stage is in one block
+        # holds at most cap rows: agents, or arcs for per-arc delays; each
+        # stage that looks up is in one block
         p, hists, ws = plan_cases()[case]
         g = Digraph.from_arc_list(4, FIG_ARCS, one_based=True)
-        dt, n_steps, n_rows = 0.02, 100, 4 * len(hists)
-        stages, blocks = [], []
-        forces, rows = dde.edge_forces, dde._hermite_rows
-
-        def counted(*args):   # one edge_forces call per stage, after its lookup
-            stages.append(None)
-            return forces(*args)
-
-        def recorded(table, a, weights, jump):
-            blocks.append((len(stages), a.copy(), np.ravel(jump).copy()))
-            return rows(table, a, weights, jump)
-        monkeypatch.setattr(dde, "LOOKUP_BLOCK_ROWS", cap)
-        monkeypatch.setattr(dde, "edge_forces", counted)
-        monkeypatch.setattr(dde, "_hermite_rows", recorded)
+        dt, n_steps, B = 0.02, 100, len(hists)
+        _, blocks = record_lookups(monkeypatch, cap)
         planned = integrate(hists, g, ws, p, t_end=n_steps * dt, dt=dt)
-        ts, his, tau, seg, _, jump = _stage_plan(planned[0].times, planned[0].n_hist,
-                                                 n_steps, dt, p)
+        ei, ej = np.nonzero(g.arcs)
+        ts, his, tau, short, seg = _stage_plan(planned[0].times, planned[0].n_hist,
+                                               n_steps, dt, p.on_edges(ei, ej), B)
+        per_arc = np.ndim(p.on_edges(ei, ej)(0.0)) == 1
+        n_rows = B * len(ei) if per_arc else 4 * B
         covered = np.zeros(len(ts), dtype=bool)
-        for k, a, jumps in blocks:
-            assert tau[k] != 0.0 and not covered[k]
-            assert 1 <= len(a) <= max(1, cap // n_rows)
-            assert a.tobytes() == seg[k:k + len(a)].tobytes()
-            assert jumps.tobytes() == jump[k:k + len(a)].tobytes()
+        for k, a, jumps, cols, _ in blocks:
+            assert short[k] != 0.0 and not covered[k]
+            assert len(cols) == n_rows and 1 <= len(a) <= max(1, cap // n_rows)
+            assert a.max(axis=1).tobytes() == seg[k:k + len(a)].tobytes()
+            assert (jumps == (a + 1 == planned[0].n_hist)).all()
             assert ((a + 1 <= his[k]) | jumps).all(), k
             covered[k:k + len(a)] = True
-        assert covered[tau != 0.0].all()
-        assert len(blocks) < (tau != 0.0).sum() or not blocks   # stages do share blocks
-        monkeypatch.setattr(dde, "_hermite_rows", rows)
-        assert_per_arc_path_agrees(planned, hists, g, ws, p, n_steps * dt, dt, monkeypatch)
+        assert covered[short != 0.0].all()
+        assert len(blocks) < (short != 0.0).sum() or not blocks   # stages do share blocks
+        if case == "random-from-2.5dt" and cap // n_rows > 4:   # delays of two steps or more
+            assert max(len(a) for _, a, _, _, _ in blocks) > 4      # blocks span steps
+        monkeypatch.undo()
+        assert_per_arc_path_agrees(planned, hists, g, ws, p, n_steps * dt, dt)
 
     @settings(max_examples=40, deadline=None)
     @given(ratio=st.one_of(st.sampled_from([0.3, 1.0, 1.5, 2.0, 7.0, 3.25]),
@@ -467,35 +504,44 @@ class TestStagePlan:
         hists = [InitialHistory.constant(FIG_X0, s * FIG_V0, tau=tau) for s in (0.3, 1.0)]
         ws = [WeightFunction(kind="cucker-smale", beta=b) for b in (0.3, 1.0)]
         planned = integrate(hists, g, ws, p, t_end=1.0, dt=dt)
-        with pytest.MonkeyPatch.context() as monkeypatch:
-            assert_per_arc_path_agrees(planned, hists, g, ws, p, 1.0, dt, monkeypatch)
+        assert_per_arc_path_agrees(planned, hists, g, ws, p, 1.0, dt)
 
     def test_blocks_of_a_long_delay_take_bounded_memory(self):
         # a delay of 500 steps: the first 2000 stages could be read from the
         # history at once, 2000 stages x 100 agents x 2 x 2 floats (3.2 MB)
-        # per array, 26 MB at peak; capped blocks hold 163 stages
+        # per array, 26 MB at peak; capped blocks hold 163 stages.  Random
+        # delays of 400 to 500 steps on the 100 arcs: 29 MB at peak uncapped
         n = 100
         g = Digraph.from_arc_list(n, [(i, (i + 1) % n) for i in range(n)])
         rng = np.random.default_rng(5)
         hist = InitialHistory.constant(rng.normal(size=(n, 2)), rng.normal(size=(n, 2)),
                                        tau=0.5)
         w = WeightFunction(kind="cucker-smale", beta=0.5)
-        tracemalloc.start()
-        try:
-            traj = integrate(hist, g, w, DelayProfile.constant(0.5), t_end=0.5, dt=0.001)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert traj.n_hist == 500
-        state_tables = 2 * 2 * traj.xs.nbytes   # (x, v) and its slopes: 6.4 MB
-        assert peak < state_tables + 4e6
+        for p in (DelayProfile.constant(0.5),
+                  DelayProfile(kind="piecewise-random", tau_max=0.5, low=0.4, high=0.5,
+                               seed=2, hold=0.1)):
+            tracemalloc.start()
+            try:
+                traj = integrate(hist, g, w, p, t_end=0.5, dt=0.001)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert traj.n_hist == 500
+            state_tables = 2 * 2 * traj.xs.nbytes   # (x, v) and its slopes: 6.4 MB
+            assert peak < state_tables + 4e6, p.kind
 
 
-def assert_per_arc_path_agrees(planned, hists, g, ws, p, t_end, dt, monkeypatch):
-    """planned is integrate's run bit for bit as the per-arc gather gives it."""
-    plan = dde._stage_plan   # as piecewise-random delays get it: no shared delay
-    monkeypatch.setattr(dde, "_stage_plan", lambda *a: plan(*a)[:2] + (None,) * 4)
-    for got, want in zip(planned, integrate(hists, g, ws, p, t_end=t_end, dt=dt)):
+def assert_per_arc_path_agrees(planned, hists, g, ws, p, t_end, dt):
+    """planned is integrate's run bit for bit as it goes when each arc gets
+    its own copy of the delay: blocks of arc rows, not of agent rows."""
+    class PerArc:
+        tau_max = p.tau_max
+
+        @staticmethod
+        def on_edges(ei, ej):
+            at = p.on_edges(ei, ej)
+            return lambda t: np.array(np.broadcast_to(at(t), len(ei)))
+    for got, want in zip(planned, integrate(hists, g, ws, PerArc, t_end=t_end, dt=dt)):
         for name in ("xs", "vs", "dxs", "dvs"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 

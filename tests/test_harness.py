@@ -393,6 +393,23 @@ class TestSweep:
         first_betas = [float(r.split(",")[0]) for r in lines[2:]]
         assert first_betas == [0.2, 0.2, 0.2, 0.3, 0.3, 0.3]
 
+    @pytest.mark.parametrize("model", ["continuous", "discrete"])
+    def test_certificate_keys_that_are_axes_get_their_own_columns(self, tmp_path, model):
+        # the axis keeps its name and the certificate's value is cert_<key>,
+        # so every column name is unique
+        template = self.template()
+        if model == "discrete":
+            template = template.replace(model="discrete", t_end=20.0)
+        out = tmp_path / "sweep.csv"
+        sweep(template, {"beta": [0.3], "kappa": [0.5], "h": [0.25]}, out_path=str(out))
+        cols, row = (line.split(",") for line in out.read_text().splitlines()[1:])
+        assert len(set(cols)) == len(cols)
+        assert cols[:3] == ["beta", "kappa", "h"]
+        cell = dict(zip(cols, row))
+        assert cell["cert_beta"] == cell["beta"] and cell["cert_kappa"] == cell["kappa"]
+        assert cell["cert_h"] == ("" if model == "continuous" else cell["h"])
+        assert "tau" in cols and "cert_tau" not in cols
+
     def test_unknown_axis(self):
         with pytest.raises(ScenarioError):
             sweep(self.template(), {"viscosity": [1.0]})
