@@ -26,7 +26,7 @@ SAMPLES = {
 def describe(name: str, g: Digraph):
     print(f"\n=== {name} ===")
     for i in range(g.n_vertices):
-        listens = sorted(j + 1 for j in g.neighbor_set(i))
+        listens = (np.flatnonzero(g.arcs[i]) + 1).tolist()
         print(f"  agent {i + 1} listens to {listens or 'nobody'}")
     m = compute_metrics(g)
     if m.has_spanning_tree:

@@ -159,20 +159,6 @@ def _log_gap(rho: float, x0: float, w: WeightFunction, p: ModelParams, h: float 
             - math.log(2.0) - g * math.log1p(ni * k))
 
 
-def delta_continuous(rho: float, x0: float, w: WeightFunction,
-                     p: ModelParams) -> float:
-    """Per-block contraction factor for the continuous system."""
-    return 1.0 - math.exp(_log_gap(rho, x0, w, p, None))
-
-
-def delta_discrete(rho: float, x0: float, w: WeightFunction,
-                   p: ModelParams) -> float:
-    """Per-block contraction factor for the Euler recursion."""
-    if p.h is None:
-        raise AnalysisError("discrete delta needs a step size h")
-    return 1.0 - math.exp(_log_gap(rho, x0, w, p, p.h))
-
-
 @dataclass(frozen=True)
 class FlockingCertificate:
     """Evaluated sufficient condition for one scenario."""
@@ -346,7 +332,7 @@ def initial_spreads(history: InitialHistory, g: Digraph, tau: float) -> tuple[fl
         inside = history.times[(history.times > -tau) & (history.times < 0.0)]
         ts = np.concatenate(([-tau], inside, [0.0]))
     x, v, _, _ = history.eval(ts)
-    ei, ej = np.nonzero(g.arcs)
+    ei, ej = g.arc_list
     with np.errstate(over="ignore"):   # an overflow reads inf, which _certify refuses
         d0 = float((v.max(axis=(0, 1)) - v.min(axis=(0, 1))).max())
         return d0, float(np.linalg.norm(x[-1, ei] - x[:, ej], axis=-1).max(initial=0.0))

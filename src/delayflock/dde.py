@@ -311,7 +311,7 @@ def integrate(history: InitialHistory | Sequence[InitialHistory], g: Digraph,
     hist_end = dys[n_hist].copy()
     check_blowup = blowup_guard(ys[: n_hist + 1, :, 1], B)
 
-    ei, ej = np.nonzero(g.arcs)
+    ei, ej = g.arc_list
     n_arcs = len(ei)
     # every member has a lone run's delays: drawn once, on one member's arcs
     at = p.on_edges(ei, ej)

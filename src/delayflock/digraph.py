@@ -5,13 +5,16 @@ receiver on the row and the sender on the column: ``arcs[i, j]`` is
 True when agent j transmits information to agent i.  Two derived
 quantities drive every threshold formula downstream: the smallest
 spanning-tree depth gamma_g (the least BFS eccentricity of a root; one
-reachability closure over all sources finds it, stopping at the first
-full row) and the maximal in-neighborhood size.
+bitset closure over all sources finds it, stopping at the first level
+where a source reaches all) and the maximal in-neighborhood size.
 """
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -47,23 +50,33 @@ class Digraph:
     def n_vertices(self) -> int:
         return self.arcs.shape[0]
 
+    @cached_property
+    def arc_list(self) -> tuple[np.ndarray, np.ndarray]:
+        """``np.nonzero(arcs)``: (receivers, senders), sorted by receiver; read-only."""
+        ei, ej = np.nonzero(self.arcs)
+        ei.setflags(write=False)
+        ej.setflags(write=False)
+        return ei, ej
+
     @classmethod
     def from_arc_list(cls, n: int, arcs: list[tuple[int, int]],
                       one_based: bool = False) -> "Digraph":
-        """Build from (sender, receiver) pairs.
-
-        ``one_based=True`` accepts 1-based labels as used in scenario
-        files and the reference figures.
-        """
+        """Build from (sender, receiver) integer pairs, labelled from 1 with ``one_based``
+        as in scenario files and the reference figures; the first bad pair is named."""
+        try:
+            labels = map(operator.index, chain.from_iterable(arcs))   # integers only
+            a = np.fromiter(labels, dtype=np.int64).reshape(-1, 2)
+        except OverflowError:   # a label past int64, out of range: compare it exactly
+            a = np.array(arcs, dtype=object).reshape(-1, 2)
+        j, i = a.T - (1 if one_based else 0)
+        out = (i < 0) | (i >= n) | (j < 0) | (j >= n)
+        if (bad := out | (i == j)).any():
+            k = int(bad.argmax())
+            if out[k]:
+                raise GraphError(f"arc ({a[k, 0]}, {a[k, 1]}) out of range for n={n}")
+            raise GraphError(f"self-loop at vertex {a[k, 1]}")
         m = np.zeros((n, n), dtype=bool)
-        off = 1 if one_based else 0
-        for j, i in arcs:
-            j, i = j - off, i - off
-            if not (0 <= i < n and 0 <= j < n):
-                raise GraphError(f"arc ({j + off}, {i + off}) out of range for n={n}")
-            if i == j:
-                raise GraphError(f"self-loop at vertex {i + off}")
-            m[i, j] = True
+        m[i, j] = True
         return cls(m)
 
     @classmethod
@@ -73,23 +86,20 @@ class Digraph:
         np.fill_diagonal(m, False)
         return cls(m)
 
-    def neighbor_set(self, i: int) -> set[int]:
-        """Vertices that transmit to i (in-neighbors)."""
-        self._check_index(i)
-        return set(np.flatnonzero(self.arcs[i]).tolist())
+    @property
+    def max_in_degree(self) -> int:
+        """The largest number of vertices transmitting to one vertex."""
+        return int(np.bincount(self.arc_list[0], minlength=self.n_vertices).max(initial=0))
 
     def distance(self, i: int, j: int) -> float:
         """Length of the shortest information-flow path i -> j.
 
         Returns 0 for i == j and math.inf when j is unreachable.
         """
-        self._check_index(i)
-        self._check_index(j)
+        for k in (i, j):
+            if not 0 <= k < self.n_vertices:
+                raise GraphError(f"vertex index {k} out of range [0, {self.n_vertices})")
         return _bfs(self.arcs.T, i)[j]
-
-    def _check_index(self, i: int):
-        if not (0 <= i < self.n_vertices):
-            raise GraphError(f"vertex index {i} out of range [0, {self.n_vertices})")
 
 
 @dataclass(frozen=True)
@@ -128,26 +138,32 @@ def compute_metrics(g: Digraph) -> GraphMetrics:
     A root is a vertex from which every other vertex is reachable; its
     depth is its BFS eccentricity, and gamma_g is the minimum depth over
     roots (inf when there is no root).  All sources advance together:
-    after level l, ``reach[r]`` holds the vertices within distance l of
-    r, one float32 matrix product per level (exact for N < 2^24).  The
-    first level at which a row fills is gamma_g, so the closure stops
-    there, and the roots are the vertices that reach that row's vertex:
-    whoever reaches a root reaches everything.  A rootless graph stops
-    when no row grows.  A single vertex is its own root, depth 0.
+    after level l, ``reach[i]`` packs the sources within distance l of i
+    64 to a ``uint64``; a level ORs into each row its senders' rows,
+    gathered on the arc list, in one ``reduceat``.  The first level at
+    which the AND of all rows, the sources that reach everyone, is
+    nonzero is gamma_g; the roots are the vertices that reach one of
+    those sources (whoever reaches a root reaches everything).  A
+    rootless graph stops at a level that changes nothing.  A single
+    vertex is its own root, depth 0.
     """
     if "_metrics" in g.__dict__:   # the graph is frozen: one closure, kept on it
         return g._metrics
-    succ = g.arcs.T.astype(np.float32)
-    reach = np.eye(g.n_vertices, dtype=bool)
-    front, level = reach, 0
-    while not (full := reach.all(axis=1)).any() and front.any():
-        front = ((front.astype(np.float32) @ succ) > 0) & ~reach
-        reach |= front
-        level += 1
-    n_inf = int(g.arcs.sum(axis=1).max())
-    m = GraphMetrics(n_infinity=n_inf)
+    n, (ei, ej), v = g.n_vertices, g.arc_list, np.arange(g.n_vertices)
+    first = np.searchsorted(ei, v)   # each receiver's first arc
+    rows = np.insert(ej, first, v)   # its own row, then its senders': no segment is empty
+    eye = np.eye(n, -(-n // 64) * 64, dtype=bool)   # padded to whole words
+    reach = np.packbits(eye, axis=1, bitorder="little").view("<u8")
+    level = 0
+    while not (full := np.bitwise_and.reduce(reach, axis=0)).any():
+        grown = np.bitwise_or.reduceat(reach[rows], first + v, axis=0)
+        if np.array_equal(grown, reach):
+            break
+        reach, level = grown, level + 1
+    roots = frozenset()
     if full.any():
-        roots = np.flatnonzero(_bfs(g.arcs, int(full.argmax())) < INF)
-        m = GraphMetrics(roots=frozenset(roots.tolist()), gamma_g=level, n_infinity=n_inf)
+        root = int(np.unpackbits(full.view(np.uint8), bitorder="little").argmax())
+        roots = frozenset(np.flatnonzero(_bfs(g.arcs, root) < INF).tolist())
+    m = GraphMetrics(roots, level if roots else INF, g.max_in_degree)
     object.__setattr__(g, "_metrics", m)
     return m

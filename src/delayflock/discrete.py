@@ -40,8 +40,7 @@ def simulate_discrete(history: InitialHistory, g: Digraph, w: WeightFunction,
     step grid {-tau, ..., t_end}, or raises IntegrationError at a blow-up."""
     if t_end < 0:
         raise ValueError(f"t_end must be nonnegative, got {t_end}")
-    check_gate(w.effective_kappa, h, int(g.arcs.sum(axis=1).max()),
-               unsafe=unsafe_h)
+    check_gate(w.effective_kappa, h, g.max_in_degree, unsafe=unsafe_h)
     check_history(history, (g.n_vertices, history.dim), p)
     tau = p.integer_tau_max
     times = np.arange(-tau, t_end + 1, dtype=float)
@@ -49,7 +48,7 @@ def simulate_discrete(history: InitialHistory, g: Digraph, w: WeightFunction,
     vs = np.empty_like(xs)
     xs[: tau + 1], vs[: tau + 1], _, _ = history.eval(times[: tau + 1])
     check_blowup = blowup_guard(vs[: tau + 1], 1)
-    ei, ej = np.nonzero(g.arcs)
+    ei, ej = g.arc_list
     delay_at = p.on_edges(ei, ej)
     for k in range(t_end):
         x, v = xs[tau + k], vs[tau + k]

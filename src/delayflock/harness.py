@@ -175,8 +175,7 @@ def parse_graph(cfg) -> Digraph:
         raise ScenarioError("graph needs 'n' and, unless complete, 'arcs'")
     if cfg.get("complete"):
         return Digraph.complete(cfg["n"])
-    return Digraph.from_arc_list(cfg["n"], [tuple(a) for a in cfg["arcs"]],
-                                 one_based=True)
+    return Digraph.from_arc_list(cfg["n"], cfg["arcs"], one_based=True)
 
 
 def _build_weight(cfg: dict) -> WeightFunction:

@@ -19,8 +19,6 @@ from delayflock.analysis import (
     classify_regime,
     condition_rhs,
     condition_supremum,
-    delta_continuous,
-    delta_discrete,
     position_bound,
     rho_plus,
     verify_decay,
@@ -179,24 +177,21 @@ class TestRegimes:
 
 
 class TestDelta:
+    # the per-block contraction factor a certificate reports at an explicit rho
     def test_in_unit_interval(self):
-        w = WeightFunction(kind="cucker-smale", kappa=1.0, beta=0.25)
+        hist, g, w, p = continuous_inputs(1.0)
         for rho in (0.01, 1.0, 100.0):
-            d = delta_continuous(rho, 2.0, w, FIG_PARAMS)
-            assert 0.0 < d < 1.0
+            assert 0.0 < check_continuous(hist, g, w, p, rho=rho).delta < 1.0
 
     def test_discrete_in_unit_interval(self):
-        p = ModelParams(gamma_g=2, n_infinity=1, kappa=1.0, tau=1.0, d=2,
-                        beta=0.25, h=0.05)
-        w = WeightFunction(kind="cucker-smale", kappa=1.0, beta=0.25)
+        hist, g, w, p = continuous_inputs(1.0)
         for rho in (0.01, 1.0, 100.0):
-            d = delta_discrete(rho, 2.0, w, p)
-            assert 0.0 < d < 1.0
+            assert 0.0 < check_discrete(hist, g, w, p, h=0.05, rho=rho).delta < 1.0
 
     def test_smaller_rho_contracts_faster(self):
-        w = WeightFunction(kind="cucker-smale", kappa=1.0, beta=0.25)
-        d_small = delta_continuous(0.1, 2.0, w, FIG_PARAMS)
-        d_big = delta_continuous(10.0, 2.0, w, FIG_PARAMS)
+        hist, g, w, p = continuous_inputs(1.0)
+        d_small = check_continuous(hist, g, w, p, rho=0.1).delta
+        d_big = check_continuous(hist, g, w, p, rho=10.0).delta
         assert d_small < d_big
 
 

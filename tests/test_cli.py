@@ -188,6 +188,8 @@ FAST_APART = dict(FAR_APART, positions=[[0.0], [1.0]], velocities=[[-1e308], [1e
     ("simulate", dict(FAR_APART, model="discrete", h=0.1), [],
      "error: initial spreads overflow: D(0) = 1, X(0) = inf"),
     ("simulate", FAST_APART, [], "error: initial spreads overflow: D(0) = inf, X(0) = 1"),
+    ("analyze-graph", dict(SCENARIO, graph={"n": 4, "arcs": [[1, 2], [1, 2 ** 70], [3, 3]]}),
+     [], "error: arc (1, 1180591620717411303424) out of range for n=4\n"),
 ], ids=["gate-check", "gate-simulate", "nan-position", "blow-up", "negative-dt",
         "zero-horizon", "missing-arcs", "malformed-json", "directory", "string-beta",
         "one-vertex-arc", "huge-integer", "discrete-negative-horizon",
@@ -197,7 +199,8 @@ FAST_APART = dict(FAR_APART, positions=[[0.0], [1.0]], velocities=[[-1e308], [1e
         "sweep-nan-kappa", "sweep-nan-scale", "sweep-inf-kappa", "unsafe-check",
         "unsafe-blow-up-simulate", "unsafe-blow-up-sweep", "sweep-scale-overflow",
         "velocity-scale-overflow", "sweep-tau-random", "far-apart-check",
-        "far-apart-simulate", "far-apart-sweep", "far-apart-discrete", "velocity-gap-overflow"])
+        "far-apart-simulate", "far-apart-sweep", "far-apart-discrete", "velocity-gap-overflow",
+        "arc-label-past-int64"])
 def test_bad_input_exits_2_with_one_line(command, raw, flags, message, tmp_path, capsys):
     # raw is a scenario object, or the name of a file under tmp_path
     (tmp_path / "bad.json").write_text('{"graph": \n !')

@@ -25,29 +25,29 @@ def fig_graph():
     return Digraph.from_arc_list(4, FIG_ARCS, one_based=True)
 
 
+def in_neighbors(g, i):
+    """The vertices that transmit to i: row i of the arc matrix."""
+    return set(np.flatnonzero(g.arcs[i]).tolist())
+
+
 def test_neighbor_sets_fig_graph(fig_graph):
     # agent 1 listens to 3, 2 to 1, 3 to 2, 4 to 3 (1-based labels)
-    assert fig_graph.neighbor_set(0) == {2}
-    assert fig_graph.neighbor_set(1) == {0}
-    assert fig_graph.neighbor_set(2) == {1}
-    assert fig_graph.neighbor_set(3) == {2}
+    assert [in_neighbors(fig_graph, i) for i in range(4)] == [{2}, {0}, {1}, {2}]
 
 
 def test_neighbor_set_single_vertex():
-    g = Digraph(np.zeros((1, 1), dtype=bool))
-    assert g.neighbor_set(0) == set()
+    assert in_neighbors(Digraph(np.zeros((1, 1), dtype=bool)), 0) == set()
 
 
 def test_neighbor_set_complete():
-    g = Digraph.complete(4)
-    assert g.neighbor_set(2) == {0, 1, 3}
+    assert in_neighbors(Digraph.complete(4), 2) == {0, 1, 3}
 
 
-def test_neighbor_set_index_error(fig_graph):
+def test_distance_index_error(fig_graph):
     with pytest.raises(GraphError):
-        fig_graph.neighbor_set(4)
+        fig_graph.distance(4, 0)
     with pytest.raises(GraphError):
-        fig_graph.neighbor_set(-1)
+        fig_graph.distance(0, -1)
 
 
 def test_distance_fig_graph(fig_graph):
@@ -108,11 +108,83 @@ def test_metrics_single_vertex():
     (Digraph.from_arc_list(10, [(k, (k + 1) % 5 + k // 5 * 5) for k in range(10)]),
      set(), math.inf, 1),
     (Digraph(np.zeros((3, 3), dtype=bool)), set(), math.inf, 0),
-], ids=["fig-with-tail", "path-400", "two-cycles", "arcless-3"])
+    (Digraph.complete(400), set(range(400)), 1, 399),
+    # rooted at its last vertex, the first of the third 64-vertex word
+    (Digraph.from_arc_list(129, [(k + 1, k) for k in range(128)]), {128}, 128, 1),
+], ids=["fig-with-tail", "path-400", "two-cycles", "arcless-3", "complete-400",
+        "reversed-path-129"])
 def test_metrics_early_stop_cases(g, roots, gamma, n_inf):
     m = compute_metrics(g)
     assert (m.roots, m.gamma_g, m.n_infinity) == (frozenset(roots), gamma, n_inf)
     assert bfs_metrics(g.arcs) == (roots, gamma, n_inf)
+
+
+@st.composite
+def word_boundary_digraph(draw):
+    # sizes on both sides of the 64-source words of the bitset closure;
+    # random arcs, an optional directed path under them (deep graphs, rooted
+    # at the first vertex or at the last), and vertices whose in-arcs are all cut
+    n = draw(st.sampled_from([1, 2, 63, 64, 65, 128, 129]) | st.integers(1, 140))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    m = rng.random((n, n)) < draw(st.sampled_from([0.0, 0.5 / n, 2.0 / n, 0.1, 0.5]))
+    path = draw(st.sampled_from(["none", "forward", "backward"]))
+    if path != "none":
+        up, down = np.arange(1, n), np.arange(n - 1)
+        m[(up, down) if path == "forward" else (down, up)] = True
+    m[rng.random(n) < draw(st.sampled_from([0.0, 0.02, 0.3, 1.0]))] = False
+    np.fill_diagonal(m, False)
+    return m
+
+
+@given(word_boundary_digraph())
+@settings(max_examples=120, deadline=None)
+def test_bitset_closure_matches_oracles(m):
+    want = bfs_metrics(m)
+    assert closure_metrics(m) == want
+    got = compute_metrics(Digraph(m))
+    assert (got.roots, got.gamma_g, got.n_infinity) == want
+
+
+@pytest.mark.parametrize("arcs, one_based, message", [
+    ([(1, 3), (2, 2)], True, "arc (1, 3) out of range for n=2"),
+    ([(2, 2), (1, 3)], True, "self-loop at vertex 2"),
+    ([(0, 1), (1, 1), (0, 2)], False, "self-loop at vertex 1"),
+    ([(1, 2), (0, 1), (1, 1)], True, "arc (0, 1) out of range for n=2"),
+    ([(1, 2), (1, 2 ** 70), (2, 2)], True,
+     "arc (1, 1180591620717411303424) out of range for n=2"),
+    ([(2, 2), (-2 ** 70, 1)], True, "self-loop at vertex 2"),
+    ([(1, 2), (2 ** 63 - 1, 1)], True, "arc (9223372036854775807, 1) out of range for n=2"),
+    ([(-2 ** 63, 1)], True, "arc (-9223372036854775808, 1) out of range for n=2"),
+], ids=["range-before-loop", "loop-before-range", "zero-based-loop", "label-zero",
+        "past-int64", "loop-before-past-int64", "int64-max", "int64-min"])
+def test_first_bad_arc_is_named(arcs, one_based, message):
+    with pytest.raises(GraphError) as e:
+        Digraph.from_arc_list(2, arcs, one_based=one_based)
+    assert str(e.value) == message
+
+
+@pytest.mark.parametrize("label", [1.5, 2.0, np.float64(1.0), "1"])
+def test_arc_labels_must_be_integers(label):
+    with pytest.raises(TypeError):
+        Digraph.from_arc_list(3, [(1, 2), (label, 3)], one_based=True)
+
+
+def test_duplicate_arcs_and_empty_arc_list_accepted():
+    g = Digraph.from_arc_list(3, [(1, 2), (3, 2), (1, 2)], one_based=True)
+    assert [in_neighbors(g, i) for i in range(3)] == [set(), {0, 2}, set()]
+    assert compute_metrics(g).n_infinity == 2
+    g = Digraph.from_arc_list(3, [])
+    assert not g.arcs.any() and compute_metrics(g).n_infinity == 0
+
+
+def test_arc_list_is_the_kept_read_only_nonzero(fig_graph):
+    ei, ej = fig_graph.arc_list
+    want_i, want_j = np.nonzero(fig_graph.arcs)
+    assert np.array_equal(ei, want_i) and np.array_equal(ej, want_j)
+    assert fig_graph.arc_list is fig_graph.arc_list      # computed once
+    for a in (ei, ej):
+        with pytest.raises(ValueError):
+            a[0] = 1
 
 
 def test_self_loop_rejected():
