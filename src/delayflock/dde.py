@@ -10,13 +10,13 @@ a sample time bends it: there the gap is at most (4/27) * dt times the
 jump in slope.  Lookups slightly ahead of the last fully-specified
 segment (delays smaller than the step) extrapolate that segment.
 
-The state (x, v) is one array, so a stage does one lookup and a step
-one update.  Every stage's delays are planned before the loop, and the
-stages whose rows are committed are looked up in one call: on agent
+The state (x, v) is one array: a stage takes one (x, v) difference per
+arc (``edge_forces``) and writes its slope into a buffer, and a step
+updates in place.  Delays are planned a chunk of stages at a time, and
+the stages whose rows are committed are looked up in one call: on agent
 rows when every arc shares the delay (zero, constant, sinusoidal), on
-arc rows when each arc has its own (piecewise-random, which holds its
-draws over an interval).  Both give the per-arc lookup's numbers, bit
-for bit.
+arc rows when each arc has its own (piecewise-random, held over an
+interval).  Both give the per-arc lookup's numbers, bit for bit.
 
 Also provides the windowed velocity-spread diagnostics: per-component
 trailing-window extrema over [t - tau, t] and their spread.
@@ -162,12 +162,16 @@ class Trajectory:
 def blowup_guard(history_vs, members: int):
     """Both models' blow-up check of a velocity row at time t, for
     ``members`` equal-sized members with history velocities (K, rows, d);
-    a NaN or inf fails it too."""
+    a NaN or inf fails it too.  A row within the smallest member limit
+    passes on one reduction; any other is checked member by member."""
     limit = BLOWUP_FACTOR * np.maximum(
         np.abs(history_vs).reshape(len(history_vs), members, -1).max(axis=(0, 2)), 1.0)
+    least = limit.min()
 
     def check(v, t):
-        ok = np.abs(v).reshape(members, -1).max(axis=1) <= limit
+        if (speed := np.abs(v)).max() <= least:
+            return
+        ok = speed.reshape(members, -1).max(axis=1) <= limit
         if not ok.all():
             raise IntegrationError(f"solution blew up at t = {t:g}", member=int(ok.argmin()))
     return check
@@ -218,24 +222,22 @@ def _hermite_rows(table, a, weights, jump, cols=slice(None)):
             + h11 * np.where(jump, fix_val[cols], slopes[a + 1, cols]))
 
 
-def _stage_plan(times, n_hist: int, n_steps: int, dt: float, at, members: int):
-    """The lookups of integrate's 4*n_steps + 1 stage evaluations.
-
-    Stage s of the step from grid index k runs at times[k] + (0, dt/2,
-    dt/2, dt)[s] with last valid slope index (max(k - 1, 1), k, k, k)[s];
-    the final slope runs at times[-1] with index len(times) - 2.  Returns
+def _stage_plan(times, n_hist: int, dt: float, at, members: int, first: int, stop: int):
+    """The lookups of integrate's stages first .. stop - 1.  Stage q runs
+    at times[k] + (0, dt/2, dt/2, dt)[q % 4], k = n_hist + q // 4, with
+    last valid slope index (max(k - 1, 1), k, k, k)[q % 4]; the final
+    slope, stage 4 * n_steps, opens a step past the end.  Returns
     those times and indices, each stage's delays from ``at`` (an (S, 1)
     array when every arc shares them, else one (members * E,) array per
     stage, the same object over a hold interval), each stage's shortest
     nonzero delay (0 if none) and the farthest segment a stage reads,
     the one of that delay.
     """
-    k = np.arange(n_hist, n_hist + n_steps)
-    t = times[k]
-    ts = np.append(np.stack([t, t + dt / 2, t + dt / 2, t + dt], axis=1), times[-1])
+    k, q = np.divmod(np.arange(first, stop) + 4 * n_hist, 4)
+    ts = times[k] + np.array([0.0, dt / 2, dt / 2, dt])[q]
     # stage 1 may not use the segment ending at k (its slope is what the
     # step computes); delays shorter than dt extrapolate the segment before
-    his = np.append(np.stack([np.maximum(k - 1, 1), k, k, k], axis=1), len(times) - 2)
+    his = np.where(q == 0, np.maximum(k - 1, 1), k)
     taus = [at(t) for t in ts.tolist()]
     if np.ndim(taus[0]) == 0:
         tau = np.array(taus)[:, None]
@@ -251,34 +253,33 @@ def _stage_plan(times, n_hist: int, n_steps: int, dt: float, at, members: int):
     return ts, his, tau, short, _segment(times, ts - short, his)
 
 
-def edge_forces(x_i, x_delayed, v_i, v_delayed, ei, w: WeightFunction, n: int):
+def edge_forces(own, delayed, ei, w: WeightFunction, out):
     """Alignment forces summed per receiver over the arc list.
 
-    Row e of the (E, d) inputs belongs to the arc ej[e] -> ei[e]: the
-    receiver's own state and the sender's delayed state.  Returns the
-    (n, d) array whose row i is sum over arcs into i of
-    psi(|x_delayed - x_i|) * (v_delayed - v_i), summed in arc order.
+    Row e of the (E, 2, d) inputs belongs to the arc ej[e] -> ei[e]: the
+    receiver's own (x, v) and the sender's delayed (x, v).  Adds to row i
+    of the zeroed (n, d) ``out`` the sum over arcs into i of
+    psi(|x_delayed - x_i|) * (v_delayed - v_i), in arc order.
     """
-    dx = x_delayed - x_i
-    r = np.sqrt(np.add.reduce(dx * dx, axis=1))
-    coef = np.asarray(w(r))[:, None] * (v_delayed - v_i)
-    dv = np.zeros((n, v_i.shape[1]))
-    np.add.at(dv, ei, coef)
-    return dv
+    diff = delayed - own
+    # only positions are squared: a velocity gap past 1e154 must not overflow
+    r = np.sqrt(np.add.reduce(np.square(diff[:, 0]), axis=1))
+    np.add.at(out, ei, w(r)[:, None] * diff[:, 1])
 
 
 def integrate(history: InitialHistory | Sequence[InitialHistory], g: Digraph,
               w: WeightFunction | Sequence[WeightFunction], p: DelayProfile, t_end: float,
               dt: float = 0.01) -> Trajectory | list[Trajectory]:
-    """RK4 with interpolated history lookback (method of steps).
+    """RK4 with interpolated history lookback (method of steps), each
+    stage's slope from ``edge_forces`` on the arcs' (x, v) rows.
 
     Returns a Trajectory covering [-n_hist*dt, t_end] where n_hist*dt
     is tau rounded up to a whole number of steps (the extra reach is
     filled by the clamped history and never queried by the dynamics).
     B member histories (and one weight or B weights) sharing g, p, t_end
     and dt run as one block-diagonal system, member b owning agents
-    b*N .. (b+1)*N-1, so xs reshapes to (M, B, N, d); each keeps its own
-    blow-up guard and a lone run's arithmetic, and gets a Trajectory view.
+    b*N .. (b+1)*N-1; each keeps its own blow-up guard and a lone run's
+    arithmetic, and gets a Trajectory view.
     """
     if not 0 < dt < math.inf:
         raise IntegrationError(f"step size must be positive and finite, got {dt}")
@@ -301,8 +302,7 @@ def integrate(history: InitialHistory | Sequence[InitialHistory], g: Digraph,
     nb = B * n
     times = (np.arange(M) - n_hist) * dt
     # ys[k, agent] = (x, v) and dys its time derivative (dx, dv)
-    ys = np.empty((M, nb, 2, d))
-    dys = np.zeros((M, nb, 2, d))
+    ys, dys = np.empty((M, nb, 2, d)), np.zeros((M, nb, 2, d))
     members = [slice(b * n, (b + 1) * n) for b in range(B)]
     for sl, h in zip(members, hists):
         (ys[: n_hist + 1, sl, 0], ys[: n_hist + 1, sl, 1],
@@ -318,50 +318,60 @@ def integrate(history: InitialHistory | Sequence[InitialHistory], g: Digraph,
     offset = np.repeat(np.arange(B) * n, n_arcs)
     ei, ej = np.tile(ei, B) + offset, np.tile(ej, B) + offset
     psi = batch_weight(ws, n_arcs)
-    table = (ys, dys, hist_end)
-    ts, his, tau_s, short, seg = _stage_plan(times, n_hist, n_steps, dt, at, B)
     # a delay every arc shares (one, or none for no arcs) is looked up on agent
     # rows, and each stage gathers its arcs from them; per-arc delays on arc rows
-    shared = len(tau_s[0]) <= 1
+    shared = np.ndim(at(0.0)) == 0 or len(ej) <= 1
     cols = np.arange(nb) if shared else ej
-    # the block of stages opened at k reads rows committed by then, up to his[k]
-    # (or fixed, up to n_hist), and holds at most LOOKUP_BLOCK_ROWS rows
-    ready = np.maximum.accumulate(seg + 1).searchsorted(np.maximum(his, n_hist), "right")
-    ends = np.minimum(ready, np.arange(len(ts)) + max(1, LOOKUP_BLOCK_ROWS // len(cols)))
-    block, lo, hi = None, 0, 0
+    # stages are planned a chunk at a time and looked up a block at a time, never
+    # past the chunk's end; either holds at most LOOKUP_BLOCK_ROWS rows
+    span = max(1, LOOKUP_BLOCK_ROWS // len(cols))
+    first, plan, block, lo, hi = -span, None, None, 0, 0
 
-    def stage_rhs(k, y):
-        # k: index of the stage in the plan; returns the slope (v, dv) at y
-        nonlocal lo, hi, block
-        if short[k] == 0.0:
-            yd = y[ej]
+    def stage_rhs(k, y, out):
+        # k: index of the stage in the run; writes the slope (v, dv) at y into out
+        nonlocal first, plan, block, lo, hi
+        if k >= first + span:
+            first, lo, hi = k, 0, 0
+            ts, his, tau_s, short, seg = _stage_plan(times, n_hist, dt, at, B, k,
+                                                     min(k + span, 4 * n_steps + 1))
+            # a block opened at a stage reads only rows committed by then: to his, or n_hist
+            ends = np.maximum.accumulate(seg + 1).searchsorted(np.maximum(his, n_hist), "right")
+            plan = ts, his, tau_s, short, short.tolist(), ends.tolist()
+        ts, his, tau_s, short, shortest, ends = plan
+        c = k - first
+        if shortest[c] == 0.0:
+            yd = y.take(ej, axis=0)
         else:
-            if k >= hi:
-                lo, hi = k, ends[k]
+            if c >= hi:
+                lo, hi = c, ends[c]
                 s = ts[lo:hi, None]
                 # an arc at delay 0 reads y; its lane looks up the stage's shortest delay
                 a, basis = _hermite_basis(times, np.minimum(s - np.array(tau_s[lo:hi]),
                                                             s - short[lo:hi, None]),
                                           his[lo:hi, None])
-                block = _hermite_rows(table, a, [b[..., None, None] for b in basis],
+                block = _hermite_rows((ys, dys, hist_end), a, [b[..., None, None] for b in basis],
                                       (a + 1 == n_hist)[..., None, None], cols)
-            yd = (block[k - lo][ej] if shared
-                  else np.where(tau_s[k][:, None, None] == 0.0, y[ej], block[k - lo]))
-        dv = edge_forces(y[ei, 0], yd[:, 0], y[ei, 1], yd[:, 1], ei, psi, nb)
-        return np.concatenate((y[:, 1:], dv[:, None]), axis=1)
+            yd = (block[c - lo].take(ej, axis=0) if shared
+                  else np.where(tau_s[c][:, None, None] == 0.0, y.take(ej, axis=0),
+                                block[c - lo]))
+        out[:, 0], out[:, 1] = y[:, 1], 0.0
+        edge_forces(y.take(ei, axis=0), yd, ei, psi, out[:, 1])
 
-    idx = n_hist
-    for k in range(0, 4 * n_steps, 4):
-        y = ys[idx]
-        dys[idx] = k1 = stage_rhs(k, y)
-        k2 = stage_rhs(k + 1, y + dt / 2 * k1)
-        k3 = stage_rhs(k + 2, y + dt / 2 * k2)
-        k4 = stage_rhs(k + 3, y + dt * k3)
-        ys[idx + 1] = y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        idx += 1
-        check_blowup(ys[idx, :, 1], times[idx])
+    # k1 goes into dys; y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4) runs as written, in place
+    k2, k3, k4, yk = (np.empty((nb, 2, d)) for _ in range(4))
+    for idx in range(n_hist, M - 1):
+        y, k1, k = ys[idx], dys[idx], 4 * (idx - n_hist)
+        stage_rhs(k, y, k1)
+        stage_rhs(k + 1, np.add(y, np.multiply(dt / 2, k1, out=yk), out=yk), k2)
+        stage_rhs(k + 2, np.add(y, np.multiply(dt / 2, k2, out=yk), out=yk), k3)
+        stage_rhs(k + 3, np.add(y, np.multiply(dt, k3, out=yk), out=yk), k4)
+        np.add(k1, np.multiply(2, k2, out=k2), out=k2)
+        np.add(k2, np.multiply(2, k3, out=k3), out=k2)
+        np.multiply(dt / 6, np.add(k2, k4, out=k2), out=k2)
+        np.add(y, k2, out=ys[idx + 1])
+        check_blowup(ys[idx + 1, :, 1], times[idx + 1])
     # final slope so dense output covers the last segment
-    dys[idx] = stage_rhs(4 * n_steps, ys[idx])
+    stage_rhs(4 * n_steps, ys[-1], dys[-1])
     trajs = [Trajectory(times=times, xs=ys[:, sl, 0], vs=ys[:, sl, 1], dt=dt, n_hist=n_hist,
                         dvs=dys[:, sl, 1], dxs=dys[:, sl, 0], hist_end_slope=hist_end[sl, 1],
                         hist_end_xslope=hist_end[sl, 0]) for sl in members]
@@ -422,13 +432,8 @@ def _segment_extrema(vals, slopes, dt, fix_idx=None, fix_val=None):
 
 def _trailing_extreme(arr, win, reduce_fn):
     """reduce over the trailing window of length win+1 along axis 0."""
-    if win == 0:
-        return arr.copy()
-    from numpy.lib.stride_tricks import sliding_window_view
-    pad = np.repeat(arr[:1], win, axis=0)
-    padded = np.concatenate([pad, arr], axis=0)
-    sw = sliding_window_view(padded, win + 1, axis=0)
-    return reduce_fn(sw, axis=-1)
+    padded = np.concatenate([np.repeat(arr[:1], win, axis=0), arr])
+    return reduce_fn(np.lib.stride_tricks.sliding_window_view(padded, win + 1, axis=0), axis=-1)
 
 
 def diameters(traj: Trajectory, tau: float) -> DiameterSeries:
@@ -456,14 +461,11 @@ def diameters(traj: Trajectory, tau: float) -> DiameterSeries:
                                   fix_val=traj.hist_end_slope)
         g_max[1:] = np.maximum(g_max[1:], hi.max(axis=1))
         g_min[1:] = np.minimum(g_min[1:], lo.min(axis=1))
-    vbar_all = _trailing_extreme(g_max, win, np.max)
-    vund_all = _trailing_extreme(g_min, win, np.min)
     q0 = traj.n_hist
-    times = traj.times[q0:]
-    vbar = vbar_all[q0:]
-    vund = vund_all[q0:]
+    vbar = _trailing_extreme(g_max, win, np.max)[q0:]
+    vund = _trailing_extreme(g_min, win, np.min)[q0:]
     spread_k = vbar - vund
-    return DiameterSeries(times=times, vbar=vbar, vund=vund,
+    return DiameterSeries(times=traj.times[q0:], vbar=vbar, vund=vund,
                           spread_k=spread_k, spread=spread_k.max(axis=1))
 
 

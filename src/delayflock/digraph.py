@@ -46,6 +46,13 @@ class Digraph:
         a.setflags(write=False)
         object.__setattr__(self, "arcs", a)
 
+    def __eq__(self, other):   # the same arc matrix: its shape and its bytes
+        return (isinstance(other, Digraph) and self.arcs.shape == other.arcs.shape
+                and self.arcs.tobytes() == other.arcs.tobytes())
+
+    def __hash__(self):
+        return hash((self.arcs.shape, self.arcs.tobytes()))
+
     @property
     def n_vertices(self) -> int:
         return self.arcs.shape[0]

@@ -35,28 +35,29 @@ def check_gate(kappa: float, h: float, n_infinity: int, unsafe: bool = False):
 def simulate_discrete(history: InitialHistory, g: Digraph, w: WeightFunction,
                       p: DelayProfile, t_end: int, h: float,
                       unsafe_h: bool = False) -> Trajectory:
-    """Run the recursion for t_end steps from the history's states at
-    steps -tau .. 0; returns a sample-only Trajectory on the integer
-    step grid {-tau, ..., t_end}, or raises IntegrationError at a blow-up."""
+    """Run the recursion for t_end steps from the history's states at steps
+    -tau .. 0, on one (x, v) array with the forces of ``edge_forces``;
+    returns a sample-only Trajectory on the integer step grid {-tau, ...,
+    t_end}, or raises IntegrationError at a blow-up."""
     if t_end < 0:
         raise ValueError(f"t_end must be nonnegative, got {t_end}")
     check_gate(w.effective_kappa, h, g.max_in_degree, unsafe=unsafe_h)
     check_history(history, (g.n_vertices, history.dim), p)
     tau = p.integer_tau_max
     times = np.arange(-tau, t_end + 1, dtype=float)
-    xs = np.empty((len(times),) + history.x0.shape)
-    vs = np.empty_like(xs)
-    xs[: tau + 1], vs[: tau + 1], _, _ = history.eval(times[: tau + 1])
-    check_blowup = blowup_guard(vs[: tau + 1], 1)
+    ys = np.empty((len(times), g.n_vertices, 2, history.dim))
+    ys[: tau + 1, :, 0], ys[: tau + 1, :, 1], _, _ = history.eval(times[: tau + 1])
+    check_blowup = blowup_guard(ys[: tau + 1, :, 1], 1)
     ei, ej = g.arc_list
     delay_at = p.on_edges(ei, ej)
     for k in range(t_end):
-        x, v = xs[tau + k], vs[tau + k]
+        y, step = ys[tau + k], ys[tau + k + 1]   # the slope (v, dv) goes into the next row
         back = tau + k - np.rint(delay_at(k)).astype(np.intp)   # one lag, or one per arc
-        dv = edge_forces(x[ei], xs[back, ej], v[ei], vs[back, ej], ei, w, len(x))
-        xs[tau + k + 1], vs[tau + k + 1] = x + h * v, v + h * dv
-        check_blowup(vs[tau + k + 1], k + 1)
-    return Trajectory(times=times, xs=xs, vs=vs, dt=1.0, n_hist=tau)
+        step[:, 0], step[:, 1] = y[:, 1], 0.0
+        edge_forces(y.take(ei, axis=0), ys[back, ej], ei, w, step[:, 1])
+        np.add(y, np.multiply(h, step, out=step), out=step)   # x + h v, v + h dv
+        check_blowup(step[:, 1], k + 1)
+    return Trajectory(times=times, xs=ys[:, :, 0], vs=ys[:, :, 1], dt=1.0, n_hist=tau)
 
 
 def discrete_diameters(traj: Trajectory, tau: int) -> DiameterSeries:

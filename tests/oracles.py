@@ -281,6 +281,81 @@ def _hermite_gather(times, table, j_e, s_e, hi, fix_idx):
     return h00 * vals[seg, j_e] + h10 * slopes[seg, j_e] + h01 * vals[seg1, j_e] + h11 * m1
 
 
+def edge_forces_reference(x_i, x_delayed, v_i, v_delayed, ei, w, n):
+    """The alignment forces on separate (E, d) position and velocity rows
+    of the arcs ej[e] -> ei[e]: the (n, d) sum over arcs into each
+    receiver of psi(|x_delayed - x_i|) * (v_delayed - v_i), in arc order."""
+    dx = x_delayed - x_i
+    r = np.sqrt(np.add.reduce(dx * dx, axis=1))
+    dv = np.zeros((n, v_i.shape[1]))
+    np.add.at(dv, ei, np.asarray(w(r))[:, None] * (v_delayed - v_i))
+    return dv
+
+
+def rk4_reference(history, g, w, p, t_end, dt):
+    """One member's run of dde.integrate by the allocating RK4 step.
+
+    Each stage reads its arcs' delayed states by the per-arc gather (an
+    arc at delay 0 reads the stage's state), builds its slope with
+    np.concatenate and takes y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4);
+    stage times and slope limits are those of integrate's plan.
+    Returns (ys, dys, hist_end): the (M, N, 2, d) state and slope tables
+    and the history side of the slope at t = 0.
+    """
+    tau = max(p.tau_max, history.tau)
+    n_hist = max(1, math.ceil(tau / dt - 1e-12)) if tau > 0 else 0
+    n_steps = int(math.ceil(t_end / dt - 1e-12))
+    times = (np.arange(n_hist + n_steps + 1) - n_hist) * dt
+    n, d = history.x0.shape
+    ys = np.empty((len(times), n, 2, d))
+    dys = np.zeros_like(ys)
+    (ys[: n_hist + 1, :, 0], ys[: n_hist + 1, :, 1],
+     dys[: n_hist + 1, :, 0], dys[: n_hist + 1, :, 1]) = history.eval(times[: n_hist + 1])
+    hist_end = dys[n_hist].copy()
+    ei, ej = np.nonzero(g.arcs)
+    at = p.on_edges(ei, ej)
+
+    def slope(t, hi, y):
+        tau_e = np.broadcast_to(at(t), len(ei))
+        past = tau_e != 0.0
+        yd = y[ej]
+        if past.any():
+            yd[past] = _hermite_gather(times, (ys, dys, hist_end), ej[past], t - tau_e[past],
+                                       hi, n_hist)
+        dv = edge_forces_reference(y[ei, 0], yd[:, 0], y[ei, 1], yd[:, 1], ei, w, n)
+        return np.concatenate((y[:, 1:], dv[:, None]), axis=1)
+
+    for idx in range(n_hist, n_hist + n_steps):
+        t, y = times[idx], ys[idx]
+        dys[idx] = k1 = slope(t, max(idx - 1, 1), y)
+        k2 = slope(t + dt / 2, idx, y + dt / 2 * k1)
+        k3 = slope(t + dt / 2, idx, y + dt / 2 * k2)
+        k4 = slope(t + dt, idx, y + dt * k3)
+        ys[idx + 1] = y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    dys[-1] = slope(times[-1], len(times) - 2, ys[-1])
+    return ys, dys, hist_end
+
+
+def euler_reference(history, g, w, p, t_end, h):
+    """discrete.simulate_discrete's run on separate position and velocity
+    tables: x + h * v and v + h * dv, the forces by
+    edge_forces_reference on the lags p reads at each step.  Returns the
+    (t_end + tau + 1, N, d) tables (xs, vs) from step -tau."""
+    tau = p.integer_tau_max
+    times = np.arange(-tau, t_end + 1, dtype=float)
+    xs = np.empty((len(times),) + history.x0.shape)
+    vs = np.empty_like(xs)
+    xs[: tau + 1], vs[: tau + 1], _, _ = history.eval(times[: tau + 1])
+    ei, ej = np.nonzero(g.arcs)
+    delay_at = p.on_edges(ei, ej)
+    for k in range(t_end):
+        x, v = xs[tau + k], vs[tau + k]
+        back = tau + k - np.rint(delay_at(k)).astype(np.intp)
+        dv = edge_forces_reference(x[ei], xs[back, ej], v[ei], vs[back, ej], ei, w, len(x))
+        xs[tau + k + 1], vs[tau + k + 1] = x + h * v, v + h * dv
+    return xs, vs
+
+
 def max_pair_distance_reference(xs):
     """The largest distance between two agents over every time row of xs
     (M, N, d), from all rows' pair differences at once: M * N(N-1)/2 * d

@@ -8,12 +8,14 @@ from hypothesis import strategies as st
 from delayflock import dde
 from delayflock.analysis import initial_spreads
 from delayflock.dde import (
+    BLOWUP_FACTOR,
     InitialHistory,
     IntegrationError,
     check_monotone_diameter,
     diameters,
     _hermite_basis,
     _stage_plan,
+    blowup_guard,
     edge_forces,
     integrate,
 )
@@ -22,7 +24,10 @@ from delayflock.interaction import DelayProfile, WeightFunction
 
 from oracles import (
     _hermite_gather,
+    edge_forces_reference,
     hermite_reference,
+    random_rooted_arcs,
+    rk4_reference,
     two_agent_delayed_difference,
     two_agent_ode_difference,
 )
@@ -51,8 +56,8 @@ class TestRhs:
     def test_single_agent_is_inert(self):
         g = Digraph(np.zeros((1, 1), dtype=bool))
         w = WeightFunction(kind="constant", kappa=1.0)
-        none = np.zeros((0, 2))
-        dv = edge_forces(none, none, none, none, np.zeros(0, dtype=int), w, 1)
+        none, dv = np.zeros((0, 2, 2)), np.zeros((1, 2))
+        edge_forces(none, none, np.zeros(0, dtype=int), w, dv)
         assert np.array_equal(dv, [[0.0, 0.0]])
         hist = InitialHistory.constant([[1.0, 2.0]], [[3.0, 4.0]], tau=0.0)
         traj = integrate(hist, g, w, DelayProfile.zero(), t_end=1.0, dt=0.1)
@@ -63,10 +68,10 @@ class TestRhs:
     def test_identical_velocities_give_zero(self):
         g = Digraph.complete(3)
         w = WeightFunction(kind="cucker-smale", kappa=2.0, beta=0.5)
-        x = np.array([[0.0], [1.0], [5.0]])
-        v = np.array([[2.0], [2.0], [2.0]])
+        y = np.array([[[0.0], [2.0]], [[1.0], [2.0]], [[5.0], [2.0]]])   # (x, v) rows
         ei, ej = np.nonzero(g.arcs)
-        dv = edge_forces(x[ei], x[ej], v[ei], v[ej], ei, w, 3)
+        dv = np.zeros((3, 1))
+        edge_forces(y[ei], y[ej], ei, w, dv)
         assert np.array_equal(dv, np.zeros((3, 1)))
 
     def test_two_agents_unit_weight(self):
@@ -74,10 +79,10 @@ class TestRhs:
         # velocity gap changes at the closed form's rate at t = 0
         g = Digraph.complete(2)
         w = WeightFunction(kind="constant", kappa=1.0)
-        x = np.array([[0.0], [1.0]])
-        v = np.array([[0.0], [1.0]])
+        y = np.array([[[0.0], [0.0]], [[1.0], [1.0]]])
         ei, ej = np.nonzero(g.arcs)
-        dv = edge_forces(x[ei], x[ej], v[ei], v[ej], ei, w, 2)
+        dv = np.zeros((2, 1))
+        edge_forces(y[ei], y[ej], ei, w, dv)
         assert np.array_equal(dv, [[1.0], [-1.0]])
         eps = 1e-6
         rate = (two_agent_ode_difference(eps, 1.0, 1.0)
@@ -87,8 +92,8 @@ class TestRhs:
     def test_delayed_lookup_used(self):
         # the force on receiver 0 uses the sender's delayed row ...
         w = WeightFunction(kind="constant", kappa=1.0)
-        dv = edge_forces(np.array([[0.0]]), np.array([[9.0]]), np.array([[1.0]]),
-                         np.array([[4.0]]), np.array([0]), w, 2)
+        dv = np.zeros((2, 1))
+        edge_forces(np.array([[[0.0], [1.0]]]), np.array([[[9.0], [4.0]]]), np.array([0]), w, dv)
         assert np.array_equal(dv, [[3.0], [0.0]])
         # ... which integrate looks up tau back: until t = tau each agent
         # of the pair hears the other's constant history
@@ -102,6 +107,31 @@ class TestRhs:
             assert float(v[1, 0] - v[0, 0]) == pytest.approx(want, abs=1e-10)
         # an undelayed pair would be far off by then
         assert abs(want - two_agent_ode_difference(0.5, 0.7, 1.0)) > 0.05
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 11])
+    def test_kernel_matches_the_separate_rows_bit_for_bit(self, d):
+        # one (x, v) difference per arc, and the sum added into a strided view of
+        # the slope, give the separate rows' forces, bit for bit
+        rng = np.random.default_rng(d)
+        g = Digraph(random_rooted_arcs(rng, 30, 4))
+        ei, ej = g.arc_list
+        own, delayed = rng.normal(size=(2, len(ei), 2, d)) * [[[[1.0]]], [[[3.0]]]]
+        w = WeightFunction(kind="cucker-smale", kappa=1.3, beta=0.3)
+        slope = np.zeros((30, 2, d))
+        edge_forces(own, delayed, ei, w, slope[:, 1])
+        want = edge_forces_reference(own[:, 0], delayed[:, 0], own[:, 1], delayed[:, 1],
+                                     ei, w, 30)
+        assert slope[:, 1].tobytes() == want.tobytes()
+        assert not slope[:, 0].any()
+
+    def test_kernel_squares_positions_only(self):
+        # a velocity gap of 1e200 squares past the largest float; only the position
+        # gap is squared, so no overflow warning (an error in this suite) is raised
+        w = WeightFunction(kind="constant", kappa=1.0)
+        dv = np.zeros((2, 1))
+        edge_forces(np.array([[[0.0], [0.0]]]), np.array([[[3.0], [1e200]]]), np.array([0]),
+                    w, dv)
+        assert dv.tolist() == [[1e200], [0.0]]
 
 
 class TestIntegrate:
@@ -273,6 +303,54 @@ class TestBatch:
                 integrate(hists, g, ws, p, t_end=1.4, dt=0.1)
             assert str(batch.value) == str(lone.value)
 
+    def test_guard_checks_members_past_the_smallest_limit(self):
+        # the large member's speeds, near 1e7, are past the small member's limit
+        # of 1e6 at every step but far within their own of 1e13: the guard checks
+        # member by member and lets the batch run to the end
+        g = Digraph.complete(2)
+        p = DelayProfile.zero()
+        small = InitialHistory.constant([[0.0], [1.0]], [[0.0], [0.02]], tau=0.0)
+        large = InitialHistory.constant([[0.0], [1.0]], [[0.0], [1e7]], tau=0.0)
+        w = WeightFunction(kind="constant", kappa=0.01)
+        batch = integrate([small, large], g, w, p, t_end=1.4, dt=0.1)
+        assert np.abs(batch[1].vs[1:]).max(axis=(1, 2)).min() > BLOWUP_FACTOR
+        for h, got in zip((small, large), batch):
+            assert got.vs.tobytes() == integrate(h, g, w, p, t_end=1.4, dt=0.1).vs.tobytes()
+
+    @pytest.mark.parametrize("bad", [0, 1, 2])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_guard_names_a_member_with_a_nan_or_inf(self, bad, value):
+        history = np.ones((3, 12, 2))    # K = 3 rows, three members of four agents
+        check = blowup_guard(history, 3)
+        v = np.ones((12, 2))
+        check(v, 0.5)
+        v[4 * bad + 2, 1] = value
+        with pytest.raises(IntegrationError, match=r"^solution blew up at t = 0\.5$") as e:
+            check(v, 0.5)
+        assert e.value.member == bad
+
+    @pytest.mark.parametrize("bad", [0, 1, 2])
+    def test_inf_and_nan_velocities_name_their_member(self, bad):
+        # a weight of 1e300 overflows within the first step, and inf - inf leaves
+        # nan; speeds of 1e308 against -1e308 give an infinite limit, which only
+        # nan fails
+        g = Digraph.complete(2)
+        p = DelayProfile.zero()
+        calm = InitialHistory.constant([[0.0], [1.0]], [[0.0], [1.0]], tau=0.0)
+        w = WeightFunction(kind="constant", kappa=0.1)
+        for h, wb, t in ((calm, WeightFunction(kind="constant", kappa=1e300), "0.1"),
+                         (InitialHistory.constant([[0.0], [1.0]], [[1e308], [-1e308]],
+                                                  tau=0.0), w, None)):
+            hists, ws = [calm] * 3, [w] * 3
+            hists[bad], ws[bad] = h, wb
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(IntegrationError) as lone:
+                    integrate(h, g, wb, p, t_end=1.0, dt=0.1)
+                with pytest.raises(IntegrationError) as batch:
+                    integrate(hists, g, ws, p, t_end=1.0, dt=0.1)
+            assert t is None or str(lone.value) == f"solution blew up at t = {t}"
+            assert str(batch.value) == str(lone.value) and batch.value.member == bad
+
     def test_random_delays_are_drawn_once_per_batch(self, monkeypatch):
         g = Digraph.complete(4)
         p = DelayProfile(kind="piecewise-random", tau_max=1.0, low=0.0, high=1.0,
@@ -378,9 +456,9 @@ def record_lookups(monkeypatch, cap=None):
     stages, blocks = [], []
     forces, rows = dde.edge_forces, dde._hermite_rows
 
-    def counted(x_i, x_delayed, v_i, v_delayed, *args):   # one call per stage
-        stages.append(np.stack((x_delayed, v_delayed), axis=1))
-        return forces(x_i, x_delayed, v_i, v_delayed, *args)
+    def counted(own, delayed, *args):   # one call per stage
+        stages.append(delayed)
+        return forces(own, delayed, *args)
 
     def recorded(table, a, weights, jump, cols=slice(None)):
         out = rows(table, a, weights, jump, cols)
@@ -416,8 +494,8 @@ class TestStagePlan:
                  state("hist_end_xslope", "hist_end_slope"))
         ei, ej = np.nonzero(g.arcs)
         delay_at = p.on_edges(ei, ej)
-        ts, his, tau, short, seg = _stage_plan(times, n_hist, n_steps, dt,
-                                               p.on_edges(ei, ej), B)
+        ts, his, tau, short, seg = _stage_plan(times, n_hist, dt, p.on_edges(ei, ej), B,
+                                               0, 4 * n_steps + 1)
         assert len(ts) == len(his) == len(tau) == len(short) == len(seg) == 4 * n_steps + 1
         assert len(delayed) == 4 * n_steps + 1
         ej = (ej + 4 * np.arange(B)[:, None]).ravel()
@@ -455,6 +533,22 @@ class TestStagePlan:
         planned = integrate(hists, g, ws, p, t_end=2.0, dt=0.02)
         assert_per_arc_path_agrees(planned, hists, g, ws, p, 2.0, 0.02)
 
+    @pytest.mark.parametrize("case", list(plan_cases()))
+    def test_integrate_matches_the_allocating_step(self, case):
+        # slopes written into buffers and each step's operations run in place
+        # give the allocating step's numbers, alone and batched
+        p, hists, ws = plan_cases()[case]
+        g = Digraph.from_arc_list(4, FIG_ARCS, one_based=True)
+        batch = integrate(hists, g, ws, p, t_end=2.0, dt=0.02)
+        for h, w, member in zip(hists, ws, batch):
+            ys, dys, hist_end = rk4_reference(h, g, w, p, 2.0, 0.02)
+            for got in (integrate(h, g, w, p, t_end=2.0, dt=0.02), member):
+                for name, want in (("xs", ys[:, :, 0]), ("vs", ys[:, :, 1]),
+                                   ("dxs", dys[:, :, 0]), ("dvs", dys[:, :, 1]),
+                                   ("hist_end_xslope", hist_end[:, 0]),
+                                   ("hist_end_slope", hist_end[:, 1])):
+                    assert getattr(got, name).tobytes() == want.tobytes(), name
+
     @pytest.mark.parametrize("cap", [dde.LOOKUP_BLOCK_ROWS, 40])
     @pytest.mark.parametrize("case", list(plan_cases()))
     def test_each_block_reads_only_committed_rows(self, case, cap, monkeypatch):
@@ -468,14 +562,16 @@ class TestStagePlan:
         _, blocks = record_lookups(monkeypatch, cap)
         planned = integrate(hists, g, ws, p, t_end=n_steps * dt, dt=dt)
         ei, ej = np.nonzero(g.arcs)
-        ts, his, tau, short, seg = _stage_plan(planned[0].times, planned[0].n_hist,
-                                               n_steps, dt, p.on_edges(ei, ej), B)
+        ts, his, tau, short, seg = _stage_plan(planned[0].times, planned[0].n_hist, dt,
+                                               p.on_edges(ei, ej), B, 0, 4 * n_steps + 1)
         per_arc = np.ndim(p.on_edges(ei, ej)(0.0)) == 1
         n_rows = B * len(ei) if per_arc else 4 * B
+        span = max(1, cap // n_rows)   # stages a chunk of the plan holds
         covered = np.zeros(len(ts), dtype=bool)
         for k, a, jumps, cols, _ in blocks:
             assert short[k] != 0.0 and not covered[k]
-            assert len(cols) == n_rows and 1 <= len(a) <= max(1, cap // n_rows)
+            assert len(cols) == n_rows and 1 <= len(a) <= span
+            assert k // span == (k + len(a) - 1) // span   # within one chunk
             assert a.max(axis=1).tobytes() == seg[k:k + len(a)].tobytes()
             assert (jumps == (a + 1 == planned[0].n_hist)).all()
             assert ((a + 1 <= his[k]) | jumps).all(), k
@@ -529,6 +625,29 @@ class TestStagePlan:
             assert traj.n_hist == 500
             state_tables = 2 * 2 * traj.xs.nbytes   # (x, v) and its slopes: 6.4 MB
             assert peak < state_tables + 4e6, p.kind
+
+    def test_plan_memory_does_not_grow_with_the_run(self):
+        # a hold below dt / 2 gives every stage its own per-arc delays; planned
+        # a chunk of stages at a time, they take no more memory on a longer run,
+        # so the peak grows with the state tables alone, as with a long hold
+        rng = np.random.default_rng(0)
+        n = 100
+        g = Digraph(random_rooted_arcs(rng, n, 5))
+        hist = InitialHistory.constant(rng.uniform(-10, 10, (n, 2)), rng.normal(size=(n, 2)),
+                                       tau=1.0)
+        w = WeightFunction(kind="cucker-smale", beta=0.25)
+
+        def peak(hold, t_end):
+            p = DelayProfile(kind="piecewise-random", tau_max=1.0, low=0.0, high=1.0,
+                             seed=9, hold=hold)
+            tracemalloc.start()
+            try:
+                integrate(hist, g, w, p, t_end=t_end, dt=0.05)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        excess = [peak(0.01, t_end) - peak(0.5, t_end) for t_end in (5.0, 10.0)]
+        assert abs(excess[1] - excess[0]) < 1e6, excess
 
 
 def assert_per_arc_path_agrees(planned, hists, g, ws, p, t_end, dt):

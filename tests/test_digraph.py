@@ -187,6 +187,19 @@ def test_arc_list_is_the_kept_read_only_nonzero(fig_graph):
             a[0] = 1
 
 
+def test_equality_and_hash_follow_the_arc_matrix(fig_graph):
+    a, b = Digraph.complete(3), Digraph.complete(3)
+    assert a == b and not a != b and hash(a) == hash(b)
+    # built another way, and after its arc list and constants are kept on it
+    compute_metrics(a)
+    assert a == Digraph.from_arc_list(3, [(i, j) for i in range(3) for j in range(3) if i != j])
+    assert {a: "complete"}[b] == "complete"
+    path = Digraph.from_arc_list(3, [(0, 1), (1, 2)])
+    for other in (Digraph.complete(4), path, fig_graph, a.arcs, None):
+        assert a != other and not a == other
+    assert len({a, b, path, Digraph.complete(4)}) == 3
+
+
 def test_self_loop_rejected():
     m = np.zeros((2, 2), dtype=bool)
     m[0, 0] = True

@@ -15,7 +15,8 @@ from delayflock.discrete import (
 )
 from delayflock.interaction import DelayProfile, WeightFunction
 
-from oracles import discrete_euler_reference, integer_delay, random_rooted_arcs
+from oracles import (discrete_euler_reference, euler_reference, integer_delay,
+                     random_rooted_arcs)
 
 FIG_ARCS = [(1, 2), (2, 3), (3, 1), (3, 4)]
 FIG_X0 = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
@@ -74,6 +75,19 @@ class TestGate:
             simulate_discrete(hist, g, w, p, t_end=20, h=3.0, unsafe_h=True)
         assert e.value.member == 0
 
+    @pytest.mark.parametrize("arcs, kappa, v, t", [([(1, 0)], 1e300, [[0.0], [1e10]], 1),
+                                                   ([(1, 0), (0, 1)], 1.0, [[1e308], [-1e308]], 2)])
+    def test_inf_and_nan_velocities_fail_the_guard(self, arcs, kappa, v, t):
+        # a weight of 1e300 on a speed gap of 1e10 takes agent 0 to inf in one
+        # step; speeds of 1e308 against -1e308 give an infinite limit, which
+        # inf passes, and then inf - inf (nan), which it does not
+        g, p = Digraph.from_arc_list(2, arcs), DelayProfile.zero()
+        w = WeightFunction(kind="constant", kappa=kappa)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(IntegrationError, match=f"^solution blew up at t = {t}$") as e:
+                simulate_discrete(const([[0.0], [0.0]], v, p), g, w, p, t_end=10, h=0.1,
+                                  unsafe_h=True)
+        assert e.value.member == 0
 
 class TestStep:
     def test_single_euler_update(self):
@@ -111,7 +125,8 @@ class TestStep:
 class TestScalarReference:
     """The edge-array recursion against plain per-edge loops.  The
     kernel's axis norm and vector power may differ from their scalar
-    forms in the last bit, so the runs agree to a relative 1e-12."""
+    forms in the last bit, so the runs agree to a relative 1e-12; against
+    the Euler loop on arrays (oracles.euler_reference), bit for bit."""
 
     def _compare(self, p, t_end=40):
         rng = np.random.default_rng(21)
@@ -137,6 +152,24 @@ class TestScalarReference:
         self._compare(DelayProfile(kind="piecewise-random", tau_max=3.0,
                                    low=0, high=3, seed=8, hold=4.0,
                                    integer_valued=True))
+
+    @pytest.mark.parametrize("p", [
+        DelayProfile.constant(2.0), DelayProfile.zero(),
+        DelayProfile(kind="piecewise-random", tau_max=3.0, low=0, high=3, seed=8, hold=4.0,
+                     integer_valued=True)], ids=["constant", "zero", "random"])
+    def test_one_state_array_matches_separate_tables_bit_for_bit(self, p):
+        # the (x, v) rows of one array, one difference per arc and h times the
+        # slope (v, dv) give the Euler loop on separate tables, bit for bit
+        rng = np.random.default_rng(3)
+        g = Digraph(random_rooted_arcs(rng, 30, 3))
+        w = WeightFunction(kind="cucker-smale", kappa=1.0, beta=0.4)
+        tau = p.integer_tau_max
+        hist = InitialHistory.from_samples(np.arange(-tau - 1.0, 1.0),
+                                           rng.uniform(-3, 3, size=(tau + 2, 30, 2)),
+                                           rng.uniform(-1, 1, size=(tau + 2, 30, 2)))
+        traj = simulate_discrete(hist, g, w, p, t_end=40, h=0.1)
+        xs, vs = euler_reference(hist, g, w, p, 40, 0.1)
+        assert traj.xs.tobytes() == xs.tobytes() and traj.vs.tobytes() == vs.tobytes()
 
     def test_simulate_runs_no_graph_search(self, monkeypatch):
         def forbidden(g):
