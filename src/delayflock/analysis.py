@@ -10,6 +10,7 @@ about the actual run.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -46,7 +47,9 @@ class SpreadOverflowError(ValueError):
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Everything the closed-form constants depend on."""
+    """Everything the closed-form constants depend on, and the two that
+    decide the certificate: its model's threshold constant ``c`` (the
+    Euler one when h is set) and the weight's ``regime``."""
 
     gamma_g: int
     n_infinity: int
@@ -68,6 +71,14 @@ class ModelParams:
         if self.h is not None:
             check_gate(self.kappa, self.h, self.n_infinity)
 
+    @functools.cached_property
+    def c(self) -> float:
+        return c_infinity(self) if self.h is None else c_bar_infinity(self)
+
+    @functools.cached_property
+    def regime(self) -> str:
+        return NON_CS if self.beta is None else classify_regime(self.beta, self.gamma_g)
+
 
 def c_infinity(p: ModelParams) -> float:
     """Continuous threshold constant.
@@ -84,11 +95,11 @@ def c_infinity(p: ModelParams) -> float:
 
 
 def c_bar_infinity(p: ModelParams) -> float:
-    """Euler-scheme threshold constant; requires the stability gate."""
+    """Euler-scheme threshold constant; ModelParams has checked the
+    stability gate."""
     if p.h is None:
         raise AnalysisError("discrete constant needs a step size h")
     g, ni, k, tau, d, h = p.gamma_g, p.n_infinity, p.kappa, p.tau, p.d, p.h
-    check_gate(k, h, ni)
     log_val = (g * (3 * tau + 1) * math.log1p(-h * ni * k)
                + (g - 1) * math.log(h)
                - math.log(2 * math.sqrt(d) * g * (2 * tau + 1))
@@ -121,10 +132,9 @@ def rho_plus(x0: float, beta: float, gamma_g: int) -> float:
 def condition_rhs(rho, x0: float, w: WeightFunction, p: ModelParams):
     """Right-hand side C * rho * psi(x0 + rho)^gamma of the sufficient
     condition (discrete constant when p.h is set)."""
-    c = c_bar_infinity(p) if p.h is not None else c_infinity(p)
     rho = np.asarray(rho, dtype=float)
     psi = np.asarray(w(x0 + rho), dtype=float)
-    out = c * rho * psi ** p.gamma_g
+    out = p.c * rho * psi ** p.gamma_g
     return out if out.ndim else float(out)
 
 
@@ -135,22 +145,18 @@ def condition_supremum(x0: float, w: WeightFunction, p: ModelParams) -> float:
     C * kappa^gamma; elsewhere returns inf (long-range / constant
     weight) or the value at rho_plus (short-range).
     """
-    c = c_bar_infinity(p) if p.h is not None else c_infinity(p)
-    if w.kind == "cucker-smale" and p.beta is not None:
-        regime = classify_regime(p.beta, p.gamma_g)
-        if regime == CRITICAL:
-            return c * w.effective_kappa ** p.gamma_g
-        if regime == SHORT_RANGE:
+    if w.kind == "cucker-smale" and p.regime != NON_CS:
+        if p.regime == CRITICAL:
+            return p.c * w.effective_kappa ** p.gamma_g
+        if p.regime == SHORT_RANGE:
             return condition_rhs(rho_plus(x0, p.beta, p.gamma_g), x0, w, p)
         return math.inf
-    if w.kind == "constant":
-        return math.inf
-    return math.nan
+    return math.inf if w.kind == "constant" else math.nan
 
 
-def _log_gap(rho: float, x0: float, w: WeightFunction, p: ModelParams, h: float | None) -> float:
-    """log(1 - delta) of the Euler recursion with step h, or of the continuous system."""
-    g, ni, k, tau = p.gamma_g, p.n_infinity, p.kappa, p.tau
+def _log_gap(rho: float, x0: float, w: WeightFunction, p: ModelParams) -> float:
+    """log(1 - delta) of the Euler recursion with step p.h, or of the continuous system."""
+    g, ni, k, tau, h = p.gamma_g, p.n_infinity, p.kappa, p.tau, p.h
     if h is None:
         return (g * math.log(float(w(x0 + rho))) - ni * k * g * (3 * tau + 2)
                 - math.log(2.0) - g * math.log1p(ni * k))
@@ -251,27 +257,26 @@ def _certify(history: InitialHistory, g: Digraph, w: WeightFunction, dp: DelayPr
     if not rep:
         raise AnalysisError(f"weight is not admissible: {rep.violations[:1]}")
     check_history(history, (g.n_vertices, history.dim), dp)
-    p = params_from_scenario(g, w, dp, d=history.dim, h=h)
+    m = compute_metrics(g)
+    if not m.has_spanning_tree:
+        raise AnalysisError("graph has no spanning tree; the condition "
+                            "constants are undefined")
+    p = ModelParams(gamma_g=int(m.gamma_g), n_infinity=m.n_infinity, kappa=w.effective_kappa,
+                    tau=dp.tau_max if h is None else dp.integer_tau_max, d=history.dim, h=h,
+                    beta=w.beta if w.kind == "cucker-smale" else None)
     d0, x0 = initial_spreads(history, g, p.tau)
     if not (math.isfinite(d0) and math.isfinite(x0)):
         raise SpreadOverflowError(f"initial spreads overflow: D(0) = {d0:g}, X(0) = {x0:g}; "
                                   "rescale the positions and velocities")
-    model = "continuous" if h is None else "discrete"
-    c = c_bar_infinity(p) if model == "discrete" else c_infinity(p)
-    regime = NON_CS
-    if w.kind == "cucker-smale":
-        regime = classify_regime(w.beta, p.gamma_g)
     boundary = False
+    if rho is None and p.regime == SHORT_RANGE:
+        rho = rho_plus(x0, p.beta, p.gamma_g)
     if rho is not None:
-        threshold = float(condition_rhs(rho, x0, w, p))
-        satisfied = _leq(d0, threshold)
-    elif regime == SHORT_RANGE:
-        rho = rho_plus(x0, w.beta, p.gamma_g)
         threshold = float(condition_rhs(rho, x0, w, p))
         satisfied = _leq(d0, threshold)
     else:
         rho, threshold, satisfied = _search_rho(d0, x0, w, p)
-        if not satisfied and regime == CRITICAL:
+        if not satisfied and p.regime == CRITICAL:
             # the curve increases toward a finite supremum that no
             # finite rho attains; the non-strict form of the condition
             # admits data sitting exactly on that limit
@@ -280,28 +285,13 @@ def _certify(history: InitialHistory, g: Digraph, w: WeightFunction, dp: DelayPr
                 threshold = sup
                 satisfied = True
                 boundary = True
-    gap = math.exp(_log_gap(rho, x0, w, p, h))
+    gap = math.exp(_log_gap(rho, x0, w, p))
     return FlockingCertificate(
-        model=model, c_const=c, rho=float(rho), threshold=threshold,
-        measured_D0=d0, measured_X0=x0, regime=regime, delta=1.0 - gap,
+        model="continuous" if h is None else "discrete", c_const=p.c, rho=float(rho),
+        threshold=threshold, measured_D0=d0, measured_X0=x0, regime=p.regime, delta=1.0 - gap,
         log_delta=math.log1p(-gap),
         verdict="guaranteed" if satisfied else "not-guaranteed",
         margin=threshold - d0, boundary_limit_used=boundary, params=p)
-
-
-def params_from_scenario(g: Digraph, w: WeightFunction, p: DelayProfile,
-                         d: int, h: float | None = None) -> ModelParams:
-    m = compute_metrics(g)
-    if not m.has_spanning_tree:
-        raise AnalysisError("graph has no spanning tree; the condition "
-                            "constants are undefined")
-    if m.gamma_g < 1:
-        raise AnalysisError("single-vertex graph is degenerate for the "
-                            "threshold analysis")
-    tau = p.integer_tau_max if h is not None else p.tau_max
-    return ModelParams(gamma_g=int(m.gamma_g), n_infinity=m.n_infinity,
-                       kappa=w.effective_kappa, tau=tau, d=d, h=h,
-                       beta=w.beta if w.kind == "cucker-smale" else None)
 
 
 def check_continuous(history: InitialHistory, g: Digraph, w: WeightFunction,
