@@ -111,7 +111,11 @@ def _parse_axis(cfg: str):
 
 def cmd_sweep(args) -> int:
     s = harness.load_scenario(args.scenario)
-    axes = dict(_parse_axis(a) for a in args.axis)
+    axes = {}
+    for name, values in map(_parse_axis, args.axis):
+        if name in axes:
+            raise harness.ScenarioError(f"sweep axis {name!r} is given more than once")
+        axes[name] = values
     out = _out_dir(args)
     out_path = None
     if out:

@@ -35,7 +35,7 @@ from .interaction import DelayProfile, WeightFunction, batch_weight
 
 # a velocity beyond this multiple of its member's largest history one (or 1) is a blow-up
 BLOWUP_FACTOR = 1e6
-# the most agent rows (one (x, v) row per agent and stage) a block of planned lookups holds
+# the most rows a block of planned lookups holds (one (x, v) row per stage and agent, or arc)
 LOOKUP_BLOCK_ROWS = 2 ** 14
 
 
@@ -164,8 +164,9 @@ def blowup_guard(history_vs, members: int):
     ``members`` equal-sized members with history velocities (K, rows, d);
     a NaN or inf fails it too.  A row within the smallest member limit
     passes on one reduction; any other is checked member by member."""
-    limit = BLOWUP_FACTOR * np.maximum(
-        np.abs(history_vs).reshape(len(history_vs), members, -1).max(axis=(0, 2)), 1.0)
+    with np.errstate(over="ignore"):   # a limit past the largest float is that float
+        limit = np.minimum(BLOWUP_FACTOR * np.maximum(np.abs(history_vs).reshape(
+            len(history_vs), members, -1).max(axis=(0, 2)), 1.0), np.finfo(float).max)
     least = limit.min()
 
     def check(v, t):
@@ -175,6 +176,14 @@ def blowup_guard(history_vs, members: int):
         if not ok.all():
             raise IntegrationError(f"solution blew up at t = {t:g}", member=int(ok.argmin()))
     return check
+
+
+def check_grid(steps: float, row_shape: tuple):
+    """Refuse, before anything is allocated, a run of ``steps`` time steps
+    (history included, before rounding up) that is not finite or whose
+    (rows, *row_shape) float table numpy cannot index."""
+    if not (steps + 3) * math.prod(row_shape) * 8 <= np.iinfo(np.intp).max:   # nan fails too
+        raise IntegrationError(f"a grid of {steps:g} time steps is too large for an array")
 
 
 def check_history(history: InitialHistory, shape: tuple, p: DelayProfile):
@@ -295,6 +304,7 @@ def integrate(history: InitialHistory | Sequence[InitialHistory], g: Digraph,
     for h in hists:
         check_history(h, (n, d), p)
     tau = max(p.tau_max, *(h.tau for h in hists))
+    check_grid(tau / dt + t_end / dt, (B * n, 2, d))
     # any positive delay gets a history step, however short
     n_hist = max(1, math.ceil(tau / dt - 1e-12)) if tau > 0 else 0
     n_steps = int(math.ceil(t_end / dt - 1e-12))

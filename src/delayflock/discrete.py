@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dde import (DiameterSeries, InitialHistory, Trajectory, blowup_guard, check_history,
-                  diameters, edge_forces)
+from .dde import (DiameterSeries, InitialHistory, Trajectory, blowup_guard, check_grid,
+                  check_history, diameters, edge_forces)
 from .digraph import Digraph, compute_metrics  # noqa: F401  (traced here by bench/spans.py)
 from .interaction import DelayProfile, WeightFunction
 
@@ -44,6 +44,7 @@ def simulate_discrete(history: InitialHistory, g: Digraph, w: WeightFunction,
     check_gate(w.effective_kappa, h, g.max_in_degree, unsafe=unsafe_h)
     check_history(history, (g.n_vertices, history.dim), p)
     tau = p.integer_tau_max
+    check_grid(tau + t_end, (g.n_vertices, 2, history.dim))
     times = np.arange(-tau, t_end + 1, dtype=float)
     ys = np.empty((len(times), g.n_vertices, 2, history.dim))
     ys[: tau + 1, :, 0], ys[: tau + 1, :, 1], _, _ = history.eval(times[: tau + 1])

@@ -246,9 +246,9 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> Scenario:
 
 def validate_scenario(s: Scenario):
     n = s.graph.n_vertices
-    if s.positions.ndim != 2 or s.positions.shape[0] != n:
+    if s.positions.ndim != 2 or s.positions.shape[0] != n or s.positions.shape[1] < 1:
         raise ScenarioError(
-            f"positions table must be {n} x d, got shape {s.positions.shape}")
+            f"positions table must be {n} x d with d >= 1, got shape {s.positions.shape}")
     if s.velocities.shape != s.positions.shape:
         raise ScenarioError(
             f"velocities table must match positions shape {s.positions.shape}, "

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from delayflock.analysis import (
     CRITICAL,
     LONG_RANGE,
+    NON_CS,
     SHORT_RANGE,
     AnalysisError,
     ModelParams,
@@ -208,6 +209,7 @@ def continuous_inputs(scale, beta=0.25):
 
 
 FIG2_SCALE = math.exp(-10.0) / (672.0 * math.sqrt(2.0))
+CRITICAL_WEIGHT = WeightFunction(beta=0.25)   # 2 * beta * gamma_g = 1 on the fig digraph
 
 
 class TestCertificates:
@@ -247,6 +249,45 @@ class TestCertificates:
         assert cert.rho == 3.0
         assert cert.threshold == pytest.approx(
             condition_rhs(3.0, cert.measured_X0, w, cert.params), rel=1e-14)
+
+    @pytest.mark.parametrize("model", ["continuous", "discrete"])
+    @pytest.mark.parametrize("branch, w, scale, rho, regime, verdict", [
+        ("explicit-rho", CRITICAL_WEIGHT, 0.5, 3.0, CRITICAL, "not-guaranteed"),
+        ("rho-plus", WeightFunction(beta=17 / 32), 1e-9, None, SHORT_RANGE, "guaranteed"),
+        ("grid-hit", WeightFunction(beta=0.1), 1e-6, None, LONG_RANGE, "guaranteed"),
+        ("golden-section", CRITICAL_WEIGHT, 1.0, None, CRITICAL, "not-guaranteed"),
+        ("boundary", CRITICAL_WEIGHT, None, None, CRITICAL, "guaranteed"),
+        ("constant", WeightFunction(kind="constant"), 1e-6, None, NON_CS, "guaranteed"),
+        ("tabulated", WeightFunction(kind="tabulated", table_r=[0.0, 1.0, 5.0],
+                                     table_v=[1.0, 0.5, 0.2]), 1e-6, None, NON_CS, "guaranteed"),
+    ], ids=["explicit-rho", "rho-plus", "grid-hit", "golden-section", "boundary", "constant",
+            "tabulated"])
+    def test_each_rho_branch_reads_its_model_constants(self, branch, w, scale, rho, regime,
+                                                        verdict, model):
+        # every branch of the rho search gives c_const, threshold, regime and
+        # verdict bit for bit as the public closed forms of its model; the
+        # boundary scale puts D(0) = 14 * scale on the critical supremum C
+        h = None if model == "continuous" else 0.05
+        if scale is None:
+            c = ModelParams(gamma_g=2, n_infinity=1, kappa=1.0, tau=1.0, d=2, h=h, beta=0.25)
+            scale = (c_infinity(c) if h is None else c_bar_infinity(c)) / 14.0
+        hist, g, _, p = continuous_inputs(scale)
+        cert = (check_continuous(hist, g, w, p, rho=rho) if h is None
+                else check_discrete(hist, g, w, p, h=h, rho=rho))
+        params = cert.params
+        assert params.h == h and cert.model == model
+        assert cert.c_const == (c_infinity(params) if h is None else c_bar_infinity(params))
+        assert (cert.regime, cert.verdict) == (regime, verdict)
+        assert cert.boundary_limit_used == (branch == "boundary")
+        x0 = cert.measured_X0
+        if branch == "boundary":
+            assert cert.threshold == condition_supremum(x0, w, params)
+        else:
+            assert cert.threshold == condition_rhs(cert.rho, x0, w, params)
+        if branch == "explicit-rho":
+            assert cert.rho == rho
+        if branch == "rho-plus":
+            assert cert.rho == rho_plus(x0, w.beta, params.gamma_g)
 
     def test_permutation_invariance(self):
         hist, g, w, p = continuous_inputs(0.5 * FIG2_SCALE)

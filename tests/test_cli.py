@@ -143,6 +143,7 @@ FAR_APART = {"graph": {"n": 2, "complete": True}, "weight": {"type": "constant",
              "delay": {"type": "constant", "tau": 1.0}, "positions": [[0.0], [1e200]],
              "velocities": [[0.0], [1.0]], "t_end": 1.0, "dt": 0.1}
 FAST_APART = dict(FAR_APART, positions=[[0.0], [1.0]], velocities=[[-1e308], [1e308]])
+ZERO_WIDTH = dict(SCENARIO, positions=[[]] * 4, velocities=[[]] * 4)
 
 
 @pytest.mark.parametrize("command, raw, flags, message", [
@@ -190,6 +191,21 @@ FAST_APART = dict(FAR_APART, positions=[[0.0], [1.0]], velocities=[[-1e308], [1e
     ("simulate", FAST_APART, [], "error: initial spreads overflow: D(0) = inf, X(0) = 1"),
     ("analyze-graph", dict(SCENARIO, graph={"n": 4, "arcs": [[1, 2], [1, 2 ** 70], [3, 3]]}),
      [], "error: arc (1, 1180591620717411303424) out of range for n=4\n"),
+    # grids numpy cannot index are refused before any array is allocated
+    ("simulate", SCENARIO, ["--dt", "5e-324"],
+     "error: a grid of inf time steps is too large for an array\n"),
+    ("simulate", SCENARIO, ["--dt", "1e-300"],
+     "error: a grid of 4e+300 time steps is too large for an array\n"),
+    ("simulate", dict(DISCRETE, t_end=1e300), [],
+     "error: a grid of 1e+300 time steps is too large for an array\n"),
+    ("sweep", SCENARIO, ["--axis", "tau=1e300:1e300:1"],
+     "error: a grid of 2e+301 time steps is too large for an array\n"),
+    ("simulate", ZERO_WIDTH, [],
+     "error: positions table must be 4 x d with d >= 1, got shape (4, 0)\n"),
+    ("check-condition", ZERO_WIDTH, [],
+     "error: positions table must be 4 x d with d >= 1, got shape (4, 0)\n"),
+    ("sweep", SCENARIO, ["--axis", "beta=0:1:2", "--axis", "beta=0:1:2"],
+     "error: sweep axis 'beta' is given more than once\n"),
 ], ids=["gate-check", "gate-simulate", "nan-position", "blow-up", "negative-dt",
         "zero-horizon", "missing-arcs", "malformed-json", "directory", "string-beta",
         "one-vertex-arc", "huge-integer", "discrete-negative-horizon",
@@ -200,7 +216,8 @@ FAST_APART = dict(FAR_APART, positions=[[0.0], [1.0]], velocities=[[-1e308], [1e
         "unsafe-blow-up-simulate", "unsafe-blow-up-sweep", "sweep-scale-overflow",
         "velocity-scale-overflow", "sweep-tau-random", "far-apart-check",
         "far-apart-simulate", "far-apart-sweep", "far-apart-discrete", "velocity-gap-overflow",
-        "arc-label-past-int64"])
+        "arc-label-past-int64", "subnormal-dt", "tiny-dt", "discrete-huge-horizon",
+        "sweep-huge-tau", "zero-width-simulate", "zero-width-check", "sweep-repeated-axis"])
 def test_bad_input_exits_2_with_one_line(command, raw, flags, message, tmp_path, capsys):
     # raw is a scenario object, or the name of a file under tmp_path
     (tmp_path / "bad.json").write_text('{"graph": \n !')

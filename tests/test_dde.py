@@ -555,9 +555,10 @@ class TestStagePlan:
         # a block of lookups opened at stage k may read only slopes up to
         # his[k], or the fixed history side of the slope jump at n_hist, and
         # holds at most cap rows: agents, or arcs for per-arc delays; each
-        # stage that looks up is in one block
+        # stage that looks up is in one block.  The graph has more arcs (5)
+        # than agents (4), so the two row layouts differ
         p, hists, ws = plan_cases()[case]
-        g = Digraph.from_arc_list(4, FIG_ARCS, one_based=True)
+        g = Digraph.from_arc_list(4, FIG_ARCS + [(4, 1)], one_based=True)
         dt, n_steps, B = 0.02, 100, len(hists)
         _, blocks = record_lookups(monkeypatch, cap)
         planned = integrate(hists, g, ws, p, t_end=n_steps * dt, dt=dt)
@@ -565,7 +566,7 @@ class TestStagePlan:
         ts, his, tau, short, seg = _stage_plan(planned[0].times, planned[0].n_hist, dt,
                                                p.on_edges(ei, ej), B, 0, 4 * n_steps + 1)
         per_arc = np.ndim(p.on_edges(ei, ej)(0.0)) == 1
-        n_rows = B * len(ei) if per_arc else 4 * B
+        n_rows = B * len(ei) if per_arc else B * g.n_vertices
         span = max(1, cap // n_rows)   # stages a chunk of the plan holds
         covered = np.zeros(len(ts), dtype=bool)
         for k, a, jumps, cols, _ in blocks:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from delayflock import discrete
-from delayflock.dde import InitialHistory, IntegrationError, integrate
+from delayflock.dde import InitialHistory, IntegrationError, blowup_guard, integrate
 from delayflock.digraph import Digraph
 from delayflock.discrete import (
     StabilityGateError,
@@ -76,11 +76,14 @@ class TestGate:
         assert e.value.member == 0
 
     @pytest.mark.parametrize("arcs, kappa, v, t", [([(1, 0)], 1e300, [[0.0], [1e10]], 1),
-                                                   ([(1, 0), (0, 1)], 1.0, [[1e308], [-1e308]], 2)])
+                                                   ([(1, 0), (0, 1)], 1.0, [[1e308], [-1e308]], 1)])
     def test_inf_and_nan_velocities_fail_the_guard(self, arcs, kappa, v, t):
         # a weight of 1e300 on a speed gap of 1e10 takes agent 0 to inf in one
-        # step; speeds of 1e308 against -1e308 give an infinite limit, which
-        # inf passes, and then inf - inf (nan), which it does not
+        # step; speeds of 1e308 against -1e308 put the limit past the largest
+        # float, which it is clamped to, so the inf of their first step fails it
+        check = blowup_guard(np.array([v], dtype=float), 1)   # no overflow warning of its own
+        with pytest.raises(IntegrationError):
+            check(np.array([[math.inf], [0.0]]), 1)
         g, p = Digraph.from_arc_list(2, arcs), DelayProfile.zero()
         w = WeightFunction(kind="constant", kappa=kappa)
         with np.errstate(over="ignore", invalid="ignore"):
