@@ -130,11 +130,11 @@ def rho_plus(x0: float, beta: float, gamma_g: int) -> float:
 
 
 def condition_rhs(rho, x0: float, w: WeightFunction, p: ModelParams):
-    """Right-hand side C * rho * psi(x0 + rho)^gamma of the sufficient
-    condition (discrete constant when p.h is set)."""
-    rho = np.asarray(rho, dtype=float)
-    psi = np.asarray(w(x0 + rho), dtype=float)
-    out = p.c * rho * psi ** p.gamma_g
+    """Right-hand side C * rho * psi(x0 + rho)^gamma of the sufficient condition (discrete
+    constant when p.h is set).  A scalar rho is one probe in Python floats, but psi^gamma
+    takes numpy's array power, as on the grid: Python's can differ in the last bit."""
+    rho = np.asarray(rho, dtype=float) if np.ndim(rho) else float(rho)
+    out = p.c * rho * np.asarray(w(x0 + rho), dtype=float) ** p.gamma_g
     return out if out.ndim else float(out)
 
 
@@ -253,6 +253,8 @@ def _leq(a: float, b: float) -> bool:
 def _certify(history: InitialHistory, g: Digraph, w: WeightFunction, dp: DelayProfile,
              h: float | None, rho: float | None) -> FlockingCertificate:
     """The certificate of either model: the discrete one when h is set."""
+    if rho is not None and not rho > 0:
+        raise AnalysisError(f"rho must be positive, got {rho:g}")
     rep = verify_admissible(w)
     if not rep:
         raise AnalysisError(f"weight is not admissible: {rep.violations[:1]}")

@@ -7,6 +7,7 @@ broke its own decay or position bound (a defect, not a user error).
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -131,6 +132,7 @@ def cmd_sweep(args) -> int:
     return EXIT_DEFECT if bad else EXIT_OK
 
 
+@functools.cache   # one parser per process, built by the first main call, not at import
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="delayflock",

@@ -25,6 +25,14 @@ class GraphError(ValueError):
     """Invalid digraph construction or query."""
 
 
+def label_pairs(labels: list) -> np.ndarray:
+    """Integer labels, sender then receiver of each arc, as (k, 2) int64, or objects past it."""
+    try:
+        return np.array(labels, dtype=np.int64).reshape(-1, 2)
+    except OverflowError:
+        return np.array(labels, dtype=object).reshape(-1, 2)
+
+
 @dataclass(frozen=True)
 class Digraph:
     """Fixed directed graph on vertices 0..n-1.
@@ -66,15 +74,11 @@ class Digraph:
         return ei, ej
 
     @classmethod
-    def from_arc_list(cls, n: int, arcs: list[tuple[int, int]],
-                      one_based: bool = False) -> "Digraph":
-        """Build from (sender, receiver) integer pairs, labelled from 1 with ``one_based``
-        as in scenario files and the reference figures; the first bad pair is named."""
-        try:
-            labels = map(operator.index, chain.from_iterable(arcs))   # integers only
-            a = np.fromiter(labels, dtype=np.int64).reshape(-1, 2)
-        except OverflowError:   # a label past int64, out of range: compare it exactly
-            a = np.array(arcs, dtype=object).reshape(-1, 2)
+    def from_arc_list(cls, n: int, arcs, one_based: bool = False) -> "Digraph":
+        """Build from (sender, receiver) integer pairs or their ``label_pairs``, labelled from 1
+        with ``one_based``; the first bad pair is named, and the arcs kept as ``arc_list``."""
+        a = (arcs if isinstance(arcs, np.ndarray) and arcs.dtype == np.int64 else
+             label_pairs(list(map(operator.index, chain.from_iterable(arcs))))).reshape(-1, 2)
         j, i = a.T - (1 if one_based else 0)
         out = (i < 0) | (i >= n) | (j < 0) | (j >= n)
         if (bad := out | (i == j)).any():
@@ -84,7 +88,13 @@ class Digraph:
             raise GraphError(f"self-loop at vertex {a[k, 1]}")
         m = np.zeros((n, n), dtype=bool)
         m[i, j] = True
-        return cls(m)
+        g = cls(m)
+        keys = np.sort(i * n + j)   # by receiver, then sender, as nonzero lists them
+        kept = np.divmod(keys[np.diff(keys, prepend=-1) > 0], n)   # each arc once
+        for x in kept:
+            x.setflags(write=False)
+        object.__setattr__(g, "arc_list", kept)
+        return g
 
     @classmethod
     def complete(cls, n: int) -> "Digraph":
@@ -106,7 +116,7 @@ class Digraph:
         for k in (i, j):
             if not 0 <= k < self.n_vertices:
                 raise GraphError(f"vertex index {k} out of range [0, {self.n_vertices})")
-        return _bfs(self.arcs.T, i)[j]
+        return _bfs(*self.arc_list[::-1], self.n_vertices, i)[j]
 
 
 @dataclass(frozen=True)
@@ -125,16 +135,16 @@ class GraphMetrics:
         return bool(self.roots)
 
 
-def _bfs(succ: np.ndarray, src: int) -> np.ndarray:
-    """Distances from src, one frontier per level; ``succ[u]`` marks the
-    vertices one step from u (``arcs.T`` along arcs, ``arcs`` against)."""
-    dist = np.full(succ.shape[0], INF)
+def _bfs(tail: np.ndarray, head: np.ndarray, n: int, src: int) -> np.ndarray:
+    """Distances from src, one frontier per level over the arcs tail -> head: the
+    ``arc_list`` as (senders, receivers) along the arcs, (receivers, senders) against."""
+    dist = np.full(n, INF)
     dist[src] = 0
     front = dist == 0
     level = 0
     while front.any():
         level += 1
-        front = succ[front].any(axis=0) & (dist == INF)
+        front = (np.bincount(head[front[tail]], minlength=n) > 0) & (dist == INF)
         dist[front] = level
     return dist
 
@@ -170,7 +180,7 @@ def compute_metrics(g: Digraph) -> GraphMetrics:
     roots = frozenset()
     if full.any():
         root = int(np.unpackbits(full.view(np.uint8), bitorder="little").argmax())
-        roots = frozenset(np.flatnonzero(_bfs(g.arcs, root) < INF).tolist())
+        roots = frozenset(np.flatnonzero(_bfs(ei, ej, n, root) < INF).tolist())
     m = GraphMetrics(roots, level if roots else INF, g.max_in_degree)
     object.__setattr__(g, "_metrics", m)
     return m

@@ -29,7 +29,7 @@ import numpy as np
 from . import analysis as an
 from .dde import (InitialHistory, IntegrationError, Trajectory, check_monotone_diameter,
                   diameters, integrate)
-from .digraph import Digraph
+from .digraph import Digraph, label_pairs
 from .discrete import StabilityGateError, discrete_diameters, simulate_discrete
 from .interaction import DelayProfile, WeightFunction, verify_admissible
 
@@ -99,24 +99,26 @@ class RunReport:
                 or self.positions_check is not None and not self.positions_check)
 
 
-def _finite_table(v) -> bool:
+# what a scenario key holds: a Kind (parse: the builders' value, or None) or a nested schema
+Kind = namedtuple("Kind", "text parse")
+
+
+def _float_table(v):
     a = np.asarray(v)
-    return a.dtype.kind in "iuf" and bool(np.isfinite(a).all())
+    return a.astype(float) if a.dtype.kind in "iuf" and np.isfinite(a).all() else None
 
 
-# what a scenario key holds: a Kind, or the schema of a nested object
-Kind = namedtuple("Kind", "text test")
-NUMBER = Kind("a finite number", lambda v: isinstance(v, (int, float))   # and no huge int
-              and not isinstance(v, bool) and abs(v) <= sys.float_info.max)
-COUNT = Kind("a nonnegative integer", lambda v: type(v) is int and v >= 0)
-FLAG = Kind("true or false", lambda v: isinstance(v, bool))
-TEXT = Kind("a string", lambda v: isinstance(v, str))
-OBJECT = Kind("a JSON object", lambda v: isinstance(v, dict))
-TABLE = Kind("a table of finite numbers", _finite_table)
-ARCS = Kind("a list of [sender, receiver] integer pairs",
-            lambda v: isinstance(v, list) and all(isinstance(a, list) and len(a) == 2
-                                                  and type(a[0]) is type(a[1]) is int
-                                                  for a in v))
+NUMBER = Kind("a finite number", lambda v: v if isinstance(v, (int, float))   # and no huge int
+              and not isinstance(v, bool) and abs(v) <= sys.float_info.max else None)
+COUNT = Kind("a nonnegative integer", lambda v: v if type(v) is int and v >= 0 else None)
+FLAG = Kind("true or false", lambda v: v if isinstance(v, bool) else None)
+TEXT = Kind("a string", lambda v: v if isinstance(v, str) else None)
+OBJECT = Kind("a JSON object", lambda v: v if isinstance(v, dict) else None)
+TABLE = Kind("a table of finite numbers", _float_table)
+ARCS = Kind("a list of [sender, receiver] integer pairs",   # parsed as from_arc_list takes them
+            lambda v: label_pairs(labels) if isinstance(v, list)
+            and all(map(isinstance, v, itertools.repeat(list))) and {*map(len, v)} <= {2}
+            and {*map(type, labels := [*itertools.chain.from_iterable(v)])} <= {int} else None)
 GRAPH_SCHEMA = {"n": COUNT, "arcs": ARCS, "complete": FLAG}
 SCENARIO_SCHEMA = {
     "graph": OBJECT,    # parse_graph checks it against GRAPH_SCHEMA
@@ -131,11 +133,12 @@ SCENARIO_SCHEMA = {
 }
 
 
-def _check(cfg, schema: dict, where: str = "") -> None:
-    """Raise ScenarioError unless cfg is an object whose keys the schema
-    knows, each holding a value of its kind; nested objects likewise."""
+def _check(cfg, schema: dict, where: str = "") -> dict:
+    """cfg, each value parsed by its kind, nested objects likewise; ScenarioError unless
+    cfg is an object whose keys the schema knows, each holding a value of its kind."""
     if not isinstance(cfg, dict):
         raise ScenarioError(f"{where.rstrip('.') or 'scenario'} must be a JSON object")
+    parsed = {}
     for key, value in cfg.items():
         if key not in schema:
             import difflib   # error path only, so not paid at import time
@@ -143,11 +146,12 @@ def _check(cfg, schema: dict, where: str = "") -> None:
             raise ScenarioError(f"unknown scenario key {where + key!r}; "
                                 f"did you mean {where + near!r}?")
         kind = schema[key]
-        if isinstance(kind, dict):
-            _check(value, kind, where + key + ".")
-        elif not kind.test(value):
+        parsed[key] = (_check(value, kind, where + key + ".") if isinstance(kind, dict)
+                       else kind.parse(value))
+        if parsed[key] is None:
             raise ScenarioError(f"scenario key {where + key!r} must be {kind.text}, "
                                 f"got {value!r:.60}")
+    return parsed
 
 
 def read_json(path: str) -> dict:
@@ -170,7 +174,7 @@ def read_json(path: str) -> dict:
 def parse_graph(cfg) -> Digraph:
     """The graph object of a scenario: ``{"n": N, "complete": true}`` or
     ``{"n": N, "arcs": [[sender, receiver], ...]}`` with 1-based labels."""
-    _check(cfg, GRAPH_SCHEMA, "graph.")
+    cfg = _check(cfg, GRAPH_SCHEMA, "graph.")
     if "n" not in cfg or not (cfg.get("complete") or "arcs" in cfg):
         raise ScenarioError("graph needs 'n' and, unless complete, 'arcs'")
     if cfg.get("complete"):
@@ -181,9 +185,8 @@ def parse_graph(cfg) -> Digraph:
 def _build_weight(cfg: dict) -> WeightFunction:
     kind = cfg.get("type", "cucker-smale")
     if kind == "tabulated-custom":
-        return WeightFunction(kind="tabulated", kappa=cfg["kappa"],
-                              table_r=np.asarray(cfg["r"], dtype=float),
-                              table_v=np.asarray(cfg["values"], dtype=float))
+        return WeightFunction(kind="tabulated", kappa=cfg["kappa"], table_r=cfg["r"],
+                              table_v=cfg["values"])
     return WeightFunction(kind=kind, kappa=cfg.get("kappa", 1.0),
                           beta=cfg.get("beta", 0.0),
                           normalize_by=cfg.get("normalize_by"))
@@ -220,16 +223,15 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> Scenario:
     fault of the input, a value of the wrong kind among them, is a
     ScenarioError."""
     try:
-        _check(raw, SCENARIO_SCHEMA)
-        graph = parse_graph(raw["graph"])
-        model = raw.get("model", "continuous")
+        cfg = _check(raw, SCENARIO_SCHEMA)
+        graph = parse_graph(cfg["graph"])
+        model = cfg.get("model", "continuous")
         if model not in ("continuous", "discrete"):
             raise ScenarioError(f"model must be continuous or discrete, got {model!r}")
-        weight = _build_weight(raw.get("weight", {}))
-        delay = _build_delay(raw.get("delay", {}), integer_valued=(model == "discrete"))
-        positions = np.asarray(raw["positions"], dtype=float)
-        velocities = np.asarray(raw["velocities"], dtype=float)
-        velocities = _scaled(velocities, raw.get("velocity_scale", 1.0))
+        weight = _build_weight(cfg.get("weight", {}))
+        delay = _build_delay(cfg.get("delay", {}), integer_valued=(model == "discrete"))
+        positions = cfg["positions"]
+        velocities = _scaled(cfg["velocities"], cfg.get("velocity_scale", 1.0))
     except KeyError as e:
         raise ScenarioError(f"missing scenario key {e.args[0]!r}") from e
     except ScenarioError:
@@ -238,8 +240,8 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> Scenario:
         raise ScenarioError(str(e)) from e
     s = Scenario(name=name, model=model, graph=graph, weight=weight, delay=delay,
                  positions=positions, velocities=velocities,
-                 **{k: raw[k] for k in ("dt", "h", "t_end", "rho", "flock_tol", "unsafe_h")
-                    if k in raw})
+                 **{k: cfg[k] for k in ("dt", "h", "t_end", "rho", "flock_tol", "unsafe_h")
+                    if k in cfg})
     validate_scenario(s)
     return s
 
@@ -258,6 +260,8 @@ def validate_scenario(s: Scenario):
     if s.model == "discrete" and not float(s.t_end).is_integer():
         raise ScenarioError(f"discrete horizon must be a whole number of steps, "
                             f"got {s.t_end:g}")
+    if s.rho is not None and not s.rho > 0:
+        raise ScenarioError(f"rho must be positive, got {s.rho:g}")
     rep = verify_admissible(s.weight)
     if not rep:
         raise ScenarioError(f"weight is not admissible: {rep.violations[0]}")

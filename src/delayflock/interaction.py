@@ -116,6 +116,8 @@ class WeightFunction:
 
     def __call__(self, r):
         """Evaluate psi(r); r may be a scalar or an array, all >= 0."""
+        if type(r) is float and r >= 0 and self.kind == "cucker-smale":   # libm pow, as on
+            return self.effective_kappa * (1.0 + r * r) ** (-self.beta)   # a numpy scalar
         r = np.asarray(r, dtype=float)
         if (r < 0).any():
             raise AdmissibilityError("weight argument must be nonnegative")

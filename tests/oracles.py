@@ -9,8 +9,9 @@ import math
 
 import numpy as np
 
+from delayflock.analysis import RHO_DECADES, RHO_PER_DECADE, ModelParams
 from delayflock.dde import _hermite_basis
-from delayflock.interaction import AdmissibilityError
+from delayflock.interaction import AdmissibilityError, WeightFunction
 
 INF = math.inf
 
@@ -442,3 +443,52 @@ def diameters_csv_reference(series) -> str:
 def certificate_reference(fields: dict) -> str:
     """One key=value line per certificate field."""
     return "".join(f"{k}={_cell(v)}\n" for k, v in fields.items())
+
+
+# The rho search as it was before its scalar probes ran in Python floats, verbatim:
+# every probe goes through numpy, so a scalar probe reaches the weight as a numpy
+# scalar and takes its array path.  The certificate must match it bit for bit.
+
+def condition_rhs(rho, x0: float, w: WeightFunction, p: ModelParams):
+    """Right-hand side C * rho * psi(x0 + rho)^gamma of the sufficient
+    condition (discrete constant when p.h is set)."""
+    rho = np.asarray(rho, dtype=float)
+    psi = np.asarray(w(x0 + rho), dtype=float)
+    out = p.c * rho * psi ** p.gamma_g
+    return out if out.ndim else float(out)
+
+
+def _search_rho(d0: float, x0: float, w: WeightFunction, p: ModelParams):
+    """Geometric-grid search for a rho satisfying the condition.
+
+    Returns (rho, rhs_at_rho, satisfied).  Among satisfying grid points
+    the smallest rho is taken: a smaller rho keeps psi(X0 + rho) large
+    and therefore certifies the fastest contraction factor.  When no
+    grid point satisfies, one golden-section pass around the grid
+    maximum rules out a near-miss between grid points.
+    """
+    scale = max(1.0, x0)
+    lo, hi = RHO_DECADES[0] * scale, RHO_DECADES[1] * scale
+    n_pts = int(RHO_PER_DECADE * math.log10(hi / lo)) + 1
+    grid = np.geomspace(lo, hi, n_pts)
+    vals = condition_rhs(grid, x0, w, p)
+    ok = np.flatnonzero(vals >= d0)
+    if ok.size:
+        k = int(ok[0])
+        return float(grid[k]), float(vals[k]), True
+    k = int(np.argmax(vals))
+    a = grid[max(k - 1, 0)]
+    b = grid[min(k + 1, n_pts - 1)]
+    inv_phi = (math.sqrt(5) - 1) / 2
+    for _ in range(60):
+        c1 = b - inv_phi * (b - a)
+        c2 = a + inv_phi * (b - a)
+        if condition_rhs(c1, x0, w, p) < condition_rhs(c2, x0, w, p):
+            a = c1
+        else:
+            b = c2
+    rho = 0.5 * (a + b)
+    best = float(condition_rhs(rho, x0, w, p))
+    if best < vals[k]:
+        rho, best = float(grid[k]), float(vals[k])
+    return rho, best, best >= d0

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from delayflock.analysis import (
@@ -21,6 +21,7 @@ from delayflock.analysis import (
     condition_rhs,
     condition_supremum,
     position_bound,
+    _search_rho,
     rho_plus,
     verify_decay,
 )
@@ -30,6 +31,8 @@ from delayflock.discrete import StabilityGateError
 from delayflock.harness import run, scenario_from_dict
 from delayflock.interaction import DelayProfile, WeightFunction
 
+from oracles import _search_rho as search_rho_reference
+from oracles import condition_rhs as condition_rhs_reference
 from oracles import history_spreads_reference, max_pair_distance_reference
 
 FIG_ARCS = [(1, 2), (2, 3), (3, 1), (3, 4)]
@@ -289,6 +292,18 @@ class TestCertificates:
         if branch == "rho-plus":
             assert cert.rho == rho_plus(x0, w.beta, params.gamma_g)
 
+    @pytest.mark.parametrize("model", ["continuous", "discrete"])
+    @pytest.mark.parametrize("rho, text", [(-1, "-1"), (-5.0, "-5"), (0.0, "0"),
+                                           (-1e-300, "-1e-300")])
+    def test_non_positive_rho_refused(self, rho, text, model):
+        hist, g, w, p = continuous_inputs(0.5 * FIG2_SCALE)
+        with pytest.raises(AnalysisError) as e:
+            if model == "continuous":
+                check_continuous(hist, g, w, p, rho=rho)
+            else:
+                check_discrete(hist, g, w, p, h=0.05, rho=rho)
+        assert str(e.value) == f"rho must be positive, got {text}"
+
     def test_permutation_invariance(self):
         hist, g, w, p = continuous_inputs(0.5 * FIG2_SCALE)
         cert = check_continuous(hist, g, w, p)
@@ -319,6 +334,54 @@ class TestCertificates:
 def pair_history(v0):
     """Two agents at the origin with velocities v0, constant in time."""
     return InitialHistory.constant([[0.0], [0.0]], v0, tau=0.0)
+
+
+def _bits(*xs) -> bytes:
+    return np.array(xs, dtype=float).tobytes()
+
+
+# a tabulated weight at kappa 1, scaled by kappa in the test
+TABLE_R, TABLE_V = [0.0, 1.0, 5.0, 40.0], [1.0, 0.6, 0.2, 0.01]
+
+
+class TestProbeArithmetic:
+    """Scalar rho probes run in Python floats; every branch that probes gives
+    (rho, threshold, satisfied) bit for bit as when each probe went through numpy
+    (``oracles.condition_rhs`` and ``oracles._search_rho``)."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(kind=st.sampled_from(["cucker-smale", "constant", "tabulated"]),
+           beta=st.sampled_from([0, 0.5, 1, 2, 1.0, 2.0]) | st.floats(0.0, 3.0),
+           gamma_g=st.sampled_from([1, 2]) | st.integers(1, 8),
+           kappa=st.floats(0.05, 5.0), n_inf=st.integers(1, 6), tau=st.floats(0.0, 2.0),
+           discrete=st.booleans(), log_x0=st.floats(-6.0, 6.0), log_d0=st.floats(-20.0, 6.0),
+           branch=st.sampled_from(["search", "explicit-rho", "rho-plus"]),
+           log_rho=st.floats(-8.0, 8.0))
+    def test_probes_match_the_numpy_probes(self, kind, beta, gamma_g, kappa, n_inf, tau,
+                                           discrete, log_x0, log_d0, branch, log_rho):
+        if kind == "tabulated":
+            w = WeightFunction(kind=kind, kappa=kappa, table_r=TABLE_R,
+                               table_v=[kappa * v for v in TABLE_V])
+        else:
+            w = WeightFunction(kind=kind, kappa=kappa, beta=beta)
+        p = ModelParams(gamma_g=gamma_g, n_infinity=n_inf, kappa=kappa, tau=tau, d=2,
+                        h=0.5 / (kappa * n_inf) if discrete else None,
+                        beta=beta if kind == "cucker-smale" else None)
+        x0, d0 = 10.0 ** log_x0, 10.0 ** log_d0
+        if branch == "search":
+            rho, threshold, satisfied = _search_rho(d0, x0, w, p)
+            want_rho, want_threshold, want_satisfied = search_rho_reference(d0, x0, w, p)
+            assert satisfied == want_satisfied
+        else:
+            if branch == "rho-plus":
+                assume(p.regime == SHORT_RANGE)
+                rho = want_rho = rho_plus(x0, beta, gamma_g)
+            else:
+                rho = want_rho = 10.0 ** log_rho
+            threshold = condition_rhs(rho, x0, w, p)
+            want_threshold = condition_rhs_reference(rho, x0, w, p)
+            assert type(threshold) is float
+        assert _bits(rho, threshold) == _bits(want_rho, want_threshold)
 
 
 class TestDiscreteCertificates:

@@ -9,7 +9,7 @@ import pytest
 
 import delayflock
 from delayflock import analysis
-from delayflock.cli import EXIT_DEFECT, EXIT_OK, EXIT_VALIDATION, main
+from delayflock.cli import EXIT_DEFECT, EXIT_OK, EXIT_VALIDATION, build_parser, main
 from delayflock.digraph import Digraph
 
 SCENARIO = {
@@ -206,6 +206,11 @@ ZERO_WIDTH = dict(SCENARIO, positions=[[]] * 4, velocities=[[]] * 4)
      "error: positions table must be 4 x d with d >= 1, got shape (4, 0)\n"),
     ("sweep", SCENARIO, ["--axis", "beta=0:1:2", "--axis", "beta=0:1:2"],
      "error: sweep axis 'beta' is given more than once\n"),
+    # a threshold needs rho > 0: -1 printed a certificate, -5 a misleading weight error
+    ("check-condition", dict(SCENARIO, rho=-1), [], "error: rho must be positive, got -1\n"),
+    ("check-condition", dict(SCENARIO, rho=-5), [], "error: rho must be positive, got -5\n"),
+    ("check-condition", dict(SCENARIO, rho=0), [], "error: rho must be positive, got 0\n"),
+    ("simulate", dict(SCENARIO, rho=-1), [], "error: rho must be positive, got -1\n"),
 ], ids=["gate-check", "gate-simulate", "nan-position", "blow-up", "negative-dt",
         "zero-horizon", "missing-arcs", "malformed-json", "directory", "string-beta",
         "one-vertex-arc", "huge-integer", "discrete-negative-horizon",
@@ -217,7 +222,9 @@ ZERO_WIDTH = dict(SCENARIO, positions=[[]] * 4, velocities=[[]] * 4)
         "velocity-scale-overflow", "sweep-tau-random", "far-apart-check",
         "far-apart-simulate", "far-apart-sweep", "far-apart-discrete", "velocity-gap-overflow",
         "arc-label-past-int64", "subnormal-dt", "tiny-dt", "discrete-huge-horizon",
-        "sweep-huge-tau", "zero-width-simulate", "zero-width-check", "sweep-repeated-axis"])
+        "sweep-huge-tau", "zero-width-simulate", "zero-width-check", "sweep-repeated-axis",
+        "negative-rho-check", "very-negative-rho-check", "zero-rho-check",
+        "negative-rho-simulate"])
 def test_bad_input_exits_2_with_one_line(command, raw, flags, message, tmp_path, capsys):
     # raw is a scenario object, or the name of a file under tmp_path
     (tmp_path / "bad.json").write_text('{"graph": \n !')
@@ -294,3 +301,47 @@ def test_refused_input_prints_only_its_error_line(tmp_path):
                      "--axis", "tau=1:1:1")
     assert (code, err) == (
         EXIT_VALIDATION, "error: sweep axis 'tau' needs a constant delay, not piecewise-random\n")
+
+
+def test_parser_is_built_once_on_first_use(tmp_path):
+    # in a fresh process: importing the module builds no parser, and two calls share one
+    script = (
+        "import argparse, sys\n"
+        "made = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "argparse.ArgumentParser.__init__ = lambda *a, **k: made.append(1) or init(*a, **k)\n"
+        "from delayflock import cli\n"
+        "assert not made, 'import built a parser'\n"
+        "for _ in range(2):\n"
+        "    assert cli.main(['analyze-graph', sys.argv[1]]) == 0\n"
+        "    print(f'built {len(made)}')\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(delayflock.__file__)))
+    done = subprocess.run([sys.executable, "-c", script, _file(tmp_path, SCENARIO)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    built = [int(line.split()[1]) for line in done.stdout.splitlines() if line.startswith("built")]
+    assert len(built) == 2 and built[0] > 0 and built[1] == built[0]
+
+
+def test_bad_argv_leaves_the_parser_as_it_was(scenario_file, capsys):
+    assert main(["check-condition", scenario_file]) == EXIT_OK
+    want = capsys.readouterr()
+    for argv in (["check-condition"], ["simulate", scenario_file, "--dt", "x"], ["nope"]):
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        assert e.value.code == EXIT_VALIDATION
+        capsys.readouterr()
+    assert main(["check-condition", scenario_file]) == EXIT_OK
+    assert capsys.readouterr() == want
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["simulate", "--help"], ["sweep", "--help"]])
+def test_help_text_is_that_of_a_fresh_parser(argv, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    texts = []
+    for parse in (main, build_parser().parse_args, main):
+        with pytest.raises(SystemExit) as e:
+            parse(argv)
+        assert e.value.code == EXIT_OK
+        texts.append(capsys.readouterr().out)
+    assert texts[0] == texts[1] == texts[2] and texts[0].startswith("usage: delayflock")

@@ -187,6 +187,27 @@ def test_arc_list_is_the_kept_read_only_nonzero(fig_graph):
             a[0] = 1
 
 
+@pytest.mark.parametrize("n, arcs", [
+    (4, [(1, 2), (2, 3), (1, 2), (3, 1), (2, 3), (3, 4), (1, 2)]),
+    (6, [(6, 1), (1, 2), (5, 4), (3, 5), (2, 4), (1, 6), (4, 3), (2, 1), (6, 4)]),
+    (3, []),
+    (1, []),
+    (5, np.array([[5, 1], [2, 5], [1, 2], [2, 5], [4, 1]])),
+], ids=["duplicated", "any-order", "no-arcs", "single-vertex", "int64-label-array"])
+def test_from_arc_list_keeps_the_parsed_arc_list(n, arcs):
+    g = Digraph.from_arc_list(n, arcs, one_based=True)
+    assert "arc_list" in g.__dict__   # kept, not derived from the matrix
+    derived = Digraph(g.arcs)
+    assert "arc_list" not in derived.__dict__
+    for kept, want in zip(g.arc_list, np.nonzero(g.arcs)):
+        assert np.array_equal(kept, want) and kept.dtype == want.dtype
+        assert not kept.flags.writeable
+    for a, b in zip(g.arc_list, derived.arc_list):
+        assert np.array_equal(a, b) and a.dtype == b.dtype and not b.flags.writeable
+    assert compute_metrics(g) == compute_metrics(derived)
+    assert g.max_in_degree == derived.max_in_degree
+
+
 def test_equality_and_hash_follow_the_arc_matrix(fig_graph):
     a, b = Digraph.complete(3), Digraph.complete(3)
     assert a == b and not a != b and hash(a) == hash(b)

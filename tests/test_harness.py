@@ -482,8 +482,7 @@ class TestSweep:
         # whose frontier closure ends in one reverse search for the roots
         searches = []
         bfs = digraph._bfs
-        monkeypatch.setattr(digraph, "_bfs", lambda succ, src: searches.append(src) or
-                            bfs(succ, src))
+        monkeypatch.setattr(digraph, "_bfs", lambda *args: searches.append(args) or bfs(*args))
         n = 50
         arcs = [[i + 1, (i + 1) % n + 1] for i in range(n)] + [[1, k] for k in range(3, n, 7)]
         rng = np.random.default_rng(4)
