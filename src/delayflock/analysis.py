@@ -19,7 +19,7 @@ import numpy as np
 from .dde import DiameterSeries, InitialHistory, Trajectory, check_history
 from .digraph import Digraph, compute_metrics
 from .discrete import check_gate
-from .interaction import DelayProfile, WeightFunction, verify_admissible
+from .interaction import DelayProfile, WeightFunction
 
 LONG_RANGE = "long-range"
 CRITICAL = "critical"
@@ -37,6 +37,10 @@ VACUOUS_ABOVE = 1e9
 
 class AnalysisError(ValueError):
     pass
+
+
+class DegenerateGraphError(AnalysisError):
+    """The graph has no spanning tree, or one vertex: no condition constants exist."""
 
 
 class SpreadOverflowError(ValueError):
@@ -61,11 +65,11 @@ class ModelParams:
 
     def __post_init__(self):
         if not (isinstance(self.gamma_g, (int, np.integer)) and self.gamma_g >= 1):
-            raise AnalysisError(
+            raise DegenerateGraphError(
                 f"gamma_g must be a finite integer >= 1, got {self.gamma_g} "
                 "(single-vertex and treeless graphs are degenerate here)")
         if self.n_infinity < 1:
-            raise AnalysisError("n_infinity must be >= 1 for a graph with arcs")
+            raise DegenerateGraphError("n_infinity must be >= 1 for a graph with arcs")
         if self.kappa <= 0 or self.tau < 0 or self.d < 1:
             raise AnalysisError("kappa > 0, tau >= 0, d >= 1 required")
         if self.h is not None:
@@ -155,12 +159,16 @@ def condition_supremum(x0: float, w: WeightFunction, p: ModelParams) -> float:
 
 
 def _log_gap(rho: float, x0: float, w: WeightFunction, p: ModelParams) -> float:
-    """log(1 - delta) of the Euler recursion with step p.h, or of the continuous system."""
+    """log(1 - delta) of the Euler recursion with step p.h, or of the continuous system;
+    AnalysisError where psi(x0 + rho) underflows to 0, as no rate exists there."""
     g, ni, k, tau, h = p.gamma_g, p.n_infinity, p.kappa, p.tau, p.h
+    if not (psi := float(w(x0 + rho))) > 0.0:
+        raise AnalysisError(f"psi(X0 + rho) underflows to 0 at rho = {rho:g}; "
+                            "no contraction rate exists there")
     if h is None:
-        return (g * math.log(float(w(x0 + rho))) - ni * k * g * (3 * tau + 2)
+        return (g * math.log(psi) - ni * k * g * (3 * tau + 2)
                 - math.log(2.0) - g * math.log1p(ni * k))
-    return (g * math.log(h) + g * math.log(float(w(x0 + rho)))
+    return (g * math.log(h) + g * math.log(psi)
             + g * (3 * tau + 1) * math.log1p(-h * ni * k)
             - math.log(2.0) - g * math.log1p(ni * k))
 
@@ -255,14 +263,13 @@ def _certify(history: InitialHistory, g: Digraph, w: WeightFunction, dp: DelayPr
     """The certificate of either model: the discrete one when h is set."""
     if rho is not None and not rho > 0:
         raise AnalysisError(f"rho must be positive, got {rho:g}")
-    rep = verify_admissible(w)
-    if not rep:
+    if not (rep := w.admissibility):
         raise AnalysisError(f"weight is not admissible: {rep.violations[:1]}")
     check_history(history, (g.n_vertices, history.dim), dp)
     m = compute_metrics(g)
     if not m.has_spanning_tree:
-        raise AnalysisError("graph has no spanning tree; the condition "
-                            "constants are undefined")
+        raise DegenerateGraphError("graph has no spanning tree; the condition "
+                                   "constants are undefined")
     p = ModelParams(gamma_g=int(m.gamma_g), n_infinity=m.n_infinity, kappa=w.effective_kappa,
                     tau=dp.tau_max if h is None else dp.integer_tau_max, d=history.dim, h=h,
                     beta=w.beta if w.kind == "cucker-smale" else None)

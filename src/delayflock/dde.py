@@ -23,6 +23,7 @@ trailing-window extrema over [t - tau, t] and their spread.
 """
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -155,8 +156,8 @@ class Trajectory:
                     (1 - u) * self.vs[k] + u * self.vs[k + 1])
         a, weights = _hermite_basis(self.times, float(t), len(self.times) - 1)
         jump = a + 1 == self.n_hist
-        return (_hermite_rows((self.xs, self.dxs, self.hist_end_xslope), a, weights, jump),
-                _hermite_rows((self.vs, self.dvs, self.hist_end_slope), a, weights, jump))
+        return (_hermite_rows((self.xs, self.dxs, self.hist_end_xslope), a, 1, weights, jump),
+                _hermite_rows((self.vs, self.dvs, self.hist_end_slope), a, 1, weights, jump))
 
 
 def blowup_guard(history_vs, members: int):
@@ -220,15 +221,20 @@ def _hermite_basis(times, s, hi):
     return seg, (2 * u3 - 3 * u2 + 1, (u3 - 2 * u2 + u) * h, -2 * u3 + 3 * u2, (u3 - u2) * h)
 
 
-def _hermite_rows(table, a, weights, jump, cols=slice(None)):
-    """Rows ``cols`` (all by default) of the (vals, slopes, fix_val) table at times in
-    segments a with basis ``weights``, broadcast together: one time, or
-    leading axes of times.  The slope at a + 1 is fix_val where ``jump``
-    (the derivative jumps where prescribed history meets the dynamics)."""
+def _hermite_rows(table, rows, step, weights, jump):
+    """Cubic Hermite values on the (vals, slopes, fix_val) table, whose
+    vals and slopes are indexed on axis 0: a segment runs from row
+    ``rows`` to row rows + step, read with basis ``weights``, broadcast
+    together.  The right-end slope is fix_val where ``jump`` (the
+    derivative jumps where prescribed history meets the dynamics)."""
     vals, slopes, fix_val = table
     h00, h10, h01, h11 = weights
-    return (h00 * vals[a, cols] + h10 * slopes[a, cols] + h01 * vals[a + 1, cols]
-            + h11 * np.where(jump, fix_val[cols], slopes[a + 1, cols]))
+    right = rows + step
+    m1 = slopes.take(right, axis=0)
+    if np.any(jump):
+        np.copyto(m1, fix_val, where=jump)
+    return (h00 * vals.take(rows, axis=0) + h10 * slopes.take(rows, axis=0)
+            + h01 * vals.take(right, axis=0) + h11 * m1)
 
 
 def _stage_plan(times, n_hist: int, dt: float, at, members: int, first: int, stop: int):
@@ -262,18 +268,27 @@ def _stage_plan(times, n_hist: int, dt: float, at, members: int, first: int, sto
     return ts, his, tau, short, _segment(times, ts - short, his)
 
 
-def edge_forces(own, delayed, ei, w: WeightFunction, out):
+def receiver_bins(ei, d: int):
+    """The bin ei[e] * d + k of component k of arc e's receiver, edge_forces' scatter index."""
+    return (ei[:, None] * d + np.arange(d)).ravel()
+
+
+def edge_forces(own, delayed, bins, w: WeightFunction, out):
     """Alignment forces summed per receiver over the arc list.
 
     Row e of the (E, 2, d) inputs belongs to the arc ej[e] -> ei[e]: the
-    receiver's own (x, v) and the sender's delayed (x, v).  Adds to row i
-    of the zeroed (n, d) ``out`` the sum over arcs into i of
-    psi(|x_delayed - x_i|) * (v_delayed - v_i), in arc order.
+    receiver's own (x, v) and the sender's delayed (x, v); ``bins`` is
+    receiver_bins(ei, d).  Writes to row i of the (n, d) ``out`` the sum
+    over arcs into i of psi(|x_delayed - x_i|) * (v_delayed - v_i),
+    added to 0.0 in arc order, as np.add.at into zeros.
     """
     diff = delayed - own
     # only positions are squared: a velocity gap past 1e154 must not overflow
-    r = np.sqrt(np.add.reduce(np.square(diff[:, 0]), axis=1))
-    np.add.at(out, ei, w(r)[:, None] * diff[:, 1])
+    sq = np.square(diff[:, 0])
+    # numpy's reduction adds fewer than 8 terms left to right, as these column adds do
+    r = np.sqrt(functools.reduce(np.add, sq.T) if sq.shape[1] < 8 else np.add.reduce(sq, axis=1))
+    out[...] = np.bincount(bins, (w(r)[:, None] * diff[:, 1]).ravel(),
+                           out.size).reshape(out.shape)
 
 
 def integrate(history: InitialHistory | Sequence[InitialHistory], g: Digraph,
@@ -327,11 +342,13 @@ def integrate(history: InitialHistory | Sequence[InitialHistory], g: Digraph,
     at = p.on_edges(ei, ej)
     offset = np.repeat(np.arange(B) * n, n_arcs)
     ei, ej = np.tile(ei, B) + offset, np.tile(ej, B) + offset
-    psi = batch_weight(ws, n_arcs)
+    bins, psi = receiver_bins(ei, d), batch_weight(ws, n_arcs)
     # a delay every arc shares (one, or none for no arcs) is looked up on agent
     # rows, and each stage gathers its arcs from them; per-arc delays on arc rows
     shared = np.ndim(at(0.0)) == 0 or len(ej) <= 1
     cols = np.arange(nb) if shared else ej
+    # lookups gather flat rows: time index * nb + column
+    flat = ys.reshape(M * nb, 2, d), dys.reshape(M * nb, 2, d), hist_end.take(cols, axis=0)
     # stages are planned a chunk at a time and looked up a block at a time, never
     # past the chunk's end; either holds at most LOOKUP_BLOCK_ROWS rows
     span = max(1, LOOKUP_BLOCK_ROWS // len(cols))
@@ -359,13 +376,13 @@ def integrate(history: InitialHistory | Sequence[InitialHistory], g: Digraph,
                 a, basis = _hermite_basis(times, np.minimum(s - np.array(tau_s[lo:hi]),
                                                             s - short[lo:hi, None]),
                                           his[lo:hi, None])
-                block = _hermite_rows((ys, dys, hist_end), a, [b[..., None, None] for b in basis],
-                                      (a + 1 == n_hist)[..., None, None], cols)
+                block = _hermite_rows(flat, a * nb + cols, nb, [b[..., None, None] for b in basis],
+                                      (a + 1 == n_hist)[..., None, None])
             yd = (block[c - lo].take(ej, axis=0) if shared
                   else np.where(tau_s[c][:, None, None] == 0.0, y.take(ej, axis=0),
                                 block[c - lo]))
-        out[:, 0], out[:, 1] = y[:, 1], 0.0
-        edge_forces(y.take(ei, axis=0), yd, ei, psi, out[:, 1])
+        out[:, 0] = y[:, 1]
+        edge_forces(y.take(ei, axis=0), yd, bins, psi, out[:, 1])
 
     # k1 goes into dys; y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4) runs as written, in place
     k2, k3, k4, yk = (np.empty((nb, 2, d)) for _ in range(4))

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dde import (DiameterSeries, InitialHistory, Trajectory, blowup_guard, check_grid,
-                  check_history, diameters, edge_forces)
+                  check_history, diameters, edge_forces, receiver_bins)
 from .digraph import Digraph, compute_metrics  # noqa: F401  (traced here by bench/spans.py)
 from .interaction import DelayProfile, WeightFunction
 
@@ -50,12 +50,12 @@ def simulate_discrete(history: InitialHistory, g: Digraph, w: WeightFunction,
     ys[: tau + 1, :, 0], ys[: tau + 1, :, 1], _, _ = history.eval(times[: tau + 1])
     check_blowup = blowup_guard(ys[: tau + 1, :, 1], 1)
     ei, ej = g.arc_list
-    delay_at = p.on_edges(ei, ej)
+    delay_at, bins = p.on_edges(ei, ej), receiver_bins(ei, history.dim)
     for k in range(t_end):
         y, step = ys[tau + k], ys[tau + k + 1]   # the slope (v, dv) goes into the next row
         back = tau + k - np.rint(delay_at(k)).astype(np.intp)   # one lag, or one per arc
-        step[:, 0], step[:, 1] = y[:, 1], 0.0
-        edge_forces(y.take(ei, axis=0), ys[back, ej], ei, w, step[:, 1])
+        step[:, 0] = y[:, 1]
+        edge_forces(y.take(ei, axis=0), ys[back, ej], bins, w, step[:, 1])
         np.add(y, np.multiply(h, step, out=step), out=step)   # x + h v, v + h dv
         check_blowup(step[:, 1], k + 1)
     return Trajectory(times=times, xs=ys[:, :, 0], vs=ys[:, :, 1], dt=1.0, n_hist=tau)

@@ -31,7 +31,7 @@ from .dde import (InitialHistory, IntegrationError, Trajectory, check_monotone_d
                   diameters, integrate)
 from .digraph import Digraph, label_pairs
 from .discrete import StabilityGateError, discrete_diameters, simulate_discrete
-from .interaction import DelayProfile, WeightFunction, verify_admissible
+from .interaction import DelayProfile, WeightFunction
 
 CSV_HEADER = "# delayflock-csv v1"
 OUTPUT_DIR_ENV = "DELAYFLOCK_OUT"
@@ -262,8 +262,7 @@ def validate_scenario(s: Scenario):
                             f"got {s.t_end:g}")
     if s.rho is not None and not s.rho > 0:
         raise ScenarioError(f"rho must be positive, got {s.rho:g}")
-    rep = verify_admissible(s.weight)
-    if not rep:
+    if not (rep := s.weight.admissibility):
         raise ScenarioError(f"weight is not admissible: {rep.violations[0]}")
     if s.model == "continuous" and not s.delay.continuous_in_t:
         warnings.warn("discontinuous delay profile used with the continuous "
@@ -343,7 +342,8 @@ def write_certificate(cert: an.FlockingCertificate, path: str):
 
 def certify(s: Scenario) -> an.FlockingCertificate:
     """The scenario's flocking certificate, measured from its initial data;
-    AnalysisError on a degenerate graph (no spanning tree, or one agent),
+    DegenerateGraphError on a graph without a spanning tree or of one agent,
+    AnalysisError on other refusals (a rho at which psi underflows),
     SpreadOverflowError on initial data whose D(0) or X(0) overflows,
     StabilityGateError on a discrete step size past the gate."""
     if s.model == "discrete":
@@ -362,8 +362,10 @@ def _run_group(group: list[Scenario], out_dir: str | None = None) -> list[RunRep
     for s in group:   # an uncertified run goes on, with the reason it has no certificate
         try:
             certs.append((certify(s), ""))
-        except an.AnalysisError:
+        except an.DegenerateGraphError:
             certs.append((None, "degenerate graph"))
+        except an.AnalysisError as e:
+            certs.append((None, str(e)))
         except StabilityGateError:
             if not s.unsafe_h:
                 raise

@@ -8,6 +8,7 @@ immutable and pure in (i, j, t), so instances can be shared freely.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -107,6 +108,11 @@ class WeightFunction:
             object.__setattr__(self, "table_v", v)
         elif self.kind != "constant":
             raise AdmissibilityError(f"unknown weight kind {self.kind!r}")
+
+    @functools.cached_property
+    def admissibility(self) -> "AdmissibilityReport":
+        """verify_admissible's report at its defaults, sampled once per instance."""
+        return verify_admissible(self)
 
     @property
     def effective_kappa(self) -> float:

@@ -5,12 +5,14 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import delayflock
 from delayflock import analysis
 from delayflock.cli import EXIT_DEFECT, EXIT_OK, EXIT_VALIDATION, build_parser, main
 from delayflock.digraph import Digraph
+from delayflock.interaction import WeightFunction
 
 SCENARIO = {
     "graph": {"n": 4, "arcs": [[1, 2], [2, 3], [3, 1], [3, 4]]},
@@ -144,6 +146,9 @@ FAR_APART = {"graph": {"n": 2, "complete": True}, "weight": {"type": "constant",
              "velocities": [[0.0], [1.0]], "t_end": 1.0, "dt": 0.1}
 FAST_APART = dict(FAR_APART, positions=[[0.0], [1.0]], velocities=[[-1e308], [1e308]])
 ZERO_WIDTH = dict(SCENARIO, positions=[[]] * 4, velocities=[[]] * 4)
+# psi(X0 + 1e300) = (1 + 1e600)^(-1/4) underflows to 0, so no contraction rate exists
+HUGE_RHO = dict(FAR_APART, weight={"type": "cucker-smale", "kappa": 1.0, "beta": 0.25},
+                positions=[[0.0], [1.0]], rho=1e300)
 
 
 @pytest.mark.parametrize("command, raw, flags, message", [
@@ -211,6 +216,11 @@ ZERO_WIDTH = dict(SCENARIO, positions=[[]] * 4, velocities=[[]] * 4)
     ("check-condition", dict(SCENARIO, rho=-5), [], "error: rho must be positive, got -5\n"),
     ("check-condition", dict(SCENARIO, rho=0), [], "error: rho must be positive, got 0\n"),
     ("simulate", dict(SCENARIO, rho=-1), [], "error: rho must be positive, got -1\n"),
+    ("check-condition", HUGE_RHO, [],
+     "error: psi(X0 + rho) underflows to 0 at rho = 1e+300; no contraction rate exists there\n"),
+    ("check-condition", dict(HUGE_RHO, model="discrete", h=0.1, delay={"type": "constant",
+                                                                       "tau": 1}), [],
+     "error: psi(X0 + rho) underflows to 0 at rho = 1e+300; no contraction rate exists there\n"),
 ], ids=["gate-check", "gate-simulate", "nan-position", "blow-up", "negative-dt",
         "zero-horizon", "missing-arcs", "malformed-json", "directory", "string-beta",
         "one-vertex-arc", "huge-integer", "discrete-negative-horizon",
@@ -224,7 +234,7 @@ ZERO_WIDTH = dict(SCENARIO, positions=[[]] * 4, velocities=[[]] * 4)
         "arc-label-past-int64", "subnormal-dt", "tiny-dt", "discrete-huge-horizon",
         "sweep-huge-tau", "zero-width-simulate", "zero-width-check", "sweep-repeated-axis",
         "negative-rho-check", "very-negative-rho-check", "zero-rho-check",
-        "negative-rho-simulate"])
+        "negative-rho-simulate", "underflowing-psi-check", "underflowing-psi-discrete"])
 def test_bad_input_exits_2_with_one_line(command, raw, flags, message, tmp_path, capsys):
     # raw is a scenario object, or the name of a file under tmp_path
     (tmp_path / "bad.json").write_text('{"graph": \n !')
@@ -247,6 +257,31 @@ def test_graph_too_large_to_allocate_exits_2(tmp_path, capsys, monkeypatch):
     assert main(["analyze-graph", _file(tmp_path, raw)]) == EXIT_VALIDATION
     assert capsys.readouterr().err == (
         "error: Unable to allocate an array with shape (1000000, 1000000)\n")
+
+
+def test_underflowing_psi_runs_uncertified_with_its_reason(tmp_path, capsys):
+    assert main(["simulate", _file(tmp_path, HUGE_RHO)]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[0] == (
+        "certificate: n/a (psi(X0 + rho) underflows to 0 at rho = 1e+300; "
+        "no contraction rate exists there)")
+
+
+def test_weight_is_sampled_once_per_command(scenario_file, capsys, monkeypatch):
+    # validate_scenario and the certificate both need the weight admissible;
+    # its 1000-sample check runs once, kept on the WeightFunction
+    sampled = []
+    call = WeightFunction.__call__
+
+    def counted(self, r):
+        if np.size(r) == 1000:
+            sampled.append(self)
+        return call(self, r)
+    monkeypatch.setattr(WeightFunction, "__call__", counted)
+    for command in ("check-condition", "simulate"):
+        sampled.clear()
+        assert main([command, scenario_file]) == EXIT_OK
+        assert len(sampled) == 1, command
+    capsys.readouterr()
 
 
 def test_unsafe_step_runs_uncertified(tmp_path, capsys):

@@ -18,6 +18,7 @@ from delayflock.dde import (
     blowup_guard,
     edge_forces,
     integrate,
+    receiver_bins,
 )
 from delayflock.digraph import Digraph
 from delayflock.interaction import DelayProfile, WeightFunction
@@ -57,7 +58,7 @@ class TestRhs:
         g = Digraph(np.zeros((1, 1), dtype=bool))
         w = WeightFunction(kind="constant", kappa=1.0)
         none, dv = np.zeros((0, 2, 2)), np.zeros((1, 2))
-        edge_forces(none, none, np.zeros(0, dtype=int), w, dv)
+        edge_forces(none, none, receiver_bins(np.zeros(0, dtype=int), 2), w, dv)
         assert np.array_equal(dv, [[0.0, 0.0]])
         hist = InitialHistory.constant([[1.0, 2.0]], [[3.0, 4.0]], tau=0.0)
         traj = integrate(hist, g, w, DelayProfile.zero(), t_end=1.0, dt=0.1)
@@ -71,7 +72,7 @@ class TestRhs:
         y = np.array([[[0.0], [2.0]], [[1.0], [2.0]], [[5.0], [2.0]]])   # (x, v) rows
         ei, ej = np.nonzero(g.arcs)
         dv = np.zeros((3, 1))
-        edge_forces(y[ei], y[ej], ei, w, dv)
+        edge_forces(y[ei], y[ej], receiver_bins(ei, 1), w, dv)
         assert np.array_equal(dv, np.zeros((3, 1)))
 
     def test_two_agents_unit_weight(self):
@@ -82,7 +83,7 @@ class TestRhs:
         y = np.array([[[0.0], [0.0]], [[1.0], [1.0]]])
         ei, ej = np.nonzero(g.arcs)
         dv = np.zeros((2, 1))
-        edge_forces(y[ei], y[ej], ei, w, dv)
+        edge_forces(y[ei], y[ej], receiver_bins(ei, 1), w, dv)
         assert np.array_equal(dv, [[1.0], [-1.0]])
         eps = 1e-6
         rate = (two_agent_ode_difference(eps, 1.0, 1.0)
@@ -93,7 +94,8 @@ class TestRhs:
         # the force on receiver 0 uses the sender's delayed row ...
         w = WeightFunction(kind="constant", kappa=1.0)
         dv = np.zeros((2, 1))
-        edge_forces(np.array([[[0.0], [1.0]]]), np.array([[[9.0], [4.0]]]), np.array([0]), w, dv)
+        edge_forces(np.array([[[0.0], [1.0]]]), np.array([[[9.0], [4.0]]]),
+                    receiver_bins(np.array([0]), 1), w, dv)
         assert np.array_equal(dv, [[3.0], [0.0]])
         # ... which integrate looks up tau back: until t = tau each agent
         # of the pair hears the other's constant history
@@ -118,19 +120,50 @@ class TestRhs:
         own, delayed = rng.normal(size=(2, len(ei), 2, d)) * [[[[1.0]]], [[[3.0]]]]
         w = WeightFunction(kind="cucker-smale", kappa=1.3, beta=0.3)
         slope = np.zeros((30, 2, d))
-        edge_forces(own, delayed, ei, w, slope[:, 1])
+        edge_forces(own, delayed, receiver_bins(ei, d), w, slope[:, 1])
         want = edge_forces_reference(own[:, 0], delayed[:, 0], own[:, 1], delayed[:, 1],
                                      ei, w, 30)
         assert slope[:, 1].tobytes() == want.tobytes()
         assert not slope[:, 0].any()
+
+    @pytest.mark.parametrize("d", [1, 2, 7, 8, 9])
+    @pytest.mark.parametrize("n_arcs", [4, 1000, 40_000])
+    def test_kernel_matches_add_at_on_any_terms(self, n_arcs, d):
+        # the scatter adds each receiver's terms to 0.0 in arc order, as np.add.at into
+        # zeros, and the norms sum d < 8 squares left to right, as np.add.reduce does;
+        # arcs in any order, -0.0, +-inf and nan among the terms, and receivers (the
+        # last two) without in-arcs
+        rng = np.random.default_rng(10 * n_arcs + d)
+        n = max(4, n_arcs // 5)
+        ei = rng.permutation(np.arange(n_arcs) % (n - 2))
+        own, delayed = rng.normal(size=(2, n_arcs, 2, d)) * 10.0 ** rng.integers(-3, 4, d)
+        quiet = ei < (n - 2) // 2   # these receivers' terms are all -0.0
+        own[quiet, 1], delayed[quiet, 1] = 0.0, -0.0
+        for value in (np.inf, -np.inf, np.nan):   # in velocities and positions
+            delayed[rng.choice(np.flatnonzero(~quiet), 1 + n_arcs // 100),
+                    rng.integers(0, 2), rng.integers(0, d)] = value
+        w = WeightFunction(kind="cucker-smale", kappa=1.3, beta=0.3)
+        got = np.full((n, 2, d), 7.0)
+        with np.errstate(invalid="ignore"):   # inf - inf and 0 * inf give nan, as intended
+            edge_forces(own, delayed, receiver_bins(ei, d), w, got[:, 1])
+            want = edge_forces_reference(own[:, 0], delayed[:, 0], own[:, 1], delayed[:, 1],
+                                         ei, w, n)
+        # bit for bit but for the sign of a nan: np.add.at itself takes either of two nans
+        # of opposite sign, by the shape of its operands
+        nan = np.isnan(want)
+        assert (np.isnan(got[:, 1]) == nan).all() and nan.any()
+        assert got[:, 1][~nan].tobytes() == want[~nan].tobytes()
+        assert (got[:, 0] == 7.0).all()
+        assert np.zeros(((n - 2) // 2 + 2, d)).tobytes() == np.concatenate(
+            (want[: (n - 2) // 2], want[-2:])).tobytes()   # +0.0, not -0.0
 
     def test_kernel_squares_positions_only(self):
         # a velocity gap of 1e200 squares past the largest float; only the position
         # gap is squared, so no overflow warning (an error in this suite) is raised
         w = WeightFunction(kind="constant", kappa=1.0)
         dv = np.zeros((2, 1))
-        edge_forces(np.array([[[0.0], [0.0]]]), np.array([[[3.0], [1e200]]]), np.array([0]),
-                    w, dv)
+        edge_forces(np.array([[[0.0], [0.0]]]), np.array([[[3.0], [1e200]]]),
+                    receiver_bins(np.array([0]), 1), w, dv)
         assert dv.tolist() == [[1e200], [0.0]]
 
 
@@ -450,9 +483,9 @@ def plan_cases():
 def record_lookups(monkeypatch, cap=None):
     """Run integrate through recorders: returns the list that gets each
     stage's delayed states, the (E, 2, d) rows edge_forces reads, and the
-    list that gets (first stage, segments, jumps, rows, looked-up rows) of
-    each block of lookups, its stage counted by the edge_forces calls
-    before it."""
+    list that gets (first stage, segments, jumps, columns, looked-up rows)
+    of each block of lookups, its stage counted by the edge_forces calls
+    before it; a block reads flat rows, segment * columns + column."""
     stages, blocks = [], []
     forces, rows = dde.edge_forces, dde._hermite_rows
 
@@ -460,10 +493,11 @@ def record_lookups(monkeypatch, cap=None):
         stages.append(delayed)
         return forces(own, delayed, *args)
 
-    def recorded(table, a, weights, jump, cols=slice(None)):
-        out = rows(table, a, weights, jump, cols)
-        blocks.append((len(stages), a.copy(), np.ravel(jump).reshape(a.shape).copy(),
-                       np.asarray(cols).copy(), out.copy()))
+    def recorded(table, flat, step, weights, jump):
+        out = rows(table, flat, step, weights, jump)
+        a = flat // step
+        blocks.append((len(stages), a, np.broadcast_to(jump[..., 0, 0], a.shape).copy(),
+                       flat[0] % step, out.copy()))
         return out
     if cap is not None:
         monkeypatch.setattr(dde, "LOOKUP_BLOCK_ROWS", cap)

@@ -226,6 +226,18 @@ class TestRun:
         assert rep.flocked
         assert rep.time_to_tolerance == 0.0
 
+    @pytest.mark.parametrize("model", ["continuous", "discrete"])
+    def test_refused_certificate_reports_its_own_reason(self, model):
+        # a library Scenario that skipped validate_scenario: the rho refusal is
+        # the reason, not "degenerate graph"
+        s = preset("fig2-digraph").replace(rho=-1.0, model=model, h=0.1, t_end=3.0)
+        rep = run(s)
+        assert rep.certificate is None
+        assert rep.no_certificate == "rho must be positive, got -1"
+        # a graph without a spanning tree keeps its text
+        rep = run(s.replace(rho=None, graph=Digraph(np.zeros((4, 4), dtype=bool))))
+        assert rep.no_certificate == "degenerate graph"
+
     def test_overflowing_spread_is_refused_not_run_uncertified(self):
         # X(0) overflows to inf; the run must not go on as a "degenerate graph"
         s = Scenario(name="far", model="continuous", graph=Digraph.complete(2),
