@@ -6,8 +6,6 @@ gamma_g, and the largest in-neighborhood size n_infinity.  Both constants
 feed directly into the certificate threshold: deeper trees and busier
 receivers shrink the admissible initial velocity spread.
 """
-import numpy as np
-
 from delayflock import Digraph, compute_metrics
 
 SAMPLES = {
@@ -25,8 +23,9 @@ SAMPLES = {
 
 def describe(name: str, g: Digraph):
     print(f"\n=== {name} ===")
+    receivers, senders = g.arc_list
     for i in range(g.n_vertices):
-        listens = (np.flatnonzero(g.arcs[i]) + 1).tolist()
+        listens = (senders[receivers == i] + 1).tolist()
         print(f"  agent {i + 1} listens to {listens or 'nobody'}")
     m = compute_metrics(g)
     if m.has_spanning_tree:

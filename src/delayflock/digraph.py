@@ -1,12 +1,12 @@
 """Directed communication topologies and their structural constants.
 
-A digraph is stored as a dense boolean arc matrix ``arcs`` with the
-receiver on the row and the sender on the column: ``arcs[i, j]`` is
-True when agent j transmits information to agent i.  Two derived
-quantities drive every threshold formula downstream: the smallest
-spanning-tree depth gamma_g (the least BFS eccentricity of a root; one
-bitset closure over all sources finds it, stopping at the first level
-where a source reaches all) and the maximal in-neighborhood size.
+A digraph is stored as its vertex count and its arc list, the receivers
+and the senders: agent ``senders[k]`` transmits information to agent
+``receivers[k]``.  Two derived quantities drive every threshold formula
+downstream: the smallest spanning-tree depth gamma_g (the least BFS
+eccentricity of a root; one bitset closure over all sources finds it,
+stopping at the first level where a source reaches all) and the maximal
+in-neighborhood size.
 """
 from __future__ import annotations
 
@@ -33,75 +33,73 @@ def label_pairs(labels: list) -> np.ndarray:
         return np.array(labels, dtype=object).reshape(-1, 2)
 
 
+def _check_arcs(n: int, i, j, labels=None):
+    """Name the first arc j -> i out of range or a self-loop by its (sender, receiver)
+    ``labels``, by default its vertices; else refuse fewer than one vertex."""
+    out = (i < 0) | (i >= n) | (j < 0) | (j >= n)
+    if (bad := out | (i == j)).any():
+        k = int(bad.argmax())
+        sender, receiver = (j[k], i[k]) if labels is None else labels[k]
+        if out[k]:
+            raise GraphError(f"arc ({sender}, {receiver}) out of range for n={n}")
+        raise GraphError(f"self-loop at vertex {receiver}")
+    if n < 1:
+        raise GraphError("need at least one vertex")
+
+
 @dataclass(frozen=True)
 class Digraph:
-    """Fixed directed graph on vertices 0..n-1.
-
-    ``arcs[i, j]`` means j -> i (information flows from j to i).
-    Self-loops are rejected.  Immutable after construction.
+    """Fixed directed graph on vertices 0..n-1, immutable.  ``arc_list`` is the
+    (receivers, senders) pair of int64 arrays, sorted by receiver, then sender, each arc
+    once, read-only; information flows from sender to receiver.  Self-loops are rejected.
     """
 
-    arcs: np.ndarray
+    n_vertices: int
+    arc_list: tuple[np.ndarray, np.ndarray]
 
     def __post_init__(self):
-        a = np.asarray(self.arcs, dtype=bool)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise GraphError(f"arc matrix must be square, got shape {a.shape}")
-        if a.shape[0] < 1:
-            raise GraphError("need at least one vertex")
-        if np.any(np.diag(a)):
-            raise GraphError("self-loops are not allowed")
-        a.setflags(write=False)
-        object.__setattr__(self, "arcs", a)
+        n = operator.index(self.n_vertices)
+        i, j = (np.asarray(x, dtype=np.int64) for x in self.arc_list)
+        _check_arcs(n, i, j)
+        keys = np.sort(i * n + j)   # by receiver, then sender
+        kept = np.divmod(keys[np.diff(keys, prepend=-1) > 0], n)   # each arc once
+        for x in kept:
+            x.setflags(write=False)
+        object.__setattr__(self, "arc_list", kept)
 
-    def __eq__(self, other):   # the same arc matrix: its shape and its bytes
-        return (isinstance(other, Digraph) and self.arcs.shape == other.arcs.shape
-                and self.arcs.tobytes() == other.arcs.tobytes())
+    def _key(self):
+        return self.n_vertices, self.arc_list[0].tobytes(), self.arc_list[1].tobytes()
+
+    def __eq__(self, other):   # the same vertex count and arc list
+        return isinstance(other, Digraph) and self._key() == other._key()
 
     def __hash__(self):
-        return hash((self.arcs.shape, self.arcs.tobytes()))
-
-    @property
-    def n_vertices(self) -> int:
-        return self.arcs.shape[0]
+        return hash(self._key())
 
     @cached_property
-    def arc_list(self) -> tuple[np.ndarray, np.ndarray]:
-        """``np.nonzero(arcs)``: (receivers, senders), sorted by receiver; read-only."""
-        ei, ej = np.nonzero(self.arcs)
-        ei.setflags(write=False)
-        ej.setflags(write=False)
-        return ei, ej
+    def arcs(self) -> np.ndarray:
+        """The n x n matrix, ``arcs[i, j]`` for j -> i; derived, read-only.  Its last reader is
+        ``bench/spans.py`` (``g.arcs.sum()``); it goes once that counts the arc list."""
+        a = np.zeros((self.n_vertices, self.n_vertices), dtype=bool)
+        a[self.arc_list] = True
+        a.setflags(write=False)
+        return a
 
     @classmethod
     def from_arc_list(cls, n: int, arcs, one_based: bool = False) -> "Digraph":
         """Build from (sender, receiver) integer pairs or their ``label_pairs``, labelled from 1
-        with ``one_based``; the first bad pair is named, and the arcs kept as ``arc_list``."""
+        with ``one_based``; the first bad pair is named by its labels."""
         a = (arcs if isinstance(arcs, np.ndarray) and arcs.dtype == np.int64 else
              label_pairs(list(map(operator.index, chain.from_iterable(arcs))))).reshape(-1, 2)
         j, i = a.T - (1 if one_based else 0)
-        out = (i < 0) | (i >= n) | (j < 0) | (j >= n)
-        if (bad := out | (i == j)).any():
-            k = int(bad.argmax())
-            if out[k]:
-                raise GraphError(f"arc ({a[k, 0]}, {a[k, 1]}) out of range for n={n}")
-            raise GraphError(f"self-loop at vertex {a[k, 1]}")
-        m = np.zeros((n, n), dtype=bool)
-        m[i, j] = True
-        g = cls(m)
-        keys = np.sort(i * n + j)   # by receiver, then sender, as nonzero lists them
-        kept = np.divmod(keys[np.diff(keys, prepend=-1) > 0], n)   # each arc once
-        for x in kept:
-            x.setflags(write=False)
-        object.__setattr__(g, "arc_list", kept)
-        return g
+        _check_arcs(n, i, j, a)
+        return cls(n, (i, j))
 
     @classmethod
     def complete(cls, n: int) -> "Digraph":
         """All-to-all network without self-loops."""
-        m = np.ones((n, n), dtype=bool)
-        np.fill_diagonal(m, False)
-        return cls(m)
+        i, j = np.divmod(np.arange(max(n, 0) ** 2), max(n, 1))
+        return cls(n, (i[i != j], j[i != j]))
 
     @property
     def max_in_degree(self) -> int:
@@ -109,10 +107,7 @@ class Digraph:
         return int(np.bincount(self.arc_list[0], minlength=self.n_vertices).max(initial=0))
 
     def distance(self, i: int, j: int) -> float:
-        """Length of the shortest information-flow path i -> j.
-
-        Returns 0 for i == j and math.inf when j is unreachable.
-        """
+        """Length of the shortest information-flow path i -> j: 0 if i == j, math.inf if none."""
         for k in (i, j):
             if not 0 <= k < self.n_vertices:
                 raise GraphError(f"vertex index {k} out of range [0, {self.n_vertices})")
@@ -121,10 +116,7 @@ class Digraph:
 
 @dataclass(frozen=True)
 class GraphMetrics:
-    """Derived constants of a digraph.
-
-    gamma_g is math.inf when no root (spanning tree) exists.
-    """
+    """Derived constants of a digraph; gamma_g is math.inf when no root (spanning tree) exists."""
 
     roots: frozenset = field(default_factory=frozenset)
     gamma_g: float = INF
@@ -169,8 +161,8 @@ def compute_metrics(g: Digraph) -> GraphMetrics:
     n, (ei, ej), v = g.n_vertices, g.arc_list, np.arange(g.n_vertices)
     first = np.searchsorted(ei, v)   # each receiver's first arc
     rows = np.insert(ej, first, v)   # its own row, then its senders': no segment is empty
-    eye = np.eye(n, -(-n // 64) * 64, dtype=bool)   # padded to whole words
-    reach = np.packbits(eye, axis=1, bitorder="little").view("<u8")
+    reach = np.zeros((n, -(-n // 64)), dtype="<u8")
+    reach[v, v // 64] = np.uint64(1) << (v % 64).astype(np.uint64)   # each source reaches itself
     level = 0
     while not (full := np.bitwise_and.reduce(reach, axis=0)).any():
         grown = np.bitwise_or.reduceat(reach[rows], first + v, axis=0)

@@ -431,6 +431,9 @@ def _apply_axis(s: Scenario, axis: str, value: float) -> Scenario:
     if axis == "kappa":
         return s.replace(weight=dataclasses.replace(s.weight, kappa=float(value)))
     if axis == "tau":
+        if s.model == "discrete" and not float(value).is_integer():
+            raise ScenarioError(f"sweep axis 'tau' needs whole steps on the discrete model, "
+                                f"got {float(value)!r}")
         return s.replace(delay=DelayProfile.constant(float(value)))
     if axis == "h":
         return s.replace(h=float(value))
@@ -460,6 +463,8 @@ def sweep(template: Scenario, axes: dict[str, list[float]],
             raise ScenarioError(f"sweep axis {a!r} has no values")
         if a == "tau" and template.delay.kind not in ("zero", "constant"):
             raise ScenarioError(f"sweep axis 'tau' needs a constant delay, not {template.delay.kind}")
+        if a == "h" and template.model != "discrete":
+            raise ScenarioError("sweep axis 'h' needs the discrete model; a continuous run steps by dt")
     grid = list(itertools.product(*(axes[a] for a in names)))
     points = []
     for values in grid:

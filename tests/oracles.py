@@ -11,6 +11,7 @@ import numpy as np
 
 from delayflock.analysis import RHO_DECADES, RHO_PER_DECADE, ModelParams
 from delayflock.dde import _hermite_basis
+from delayflock.digraph import Digraph
 from delayflock.interaction import AdmissibilityError, WeightFunction
 
 INF = math.inf
@@ -73,6 +74,13 @@ def arc_matrix(n, arcs):
     for sender, receiver in arcs:
         m[receiver - 1, sender - 1] = True
     return m
+
+
+def matrix_digraph(arcs) -> Digraph:
+    """The Digraph of a boolean [receiver][sender] matrix, the layout of
+    the other oracles here."""
+    arcs = np.asarray(arcs, dtype=bool)
+    return Digraph(len(arcs), np.nonzero(arcs))
 
 
 def windowed_spread_rk4(arcs, x0, v0, psi, delay_steps, window_steps,
@@ -313,7 +321,7 @@ def rk4_reference(history, g, w, p, t_end, dt):
     (ys[: n_hist + 1, :, 0], ys[: n_hist + 1, :, 1],
      dys[: n_hist + 1, :, 0], dys[: n_hist + 1, :, 1]) = history.eval(times[: n_hist + 1])
     hist_end = dys[n_hist].copy()
-    ei, ej = np.nonzero(g.arcs)
+    ei, ej = g.arc_list
     at = p.on_edges(ei, ej)
 
     def slope(t, hi, y):
@@ -347,7 +355,7 @@ def euler_reference(history, g, w, p, t_end, h):
     xs = np.empty((len(times),) + history.x0.shape)
     vs = np.empty_like(xs)
     xs[: tau + 1], vs[: tau + 1], _, _ = history.eval(times[: tau + 1])
-    ei, ej = np.nonzero(g.arcs)
+    ei, ej = g.arc_list
     delay_at = p.on_edges(ei, ej)
     for k in range(t_end):
         x, v = xs[tau + k], vs[tau + k]

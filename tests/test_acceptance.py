@@ -27,6 +27,7 @@ from oracles import (
     all_digraphs,
     arc_matrix,
     floyd_warshall_metrics,
+    matrix_digraph,
     two_agent_ode_difference,
     windowed_spread_rk4,
 )
@@ -62,7 +63,7 @@ def test_criterion_1_graph_metrics():
         for arcs in all_digraphs(n):
             count += 1
             roots, gamma, n_inf = floyd_warshall_metrics(arcs)
-            mm = compute_metrics(Digraph(arcs))
+            mm = compute_metrics(matrix_digraph(arcs))
             if not (mm.roots == frozenset(roots) and mm.gamma_g == gamma
                     and mm.n_infinity == n_inf):
                 mismatches += 1
@@ -72,7 +73,7 @@ def test_criterion_1_graph_metrics():
         arcs = rng.random((5, 5)) < rng.uniform(0.1, 0.9)
         np.fill_diagonal(arcs, False)
         roots, gamma, n_inf = floyd_warshall_metrics(arcs)
-        mm = compute_metrics(Digraph(arcs))
+        mm = compute_metrics(matrix_digraph(arcs))
         if not (mm.roots == frozenset(roots) and mm.gamma_g == gamma
                 and mm.n_infinity == n_inf):
             mismatches += 1
@@ -119,7 +120,7 @@ def _random_scenario(rng, model):
     d = int(rng.integers(1, 4))
     arcs = rng.random((n, n)) < rng.uniform(0.3, 0.9)
     np.fill_diagonal(arcs, False)
-    g = Digraph(arcs)
+    g = matrix_digraph(arcs)
     beta = float(rng.uniform(0.0, 1.0))
     kappa = float(rng.uniform(0.2, 1.5))
     w = WeightFunction(kind="cucker-smale", kappa=kappa, beta=beta)

@@ -33,7 +33,7 @@ from delayflock.interaction import DelayProfile, WeightFunction
 
 from oracles import _search_rho as search_rho_reference
 from oracles import condition_rhs as condition_rhs_reference
-from oracles import history_spreads_reference, max_pair_distance_reference
+from oracles import history_spreads_reference, matrix_digraph, max_pair_distance_reference
 
 FIG_ARCS = [(1, 2), (2, 3), (3, 1), (3, 4)]
 FIG_X0 = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
@@ -307,11 +307,11 @@ class TestCertificates:
     def test_permutation_invariance(self):
         hist, g, w, p = continuous_inputs(0.5 * FIG2_SCALE)
         cert = check_continuous(hist, g, w, p)
-        perm = [2, 0, 3, 1]
-        arcs = g.arcs[np.ix_(perm, perm)]
+        perm = [2, 0, 3, 1]   # old vertex perm[k] becomes vertex k
+        new, (ei, ej) = np.argsort(perm), g.arc_list
         hist2 = InitialHistory.constant(FIG_X0[perm],
                                         0.5 * FIG2_SCALE * FIG_V0[perm], tau=1.0)
-        cert2 = check_continuous(hist2, Digraph(arcs), w, p)
+        cert2 = check_continuous(hist2, Digraph(4, (new[ei], new[ej])), w, p)
         assert cert2.verdict == cert.verdict
         assert cert2.delta == pytest.approx(cert.delta, rel=1e-12)
         assert cert2.measured_D0 == pytest.approx(cert.measured_D0, rel=1e-14)
@@ -319,7 +319,7 @@ class TestCertificates:
     def test_treeless_graph_rejected(self):
         hist = InitialHistory.constant([[0.0], [1.0]], [[0.0], [1.0]], tau=0.0)
         with pytest.raises(AnalysisError):
-            check_continuous(hist, Digraph(np.zeros((2, 2), dtype=bool)),
+            check_continuous(hist, Digraph.from_arc_list(2, []),
                              WeightFunction(kind="constant", kappa=1.0),
                              DelayProfile.zero())
 
@@ -480,7 +480,7 @@ class TestInitialData:
         arcs = rng.random((n, n)) < 0.5
         arcs[np.arange(1, n), np.arange(n - 1)] = True   # a path: a spanning tree
         np.fill_diagonal(arcs, False)
-        g = Digraph(arcs)
+        g = matrix_digraph(arcs)
         w = WeightFunction(kind="cucker-smale", kappa=1.0, beta=0.25)
         p = DelayProfile.constant(tau) if tau > 0 else DelayProfile.zero()
         cert = check_continuous(hist, g, w, p)

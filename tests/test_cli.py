@@ -211,6 +211,13 @@ HUGE_RHO = dict(FAR_APART, weight={"type": "cucker-smale", "kappa": 1.0, "beta":
      "error: positions table must be 4 x d with d >= 1, got shape (4, 0)\n"),
     ("sweep", SCENARIO, ["--axis", "beta=0:1:2", "--axis", "beta=0:1:2"],
      "error: sweep axis 'beta' is given more than once\n"),
+    # a discrete delay is a whole number of steps; only the discrete model reads h
+    ("sweep", DISCRETE, ["--axis", "tau=0.5:0.5:1"],
+     "error: sweep axis 'tau' needs whole steps on the discrete model, got 0.5\n"),
+    ("sweep", DISCRETE, ["--axis", "tau=1:2.5:4"],
+     "error: sweep axis 'tau' needs whole steps on the discrete model, got 1.5\n"),
+    ("sweep", SCENARIO, ["--axis", "h=0.1:0.2:2"],
+     "error: sweep axis 'h' needs the discrete model; a continuous run steps by dt\n"),
     # a threshold needs rho > 0: -1 printed a certificate, -5 a misleading weight error
     ("check-condition", dict(SCENARIO, rho=-1), [], "error: rho must be positive, got -1\n"),
     ("check-condition", dict(SCENARIO, rho=-5), [], "error: rho must be positive, got -5\n"),
@@ -233,6 +240,7 @@ HUGE_RHO = dict(FAR_APART, weight={"type": "cucker-smale", "kappa": 1.0, "beta":
         "far-apart-simulate", "far-apart-sweep", "far-apart-discrete", "velocity-gap-overflow",
         "arc-label-past-int64", "subnormal-dt", "tiny-dt", "discrete-huge-horizon",
         "sweep-huge-tau", "zero-width-simulate", "zero-width-check", "sweep-repeated-axis",
+        "sweep-fractional-tau-discrete", "sweep-tau-steps-discrete", "sweep-h-continuous",
         "negative-rho-check", "very-negative-rho-check", "zero-rho-check",
         "negative-rho-simulate", "underflowing-psi-check", "underflowing-psi-discrete"])
 def test_bad_input_exits_2_with_one_line(command, raw, flags, message, tmp_path, capsys):
@@ -248,8 +256,8 @@ def test_bad_input_exits_2_with_one_line(command, raw, flags, message, tmp_path,
 
 
 def test_graph_too_large_to_allocate_exits_2(tmp_path, capsys, monkeypatch):
-    # numpy raises MemoryError for the terabyte arc matrix of a million
-    # vertices; a stand-in raises it here without the allocation
+    # numpy raises MemoryError for an array too large to allocate; a
+    # stand-in raises it here without the allocation
     def refuse(cls, n, arcs, one_based=False):
         raise MemoryError(f"Unable to allocate an array with shape ({n}, {n})")
     monkeypatch.setattr(Digraph, "from_arc_list", classmethod(refuse))

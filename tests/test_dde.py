@@ -27,6 +27,7 @@ from oracles import (
     _hermite_gather,
     edge_forces_reference,
     hermite_reference,
+    matrix_digraph,
     random_rooted_arcs,
     rk4_reference,
     two_agent_delayed_difference,
@@ -55,7 +56,7 @@ class TestRhs:
     RK4 stages in integrate."""
 
     def test_single_agent_is_inert(self):
-        g = Digraph(np.zeros((1, 1), dtype=bool))
+        g = Digraph.from_arc_list(1, [])
         w = WeightFunction(kind="constant", kappa=1.0)
         none, dv = np.zeros((0, 2, 2)), np.zeros((1, 2))
         edge_forces(none, none, receiver_bins(np.zeros(0, dtype=int), 2), w, dv)
@@ -70,7 +71,7 @@ class TestRhs:
         g = Digraph.complete(3)
         w = WeightFunction(kind="cucker-smale", kappa=2.0, beta=0.5)
         y = np.array([[[0.0], [2.0]], [[1.0], [2.0]], [[5.0], [2.0]]])   # (x, v) rows
-        ei, ej = np.nonzero(g.arcs)
+        ei, ej = g.arc_list
         dv = np.zeros((3, 1))
         edge_forces(y[ei], y[ej], receiver_bins(ei, 1), w, dv)
         assert np.array_equal(dv, np.zeros((3, 1)))
@@ -81,7 +82,7 @@ class TestRhs:
         g = Digraph.complete(2)
         w = WeightFunction(kind="constant", kappa=1.0)
         y = np.array([[[0.0], [0.0]], [[1.0], [1.0]]])
-        ei, ej = np.nonzero(g.arcs)
+        ei, ej = g.arc_list
         dv = np.zeros((2, 1))
         edge_forces(y[ei], y[ej], receiver_bins(ei, 1), w, dv)
         assert np.array_equal(dv, [[1.0], [-1.0]])
@@ -115,7 +116,7 @@ class TestRhs:
         # one (x, v) difference per arc, and the sum added into a strided view of
         # the slope, give the separate rows' forces, bit for bit
         rng = np.random.default_rng(d)
-        g = Digraph(random_rooted_arcs(rng, 30, 4))
+        g = matrix_digraph(random_rooted_arcs(rng, 30, 4))
         ei, ej = g.arc_list
         own, delayed = rng.normal(size=(2, len(ei), 2, d)) * [[[[1.0]]], [[[3.0]]]]
         w = WeightFunction(kind="cucker-smale", kappa=1.3, beta=0.3)
@@ -526,7 +527,7 @@ class TestStagePlan:
                              for a in (x, v)], axis=-2)
         table = (state("xs", "vs"), state("dxs", "dvs"),
                  state("hist_end_xslope", "hist_end_slope"))
-        ei, ej = np.nonzero(g.arcs)
+        ei, ej = g.arc_list
         delay_at = p.on_edges(ei, ej)
         ts, his, tau, short, seg = _stage_plan(times, n_hist, dt, p.on_edges(ei, ej), B,
                                                0, 4 * n_steps + 1)
@@ -596,7 +597,7 @@ class TestStagePlan:
         dt, n_steps, B = 0.02, 100, len(hists)
         _, blocks = record_lookups(monkeypatch, cap)
         planned = integrate(hists, g, ws, p, t_end=n_steps * dt, dt=dt)
-        ei, ej = np.nonzero(g.arcs)
+        ei, ej = g.arc_list
         ts, his, tau, short, seg = _stage_plan(planned[0].times, planned[0].n_hist, dt,
                                                p.on_edges(ei, ej), B, 0, 4 * n_steps + 1)
         per_arc = np.ndim(p.on_edges(ei, ej)(0.0)) == 1
@@ -667,7 +668,7 @@ class TestStagePlan:
         # so the peak grows with the state tables alone, as with a long hold
         rng = np.random.default_rng(0)
         n = 100
-        g = Digraph(random_rooted_arcs(rng, n, 5))
+        g = matrix_digraph(random_rooted_arcs(rng, n, 5))
         hist = InitialHistory.constant(rng.uniform(-10, 10, (n, 2)), rng.normal(size=(n, 2)),
                                        tau=1.0)
         w = WeightFunction(kind="cucker-smale", beta=0.25)
@@ -816,7 +817,7 @@ class TestDiameters:
         assert initial_spreads(hist, g, 1.0)[1] == pytest.approx(2.0, rel=1e-12)
 
     def test_single_agent_zero(self):
-        g = Digraph(np.zeros((1, 1), dtype=bool))
+        g = Digraph.from_arc_list(1, [])
         w = WeightFunction(kind="constant", kappa=1.0)
         hist = InitialHistory.constant([[0.0]], [[3.0]], tau=0.0)
         traj = integrate(hist, g, w, DelayProfile.zero(), t_end=1.0, dt=0.1)

@@ -12,8 +12,10 @@ from oracles import (
     bfs_metrics,
     closure_metrics,
     floyd_warshall_metrics,
+    matrix_digraph,
     random_rooted_arcs,
 )
+from oracles import arc_matrix as labelled_arc_matrix
 
 # the four-agent topology of the reference experiments:
 # arcs (sender -> receiver) 1->2, 2->3, 3->1, 3->4 in 1-based labels
@@ -26,8 +28,9 @@ def fig_graph():
 
 
 def in_neighbors(g, i):
-    """The vertices that transmit to i: row i of the arc matrix."""
-    return set(np.flatnonzero(g.arcs[i]).tolist())
+    """The vertices that transmit to i: the senders of i's arcs."""
+    receivers, senders = g.arc_list
+    return set(senders[receivers == i].tolist())
 
 
 def test_neighbor_sets_fig_graph(fig_graph):
@@ -36,7 +39,7 @@ def test_neighbor_sets_fig_graph(fig_graph):
 
 
 def test_neighbor_set_single_vertex():
-    assert in_neighbors(Digraph(np.zeros((1, 1), dtype=bool)), 0) == set()
+    assert in_neighbors(Digraph.from_arc_list(1, []), 0) == set()
 
 
 def test_neighbor_set_complete():
@@ -85,14 +88,14 @@ def test_metrics_directed_path():
 
 
 def test_metrics_isolated_vertices():
-    m = compute_metrics(Digraph(np.zeros((2, 2), dtype=bool)))
+    m = compute_metrics(Digraph.from_arc_list(2, []))
     assert m.roots == frozenset()
     assert m.gamma_g == math.inf
     assert not m.has_spanning_tree
 
 
 def test_metrics_single_vertex():
-    m = compute_metrics(Digraph(np.zeros((1, 1), dtype=bool)))
+    m = compute_metrics(Digraph.from_arc_list(1, []))
     assert m.gamma_g == 0
     assert m.roots == frozenset({0})
 
@@ -107,7 +110,7 @@ def test_metrics_single_vertex():
     # two directed 5-cycles with no arc between them: no vertex reaches all
     (Digraph.from_arc_list(10, [(k, (k + 1) % 5 + k // 5 * 5) for k in range(10)]),
      set(), math.inf, 1),
-    (Digraph(np.zeros((3, 3), dtype=bool)), set(), math.inf, 0),
+    (Digraph.from_arc_list(3, []), set(), math.inf, 0),
     (Digraph.complete(400), set(range(400)), 1, 399),
     # rooted at its last vertex, the first of the third 64-vertex word
     (Digraph.from_arc_list(129, [(k + 1, k) for k in range(128)]), {128}, 128, 1),
@@ -116,7 +119,9 @@ def test_metrics_single_vertex():
 def test_metrics_early_stop_cases(g, roots, gamma, n_inf):
     m = compute_metrics(g)
     assert (m.roots, m.gamma_g, m.n_infinity) == (frozenset(roots), gamma, n_inf)
-    assert bfs_metrics(g.arcs) == (roots, gamma, n_inf)
+    arcs = np.zeros((g.n_vertices, g.n_vertices), dtype=bool)
+    arcs[g.arc_list] = True
+    assert bfs_metrics(arcs) == (roots, gamma, n_inf)
 
 
 @st.composite
@@ -141,7 +146,7 @@ def word_boundary_digraph(draw):
 def test_bitset_closure_matches_oracles(m):
     want = bfs_metrics(m)
     assert closure_metrics(m) == want
-    got = compute_metrics(Digraph(m))
+    got = compute_metrics(matrix_digraph(m))
     assert (got.roots, got.gamma_g, got.n_infinity) == want
 
 
@@ -174,14 +179,14 @@ def test_duplicate_arcs_and_empty_arc_list_accepted():
     assert [in_neighbors(g, i) for i in range(3)] == [set(), {0, 2}, set()]
     assert compute_metrics(g).n_infinity == 2
     g = Digraph.from_arc_list(3, [])
-    assert not g.arcs.any() and compute_metrics(g).n_infinity == 0
+    assert not g.arc_list[0].size and compute_metrics(g).n_infinity == 0
 
 
 def test_arc_list_is_the_kept_read_only_nonzero(fig_graph):
     ei, ej = fig_graph.arc_list
-    want_i, want_j = np.nonzero(fig_graph.arcs)
+    want_i, want_j = np.nonzero(labelled_arc_matrix(4, FIG_ARCS))
     assert np.array_equal(ei, want_i) and np.array_equal(ej, want_j)
-    assert fig_graph.arc_list is fig_graph.arc_list      # computed once
+    assert fig_graph.arc_list is fig_graph.arc_list      # held on the instance
     for a in (ei, ej):
         with pytest.raises(ValueError):
             a[0] = 1
@@ -196,10 +201,9 @@ def test_arc_list_is_the_kept_read_only_nonzero(fig_graph):
 ], ids=["duplicated", "any-order", "no-arcs", "single-vertex", "int64-label-array"])
 def test_from_arc_list_keeps_the_parsed_arc_list(n, arcs):
     g = Digraph.from_arc_list(n, arcs, one_based=True)
-    assert "arc_list" in g.__dict__   # kept, not derived from the matrix
-    derived = Digraph(g.arcs)
-    assert "arc_list" not in derived.__dict__
-    for kept, want in zip(g.arc_list, np.nonzero(g.arcs)):
+    ref = labelled_arc_matrix(n, arcs)
+    derived = matrix_digraph(ref)
+    for kept, want in zip(g.arc_list, np.nonzero(ref)):
         assert np.array_equal(kept, want) and kept.dtype == want.dtype
         assert not kept.flags.writeable
     for a, b in zip(g.arc_list, derived.arc_list):
@@ -216,16 +220,36 @@ def test_equality_and_hash_follow_the_arc_matrix(fig_graph):
     assert a == Digraph.from_arc_list(3, [(i, j) for i in range(3) for j in range(3) if i != j])
     assert {a: "complete"}[b] == "complete"
     path = Digraph.from_arc_list(3, [(0, 1), (1, 2)])
-    for other in (Digraph.complete(4), path, fig_graph, a.arcs, None):
+    for other in (Digraph.complete(4), path, fig_graph, a.arc_list, None):
         assert a != other and not a == other
     assert len({a, b, path, Digraph.complete(4)}) == 3
+
+
+@pytest.mark.parametrize("n, arc_list, message", [
+    (3, ([0, 2], [1, 2]), "self-loop at vertex 2"),
+    (3, ([0, 3], [1, 0]), "arc (0, 3) out of range for n=3"),
+    (3, ([1], [-1]), "arc (-1, 1) out of range for n=3"),
+    (0, ([], []), "need at least one vertex"),
+], ids=["self-loop", "receiver-out-of-range", "negative-sender", "no-vertex"])
+def test_constructor_refuses_bad_graphs(n, arc_list, message):
+    with pytest.raises(GraphError) as e:
+        Digraph(n, arc_list)
+    assert str(e.value) == message
+
+
+def test_an_isolated_vertex_makes_another_graph():
+    arcs = [(1, 2), (2, 3), (3, 1)]
+    small, big = (Digraph.from_arc_list(n, arcs, one_based=True) for n in (3, 4))
+    assert all(np.array_equal(a, b) for a, b in zip(small.arc_list, big.arc_list))
+    assert small != big and not small == big
+    assert hash(small) != hash(big) and len({small, big}) == 2
 
 
 def test_self_loop_rejected():
     m = np.zeros((2, 2), dtype=bool)
     m[0, 0] = True
     with pytest.raises(GraphError):
-        Digraph(m)
+        matrix_digraph(m)
     with pytest.raises(GraphError):
         Digraph.from_arc_list(2, [(1, 1)], one_based=True)
 
@@ -233,7 +257,7 @@ def test_self_loop_rejected():
 def test_oracle_agreement_small():
     for n in (1, 2, 3):
         for arcs in all_digraphs(n):
-            g = Digraph(arcs)
+            g = matrix_digraph(arcs)
             roots, gamma, n_inf = floyd_warshall_metrics(arcs)
             m = compute_metrics(g)
             assert m.roots == frozenset(roots)
@@ -269,7 +293,7 @@ def sparse_arc_matrix(draw, n_max=8):
 @settings(max_examples=300, deadline=None)
 def test_metrics_match_floyd_warshall(m):
     roots, gamma, n_inf = floyd_warshall_metrics(m)
-    metrics = compute_metrics(Digraph(m))
+    metrics = compute_metrics(matrix_digraph(m))
     assert (metrics.roots, metrics.gamma_g, metrics.n_infinity) == (
         frozenset(roots), gamma, n_inf)
 
@@ -277,7 +301,7 @@ def test_metrics_match_floyd_warshall(m):
 @given(arc_matrix())
 @settings(max_examples=150, deadline=None)
 def test_gamma_at_most_n_minus_one(m):
-    metrics = compute_metrics(Digraph(m))
+    metrics = compute_metrics(matrix_digraph(m))
     if metrics.has_spanning_tree:
         assert metrics.gamma_g <= m.shape[0] - 1
     assert metrics.n_infinity <= m.shape[0] - 1
@@ -286,7 +310,7 @@ def test_gamma_at_most_n_minus_one(m):
 @given(arc_matrix(symmetric=True))
 @settings(max_examples=150, deadline=None)
 def test_gamma_bound_undirected(m):
-    metrics = compute_metrics(Digraph(m))
+    metrics = compute_metrics(matrix_digraph(m))
     if metrics.has_spanning_tree:
         assert metrics.gamma_g <= m.shape[0] // 2
 
@@ -294,14 +318,14 @@ def test_gamma_bound_undirected(m):
 @given(arc_matrix(n_max=5), st.randoms())
 @settings(max_examples=100, deadline=None)
 def test_adding_arcs_monotone(m, rnd):
-    base = compute_metrics(Digraph(m))
+    base = compute_metrics(matrix_digraph(m))
     m2 = m.copy()
     n = m.shape[0]
     for _ in range(3):
         i, j = rnd.randrange(n), rnd.randrange(n)
         if i != j:
             m2[i, j] = True
-    bigger = compute_metrics(Digraph(m2))
+    bigger = compute_metrics(matrix_digraph(m2))
     assert bigger.n_infinity >= base.n_infinity
     assert bigger.gamma_g <= base.gamma_g
 
@@ -312,7 +336,7 @@ def test_closure_oracle_large_rooted(n, k_in, seed):
     arcs = random_rooted_arcs(np.random.default_rng(seed), n, k_in)
     roots, gamma, n_inf = closure_metrics(arcs)
     assert bfs_metrics(arcs) == (roots, gamma, n_inf)
-    m = compute_metrics(Digraph(arcs))
+    m = compute_metrics(matrix_digraph(arcs))
     assert roots and m.roots == frozenset(roots)
     assert (m.gamma_g, m.n_infinity) == (gamma, n_inf)
 
@@ -325,7 +349,7 @@ def test_closure_oracle_large_rootless(n, seed):
     half = n // 2
     arcs[:half, :half] = random_rooted_arcs(rng, half, 4)
     arcs[half:, half:] = random_rooted_arcs(rng, n - half, 4)
-    m = compute_metrics(Digraph(arcs))
+    m = compute_metrics(matrix_digraph(arcs))
     assert closure_metrics(arcs) == (set(), math.inf, m.n_infinity)
     assert bfs_metrics(arcs) == (set(), math.inf, m.n_infinity)
     assert m.roots == frozenset() and m.gamma_g == math.inf
@@ -334,7 +358,7 @@ def test_closure_oracle_large_rootless(n, seed):
 def test_distance_matches_queue_bfs():
     arcs = random_rooted_arcs(np.random.default_rng(6), 60, 2)
     arcs[:, 7] = False                   # vertex 7 transmits to nobody
-    g = Digraph(arcs)
+    g = matrix_digraph(arcs)
     for src in (0, 7, 31):
         want = {src: 0}
         queue = [src]

@@ -16,7 +16,7 @@ from delayflock.discrete import (
 from delayflock.interaction import DelayProfile, WeightFunction
 
 from oracles import (discrete_euler_reference, euler_reference, integer_delay,
-                     random_rooted_arcs)
+                     matrix_digraph, random_rooted_arcs)
 
 FIG_ARCS = [(1, 2), (2, 3), (3, 1), (3, 4)]
 FIG_X0 = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
@@ -137,7 +137,7 @@ class TestScalarReference:
         w = WeightFunction(kind="cucker-smale", kappa=1.0, beta=0.4)
         x0 = rng.uniform(-3, 3, size=(30, 2))
         v0 = rng.uniform(-1, 1, size=(30, 2))
-        traj = simulate_discrete(const(x0, v0, p), Digraph(arcs), w, p, t_end=t_end,
+        traj = simulate_discrete(const(x0, v0, p), matrix_digraph(arcs), w, p, t_end=t_end,
                                  h=0.1)
         ref = discrete_euler_reference(
             arcs, x0, v0, lambda r: (1.0 + r * r) ** -0.4,
@@ -164,7 +164,7 @@ class TestScalarReference:
         # the (x, v) rows of one array, one difference per arc and h times the
         # slope (v, dv) give the Euler loop on separate tables, bit for bit
         rng = np.random.default_rng(3)
-        g = Digraph(random_rooted_arcs(rng, 30, 3))
+        g = matrix_digraph(random_rooted_arcs(rng, 30, 3))
         w = WeightFunction(kind="cucker-smale", kappa=1.0, beta=0.4)
         tau = p.integer_tau_max
         hist = InitialHistory.from_samples(np.arange(-tau - 1.0, 1.0),

@@ -214,7 +214,7 @@ class TestRun:
 
     def test_single_agent_degenerate(self):
         s = Scenario(name="solo", model="continuous",
-                     graph=Digraph(np.zeros((1, 1), dtype=bool)),
+                     graph=Digraph.from_arc_list(1, []),
                      weight=WeightFunction(kind="constant", kappa=1.0),
                      delay=DelayProfile.zero(),
                      positions=np.array([[0.0, 0.0]]),
@@ -235,7 +235,7 @@ class TestRun:
         assert rep.certificate is None
         assert rep.no_certificate == "rho must be positive, got -1"
         # a graph without a spanning tree keeps its text
-        rep = run(s.replace(rho=None, graph=Digraph(np.zeros((4, 4), dtype=bool))))
+        rep = run(s.replace(rho=None, graph=Digraph.from_arc_list(4, [])))
         assert rep.no_certificate == "degenerate graph"
 
     def test_overflowing_spread_is_refused_not_run_uncertified(self):
@@ -409,17 +409,22 @@ class TestSweep:
     def test_certificate_keys_that_are_axes_get_their_own_columns(self, tmp_path, model):
         # the axis keeps its name and the certificate's value is cert_<key>,
         # so every column name is unique
-        template = self.template()
+        template, axes = self.template(), {"beta": [0.3], "kappa": [0.5], "h": [0.25]}
         if model == "discrete":
             template = template.replace(model="discrete", t_end=20.0)
+        else:
+            del axes["h"]   # only the discrete model reads h
         out = tmp_path / "sweep.csv"
-        sweep(template, {"beta": [0.3], "kappa": [0.5], "h": [0.25]}, out_path=str(out))
+        sweep(template, axes, out_path=str(out))
         cols, row = (line.split(",") for line in out.read_text().splitlines()[1:])
         assert len(set(cols)) == len(cols)
-        assert cols[:3] == ["beta", "kappa", "h"]
+        assert cols[:len(axes)] == list(axes)
         cell = dict(zip(cols, row))
         assert cell["cert_beta"] == cell["beta"] and cell["cert_kappa"] == cell["kappa"]
-        assert cell["cert_h"] == ("" if model == "continuous" else cell["h"])
+        if model == "discrete":
+            assert cell["cert_h"] == cell["h"]
+        else:   # the continuous certificate's h column stays empty
+            assert cell["h"] == "" and "cert_h" not in cols
         assert "tau" in cols and "cert_tau" not in cols
 
     def test_unknown_axis(self):
@@ -506,7 +511,7 @@ class TestSweep:
         reports = sweep(s, {"beta": [0.1, 0.4, 1.0]})
         assert len(searches) == 1
         assert {r.certificate.params.gamma_g for r in reports} == {compute_metrics(
-            Digraph(s.graph.arcs)).gamma_g}
+            Digraph(s.graph.n_vertices, s.graph.arc_list)).gamma_g}
 
     def test_deterministic_output(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
