@@ -19,7 +19,8 @@ arc rows when each arc has its own (piecewise-random, held over an
 interval).  Both give the per-arc lookup's numbers, bit for bit.
 
 Also provides the windowed velocity-spread diagnostics: per-component
-trailing-window extrema over [t - tau, t] and their spread.
+extrema over the trailing window [t - tau, t] in O(M) for M grid rows,
+Hermite interior extrema solved only where a root lies, and their spread.
 """
 from __future__ import annotations
 
@@ -426,41 +427,57 @@ def _segment_extrema(vals, slopes, dt, fix_idx=None, fix_val=None):
 
     fix_idx/fix_val override the right-endpoint slope of the segment
     ending at fix_idx (derivative jump between history and dynamics).
+    Roots are solved where the discriminant is positive, the cubic read
+    at those inside (0, 1): each entry as the dense evaluation gives it.
     """
+    vals = np.ascontiguousarray(vals)   # every table below is indexed flat
     p0, p1 = vals[:-1], vals[1:]
     m0, m1 = slopes[:-1] * dt, slopes[1:] * dt
     if fix_idx is not None and fix_idx >= 1:
-        m1 = m1.copy()
         m1[fix_idx - 1] = fix_val * dt
-    # cubic in u on [0,1]: H(u); derivative is a quadratic a u^2 + b u + c
+    # cubic in u on [0,1]: H(u); derivative is a quadratic a u^2 + b u + c, c = m0
     a = 6 * p0 - 6 * p1 + 3 * m0 + 3 * m1
     b = -6 * p0 + 6 * p1 - 4 * m0 - 2 * m1
-    c = m0
     lo = np.minimum(p0, p1)
     hi = np.maximum(p0, p1)
-    disc = b * b - 4 * a * c
-    mask = disc > 0
-    if np.any(mask):
-        sq = np.sqrt(np.where(mask, disc, 0.0))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for sign in (-1.0, 1.0):
-                u = np.where(np.abs(a) > 1e-300, (-b + sign * sq) / (2 * a),
-                             np.where(np.abs(b) > 1e-300, -c / b, -1.0))
-                ok = mask & (u > 0) & (u < 1)
-                if np.any(ok):
-                    u2 = u * u
-                    u3 = u2 * u
-                    val = ((2 * u3 - 3 * u2 + 1) * p0 + (u3 - 2 * u2 + u) * m0
-                           + (-2 * u3 + 3 * u2) * p1 + (u3 - u2) * m1)
-                    lo = np.where(ok, np.minimum(lo, val), lo)
-                    hi = np.where(ok, np.maximum(hi, val), hi)
+    disc = b * b - 4 * a * m0
+    at = np.flatnonzero(disc > 0)
+    p0, p1, m0, m1, flat_lo, flat_hi = (t.ravel() for t in (p0, p1, m0, m1, lo, hi))
+    a, b, c, sq = a.ravel()[at], b.ravel()[at], m0[at], np.sqrt(disc.ravel()[at])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for sign in (-1.0, 1.0):
+            u = np.where(np.abs(a) > 1e-300, (-b + sign * sq) / (2 * a),
+                         np.where(np.abs(b) > 1e-300, -c / b, -1.0))
+            ok = (u > 0) & (u < 1)
+            u, k = u[ok], at[ok]
+            u2 = u * u
+            u3 = u2 * u
+            val = ((2 * u3 - 3 * u2 + 1) * p0[k] + (u3 - 2 * u2 + u) * m0[k]
+                   + (-2 * u3 + 3 * u2) * p1[k] + (u3 - u2) * m1[k])
+            flat_lo[k] = np.minimum(flat_lo[k], val)
+            flat_hi[k] = np.maximum(flat_hi[k], val)
     return lo, hi
 
 
-def _trailing_extreme(arr, win, reduce_fn):
-    """reduce over the trailing window of length win+1 along axis 0."""
-    padded = np.concatenate([np.repeat(arr[:1], win, axis=0), arr])
-    return reduce_fn(np.lib.stride_tricks.sliding_window_view(padded, win + 1, axis=0), axis=-1)
+def _trailing_extreme(arr, win, fold):
+    """fold (np.maximum or np.minimum) over the trailing window of win + 1
+    rows of the (M, d) arr, its first row repeated before the start, in
+    O(M) (van Herk / Gil-Werman): blocks of win + 1 rows, each window one
+    block's suffix folded with the next one's prefix.  Which zero or NaN
+    fold.reduce gives a window follows no rule, so a row whose extreme is
+    either is reduced window by window instead."""
+    (m, d), w = arr.shape, win + 1
+    fill = np.full((-(m + win) % w, d), -np.inf if fold is np.maximum else np.inf)
+    padded = np.concatenate([np.repeat(arr[:1], win, axis=0), arr, fill])
+    blocks = padded.reshape(-1, w, d)
+    prefix = fold.accumulate(blocks, axis=1).reshape(-1, d)
+    suffix = fold.accumulate(blocks[:, ::-1], axis=1)[:, ::-1].reshape(-1, d)
+    out = fold(suffix[:m], prefix[win: win + m])
+    rows = np.flatnonzero(~(out != 0).all(axis=1))
+    if rows.size:
+        window = np.lib.stride_tricks.sliding_window_view(padded[: win + m], w, axis=0)
+        out[rows] = fold.reduce(window[rows], axis=-1)
+    return out
 
 
 def diameters(traj: Trajectory, tau: float) -> DiameterSeries:
@@ -489,8 +506,8 @@ def diameters(traj: Trajectory, tau: float) -> DiameterSeries:
         g_max[1:] = np.maximum(g_max[1:], hi.max(axis=1))
         g_min[1:] = np.minimum(g_min[1:], lo.min(axis=1))
     q0 = traj.n_hist
-    vbar = _trailing_extreme(g_max, win, np.max)[q0:]
-    vund = _trailing_extreme(g_min, win, np.min)[q0:]
+    vbar = _trailing_extreme(g_max, win, np.maximum)[q0:]
+    vund = _trailing_extreme(g_min, win, np.minimum)[q0:]
     spread_k = vbar - vund
     return DiameterSeries(times=traj.times[q0:], vbar=vbar, vund=vund,
                           spread_k=spread_k, spread=spread_k.max(axis=1))

@@ -262,6 +262,8 @@ def validate_scenario(s: Scenario):
                             f"got {s.t_end:g}")
     if s.rho is not None and not s.rho > 0:
         raise ScenarioError(f"rho must be positive, got {s.rho:g}")
+    if not s.flock_tol > 0:
+        raise ScenarioError(f"flock_tol must be positive, got {s.flock_tol:g}")
     if not (rep := s.weight.admissibility):
         raise ScenarioError(f"weight is not admissible: {rep.violations[0]}")
     if s.model == "continuous" and not s.delay.continuous_in_t:

@@ -412,6 +412,76 @@ def history_spreads_reference(times, xs, vs, arcs, tau):
     return d0, x0
 
 
+# The window diagnostics as they were before they ran in O(M), verbatim: the
+# dense segment extrema and the sliding window reduction, and diameters on them.
+# dde._segment_extrema, dde._trailing_extreme and dde.diameters must match them
+# bit for bit, signed zeros included.
+
+def segment_extrema_reference(vals, slopes, dt, fix_idx=None, fix_val=None):
+    """Per-segment min/max of the Hermite cubics, including interior
+    critical points.  vals, slopes: (M, N, d).  Returns (M-1, N, d).
+
+    fix_idx/fix_val override the right-endpoint slope of the segment
+    ending at fix_idx (derivative jump between history and dynamics).
+    """
+    p0, p1 = vals[:-1], vals[1:]
+    m0, m1 = slopes[:-1] * dt, slopes[1:] * dt
+    if fix_idx is not None and fix_idx >= 1:
+        m1 = m1.copy()
+        m1[fix_idx - 1] = fix_val * dt
+    # cubic in u on [0,1]: H(u); derivative is a quadratic a u^2 + b u + c
+    a = 6 * p0 - 6 * p1 + 3 * m0 + 3 * m1
+    b = -6 * p0 + 6 * p1 - 4 * m0 - 2 * m1
+    c = m0
+    lo = np.minimum(p0, p1)
+    hi = np.maximum(p0, p1)
+    disc = b * b - 4 * a * c
+    mask = disc > 0
+    if np.any(mask):
+        sq = np.sqrt(np.where(mask, disc, 0.0))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for sign in (-1.0, 1.0):
+                u = np.where(np.abs(a) > 1e-300, (-b + sign * sq) / (2 * a),
+                             np.where(np.abs(b) > 1e-300, -c / b, -1.0))
+                ok = mask & (u > 0) & (u < 1)
+                if np.any(ok):
+                    u2 = u * u
+                    u3 = u2 * u
+                    val = ((2 * u3 - 3 * u2 + 1) * p0 + (u3 - 2 * u2 + u) * m0
+                           + (-2 * u3 + 3 * u2) * p1 + (u3 - u2) * m1)
+                    lo = np.where(ok, np.minimum(lo, val), lo)
+                    hi = np.where(ok, np.maximum(hi, val), hi)
+    return lo, hi
+
+
+def trailing_extreme_reference(arr, win, reduce_fn):
+    """reduce over the trailing window of length win+1 along axis 0."""
+    padded = np.concatenate([np.repeat(arr[:1], win, axis=0), arr])
+    return reduce_fn(np.lib.stride_tricks.sliding_window_view(padded, win + 1, axis=0), axis=-1)
+
+
+def diameters_reference(traj, tau):
+    """(times, vbar, vund, spread_k, spread) of dde.diameters, from the two
+    references above."""
+    win = int(round(tau / traj.dt))
+    if win * traj.dt < tau - 1e-9 * max(tau, 1.0):
+        win += 1
+    vs = traj.vs
+    g_max = vs.max(axis=1)   # (M, d) over agents
+    g_min = vs.min(axis=1)
+    if traj.dvs is not None and win > 0:
+        lo, hi = segment_extrema_reference(vs, traj.dvs, traj.dt,
+                                           fix_idx=traj.n_hist,
+                                           fix_val=traj.hist_end_slope)
+        g_max[1:] = np.maximum(g_max[1:], hi.max(axis=1))
+        g_min[1:] = np.minimum(g_min[1:], lo.min(axis=1))
+    q0 = traj.n_hist
+    vbar = trailing_extreme_reference(g_max, win, np.max)[q0:]
+    vund = trailing_extreme_reference(g_min, win, np.min)[q0:]
+    spread_k = vbar - vund
+    return traj.times[q0:], vbar, vund, spread_k, spread_k.max(axis=1)
+
+
 def _cell(x) -> str:
     return format(x, ".17g") if isinstance(x, float) else str(x)
 

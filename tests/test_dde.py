@@ -21,15 +21,19 @@ from delayflock.dde import (
     receiver_bins,
 )
 from delayflock.digraph import Digraph
+from delayflock.discrete import discrete_diameters, simulate_discrete
 from delayflock.interaction import DelayProfile, WeightFunction
 
 from oracles import (
     _hermite_gather,
+    diameters_reference,
     edge_forces_reference,
     hermite_reference,
     matrix_digraph,
     random_rooted_arcs,
     rk4_reference,
+    segment_extrema_reference,
+    trailing_extreme_reference,
     two_agent_delayed_difference,
     two_agent_ode_difference,
 )
@@ -840,3 +844,125 @@ class TestDiameters:
         rep = check_monotone_diameter(series, tol=1e-9)
         assert not rep
         assert rep.worst_time == pytest.approx(series.times[50])
+
+
+def _same_series(series, ref):
+    """A DiameterSeries against diameters_reference's tuple, byte for byte."""
+    for got, want in zip((series.times, series.vbar, series.vund, series.spread_k,
+                          series.spread), ref):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+class TestWindowDiagnostics:
+    """The O(M) window extrema and the segment extrema solved only where a
+    root lies, bit for bit against the dense and sliding references in
+    oracles.py, signed zeros included."""
+
+    SIGNED = np.array([-1.0, -0.0, 0.0, 1.0])
+
+    @pytest.mark.parametrize("win", [0, 1, 7, 8, 9, 50])
+    def test_trailing_extreme_matches_sliding_reduction(self, win):
+        rng = np.random.default_rng(win)
+        for case in range(150):
+            m, d = int(rng.integers(1, 301)), int(rng.integers(1, 4))
+            # a third of the cases hold only -1, -0.0, 0.0 and 1
+            arr = (rng.choice(self.SIGNED, size=(m, d)) if case % 3 == 0
+                   else rng.normal(size=(m, d)) * 10.0 ** rng.integers(-3, 4))
+            for fold, reduce_fn in ((np.maximum, np.max), (np.minimum, np.min)):
+                got = dde._trailing_extreme(arr, win, fold)
+                assert got.tobytes() == trailing_extreme_reference(arr, win, reduce_fn).tobytes()
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0, "mixed"])
+    def test_zero_column_takes_the_sliding_reduction(self, zero):
+        rng = np.random.default_rng(1)
+        arr = np.column_stack([rng.normal(size=120), np.zeros(120), rng.normal(size=120)])
+        arr[:, 1] = rng.choice([0.0, -0.0], size=120) if zero == "mixed" else zero
+        for win in (0, 1, 8, 9, 50):
+            for fold, reduce_fn in ((np.maximum, np.max), (np.minimum, np.min)):
+                got = dde._trailing_extreme(arr, win, fold)
+                assert got.tobytes() == trailing_extreme_reference(arr, win, reduce_fn).tobytes()
+        # one column of -0.0 and 0.0 alone: at win 8 the block extremes pick
+        # another zero than the window reduction does
+        all_zero = np.full((60, 1), -0.0)
+        all_zero[::7] = 0.0
+        for win in (1, 7, 8, 9, 50):
+            for fold, reduce_fn in ((np.maximum, np.max), (np.minimum, np.min)):
+                assert (dde._trailing_extreme(all_zero, win, fold).tobytes()
+                        == trailing_extreme_reference(all_zero, win, reduce_fn).tobytes())
+
+    def test_segment_extrema_match_dense_reference(self):
+        rng = np.random.default_rng(7)
+        for case in range(60):
+            m, n, d = int(rng.integers(2, 80)), int(rng.integers(1, 5)), int(rng.integers(1, 4))
+            if case % 3 == 0:
+                vals = rng.choice(self.SIGNED, size=(m, n, d))
+                slopes = rng.choice(np.append(self.SIGNED, 2.0), size=(m, n, d))
+            else:
+                vals, slopes = rng.normal(size=(m, n, d)), 10 * rng.normal(size=(m, n, d))
+            # a (x, v) table's velocity view, as a Trajectory holds it
+            table = np.stack([rng.normal(size=(m, n, d)), vals], axis=2)[:, :, 1]
+            fix_idx = int(rng.integers(0, m))
+            for args in ((vals, slopes, 0.05), (table, slopes, 0.02, fix_idx,
+                                                rng.normal(size=(n, d)))):
+                for got, want in zip(dde._segment_extrema(*args),
+                                     segment_extrema_reference(*args)):
+                    assert got.tobytes() == want.tobytes()
+
+    def test_segments_with_a_zero_coefficient(self):
+        # one agent, dt 1: the derivative a u^2 + b u + c of segment 0 has a == 0
+        # (root -c / b = 0.25), of segment 1 b == 0 (roots -+sqrt(108) / 18, one
+        # inside); segment 2 is a straight line (a == b == 0) once the history's
+        # slope -6 replaces its right end at fix_idx 3, and curved without it
+        vals = np.array([0.0, 1.0, 1.0, -5.0])[:, None, None]
+        slopes = np.array([-1.0, 3.0, -6.0, 9.0])[:, None, None]
+        fix = np.array([[-6.0]])
+        p0, p1, m0 = vals[:-1, 0, 0], vals[1:, 0, 0], slopes[:-1, 0, 0]
+        m1 = np.array([3.0, -6.0, -6.0])
+        a = 6 * p0 - 6 * p1 + 3 * m0 + 3 * m1
+        b = -6 * p0 + 6 * p1 - 4 * m0 - 2 * m1
+        assert a[0] == 0.0 and b[1] == 0.0 and a[2] == b[2] == 0.0
+        for args in ((vals, slopes, 1.0), (vals, slopes, 1.0, 3, fix)):
+            for got, want in zip(dde._segment_extrema(*args), segment_extrema_reference(*args)):
+                assert got.tobytes() == want.tobytes()
+        lo, hi = dde._segment_extrema(vals, slopes, 1.0, 3, fix)
+        assert lo[0, 0, 0] < 0.0 and hi[1, 0, 0] > 1.0   # interior extrema, not the ends
+        assert (lo[2, 0, 0], hi[2, 0, 0]) == (-5.0, 1.0)
+        assert dde._segment_extrema(vals, slopes, 1.0)[0][2, 0, 0] < -5.0
+
+    @pytest.mark.parametrize("p", [
+        DelayProfile.zero(),
+        DelayProfile.constant(1.0),
+        DelayProfile(kind="sinusoidal", tau_max=1.0, mean=0.5, amplitude=0.4, period=0.7),
+        DelayProfile(kind="piecewise-random", tau_max=1.0, low=0.0, high=1.0, seed=3,
+                     hold=0.3)], ids=["zero", "constant", "sinusoidal", "piecewise-random"])
+    @pytest.mark.parametrize("signed_zero_column", [False, True])
+    def test_diameters_match_reference_alone_and_batched(self, p, signed_zero_column):
+        g = Digraph.from_arc_list(4, FIG_ARCS, one_based=True)
+        w = WeightFunction(kind="cucker-smale", kappa=1.0, beta=0.25)
+        v0 = 0.3 * FIG_V0
+        if signed_zero_column:   # the second velocity component stays +-0 throughout
+            v0 = np.column_stack([v0[:, 0], [-0.0, 0.0, -0.0, -0.0]])
+        hists = [InitialHistory.constant(FIG_X0, v0, tau=1.0),
+                 InitialHistory.constant(FIG_X0, -0.7 * v0, tau=1.0)]
+        lone = integrate(hists[0], g, w, p, t_end=3.0, dt=0.02)
+        for traj in [lone] + integrate(hists, g, w, p, t_end=3.0, dt=0.02):
+            for tau in (0.0, 0.02, 0.17, 1.0):
+                _same_series(diameters(traj, tau), diameters_reference(traj, tau))
+
+    @pytest.mark.parametrize("tau", [0, 1, 3])
+    def test_discrete_diameters_match_reference(self, tau):
+        g = Digraph.from_arc_list(4, FIG_ARCS, one_based=True)
+        w = WeightFunction(kind="cucker-smale", kappa=1.0, beta=0.5)
+        p = DelayProfile.constant(float(tau)) if tau else DelayProfile.zero()
+        for v0 in (FIG_V0, np.column_stack([FIG_V0[:, 0], [0.0, -0.0, -0.0, 0.0]])):
+            hist = InitialHistory.constant(FIG_X0, v0, tau=float(tau))
+            traj = simulate_discrete(hist, g, w, p, t_end=40, h=0.1)
+            _same_series(discrete_diameters(traj, tau), diameters_reference(traj, tau))
+
+    def test_window_one_past_the_history_raises(self):
+        g, w, p, hist = fig_setup(scale=0.01)
+        traj = integrate(hist, g, w, p, t_end=1.0, dt=0.02)
+        diameters(traj, tau=traj.n_hist * traj.dt)
+        with pytest.raises(IntegrationError, match="window reaches before the trajectory start"):
+            diameters(traj, tau=(traj.n_hist + 1) * traj.dt)
