@@ -59,13 +59,15 @@ class Digraph:
 
     def __post_init__(self):
         n = operator.index(self.n_vertices)
-        i, j = (np.asarray(x, dtype=np.int64) for x in self.arc_list)
+        i, j = (np.array(x, dtype=np.int64) for x in self.arc_list)   # copies, frozen below
         _check_arcs(n, i, j)
-        keys = np.sort(i * n + j)   # by receiver, then sender
-        kept = np.divmod(keys[np.diff(keys, prepend=-1) > 0], n)   # each arc once
-        for x in kept:
+        keys = i * n + j   # by receiver, then sender, each arc once
+        if not (np.diff(keys) > 0).all():   # complete(n) and most listings come so already
+            keys = np.sort(keys)
+            i, j = np.divmod(keys[np.diff(keys, prepend=-1) > 0], n)
+        for x in (i, j):
             x.setflags(write=False)
-        object.__setattr__(self, "arc_list", kept)
+        object.__setattr__(self, "arc_list", (i, j))
 
     def _key(self):
         return self.n_vertices, self.arc_list[0].tobytes(), self.arc_list[1].tobytes()
@@ -98,8 +100,11 @@ class Digraph:
     @classmethod
     def complete(cls, n: int) -> "Digraph":
         """All-to-all network without self-loops."""
-        i, j = np.divmod(np.arange(max(n, 0) ** 2), max(n, 1))
-        return cls(n, (i[i != j], j[i != j]))
+        k = max(n, 0)
+        i = np.repeat(np.arange(k), max(k - 1, 0))   # k - 1 in-arcs a vertex, in order
+        j = np.tile(np.arange(max(k - 1, 0)), k)
+        j += j >= i   # every sender but the receiver itself
+        return cls(n, (i, j))
 
     @property
     def max_in_degree(self) -> int:

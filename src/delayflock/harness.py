@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analysis as an
+from .csvtext import BLOCK, format17, join_cells
 from .dde import (InitialHistory, IntegrationError, Trajectory, check_monotone_diameter,
                   diameters, integrate)
 from .digraph import Digraph, label_pairs
@@ -302,38 +303,49 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _write_csv(path: str, cols: list[str], lines):
-    """The header line, the column line, then the body lines as they come."""
-    with open(path, "w") as f:
-        f.write(f"{CSV_HEADER}\n{','.join(cols)}\n")
-        f.writelines(lines)
+def _write_csv(path: str, cols: list[str], chunks):
+    """The header line, the column line, then the body's bytes as they come."""
+    with open(path, "wb") as f:
+        f.write(f"{CSV_HEADER}\n{','.join(cols)}\n".encode())
+        f.writelines(chunks)
 
 
 def write_trajectory_csv(traj: Trajectory, path: str):
-    d = traj.dim
+    n, d = traj.n_agents, traj.dim
     cols = (["t", "agent"] + [f"x{k + 1}" for k in range(d)]
             + [f"v{k + 1}" for k in range(d)])
-    # the N lines of one time row, a NUL where t goes; %.17g prints a float as _fmt does
-    template = "".join(f"\0,{i}" + ",%.17g" * (2 * d) + "\n" for i in range(traj.n_agents))
+    labels = np.array([b"\1,%d," % i for i in range(n)])   # \1 marks where t goes
+    labels = labels.view(np.uint8).reshape(n, labels.itemsize)
+    step = max(1, BLOCK // (n * 2 * d))   # whole time rows a block
 
-    def lines():   # one string per time, so one time's rows are held at once
-        key = pieces = None
-        for t, x, v in zip(traj.times.tolist(), traj.xs, traj.vs):
-            cells = np.hstack((x, v))
-            if (b := cells.tobytes()) != key:   # bytes, as -0.0 and 0.0 print apart
-                key, pieces = b, (template % tuple(cells.ravel().tolist())).split("\0")
-            yield ("%.17g" % t).join(pieces)
-    _write_csv(path, cols, lines())
+    def rows():   # the N lines of one time row a string, its text split where t goes
+        last = pieces = None   # the bits of the row before, its text's pieces
+        for m in range(0, len(traj.times), step):
+            vals = np.concatenate((traj.xs[m:m + step], traj.vs[m:m + step]), axis=2)
+            bits = vals.view(np.uint64).reshape(len(vals), -1)   # -0.0 and 0.0 print apart
+            new = np.empty(len(vals), bool)
+            new[0] = last is None or (bits[0] != last).any()
+            new[1:] = (bits[1:] != bits[:-1]).any(axis=1)
+            text = join_cells(format17(vals[new]), labels).split(b"\1")
+            last, j = bits[-1], 0
+            for t, fresh in zip(traj.times[m:m + step].tolist(), new.tolist()):
+                if fresh:   # a repeated row reuses its predecessor's pieces
+                    pieces = [b"", *text[1 + j * n:1 + (j + 1) * n]]
+                    j += 1
+                yield (b"%.17g" % t).join(pieces)
+            del text   # before the next block's text is made
+    _write_csv(path, cols, rows())
 
 
 def write_diameters_csv(series, path: str):
     d = series.vbar.shape[1]
     cols = (["t", "D"] + [f"D{k + 1}" for k in range(d)]
             + [f"vbar{k + 1}" for k in range(d)] + [f"vund{k + 1}" for k in range(d)])
-    line = ",".join(["%.17g"] * len(cols)) + "\n"
     rows = np.column_stack((series.times, series.spread, series.spread_k,
                             series.vbar, series.vund))
-    _write_csv(path, cols, (line % tuple(r.tolist()) for r in rows))
+    step = max(1, BLOCK // len(cols))
+    _write_csv(path, cols, (join_cells(format17(rows[q:q + step]))
+                            for q in range(0, len(rows), step)))
 
 
 def write_certificate(cert: an.FlockingCertificate, path: str):
@@ -502,4 +514,4 @@ def write_sweep_csv(reports, names, grid, path: str):
                          _fmt(rep.final_spread),
                          "" if rep.time_to_tolerance is None else _fmt(rep.time_to_tolerance),
                          str(rep.flocked).lower()]) + "\n"
-    _write_csv(path, cols, map(line, grid, reports))
+    _write_csv(path, cols, (line(v, rep).encode() for v, rep in zip(grid, reports)))

@@ -225,6 +225,27 @@ def test_equality_and_hash_follow_the_arc_matrix(fig_graph):
     assert len({a, b, path, Digraph.complete(4)}) == 3
 
 
+@pytest.mark.parametrize("n", [5, 70])
+def test_shuffled_listing_of_the_complete_graph(n):
+    # sorted and unique as given, complete(n) skips the sort; a shuffled listing with
+    # repeats takes it, and both keep the same arc list
+    arcs = [(j, i) for i in range(n) for j in range(n) if i != j]
+    rng = np.random.default_rng(n)
+    listed = [arcs[k] for k in rng.permutation(len(arcs))] + arcs[3:3 + n]
+    g, want = Digraph.from_arc_list(n, listed), Digraph.complete(n)
+    assert g == want
+    for a, b in zip(g.arc_list, want.arc_list):
+        assert a.tobytes() == b.tobytes() and a.dtype == b.dtype == np.int64
+        assert not a.flags.writeable and not b.flags.writeable
+    assert want.arc_list[0].size == n * (n - 1)
+
+
+def test_constructor_leaves_the_given_arrays_writeable():
+    i, j = np.array([1, 0]), np.array([0, 1])
+    g = Digraph(2, (i, j))
+    assert i.flags.writeable and j.flags.writeable and g == Digraph.complete(2)
+
+
 @pytest.mark.parametrize("n, arc_list, message", [
     (3, ([0, 2], [1, 2]), "self-loop at vertex 2"),
     (3, ([0, 3], [1, 0]), "arc (0, 3) out of range for n=3"),

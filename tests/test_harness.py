@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delayflock import digraph, harness
+from delayflock import csvtext, digraph, harness
 from delayflock.analysis import CRITICAL, SHORT_RANGE, AnalysisError, SpreadOverflowError
 from delayflock.dde import (DiameterSeries, InitialHistory, IntegrationError, Trajectory,
                             integrate)
@@ -267,6 +267,61 @@ class TestRun:
         assert rep.final_spread < 0.1
 
 
+def _percent17(values) -> list[bytes]:
+    return [b"%.17g" % v for v in np.asarray(values, dtype=float).ravel().tolist()]
+
+
+def _format17_texts(values) -> list[bytes]:
+    cells = csvtext.format17(values)
+    assert cells.shape == np.shape(values) + (csvtext.CELL,) and cells.dtype == np.uint8
+    return [bytes(c).replace(b"\0", b"") for c in cells.reshape(-1, csvtext.CELL)]
+
+
+def _format17_cases(kind: str, seed: int = 0) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    if kind == "bits":   # every exponent: subnormals, nan payloads, both zeros and inf
+        return np.r_[rng.integers(0, 2 ** 64, 20000, dtype=np.uint64).view(float),
+                     0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+                     2.2250738585072014e-308, 1e308, -1.7976931348623157e308]
+    if kind == "magnitudes":   # |x| in [1e-6, 1e18), mostly on the fixed-notation path
+        return rng.choice([-1.0, 1.0], 20000) * 10.0 ** rng.uniform(-6, 18, 20000)
+    if kind == "powers":   # 10^j, by pow and by the decimal literal, and their neighbours
+        p = np.r_[10.0 ** np.arange(-5, 19), [float(f"1e{j}") for j in range(-5, 19)]]
+        p = np.r_[p, np.nextafter(p, 0), np.nextafter(p, math.inf)]
+        return np.r_[p, -p]
+    if kind == "ties4":   # m / 4 in [1e15, 2^50): ...25 and ...75 round to even
+        return rng.integers(4 * 10 ** 15, 2 ** 52, 20000) / 4
+    if kind == "ties8":   # m / 8 in [1e13, 2^47): x * 100 ends in .5 for every odd m
+        return rng.integers(8 * 10 ** 13, 2 ** 50, 20000) / 8
+    if kind == "integers":   # 17 digits, no point
+        return rng.integers(10 ** 16, 10 ** 17, 20000).astype(float)
+    raise ValueError(kind)
+
+
+class TestFormat17:
+    """csvtext.format17 gives the bytes of '%.17g' % x, cell by cell."""
+
+    @pytest.mark.parametrize("kind", ["bits", "magnitudes", "powers", "ties4", "ties8",
+                                      "integers"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_percent_formatting(self, kind, seed):
+        values = _format17_cases(kind, seed)
+        assert _format17_texts(values) == _percent17(values)
+
+    @pytest.mark.parametrize("x, text", [
+        (1000000000000000.25, b"1000000000000000.2"), (1000000000000000.75,
+                                                        b"1000000000000000.8"),
+        (0.5, b"0.5"), (-2.5, b"-2.5"), (1e-4, b"0.0001"), (-1e-5, b"-1.0000000000000001e-05"),
+        (1e16, b"10000000000000000"), (1e17, b"1e+17"), (0.1, b"0.10000000000000001"),
+        (-0.0, b"-0"), (0.0, b"0"), (123.0, b"123"), (-math.inf, b"-inf")])
+    def test_known_texts(self, x, text):
+        assert _format17_texts(np.array([x])) == [text] == _percent17([x])
+
+    def test_shape_and_empty_input(self):
+        assert csvtext.format17(np.zeros((2, 3))).shape == (2, 3, csvtext.CELL)
+        assert csvtext.format17(np.array([])).shape == (0, csvtext.CELL)
+
+
 class TestCsvFormat:
     """The writers give, byte for byte, the text of the per-cell reference
     writer in tests/oracles.py."""
@@ -354,8 +409,44 @@ class TestCsvFormat:
         tmp_path = tmp_path_factory.mktemp("csv")
         assert self._written(traj, tmp_path) == trajectory_csv_reference(traj).encode()
 
+    @pytest.mark.parametrize("n, d", [(1, 3000), (3000, 1)])
+    def test_row_wider_than_a_block(self, n, d, tmp_path):
+        # one time row of 6000 floats is one block of its own
+        assert 2 * n * d > csvtext.BLOCK
+        xs, vs = self._table((3, n, d), 9), self._table((3, n, d), 10)
+        xs[1], vs[1] = xs[0], vs[0]
+        traj = Trajectory(times=np.array([-1.0, 0.0, 0.5]), xs=xs, vs=vs, dt=0.5, n_hist=1)
+        assert self._written(traj, tmp_path) == trajectory_csv_reference(traj).encode()
+        # and a diameters row of 2 + 3 * 1500 cells
+        spread_k = self._table((2, 1500), 11)
+        series = DiameterSeries(times=np.array([0.0, 0.5]), vbar=self._table((2, 1500), 12),
+                                vund=self._table((2, 1500), 13), spread_k=spread_k,
+                                spread=spread_k.max(axis=1))
+        harness.write_diameters_csv(series, str(tmp_path / "d.csv"))
+        assert (tmp_path / "d.csv").read_bytes() == diameters_csv_reference(series).encode()
+
+    def test_repeats_across_block_boundaries(self, tmp_path, monkeypatch):
+        # rows A B | B B | C C | B, two time rows a block, C being B but for one -0.0:
+        # the repeats of B span two blocks, and only A, B, C and B again are formatted
+        n = csvtext.BLOCK // 4
+        a, b = self._table((2, 2, n, 1), 14)
+        b[0, 0, 0] = 0.0
+        c = b.copy()
+        c[0, 0, 0] = -0.0
+        rows = np.array([a, b, b, b, c, c, b])
+        traj = Trajectory(times=np.arange(7) * 0.25, xs=rows[:, 0], vs=rows[:, 1], dt=0.25,
+                          n_hist=0)
+        formatted = []
+        monkeypatch.setattr(harness, "format17",
+                            lambda v: formatted.append(v.size) or csvtext.format17(v))
+        text = self._written(traj, tmp_path)
+        assert text == trajectory_csv_reference(traj).encode()
+        assert formatted == [2 * 2 * n, 0, 2 * n, 2 * n]
+        for t, x in ((b"0.75", b"0"), (b"1", b"-0"), (b"1.25", b"-0"), (b"1.5", b"0")):
+            assert text.count(b"\n%s,0,%s," % (t, x)) == 1
+
     def test_one_time_row_held_at_a_time(self, tmp_path):
-        # 200 agents x 1000 rows is about 22 MB of text; the writer holds one row of it
+        # 200 agents x 1000 rows is about 22 MB of text; the writer holds one block of it
         traj = Trajectory(times=np.linspace(-1.0, 10.0, 1000),
                           xs=self._table((1000, 200, 2), 7), vs=self._table((1000, 200, 2), 8),
                           dt=0.011, n_hist=0)
