@@ -16,7 +16,10 @@ updates in place.  Delays are planned a chunk of stages at a time, and
 the stages whose rows are committed are looked up in one call: on agent
 rows when every arc shares the delay (zero, constant, sinusoidal), on
 arc rows when each arc has its own (piecewise-random, held over an
-interval).  Both give the per-arc lookup's numbers, bit for bit.
+interval); both give the per-arc lookup's numbers, bit for bit.  The
+two midpoint stages of a step share their time and delays, so they
+read one looked-up row, and a lookup finds its grid segment by
+arithmetic on the uniform grid, not by search.
 
 Also provides the windowed velocity-spread diagnostics: per-component
 extrema over the trailing window [t - tau, t] in O(M) for M grid rows,
@@ -155,8 +158,8 @@ class Trajectory:
             u = (t - self.times[k]) / self.dt
             return ((1 - u) * self.xs[k] + u * self.xs[k + 1],
                     (1 - u) * self.vs[k] + u * self.vs[k + 1])
-        a, weights = _hermite_basis(self.times, float(t), len(self.times) - 1)
-        jump = a + 1 == self.n_hist
+        a = _segment(self.times, float(t), len(self.times) - 1)
+        weights, jump = _hermite_basis(self.times, float(t), a), a + 1 == self.n_hist
         return (_hermite_rows((self.xs, self.dxs, self.hist_end_xslope), a, 1, weights, jump),
                 _hermite_rows((self.vs, self.dvs, self.hist_end_slope), a, 1, weights, jump))
 
@@ -206,20 +209,26 @@ def _segment(times, s, hi):
     return np.minimum(np.maximum(times.searchsorted(s, side="right") - 1, 0), hi - 1)
 
 
-def _hermite_basis(times, s, hi):
-    """Segment index and cubic Hermite basis weights (h00, h10, h01, h11),
-    the slope weights scaled by the segment length, of query times s,
-    elementwise over arrays or scalars.  ``hi`` is the last grid index
-    whose slope is valid; later lookups extrapolate the segment ending
-    at hi.
-    """
-    seg = _segment(times, s, hi)
+def _grid_segment(times, s, dt, n_hist, hi):
+    """_segment on the uniform grid times[k] = (k - n_hist) * dt, by
+    arithmetic: floor(s / dt) + n_hist, clamped, is at most one segment
+    off, and one comparison with the grid each way, clamped again,
+    settles it."""
+    k = np.minimum(np.maximum(np.floor(s / dt) + n_hist, 0), hi - 1).astype(np.intp)
+    k = np.maximum(k - (times.take(k) > s), 0)
+    return np.minimum(k + (times.take(k + 1) <= s), hi - 1)
+
+
+def _hermite_basis(times, s, seg):
+    """Cubic Hermite basis weights (h00, h10, h01, h11) of query times s
+    on the segments seg, the slope weights scaled by the segment length,
+    elementwise over arrays or scalars."""
     t0 = times[seg]
     h = times[seg + 1] - t0
     u = (s - t0) / h
     u2 = u * u
     u3 = u2 * u
-    return seg, (2 * u3 - 3 * u2 + 1, (u3 - 2 * u2 + u) * h, -2 * u3 + 3 * u2, (u3 - u2) * h)
+    return 2 * u3 - 3 * u2 + 1, (u3 - 2 * u2 + u) * h, -2 * u3 + 3 * u2, (u3 - u2) * h
 
 
 def _hermite_rows(table, rows, step, weights, jump):
@@ -242,14 +251,19 @@ def _stage_plan(times, n_hist: int, dt: float, at, members: int, first: int, sto
     """The lookups of integrate's stages first .. stop - 1.  Stage q runs
     at times[k] + (0, dt/2, dt/2, dt)[q % 4], k = n_hist + q // 4, with
     last valid slope index (max(k - 1, 1), k, k, k)[q % 4]; the final
-    slope, stage 4 * n_steps, opens a step past the end.  Returns
-    those times and indices, each stage's delays from ``at`` (an (S, 1)
-    array when every arc shares them, else one (members * E,) array per
-    stage, the same object over a hold interval), each stage's shortest
-    nonzero delay (0 if none) and the farthest segment a stage reads,
-    the one of that delay.
+    slope, stage 4 * n_steps, opens a step past the end.  Stage 3 of a
+    step shares stage 2's time, delays and index, so its row too, unless
+    it opens the chunk.  Per distinct row: its time and index, its delays
+    from ``at`` (an (S, 1) array when every arc shares them, else one
+    (members * E,) array per row, the same object over a hold interval),
+    the (members * E, 1, 1) mask of its arcs at delay 0 (None if no arc
+    is, or all share one delay), its shortest nonzero delay (0 if none)
+    and the farthest segment it reads, that delay's; then each stage's row.
     """
-    k, q = np.divmod(np.arange(first, stop) + 4 * n_hist, 4)
+    stage = np.arange(first, stop)
+    fresh = stage % 4 != 2
+    fresh[0] = True
+    k, q = np.divmod(stage[fresh] + 4 * n_hist, 4)
     ts = times[k] + np.array([0.0, dt / 2, dt / 2, dt])[q]
     # stage 1 may not use the segment ending at k (its slope is what the
     # step computes); delays shorter than dt extrapolate the segment before
@@ -257,16 +271,18 @@ def _stage_plan(times, n_hist: int, dt: float, at, members: int, first: int, sto
     taus = [at(t) for t in ts.tolist()]
     if np.ndim(taus[0]) == 0:
         tau = np.array(taus)[:, None]
-        short = tau[:, 0]
+        short, zero = tau[:, 0], [None] * len(taus)
     else:
-        held = {}   # per hold interval: the members' delays and the shortest nonzero one
+        held = {}   # per hold interval: the members' delays, its zero mask, the shortest nonzero
         for d in taus:
             if id(d) not in held:
-                held[id(d)] = (np.tile(d, members),
+                tiled = np.tile(d, members)
+                held[id(d)] = (tiled, None if d.all() else (tiled == 0.0)[:, None, None],
                                np.min(d, where=d != 0.0, initial=d.max(initial=0.0)))
-        tau = [held[id(d)][0] for d in taus]
-        short = np.array([held[id(d)][1] for d in taus])
-    return ts, his, tau, short, _segment(times, ts - short, his)
+        tau, zero, short = zip(*(held[id(d)] for d in taus))
+        short = np.array(short)
+    return (ts, his, tau, zero, short, _grid_segment(times, ts - short, dt, n_hist, his),
+            np.cumsum(fresh) - 1)
 
 
 def receiver_bins(ei, d: int):
@@ -360,28 +376,30 @@ def integrate(history: InitialHistory | Sequence[InitialHistory], g: Digraph,
         nonlocal first, plan, block, lo, hi
         if k >= first + span:
             first, lo, hi = k, 0, 0
-            ts, his, tau_s, short, seg = _stage_plan(times, n_hist, dt, at, B, k,
-                                                     min(k + span, 4 * n_steps + 1))
-            # a block opened at a stage reads only rows committed by then: to his, or n_hist
+            ts, his, tau_s, zero, short, seg, row = _stage_plan(
+                times, n_hist, dt, at, B, k, min(k + span, 4 * n_steps + 1))
+            # a block opened at a row reads only rows committed by then: to his, or n_hist
             ends = np.maximum.accumulate(seg + 1).searchsorted(np.maximum(his, n_hist), "right")
-            plan = ts, his, tau_s, short, short.tolist(), ends.tolist()
-        ts, his, tau_s, short, shortest, ends = plan
-        c = k - first
+            plan = ts, his, tau_s, zero, short, short.tolist(), row.tolist(), ends.tolist()
+        ts, his, tau_s, zero, short, shortest, row, ends = plan
+        c = row[k - first]
         if shortest[c] == 0.0:
             yd = y.take(ej, axis=0)
         else:
             if c >= hi:
                 lo, hi = c, ends[c]
                 s = ts[lo:hi, None]
-                # an arc at delay 0 reads y; its lane looks up the stage's shortest delay
-                a, basis = _hermite_basis(times, np.minimum(s - np.array(tau_s[lo:hi]),
-                                                            s - short[lo:hi, None]),
-                                          his[lo:hi, None])
-                block = _hermite_rows(flat, a * nb + cols, nb, [b[..., None, None] for b in basis],
+                # an arc at delay 0 reads y; its lane looks up the row's shortest delay
+                s = np.minimum(s - np.array(tau_s[lo:hi]), s - short[lo:hi, None])
+                a = _grid_segment(times, s, dt, n_hist, his[lo:hi, None])
+                block = _hermite_rows(flat, a * nb + cols, nb,
+                                      [b[..., None, None] for b in _hermite_basis(times, s, a)],
                                       (a + 1 == n_hist)[..., None, None])
-            yd = (block[c - lo].take(ej, axis=0) if shared
-                  else np.where(tau_s[c][:, None, None] == 0.0, y.take(ej, axis=0),
-                                block[c - lo]))
+            yd = block[c - lo]
+            if shared:
+                yd = yd.take(ej, axis=0)
+            elif zero[c] is not None:
+                yd = np.where(zero[c], y.take(ej, axis=0), yd)
         out[:, 0] = y[:, 1]
         edge_forces(y.take(ei, axis=0), yd, bins, psi, out[:, 1])
 
@@ -480,6 +498,15 @@ def _trailing_extreme(arr, win, fold):
     return out
 
 
+def _agent_extreme(arr, fold):
+    """fold.reduce (np.maximum or np.minimum) of the (M, N, d) arr over
+    its agent axis, on an agent-major copy: numpy reduces a middle axis
+    slowly.  Which zero or NaN a fold gives follows its order and the
+    array's layout, so where an extreme is either, arr itself is reduced."""
+    out = fold.reduce(np.ascontiguousarray(arr.transpose(1, 0, 2)), axis=0)
+    return out if (np.abs(out) > 0).all() else fold.reduce(arr, axis=1)
+
+
 def diameters(traj: Trajectory, tau: float) -> DiameterSeries:
     """Windowed velocity extrema along a trajectory.
 
@@ -493,8 +520,8 @@ def diameters(traj: Trajectory, tau: float) -> DiameterSeries:
     if win > traj.n_hist:
         raise IntegrationError("window reaches before the trajectory start")
     vs = traj.vs
-    g_max = vs.max(axis=1)   # (M, d) over agents
-    g_min = vs.min(axis=1)
+    g_max = _agent_extreme(vs, np.maximum)   # (M, d) over agents
+    g_min = _agent_extreme(vs, np.minimum)
     if traj.dvs is not None and win > 0:
         # attach segment [t_k, t_k+1] extrema to the right grid index so
         # a trailing window ending at t_q never sees values past t_q;
@@ -503,8 +530,8 @@ def diameters(traj: Trajectory, tau: float) -> DiameterSeries:
         lo, hi = _segment_extrema(vs, traj.dvs, traj.dt,
                                   fix_idx=traj.n_hist,
                                   fix_val=traj.hist_end_slope)
-        g_max[1:] = np.maximum(g_max[1:], hi.max(axis=1))
-        g_min[1:] = np.minimum(g_min[1:], lo.min(axis=1))
+        g_max[1:] = np.maximum(g_max[1:], _agent_extreme(hi, np.maximum))
+        g_min[1:] = np.minimum(g_min[1:], _agent_extreme(lo, np.minimum))
     q0 = traj.n_hist
     vbar = _trailing_extreme(g_max, win, np.maximum)[q0:]
     vund = _trailing_extreme(g_min, win, np.minimum)[q0:]

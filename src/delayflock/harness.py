@@ -326,7 +326,8 @@ def write_trajectory_csv(traj: Trajectory, path: str):
             new = np.empty(len(vals), bool)
             new[0] = last is None or (bits[0] != last).any()
             new[1:] = (bits[1:] != bits[:-1]).any(axis=1)
-            text = join_cells(format17(vals[new]), labels).split(b"\1")
+            # a block that only repeats the row before it formats nothing
+            text = join_cells(format17(vals[new]), labels).split(b"\1") if new.any() else ()
             last, j = bits[-1], 0
             for t, fresh in zip(traj.times[m:m + step].tolist(), new.tolist()):
                 if fresh:   # a repeated row reuses its predecessor's pieces

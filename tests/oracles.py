@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 from delayflock.analysis import RHO_DECADES, RHO_PER_DECADE, ModelParams
-from delayflock.dde import _hermite_basis
+from delayflock.dde import _hermite_basis, _segment
 from delayflock.digraph import Digraph
 from delayflock.interaction import AdmissibilityError, WeightFunction
 
@@ -272,7 +272,8 @@ def hermite_reference(times, vals, slopes, t, hi, fix_idx, fix_val):
 
 
 # the per-arc reference of integrate's planned lookups, one stage at a time;
-# it shares the segment search and basis weights, _hermite_basis, with them
+# it shares the basis weights, _hermite_basis, with them, and finds each
+# segment by searchsorted (_segment) where they do it by arithmetic
 def _hermite_gather(times, table, j_e, s_e, hi, fix_idx):
     """Cubic Hermite evaluation of vals[:, j_e[k]] at times s_e[k] for
     the (M, rows, 2, d) state table (vals, slopes, fix_val); fix_val
@@ -280,8 +281,8 @@ def _hermite_gather(times, table, j_e, s_e, hi, fix_idx):
     of the queried segment.
     """
     vals, slopes, fix_val = table
-    seg, basis = _hermite_basis(times, s_e, hi)
-    h00, h10, h01, h11 = (b[:, None, None] for b in basis)
+    seg = _segment(times, s_e, hi)
+    h00, h10, h01, h11 = (b[:, None, None] for b in _hermite_basis(times, s_e, seg))
     seg1 = seg + 1
     at_fix = seg1 == fix_idx
     m1 = slopes[seg1, j_e]

@@ -11,9 +11,9 @@ from delayflock.dde import (
     BLOWUP_FACTOR,
     InitialHistory,
     IntegrationError,
+    Trajectory,
     check_monotone_diameter,
     diameters,
-    _hermite_basis,
     _stage_plan,
     blowup_guard,
     edge_forces,
@@ -456,6 +456,28 @@ class TestHermiteGather:
         assert sampled or np.array_equal(x, FIG_X0)
         assert not np.allclose(v, bent, rtol=1e-13, atol=1e-14)
 
+    @settings(max_examples=60, deadline=None)
+    @given(dt=st.sampled_from([0.02, 0.05, 0.1, 1 / 3, 1e-3]),
+           n_hist=st.one_of(st.just(0), st.integers(1, 3000)), n_steps=st.integers(1, 3000),
+           cut=st.floats(0.0, 1.0), seed=st.integers(0, 2 ** 32 - 1))
+    def test_grid_segment_is_the_clamped_search(self, dt, n_hist, n_steps, cut, seed):
+        # integrate's grid; queries at every grid point and its neighbouring
+        # floats, at midpoints, anywhere, and before the grid and past hi
+        times = (np.arange(n_hist + n_steps + 1) - n_hist) * dt
+        hi = 1 + int(cut * (len(times) - 2))
+        span = times[-1] - times[0]
+        s = np.concatenate([times, np.nextafter(times, -np.inf), np.nextafter(times, np.inf),
+                            (times[:-1] + times[1:]) / 2,
+                            np.random.default_rng(seed).uniform(times[0] - dt, times[-1] + dt, 200),
+                            times[0] - np.array([1e-300, dt / 2, dt, 3 * dt, span + 1.0]),
+                            times[hi] + np.array([1e-12, dt / 2, dt, 3 * dt, span + 1.0])])
+        assert (dde._grid_segment(times, s, dt, n_hist, hi)
+                == dde._segment(times, s, hi)).all()
+        # as a block looks up: each row of queries with its own last index
+        rows = np.random.default_rng(seed).integers(1, len(times), (7, 1))
+        assert (dde._grid_segment(times, s, dt, n_hist, rows)
+                == dde._segment(times, s, rows)).all()
+
 
 def plan_cases():
     """(delay, member histories, member weights) of the per-stage plan
@@ -533,33 +555,42 @@ class TestStagePlan:
                  state("hist_end_xslope", "hist_end_slope"))
         ei, ej = g.arc_list
         delay_at = p.on_edges(ei, ej)
-        ts, his, tau, short, seg = _stage_plan(times, n_hist, dt, p.on_edges(ei, ej), B,
-                                               0, 4 * n_steps + 1)
-        assert len(ts) == len(his) == len(tau) == len(short) == len(seg) == 4 * n_steps + 1
-        assert len(delayed) == 4 * n_steps + 1
+        ts, his, tau, zero, short, seg, row = _stage_plan(times, n_hist, dt,
+                                                          p.on_edges(ei, ej), B,
+                                                          0, 4 * n_steps + 1)
+        # one row per distinct stage: stage 3 of a step reads stage 2's
+        assert len(ts) == len(his) == len(tau) == len(zero) == len(short) == len(seg)
+        assert len(ts) == 3 * n_steps + 1 and len(row) == len(delayed) == 4 * n_steps + 1
         ej = (ej + 4 * np.arange(B)[:, None]).ravel()
         looked_up, jumped = 0, False
         for k in range(4 * n_steps + 1):
             step, s = divmod(k, 4)
-            idx = n_hist + step
+            idx, r = n_hist + step, row[k]
+            assert r == 3 * step + (0, 1, 1, 2)[s]
             if step < n_steps:   # the loop's stage times and slope limits
-                assert ts[k] == times[idx] + (0, dt / 2, dt / 2, dt)[s]
-                assert his[k] == (max(idx - 1, 1), idx, idx, idx)[s]
+                assert ts[r] == times[idx] + (0, dt / 2, dt / 2, dt)[s]
+                assert his[r] == (max(idx - 1, 1), idx, idx, idx)[s]
             else:
-                assert (ts[k], his[k]) == (times[idx], idx - 1)
-            tau_e = np.tile(np.broadcast_to(delay_at(ts[k]), len(ei)), B)
-            assert np.broadcast_to(tau[k], tau_e.shape).tobytes() == tau_e.tobytes()
+                assert (ts[r], his[r]) == (times[idx], idx - 1)
+            tau_e = np.tile(np.broadcast_to(delay_at(ts[r]), len(ei)), B)
+            assert np.broadcast_to(tau[r], tau_e.shape).tobytes() == tau_e.tobytes()
             past = tau_e != 0.0
-            assert short[k] == (tau_e[past].min() if past.any() else 0.0)
+            assert short[r] == (tau_e[past].min() if past.any() else 0.0)
+            # arcs at delay 0 are selected only where there are some, on arc rows
+            if np.ndim(delay_at(0.0)) and not past.all():
+                assert zero[r].tobytes() == (~past)[:, None, None].tobytes()
+            else:
+                assert zero[r] is None
             if s == 0:   # an arc at delay 0 reads the stage's state, here a committed row
                 assert delayed[k][~past].tobytes() == table[0][idx, ej[~past]].tobytes()
             if not past.any():
                 continue
             looked_up += 1
-            want = _hermite_gather(times, table, ej[past], ts[k] - tau_e[past], his[k], n_hist)
+            want = _hermite_gather(times, table, ej[past], ts[r] - tau_e[past], his[r], n_hist)
             assert delayed[k][past].tobytes() == want.tobytes(), k
-            jumped |= (_hermite_basis(times, ts[k] - tau_e[past], his[k])[0] + 1
-                       == n_hist).any()
+            if s == 2:   # the midpoint's second stage reads the first one's rows
+                assert delayed[k][past].tobytes() == delayed[k - 1][past].tobytes(), k
+            jumped |= (dde._segment(times, ts[r] - tau_e[past], his[r]) + 1 == n_hist).any()
         # random-integer holds every arc at 0 over its first 49 stages, t < 0.25
         assert looked_up == {"zero": 0, "clipping-sinusoid": 4 * n_steps - 9,
                              "random-integer": 4 * n_steps - 48}.get(case, 4 * n_steps + 1)
@@ -593,29 +624,41 @@ class TestStagePlan:
     def test_each_block_reads_only_committed_rows(self, case, cap, monkeypatch):
         # a block of lookups opened at stage k may read only slopes up to
         # his[k], or the fixed history side of the slope jump at n_hist, and
-        # holds at most cap rows: agents, or arcs for per-arc delays; each
-        # stage that looks up is in one block.  The graph has more arcs (5)
-        # than agents (4), so the two row layouts differ
+        # holds at most cap rows: agents, or arcs for per-arc delays; it has
+        # one row per distinct stage of its chunk, and each such stage that
+        # looks up is in one block.  The graph has more arcs (5) than agents
+        # (4), so the two row layouts differ
         p, hists, ws = plan_cases()[case]
         g = Digraph.from_arc_list(4, FIG_ARCS + [(4, 1)], one_based=True)
         dt, n_steps, B = 0.02, 100, len(hists)
         _, blocks = record_lookups(monkeypatch, cap)
         planned = integrate(hists, g, ws, p, t_end=n_steps * dt, dt=dt)
+        times, n_hist = planned[0].times, planned[0].n_hist
         ei, ej = g.arc_list
-        ts, his, tau, short, seg = _stage_plan(planned[0].times, planned[0].n_hist, dt,
-                                               p.on_edges(ei, ej), B, 0, 4 * n_steps + 1)
         per_arc = np.ndim(p.on_edges(ei, ej)(0.0)) == 1
         n_rows = B * len(ei) if per_arc else B * g.n_vertices
         span = max(1, cap // n_rows)   # stages a chunk of the plan holds
-        covered = np.zeros(len(ts), dtype=bool)
+        n_stages = 4 * n_steps + 1
+        plans = [_stage_plan(times, n_hist, dt, p.on_edges(ei, ej), B, first,
+                             min(first + span, n_stages)) for first in range(0, n_stages, span)]
+        # the chunks' rows numbered through the run, and each stage's row
+        his, short, seg = (np.concatenate([plan[i] for plan in plans]) for i in (1, 4, 5))
+        chunk = np.concatenate([np.full(len(plan[0]), c) for c, plan in enumerate(plans)])
+        starts = np.cumsum([0] + [len(plan[0]) for plan in plans])
+        row = np.concatenate([plan[6] + start for plan, start in zip(plans, starts)])
+        # stage 3 of a step shares stage 2's row, unless a chunk opens at it
+        stage = np.arange(1, n_stages)
+        assert ((row[1:] == row[:-1]) == ((stage % 4 == 2) & (stage % span != 0))).all()
+        covered = np.zeros(len(his), dtype=bool)
         for k, a, jumps, cols, _ in blocks:
-            assert short[k] != 0.0 and not covered[k]
+            r = row[k]
+            assert short[r] != 0.0 and not covered[r:r + len(a)].any()
             assert len(cols) == n_rows and 1 <= len(a) <= span
-            assert k // span == (k + len(a) - 1) // span   # within one chunk
-            assert a.max(axis=1).tobytes() == seg[k:k + len(a)].tobytes()
-            assert (jumps == (a + 1 == planned[0].n_hist)).all()
-            assert ((a + 1 <= his[k]) | jumps).all(), k
-            covered[k:k + len(a)] = True
+            assert (chunk[r:r + len(a)] == chunk[r]).all() and r + len(a) <= starts[-1]
+            assert a.max(axis=1).tobytes() == seg[r:r + len(a)].tobytes()
+            assert (jumps == (a + 1 == n_hist)).all()
+            assert ((a + 1 <= his[r]) | jumps).all(), k
+            covered[r:r + len(a)] = True
         assert covered[short != 0.0].all()
         assert len(blocks) < (short != 0.0).sum() or not blocks   # stages do share blocks
         if case == "random-from-2.5dt" and cap // n_rows > 4:   # delays of two steps or more
@@ -890,6 +933,25 @@ class TestWindowDiagnostics:
             for fold, reduce_fn in ((np.maximum, np.max), (np.minimum, np.min)):
                 assert (dde._trailing_extreme(all_zero, win, fold).tobytes()
                         == trailing_extreme_reference(all_zero, win, reduce_fn).tobytes())
+
+    @pytest.mark.parametrize("n, d", [(9, 1), (17, 1), (4, 2), (200, 2)])
+    def test_agent_extremes_of_signed_zeros(self, n, d):
+        # rows of -0.0 and 0.0 alone, and rows that also hold -1 or 1, in a
+        # (x, v) table's velocity view; a strided (9, 1) view's reduction
+        # picks another zero than the same rows copied out do
+        rng = np.random.default_rng(n)
+        ys = rng.choice([-0.0, 0.0], size=(40, n, 2, d))
+        ys[::3, 0, 1] = rng.choice([-1.0, 1.0], size=(14, d))
+        traj = Trajectory(times=np.arange(-20, 20) * 0.5, xs=ys[:, :, 0], vs=ys[:, :, 1],
+                          dt=0.5, n_hist=20)
+        nans = ys.copy()   # and nans of either sign among the ones
+        nans[::5, -1, 1] = np.where(rng.random((8, d)) < 0.5, np.nan, -np.nan)
+        for vs in (traj.vs, traj.vs.copy(), nans[:, :, 1]):
+            for fold, reduce_fn in ((np.maximum, np.max), (np.minimum, np.min)):
+                assert (dde._agent_extreme(vs, fold).tobytes()
+                        == reduce_fn(vs, axis=1).tobytes())
+        for tau in (0, 3):
+            _same_series(discrete_diameters(traj, tau), diameters_reference(traj, tau))
 
     def test_segment_extrema_match_dense_reference(self):
         rng = np.random.default_rng(7)

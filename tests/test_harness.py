@@ -379,6 +379,27 @@ class TestCsvFormat:
                    for m in range(traj.n_hist + 1))
         assert self._written(traj, tmp_path) == trajectory_csv_reference(traj).encode()
 
+    def test_blocks_that_only_repeat_format_nothing(self, tmp_path, monkeypatch):
+        # 256 agents in 2 dimensions: 4 time rows a block, so the 16 rows of
+        # a constant history up to t = 0 fill three blocks of repeats alone
+        n = 256
+        g = Digraph.from_arc_list(n, [(i, (i + 1) % n) for i in range(n)])
+        rng = np.random.default_rng(3)
+        hist = InitialHistory.constant(rng.normal(size=(n, 2)), rng.normal(size=(n, 2)),
+                                       tau=1.5)
+        traj = integrate(hist, g, WeightFunction(kind="cucker-smale", beta=0.5),
+                         DelayProfile.constant(1.5), t_end=0.5, dt=0.1)
+        assert traj.n_hist == 15 and csvtext.BLOCK // (2 * n * 2) == 4
+        formatted = []
+
+        def spy(values):
+            formatted.append(len(values))
+            return csvtext.format17(values)
+        monkeypatch.setattr(harness, "format17", spy)
+        assert self._written(traj, tmp_path) == trajectory_csv_reference(traj).encode()
+        # blocks from rows 0 and 16 on: the first row, then the rows after t = 0
+        assert formatted == [1, 4, 1]
+
     def test_sampled_history_run(self, tmp_path):
         s = preset("fig2-digraph")
         times = np.array([-1.0, -0.5, 0.0])
@@ -427,7 +448,8 @@ class TestCsvFormat:
 
     def test_repeats_across_block_boundaries(self, tmp_path, monkeypatch):
         # rows A B | B B | C C | B, two time rows a block, C being B but for one -0.0:
-        # the repeats of B span two blocks, and only A, B, C and B again are formatted
+        # the repeats of B span two blocks, and only A, B, C and B again are formatted;
+        # the block of repeats alone formats nothing
         n = csvtext.BLOCK // 4
         a, b = self._table((2, 2, n, 1), 14)
         b[0, 0, 0] = 0.0
@@ -441,7 +463,7 @@ class TestCsvFormat:
                             lambda v: formatted.append(v.size) or csvtext.format17(v))
         text = self._written(traj, tmp_path)
         assert text == trajectory_csv_reference(traj).encode()
-        assert formatted == [2 * 2 * n, 0, 2 * n, 2 * n]
+        assert formatted == [2 * 2 * n, 2 * n, 2 * n]
         for t, x in ((b"0.75", b"0"), (b"1", b"-0"), (b"1.25", b"-0"), (b"1.5", b"0")):
             assert text.count(b"\n%s,0,%s," % (t, x)) == 1
 
