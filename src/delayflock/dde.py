@@ -428,8 +428,8 @@ def integrate(history: InitialHistory | Sequence[InitialHistory], g: Digraph,
 class DiameterSeries:
     """Trailing-window velocity extrema and spreads along a run.
 
-    vbar/vund are (Q, d) per-component window max/min; spread_k their
-    difference; spread the max over components.
+    vbar/vund are (Q, d) per-component window max/min, +0 where zero (so
+    no entry is -0); spread_k their difference; spread the max over components.
     """
 
     times: np.ndarray
@@ -481,30 +481,21 @@ def _trailing_extreme(arr, win, fold):
     """fold (np.maximum or np.minimum) over the trailing window of win + 1
     rows of the (M, d) arr, its first row repeated before the start, in
     O(M) (van Herk / Gil-Werman): blocks of win + 1 rows, each window one
-    block's suffix folded with the next one's prefix.  Which zero or NaN
-    fold.reduce gives a window follows no rule, so a row whose extreme is
-    either is reduced window by window instead."""
+    block's suffix folded with the next one's prefix.  A window holding a
+    NaN gives NaN; a zero extreme is +0 (adding 0.0 changes no other value)."""
     (m, d), w = arr.shape, win + 1
     fill = np.full((-(m + win) % w, d), -np.inf if fold is np.maximum else np.inf)
-    padded = np.concatenate([np.repeat(arr[:1], win, axis=0), arr, fill])
-    blocks = padded.reshape(-1, w, d)
+    blocks = np.concatenate([np.repeat(arr[:1], win, axis=0), arr, fill]).reshape(-1, w, d)
     prefix = fold.accumulate(blocks, axis=1).reshape(-1, d)
     suffix = fold.accumulate(blocks[:, ::-1], axis=1)[:, ::-1].reshape(-1, d)
-    out = fold(suffix[:m], prefix[win: win + m])
-    rows = np.flatnonzero(~(out != 0).all(axis=1))
-    if rows.size:
-        window = np.lib.stride_tricks.sliding_window_view(padded[: win + m], w, axis=0)
-        out[rows] = fold.reduce(window[rows], axis=-1)
-    return out
+    return fold(suffix[:m], prefix[win: win + m]) + 0.0
 
 
 def _agent_extreme(arr, fold):
-    """fold.reduce (np.maximum or np.minimum) of the (M, N, d) arr over
-    its agent axis, on an agent-major copy: numpy reduces a middle axis
-    slowly.  Which zero or NaN a fold gives follows its order and the
-    array's layout, so where an extreme is either, arr itself is reduced."""
-    out = fold.reduce(np.ascontiguousarray(arr.transpose(1, 0, 2)), axis=0)
-    return out if (np.abs(out) > 0).all() else fold.reduce(arr, axis=1)
+    """fold.reduce (np.maximum or np.minimum) of the (M, N, d) arr over its
+    agent axis, on an agent-major copy (numpy reduces a middle axis slowly);
+    a zero extreme has either sign until _trailing_extreme makes it +0."""
+    return fold.reduce(np.ascontiguousarray(arr.transpose(1, 0, 2)), axis=0)
 
 
 def diameters(traj: Trajectory, tau: float) -> DiameterSeries:
@@ -514,6 +505,8 @@ def diameters(traj: Trajectory, tau: float) -> DiameterSeries:
     from the grid samples plus the analytic interior extrema of each
     Hermite segment (sample-only for discrete runs).
     """
+    if not 0 <= tau < np.inf:
+        raise IntegrationError(f"window length tau must be nonnegative and finite, got {tau}")
     win = int(round(tau / traj.dt))
     if win * traj.dt < tau - 1e-9 * max(tau, 1.0):
         win += 1

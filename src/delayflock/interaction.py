@@ -76,7 +76,8 @@ class WeightFunction:
 
     ``normalize_by`` optionally divides kappa by the agent count, for
     the historically normalized variant of the model; the default is
-    the unnormalized form.
+    the unnormalized form.  It must be positive and leave kappa /
+    normalize_by positive and finite.
     """
 
     kind: str = "cucker-smale"
@@ -89,6 +90,9 @@ class WeightFunction:
     def __post_init__(self):
         if not 0 < self.kappa < np.inf:
             raise AdmissibilityError(f"kappa must be positive and finite, got {self.kappa}")
+        if (nb := self.normalize_by) is not None and not (nb > 0 and 0 < self.kappa / nb < np.inf):
+            raise AdmissibilityError(f"normalize_by must be positive and leave kappa / "
+                                     f"normalize_by positive and finite, got {nb}")
         if self.kind == "cucker-smale":
             if not 0 <= self.beta < np.inf:
                 raise AdmissibilityError(
@@ -116,9 +120,7 @@ class WeightFunction:
 
     @property
     def effective_kappa(self) -> float:
-        if self.normalize_by:
-            return self.kappa / self.normalize_by
-        return self.kappa
+        return self.kappa if self.normalize_by is None else self.kappa / self.normalize_by
 
     def __call__(self, r):
         """Evaluate psi(r); r may be a scalar or an array, all >= 0."""
@@ -134,7 +136,7 @@ class WeightFunction:
             out = np.full_like(r, k)
         else:
             out = np.interp(r, self.table_r, self.table_v)
-            if self.normalize_by:
+            if self.normalize_by is not None:
                 out = out / self.normalize_by
         return out if out.ndim else float(out)
 
@@ -225,6 +227,9 @@ class DelayProfile:
     integer_valued: bool = False
 
     def __post_init__(self):
+        for name in ("tau_max", "mean", "amplitude"):
+            if not math.isfinite(getattr(self, name)):
+                raise AdmissibilityError(f"{name} must be finite, got {getattr(self, name)}")
         if self.tau_max < 0:
             raise AdmissibilityError("tau_max must be nonnegative")
         if self.kind == "constant":
@@ -243,8 +248,8 @@ class DelayProfile:
         elif self.kind == "piecewise-random":
             if not (0 <= self.low <= self.high <= self.tau_max):
                 raise AdmissibilityError("random delay range outside [0, tau_max]")
-            if self.hold <= 0:
-                raise AdmissibilityError("hold interval must be positive")
+            if not self.hold > 0:
+                raise AdmissibilityError(f"hold interval must be positive, got {self.hold}")
             if self.seed < 0:
                 raise AdmissibilityError(f"random delay seed {self.seed} is negative")
             if self.integer_valued and math.ceil(self.low) > math.floor(self.high):

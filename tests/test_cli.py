@@ -233,6 +233,13 @@ HUGE_RHO = dict(FAR_APART, weight={"type": "cucker-smale", "kappa": 1.0, "beta":
     ("simulate", dict(SCENARIO, flock_tol=0), [], "error: flock_tol must be positive, got 0\n"),
     ("sweep", dict(DISCRETE, flock_tol=-1e-6), ["--axis", "beta=0.1:0.2:2"],
      "error: flock_tol must be positive, got -1e-06\n"),
+    # 0 ran unnormalized, and 1e-320 certified with kappa = inf
+    ("check-condition", dict(SCENARIO, weight=dict(SCENARIO["weight"], normalize_by=0)), [],
+     "error: normalize_by must be positive and leave kappa / normalize_by positive and "
+     "finite, got 0\n"),
+    ("check-condition", dict(SCENARIO, weight=dict(SCENARIO["weight"], normalize_by=1e-320)),
+     [], "error: normalize_by must be positive and leave kappa / normalize_by positive and "
+     "finite, got 1e-320\n"),
 ], ids=["gate-check", "gate-simulate", "nan-position", "blow-up", "negative-dt",
         "zero-horizon", "missing-arcs", "malformed-json", "directory", "string-beta",
         "one-vertex-arc", "huge-integer", "discrete-negative-horizon",
@@ -248,7 +255,8 @@ HUGE_RHO = dict(FAR_APART, weight={"type": "cucker-smale", "kappa": 1.0, "beta":
         "sweep-fractional-tau-discrete", "sweep-tau-steps-discrete", "sweep-h-continuous",
         "negative-rho-check", "very-negative-rho-check", "zero-rho-check",
         "negative-rho-simulate", "underflowing-psi-check", "underflowing-psi-discrete",
-        "negative-flock-tol", "zero-flock-tol", "negative-flock-tol-sweep"])
+        "negative-flock-tol", "zero-flock-tol", "negative-flock-tol-sweep",
+        "zero-normalize-by", "subnormal-normalize-by"])
 def test_bad_input_exits_2_with_one_line(command, raw, flags, message, tmp_path, capsys):
     # raw is a scenario object, or the name of a file under tmp_path
     (tmp_path / "bad.json").write_text('{"graph": \n !')
@@ -263,15 +271,15 @@ def test_bad_input_exits_2_with_one_line(command, raw, flags, message, tmp_path,
 
 def test_signed_zero_velocities_pin_the_diameter_bytes(tmp_path, capsys):
     # every agent starts at velocity (-0.0, 0.0): the window at t = 0 holds only the
-    # history's zeros, whose extremes keep their sign; from t = dt every velocity
-    # is +0.0 (-0.0 + 0.0), and each later window's extremes print as 0
+    # history's zeros, from t = dt every velocity is +0.0 (-0.0 + 0.0), and a zero
+    # window extreme is +0, so every extreme prints as 0
     raw = dict(SCENARIO, velocities=[[-0.0, 0.0]] * 4, t_end=2.0)
     assert main(["simulate", _file(tmp_path, raw), "--out", str(tmp_path / "out")]) == EXIT_OK
     capsys.readouterr()
     rows = "".join("%.17g,0,0,0,0,0,0,0\n" % (k * 0.05) for k in range(1, 41))
     assert (tmp_path / "out" / "scenario.json_diameters.csv").read_bytes() == (
         "# delayflock-csv v1\nt,D,D1,D2,vbar1,vbar2,vund1,vund2\n"
-        "0,0,0,0,-0,0,-0,0\n" + rows).encode()
+        "0,0,0,0,0,0,0,0\n" + rows).encode()
 
 
 def test_graph_too_large_to_allocate_exits_2(tmp_path, capsys, monkeypatch):

@@ -890,17 +890,23 @@ class TestDiameters:
 
 
 def _same_series(series, ref):
-    """A DiameterSeries against diameters_reference's tuple, byte for byte."""
+    """A DiameterSeries against diameters_reference's tuple, byte for byte,
+    its extremes and spreads plus 0.0: a zero extreme is +0."""
+    times, *values = ref
     for got, want in zip((series.times, series.vbar, series.vund, series.spread_k,
-                          series.spread), ref):
+                          series.spread), [times] + [v + 0.0 for v in values]):
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+
+def _negative_zeros(*arrays):
+    return sum(int((np.signbit(a) & (a == 0)).sum()) for a in arrays)
 
 
 class TestWindowDiagnostics:
     """The O(M) window extrema and the segment extrema solved only where a
     root lies, bit for bit against the dense and sliding references in
-    oracles.py, signed zeros included."""
+    oracles.py plus 0.0 (a zero extreme is +0), signed zeros included."""
 
     SIGNED = np.array([-1.0, -0.0, 0.0, 1.0])
 
@@ -914,31 +920,52 @@ class TestWindowDiagnostics:
                    else rng.normal(size=(m, d)) * 10.0 ** rng.integers(-3, 4))
             for fold, reduce_fn in ((np.maximum, np.max), (np.minimum, np.min)):
                 got = dde._trailing_extreme(arr, win, fold)
-                assert got.tobytes() == trailing_extreme_reference(arr, win, reduce_fn).tobytes()
+                want = trailing_extreme_reference(arr, win, reduce_fn) + 0.0
+                assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("zero", [0.0, -0.0, "mixed"])
     def test_zero_column_takes_the_sliding_reduction(self, zero):
+        # a column of zeros beside two random ones: every extreme of it is +0
         rng = np.random.default_rng(1)
         arr = np.column_stack([rng.normal(size=120), np.zeros(120), rng.normal(size=120)])
         arr[:, 1] = rng.choice([0.0, -0.0], size=120) if zero == "mixed" else zero
         for win in (0, 1, 8, 9, 50):
             for fold, reduce_fn in ((np.maximum, np.max), (np.minimum, np.min)):
                 got = dde._trailing_extreme(arr, win, fold)
-                assert got.tobytes() == trailing_extreme_reference(arr, win, reduce_fn).tobytes()
-        # one column of -0.0 and 0.0 alone: at win 8 the block extremes pick
-        # another zero than the window reduction does
+                want = trailing_extreme_reference(arr, win, reduce_fn) + 0.0
+                assert got.tobytes() == want.tobytes()
+                assert _negative_zeros(got) == 0
+        # one column of -0.0 and 0.0 alone: at win 8 the block extremes and the
+        # window reduction pick different zeros, which both become +0
         all_zero = np.full((60, 1), -0.0)
         all_zero[::7] = 0.0
         for win in (1, 7, 8, 9, 50):
             for fold, reduce_fn in ((np.maximum, np.max), (np.minimum, np.min)):
                 assert (dde._trailing_extreme(all_zero, win, fold).tobytes()
-                        == trailing_extreme_reference(all_zero, win, reduce_fn).tobytes())
+                        == np.zeros((60, 1)).tobytes()
+                        == (trailing_extreme_reference(all_zero, win, reduce_fn)
+                            + 0.0).tobytes())
+
+    def test_a_column_folds_alike_alone_and_beside_others(self):
+        # numpy's window reduction gives a column of -0.0 and 0.0 another zero
+        # beside two other columns than alone; the stated +0 does not depend on d
+        rng = np.random.default_rng(5)
+        for case in range(40):
+            m = int(rng.integers(1, 200))
+            arr = rng.choice(self.SIGNED, size=(m, 3))
+            arr[:, 1] = rng.choice([0.0, -0.0], size=m) if case % 2 else arr[:, 1]
+            for win in (0, 1, 7, 8, 9, 50):
+                for fold in (np.maximum, np.minimum):
+                    alone = dde._trailing_extreme(arr[:, 1:2], win, fold)
+                    beside = dde._trailing_extreme(arr, win, fold)
+                    assert alone[:, 0].tobytes() == beside[:, 1].tobytes()
 
     @pytest.mark.parametrize("n, d", [(9, 1), (17, 1), (4, 2), (200, 2)])
     def test_agent_extremes_of_signed_zeros(self, n, d):
         # rows of -0.0 and 0.0 alone, and rows that also hold -1 or 1, in a
         # (x, v) table's velocity view; a strided (9, 1) view's reduction
-        # picks another zero than the same rows copied out do
+        # picks another zero than the same rows copied out do, and either
+        # becomes +0 once 0.0 is added, as the trailing fold adds it
         rng = np.random.default_rng(n)
         ys = rng.choice([-0.0, 0.0], size=(40, n, 2, d))
         ys[::3, 0, 1] = rng.choice([-1.0, 1.0], size=(14, d))
@@ -948,8 +975,10 @@ class TestWindowDiagnostics:
         nans[::5, -1, 1] = np.where(rng.random((8, d)) < 0.5, np.nan, -np.nan)
         for vs in (traj.vs, traj.vs.copy(), nans[:, :, 1]):
             for fold, reduce_fn in ((np.maximum, np.max), (np.minimum, np.min)):
-                assert (dde._agent_extreme(vs, fold).tobytes()
-                        == reduce_fn(vs, axis=1).tobytes())
+                got, want = dde._agent_extreme(vs, fold) + 0.0, reduce_fn(vs, axis=1) + 0.0
+                nan = np.isnan(want)   # any nan in a row is its extreme, of either sign
+                assert (np.isnan(got) == nan).all()
+                assert got[~nan].tobytes() == want[~nan].tobytes()
         for tau in (0, 3):
             _same_series(discrete_diameters(traj, tau), diameters_reference(traj, tau))
 
@@ -1021,6 +1050,30 @@ class TestWindowDiagnostics:
             hist = InitialHistory.constant(FIG_X0, v0, tau=float(tau))
             traj = simulate_discrete(hist, g, w, p, t_end=40, h=0.1)
             _same_series(discrete_diameters(traj, tau), diameters_reference(traj, tau))
+
+    def test_no_negative_zero_in_either_model(self):
+        # velocities of -0.0 and 0.0 whose second component stays zero throughout
+        g = Digraph.from_arc_list(4, FIG_ARCS, one_based=True)
+        w = WeightFunction(kind="cucker-smale", kappa=1.0, beta=0.5)
+        v0 = np.column_stack([0.3 * FIG_V0[:, 0], [-0.0, 0.0, -0.0, -0.0]])
+        still = np.full((4, 2), -0.0)
+        for v in (v0, still):
+            traj = integrate(InitialHistory.constant(FIG_X0, v, tau=1.0), g, w,
+                             DelayProfile.constant(1.0), t_end=2.0, dt=0.05)
+            steps = simulate_discrete(InitialHistory.constant(FIG_X0, v, tau=2.0), g, w,
+                                      DelayProfile.constant(2.0), t_end=20, h=0.1)
+            for series in (diameters(traj, 1.0), discrete_diameters(steps, 2)):
+                assert (series.vbar[:, 1] == 0).all()
+                assert _negative_zeros(series.vbar, series.vund, series.spread_k,
+                                       series.spread) == 0
+
+    @pytest.mark.parametrize("tau", [-0.5, -0.05, np.nan, np.inf, -np.inf])
+    def test_window_length_not_finite_and_nonnegative_raises(self, tau):
+        g, w, p, hist = fig_setup(scale=0.01)
+        traj = integrate(hist, g, w, p, t_end=1.0, dt=0.1)
+        with pytest.raises(IntegrationError,
+                           match=f"window length tau must be nonnegative and finite, got {tau}"):
+            diameters(traj, tau=tau)
 
     def test_window_one_past_the_history_raises(self):
         g, w, p, hist = fig_setup(scale=0.01)

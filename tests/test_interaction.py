@@ -44,6 +44,13 @@ class TestWeightEval:
         w = WeightFunction(kind="cucker-smale", kappa=1.0, beta=0.0, normalize_by=4)
         assert w(3.0) == pytest.approx(0.25)
 
+    @pytest.mark.parametrize("normalize_by", [0, -4, math.nan, math.inf, 1e-320],
+                             ids=["zero", "negative", "nan", "inf", "subnormal"])
+    def test_normalizer_refused_unless_it_leaves_a_finite_positive_kappa(self, normalize_by):
+        # 0 was taken as no normalization; 1e-320 made kappa / normalize_by inf
+        with pytest.raises(AdmissibilityError, match="normalize_by must be positive"):
+            WeightFunction(kind="cucker-smale", kappa=1.0, beta=0.5, normalize_by=normalize_by)
+
     def test_batch_sharing_one_tabulated_weight_interpolates_once(self):
         # the batch's psi is the member's own call: one np.interp a stage,
         # no power evaluated on lanes the table then overwrites
@@ -136,6 +143,19 @@ class TestDelayEval:
         # split it into words and draw from them instead of failing
         with pytest.raises(AdmissibilityError, match="seed -1 is negative"):
             DelayProfile(kind="piecewise-random", tau_max=1.0, high=1.0, seed=-1)
+
+    @pytest.mark.parametrize("kw, field", [
+        (dict(kind="constant", tau_max=math.nan), "tau_max"),
+        (dict(kind="zero", tau_max=math.inf), "tau_max"),
+        (dict(kind="sinusoidal", tau_max=1.0, mean=math.nan, amplitude=0.1), "mean"),
+        (dict(kind="sinusoidal", tau_max=1.0, mean=0.5, amplitude=math.inf), "amplitude"),
+        (dict(kind="piecewise-random", tau_max=1.0, high=1.0, hold=math.nan), "hold")],
+        ids=["nan-tau-max", "inf-tau-max", "nan-mean", "inf-amplitude", "nan-hold"])
+    def test_non_finite_field_refused_by_name(self, kw, field):
+        # each was accepted and failed later in the integrator, or, an infinite
+        # amplitude, was refused as a sinusoid that "dips below zero"
+        with pytest.raises(AdmissibilityError, match=f"^{field}"):
+            DelayProfile(**kw)
 
 
 def _lags_read(p, t_end=20):
