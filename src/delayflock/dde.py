@@ -10,16 +10,16 @@ a sample time bends it: there the gap is at most (4/27) * dt times the
 jump in slope.  Lookups slightly ahead of the last fully-specified
 segment (delays smaller than the step) extrapolate that segment.
 
-The state (x, v) is one array: a stage takes one (x, v) difference per
-arc (``edge_forces``) and writes its slope into a buffer, and a step
-updates in place.  Delays are planned a chunk of stages at a time, and
-the stages whose rows are committed are looked up in one call: on agent
-rows when every arc shares the delay (zero, constant, sinusoidal), on
-arc rows when each arc has its own (piecewise-random, held over an
-interval); both give the per-arc lookup's numbers, bit for bit.  The
-two midpoint stages of a step share their time and delays, so they
-read one looked-up row, and a lookup finds its grid segment by
-arithmetic on the uniform grid, not by search.
+The state (x, v) is one array, a row of agents per component: a stage
+takes one (x, v) difference per arc (``edge_forces``) and writes its
+slope into a buffer, and a step updates in place.  Delays are planned a
+chunk of stages at a time, and the stages whose rows are committed are
+looked up in one call: on agent rows when every arc shares the delay
+(zero, constant, sinusoidal), on arc rows when each arc has its own
+(piecewise-random, held over an interval); both give the per-arc
+lookup's numbers, bit for bit.  The two midpoint stages of a step share
+their time and delays, so they read one looked-up row, and a lookup
+finds its grid segment by arithmetic on the uniform grid, not by search.
 
 Also provides the windowed velocity-spread diagnostics: per-component
 extrema over the trailing window [t - tau, t] in O(M) for M grid rows,
@@ -165,19 +165,19 @@ class Trajectory:
 
 
 def blowup_guard(history_vs, members: int):
-    """Both models' blow-up check of a velocity row at time t, for
-    ``members`` equal-sized members with history velocities (K, rows, d);
-    a NaN or inf fails it too.  A row within the smallest member limit
+    """Both models' blow-up check of a (d, rows) velocity row at time t, for
+    ``members`` equal runs of rows, with history velocities (K, d, rows); a
+    NaN or inf fails it too.  A row within the smallest member limit
     passes on one reduction; any other is checked member by member."""
     with np.errstate(over="ignore"):   # a limit past the largest float is that float
-        limit = np.minimum(BLOWUP_FACTOR * np.maximum(np.abs(history_vs).reshape(
-            len(history_vs), members, -1).max(axis=(0, 2)), 1.0), np.finfo(float).max)
+        limit = np.minimum(BLOWUP_FACTOR * np.maximum(np.abs(history_vs).max(axis=0).reshape(
+            history_vs.shape[1], members, -1).max(axis=(0, 2)), 1.0), np.finfo(float).max)
     least = limit.min()
 
     def check(v, t):
         if (speed := np.abs(v)).max() <= least:
             return
-        ok = speed.reshape(members, -1).max(axis=1) <= limit
+        ok = speed.reshape(len(speed), members, -1).max(axis=(0, 2)) <= limit
         if not ok.all():
             raise IntegrationError(f"solution blew up at t = {t:g}", member=int(ok.argmin()))
     return check
@@ -236,15 +236,15 @@ def _hermite_rows(table, rows, step, weights, jump):
     vals and slopes are indexed on axis 0: a segment runs from row
     ``rows`` to row rows + step, read with basis ``weights``, broadcast
     together.  The right-end slope is fix_val where ``jump`` (the
-    derivative jumps where prescribed history meets the dynamics)."""
+    derivative jumps where prescribed history meets the dynamics); right
+    ends are read at ``rows`` past the first step rows, on one index."""
     vals, slopes, fix_val = table
     h00, h10, h01, h11 = weights
-    right = rows + step
-    m1 = slopes.take(right, axis=0)
+    m1 = slopes[step:].take(rows, axis=0)
     if np.any(jump):
         np.copyto(m1, fix_val, where=jump)
     return (h00 * vals.take(rows, axis=0) + h10 * slopes.take(rows, axis=0)
-            + h01 * vals.take(right, axis=0) + h11 * m1)
+            + h01 * vals[step:].take(rows, axis=0) + h11 * m1)
 
 
 def _stage_plan(times, n_hist: int, dt: float, at, members: int, first: int, stop: int):
@@ -256,7 +256,7 @@ def _stage_plan(times, n_hist: int, dt: float, at, members: int, first: int, sto
     it opens the chunk.  Per distinct row: its time and index, its delays
     from ``at`` (an (S, 1) array when every arc shares them, else one
     (members * E,) array per row, the same object over a hold interval),
-    the (members * E, 1, 1) mask of its arcs at delay 0 (None if no arc
+    the (members * E,) mask of its arcs at delay 0 (None if no arc
     is, or all share one delay), its shortest nonzero delay (0 if none)
     and the farthest segment it reads, that delay's; then each stage's row.
     """
@@ -277,7 +277,7 @@ def _stage_plan(times, n_hist: int, dt: float, at, members: int, first: int, sto
         for d in taus:
             if id(d) not in held:
                 tiled = np.tile(d, members)
-                held[id(d)] = (tiled, None if d.all() else (tiled == 0.0)[:, None, None],
+                held[id(d)] = (tiled, None if d.all() else tiled == 0.0,
                                np.min(d, where=d != 0.0, initial=d.max(initial=0.0)))
         tau, zero, short = zip(*(held[id(d)] for d in taus))
         short = np.array(short)
@@ -285,27 +285,29 @@ def _stage_plan(times, n_hist: int, dt: float, at, members: int, first: int, sto
             np.cumsum(fresh) - 1)
 
 
-def receiver_bins(ei, d: int):
-    """The bin ei[e] * d + k of component k of arc e's receiver, edge_forces' scatter index."""
-    return (ei[:, None] * d + np.arange(d)).ravel()
+def receiver_bins(ei, n: int, d: int):
+    """The bin k * n + ei[e] of component k of arc e's receiver, edge_forces' scatter index."""
+    return (np.arange(d)[:, None] * n + ei).ravel()
 
 
 def edge_forces(own, delayed, bins, w: WeightFunction, out):
     """Alignment forces summed per receiver over the arc list.
 
-    Row e of the (E, 2, d) inputs belongs to the arc ej[e] -> ei[e]: the
-    receiver's own (x, v) and the sender's delayed (x, v); ``bins`` is
-    receiver_bins(ei, d).  Writes to row i of the (n, d) ``out`` the sum
-    over arcs into i of psi(|x_delayed - x_i|) * (v_delayed - v_i),
-    added to 0.0 in arc order, as np.add.at into zeros.
+    Column e of the (2, d, E) inputs, x rows then v rows, belongs to the
+    arc ej[e] -> ei[e]: the receiver's own (x, v) and the sender's
+    delayed (x, v); ``bins`` is receiver_bins(ei, n, d).  Writes to
+    column i of the (d, n) ``out`` the sum over arcs into i of
+    psi(|x_delayed - x_i|) * (v_delayed - v_i), added to 0.0 in arc
+    order, as np.add.at into zeros.
     """
     diff = delayed - own
     # only positions are squared: a velocity gap past 1e154 must not overflow
-    sq = np.square(diff[:, 0])
-    # numpy's reduction adds fewer than 8 terms left to right, as these column adds do
-    r = np.sqrt(functools.reduce(np.add, sq.T) if sq.shape[1] < 8 else np.add.reduce(sq, axis=1))
-    out[...] = np.bincount(bins, (w(r)[:, None] * diff[:, 1]).ravel(),
-                           out.size).reshape(out.shape)
+    sq = np.square(diff[0])
+    # numpy reduces fewer than 8 terms left to right, as these row adds do, and more
+    # pairwise, here on an arc-major copy, as the reference reduces its (E, d) rows
+    r = np.sqrt(functools.reduce(np.add, sq) if len(sq) < 8
+                else np.add.reduce(np.ascontiguousarray(sq.T), axis=1))
+    out[...] = np.bincount(bins, (w(r) * diff[1]).ravel(), out.size).reshape(out.shape)
 
 
 def integrate(history: InitialHistory | Sequence[InitialHistory], g: Digraph,
@@ -336,22 +338,24 @@ def integrate(history: InitialHistory | Sequence[InitialHistory], g: Digraph,
     for h in hists:
         check_history(h, (n, d), p)
     tau = max(p.tau_max, *(h.tau for h in hists))
-    check_grid(tau / dt + t_end / dt, (B * n, 2, d))
+    check_grid(tau / dt + t_end / dt, (2, d, B * n))
     # any positive delay gets a history step, however short
     n_hist = max(1, math.ceil(tau / dt - 1e-12)) if tau > 0 else 0
     n_steps = int(math.ceil(t_end / dt - 1e-12))
     M = n_hist + n_steps + 1
     nb = B * n
     times = (np.arange(M) - n_hist) * dt
-    # ys[k, agent] = (x, v) and dys its time derivative (dx, dv)
-    ys, dys = np.empty((M, nb, 2, d)), np.zeros((M, nb, 2, d))
+    # ys[k] = (x, v) and dys[k] its time derivative (dx, dv), each a (2, d, agents) table,
+    # and their (M, 2, agents, d) views
+    ys, dys = np.empty((M, 2, d, nb)), np.zeros((M, 2, d, nb))
+    y_t, dy_t = ys.swapaxes(2, 3), dys.swapaxes(2, 3)
     members = [slice(b * n, (b + 1) * n) for b in range(B)]
     for sl, h in zip(members, hists):
-        (ys[: n_hist + 1, sl, 0], ys[: n_hist + 1, sl, 1],
-         dys[: n_hist + 1, sl, 0], dys[: n_hist + 1, sl, 1]) = h.eval(times[: n_hist + 1])
+        (y_t[: n_hist + 1, 0, sl], y_t[: n_hist + 1, 1, sl],
+         dy_t[: n_hist + 1, 0, sl], dy_t[: n_hist + 1, 1, sl]) = h.eval(times[: n_hist + 1])
     # the history side of t = 0; the dynamics side replaces row n_hist
     hist_end = dys[n_hist].copy()
-    check_blowup = blowup_guard(ys[: n_hist + 1, :, 1], B)
+    check_blowup = blowup_guard(ys[: n_hist + 1, 1], B)
 
     ei, ej = g.arc_list
     n_arcs = len(ei)
@@ -359,13 +363,14 @@ def integrate(history: InitialHistory | Sequence[InitialHistory], g: Digraph,
     at = p.on_edges(ei, ej)
     offset = np.repeat(np.arange(B) * n, n_arcs)
     ei, ej = np.tile(ei, B) + offset, np.tile(ej, B) + offset
-    bins, psi = receiver_bins(ei, d), batch_weight(ws, n_arcs)
+    bins, psi = receiver_bins(ei, nb, d), batch_weight(ws, n_arcs)
     # a delay every arc shares (one, or none for no arcs) is looked up on agent
     # rows, and each stage gathers its arcs from them; per-arc delays on arc rows
     shared = np.ndim(at(0.0)) == 0 or len(ej) <= 1
     cols = np.arange(nb) if shared else ej
-    # lookups gather flat rows: time index * nb + column
-    flat = ys.reshape(M * nb, 2, d), dys.reshape(M * nb, 2, d), hist_end.take(cols, axis=0)
+    # lookups gather flat elements (time index * 2d + component) * nb + column
+    row_size, lanes = 2 * d * nb, np.arange(2 * d)[:, None] * nb + cols
+    flat = ys.reshape(-1), dys.reshape(-1), hist_end.reshape(-1).take(lanes)
     # stages are planned a chunk at a time and looked up a block at a time, never
     # past the chunk's end; either holds at most LOOKUP_BLOCK_ROWS rows
     span = max(1, LOOKUP_BLOCK_ROWS // len(cols))
@@ -384,7 +389,7 @@ def integrate(history: InitialHistory | Sequence[InitialHistory], g: Digraph,
         ts, his, tau_s, zero, short, shortest, row, ends = plan
         c = row[k - first]
         if shortest[c] == 0.0:
-            yd = y.take(ej, axis=0)
+            yd = y.take(ej, axis=-1)
         else:
             if c >= hi:
                 lo, hi = c, ends[c]
@@ -392,19 +397,19 @@ def integrate(history: InitialHistory | Sequence[InitialHistory], g: Digraph,
                 # an arc at delay 0 reads y; its lane looks up the row's shortest delay
                 s = np.minimum(s - np.array(tau_s[lo:hi]), s - short[lo:hi, None])
                 a = _grid_segment(times, s, dt, n_hist, his[lo:hi, None])
-                block = _hermite_rows(flat, a * nb + cols, nb,
-                                      [b[..., None, None] for b in _hermite_basis(times, s, a)],
-                                      (a + 1 == n_hist)[..., None, None])
-            yd = block[c - lo]
+                block = _hermite_rows(flat, a[:, None] * row_size + lanes, row_size,
+                                      [b[:, None] for b in _hermite_basis(times, s, a)],
+                                      (a + 1 == n_hist)[:, None])
+            yd = block[c - lo].reshape(2, d, -1)
             if shared:
-                yd = yd.take(ej, axis=0)
+                yd = yd.take(ej, axis=-1)
             elif zero[c] is not None:
-                yd = np.where(zero[c], y.take(ej, axis=0), yd)
-        out[:, 0] = y[:, 1]
-        edge_forces(y.take(ei, axis=0), yd, bins, psi, out[:, 1])
+                yd = np.where(zero[c], y.take(ej, axis=-1), yd)
+        out[0] = y[1]
+        edge_forces(y.take(ei, axis=-1), yd, bins, psi, out[1])
 
     # k1 goes into dys; y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4) runs as written, in place
-    k2, k3, k4, yk = (np.empty((nb, 2, d)) for _ in range(4))
+    k2, k3, k4, yk = (np.empty((2, d, nb)) for _ in range(4))
     for idx in range(n_hist, M - 1):
         y, k1, k = ys[idx], dys[idx], 4 * (idx - n_hist)
         stage_rhs(k, y, k1)
@@ -415,12 +420,13 @@ def integrate(history: InitialHistory | Sequence[InitialHistory], g: Digraph,
         np.add(k2, np.multiply(2, k3, out=k3), out=k2)
         np.multiply(dt / 6, np.add(k2, k4, out=k2), out=k2)
         np.add(y, k2, out=ys[idx + 1])
-        check_blowup(ys[idx + 1, :, 1], times[idx + 1])
+        check_blowup(ys[idx + 1, 1], times[idx + 1])
     # final slope so dense output covers the last segment
     stage_rhs(4 * n_steps, ys[-1], dys[-1])
-    trajs = [Trajectory(times=times, xs=ys[:, sl, 0], vs=ys[:, sl, 1], dt=dt, n_hist=n_hist,
-                        dvs=dys[:, sl, 1], dxs=dys[:, sl, 0], hist_end_slope=hist_end[sl, 1],
-                        hist_end_xslope=hist_end[sl, 0]) for sl in members]
+    trajs = [Trajectory(times=times, xs=y_t[:, 0, sl], vs=y_t[:, 1, sl], dt=dt, n_hist=n_hist,
+                        dvs=dy_t[:, 1, sl], dxs=dy_t[:, 0, sl],
+                        hist_end_slope=hist_end[1, :, sl].T,
+                        hist_end_xslope=hist_end[0, :, sl].T) for sl in members]
     return trajs[0] if single else trajs
 
 
@@ -448,7 +454,8 @@ def _segment_extrema(vals, slopes, dt, fix_idx=None, fix_val=None):
     Roots are solved where the discriminant is positive, the cubic read
     at those inside (0, 1): each entry as the dense evaluation gives it.
     """
-    vals = np.ascontiguousarray(vals)   # every table below is indexed flat
+    # every table below is indexed flat, and reads fastest C-ordered
+    vals, slopes = np.ascontiguousarray(vals), np.ascontiguousarray(slopes)
     p0, p1 = vals[:-1], vals[1:]
     m0, m1 = slopes[:-1] * dt, slopes[1:] * dt
     if fix_idx is not None and fix_idx >= 1:
@@ -512,7 +519,7 @@ def diameters(traj: Trajectory, tau: float) -> DiameterSeries:
         win += 1
     if win > traj.n_hist:
         raise IntegrationError("window reaches before the trajectory start")
-    vs = traj.vs
+    vs = np.ascontiguousarray(traj.vs)   # a C-ordered copy of the view: faster to fold
     g_max = _agent_extreme(vs, np.maximum)   # (M, d) over agents
     g_min = _agent_extreme(vs, np.minimum)
     if traj.dvs is not None and win > 0:

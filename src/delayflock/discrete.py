@@ -36,29 +36,33 @@ def simulate_discrete(history: InitialHistory, g: Digraph, w: WeightFunction,
                       p: DelayProfile, t_end: int, h: float,
                       unsafe_h: bool = False) -> Trajectory:
     """Run the recursion for t_end steps from the history's states at steps
-    -tau .. 0, on one (x, v) array with the forces of ``edge_forces``;
-    returns a sample-only Trajectory on the integer step grid {-tau, ...,
-    t_end}, or raises IntegrationError at a blow-up."""
+    -tau .. 0, on one component-major (x, v) array with the forces of
+    ``edge_forces``; returns a sample-only Trajectory on the integer step
+    grid {-tau, ..., t_end}, or raises IntegrationError at a blow-up."""
     if t_end < 0:
         raise ValueError(f"t_end must be nonnegative, got {t_end}")
     check_gate(w.effective_kappa, h, g.max_in_degree, unsafe=unsafe_h)
     check_history(history, (g.n_vertices, history.dim), p)
-    tau = p.integer_tau_max
-    check_grid(tau + t_end, (g.n_vertices, 2, history.dim))
+    tau, n, d = p.integer_tau_max, g.n_vertices, history.dim
+    check_grid(tau + t_end, (2, d, n))
     times = np.arange(-tau, t_end + 1, dtype=float)
-    ys = np.empty((len(times), g.n_vertices, 2, history.dim))
-    ys[: tau + 1, :, 0], ys[: tau + 1, :, 1], _, _ = history.eval(times[: tau + 1])
-    check_blowup = blowup_guard(ys[: tau + 1, :, 1], 1)
+    ys = np.empty((len(times), 2, d, n))   # (x, v) rows of agents, as integrate's
+    y_t = ys.swapaxes(2, 3)                # and its (M, 2, N, d) view
+    y_t[: tau + 1, 0], y_t[: tau + 1, 1], _, _ = history.eval(times[: tau + 1])
+    check_blowup = blowup_guard(ys[: tau + 1, 1], 1)
     ei, ej = g.arc_list
-    delay_at, bins = p.on_edges(ei, ej), receiver_bins(ei, history.dim)
+    delay_at, bins = p.on_edges(ei, ej), receiver_bins(ei, n, d)
+    lanes = np.arange(2 * d)[:, None] * n + ej   # per-arc lags gather flat elements
     for k in range(t_end):
         y, step = ys[tau + k], ys[tau + k + 1]   # the slope (v, dv) goes into the next row
         back = tau + k - np.rint(delay_at(k)).astype(np.intp)   # one lag, or one per arc
-        step[:, 0] = y[:, 1]
-        edge_forces(y.take(ei, axis=0), ys[back, ej], bins, w, step[:, 1])
+        delayed = (ys[back].take(ej, axis=-1) if back.ndim == 0
+                   else ys.reshape(-1).take(back * (2 * d * n) + lanes).reshape(2, d, -1))
+        step[0] = y[1]
+        edge_forces(y.take(ei, axis=-1), delayed, bins, w, step[1])
         np.add(y, np.multiply(h, step, out=step), out=step)   # x + h v, v + h dv
-        check_blowup(step[:, 1], k + 1)
-    return Trajectory(times=times, xs=ys[:, :, 0], vs=ys[:, :, 1], dt=1.0, n_hist=tau)
+        check_blowup(step[1], k + 1)
+    return Trajectory(times=times, xs=y_t[:, 0], vs=y_t[:, 1], dt=1.0, n_hist=tau)
 
 
 def discrete_diameters(traj: Trajectory, tau: int) -> DiameterSeries:

@@ -63,6 +63,18 @@ def _first_outputs(entropy):
     return x >> rot | x << ((64 - rot) & 63)
 
 
+def _refuse_past_float(obj, names, finite=()):
+    """Refuse by name a field of obj past the float range (an int, which would pass
+    the bounds and overflow the first float operation), or one in finite that is not finite."""
+    for name in names:
+        try:
+            value = np.asarray(getattr(obj, name), dtype=float)
+        except OverflowError:
+            raise AdmissibilityError(f"{name} is past the float range") from None
+        if name in finite and not np.isfinite(value):
+            raise AdmissibilityError(f"{name} must be finite, got {getattr(obj, name)}")
+
+
 @dataclass(frozen=True)
 class WeightFunction:
     """Bounded non-increasing communication weight psi.
@@ -88,6 +100,7 @@ class WeightFunction:
     normalize_by: int | None = None
 
     def __post_init__(self):
+        _refuse_past_float(self, ("kappa", "beta", "normalize_by", "table_r", "table_v"))
         if not 0 < self.kappa < np.inf:
             raise AdmissibilityError(f"kappa must be positive and finite, got {self.kappa}")
         if (nb := self.normalize_by) is not None and not (nb > 0 and 0 < self.kappa / nb < np.inf):
@@ -227,9 +240,8 @@ class DelayProfile:
     integer_valued: bool = False
 
     def __post_init__(self):
-        for name in ("tau_max", "mean", "amplitude"):
-            if not math.isfinite(getattr(self, name)):
-                raise AdmissibilityError(f"{name} must be finite, got {getattr(self, name)}")
+        _refuse_past_float(self, ("tau_max", "value", "mean", "amplitude", "period", "hold",
+                                  "low", "high"), finite=("tau_max", "mean", "amplitude"))
         if self.tau_max < 0:
             raise AdmissibilityError("tau_max must be nonnegative")
         if self.kind == "constant":

@@ -47,6 +47,27 @@ CLIPPING_SINUSOID = DelayProfile(kind="sinusoidal", tau_max=1.0, mean=0.3,
                                  amplitude=0.3 + 1e-13, period=0.4)
 
 
+def component_major(rows):
+    """(E, 2, d) arc rows (x, v) as the (2, d, E) table edge_forces reads."""
+    return np.ascontiguousarray(np.moveaxis(rows, 0, -1))
+
+
+# the ROADMAP accuracy table's delays on fig3-digraph's data: (delay, the least order of
+# each halving of dt, the least order over both halvings)
+ORDER_CASES = {
+    "constant-whole-steps": (DelayProfile.constant(1.0), 3.7, 3.7),
+    "constant-off-grid": (DelayProfile.constant(0.37, tau_max=1.0), 1.7, 1.7),
+    "sinusoidal": (DelayProfile(kind="sinusoidal", tau_max=1.0, mean=0.3, amplitude=0.25,
+                                period=1.3), 0.0, 1.5),
+    "random-hold-100": (DelayProfile(kind="piecewise-random", tau_max=1.0, high=1.0, seed=0,
+                                     hold=100.0), 0.0, 2.0),
+    "random-hold-0.5": (DelayProfile(kind="piecewise-random", tau_max=1.0, low=0.1, high=0.9,
+                                     seed=0, hold=0.5), 0.8, 0.8),
+    "random-integer-hold-0.5": (DelayProfile(kind="piecewise-random", tau_max=1.0, high=1.0,
+                                             seed=0, hold=0.5, integer_valued=True), 0.8, 0.8),
+}
+
+
 def fig_setup(scale=1.0, beta=0.25, tau=1.0):
     g = Digraph.from_arc_list(4, FIG_ARCS, one_based=True)
     w = WeightFunction(kind="cucker-smale", kappa=1.0, beta=beta)
@@ -62,9 +83,9 @@ class TestRhs:
     def test_single_agent_is_inert(self):
         g = Digraph.from_arc_list(1, [])
         w = WeightFunction(kind="constant", kappa=1.0)
-        none, dv = np.zeros((0, 2, 2)), np.zeros((1, 2))
-        edge_forces(none, none, receiver_bins(np.zeros(0, dtype=int), 2), w, dv)
-        assert np.array_equal(dv, [[0.0, 0.0]])
+        none, dv = np.zeros((2, 2, 0)), np.zeros((2, 1))
+        edge_forces(none, none, receiver_bins(np.zeros(0, dtype=int), 1, 2), w, dv)
+        assert np.array_equal(dv, [[0.0], [0.0]])
         hist = InitialHistory.constant([[1.0, 2.0]], [[3.0, 4.0]], tau=0.0)
         traj = integrate(hist, g, w, DelayProfile.zero(), t_end=1.0, dt=0.1)
         assert np.array_equal(traj.dvs, np.zeros_like(traj.dvs))
@@ -74,34 +95,34 @@ class TestRhs:
     def test_identical_velocities_give_zero(self):
         g = Digraph.complete(3)
         w = WeightFunction(kind="cucker-smale", kappa=2.0, beta=0.5)
-        y = np.array([[[0.0], [2.0]], [[1.0], [2.0]], [[5.0], [2.0]]])   # (x, v) rows
+        y = np.array([[[0.0, 1.0, 5.0]], [[2.0, 2.0, 2.0]]])   # x row, then v row
         ei, ej = g.arc_list
-        dv = np.zeros((3, 1))
-        edge_forces(y[ei], y[ej], receiver_bins(ei, 1), w, dv)
-        assert np.array_equal(dv, np.zeros((3, 1)))
+        dv = np.zeros((1, 3))
+        edge_forces(y[..., ei], y[..., ej], receiver_bins(ei, 3, 1), w, dv)
+        assert np.array_equal(dv, np.zeros((1, 3)))
 
     def test_two_agents_unit_weight(self):
         # coupled pair, kappa = 1 at any distance: dv_i = v_j - v_i, so the
         # velocity gap changes at the closed form's rate at t = 0
         g = Digraph.complete(2)
         w = WeightFunction(kind="constant", kappa=1.0)
-        y = np.array([[[0.0], [0.0]], [[1.0], [1.0]]])
+        y = np.array([[[0.0, 1.0]], [[0.0, 1.0]]])
         ei, ej = g.arc_list
-        dv = np.zeros((2, 1))
-        edge_forces(y[ei], y[ej], receiver_bins(ei, 1), w, dv)
-        assert np.array_equal(dv, [[1.0], [-1.0]])
+        dv = np.zeros((1, 2))
+        edge_forces(y[..., ei], y[..., ej], receiver_bins(ei, 2, 1), w, dv)
+        assert np.array_equal(dv, [[1.0, -1.0]])
         eps = 1e-6
         rate = (two_agent_ode_difference(eps, 1.0, 1.0)
                 - two_agent_ode_difference(-eps, 1.0, 1.0)) / (2 * eps)
-        assert dv[1, 0] - dv[0, 0] == pytest.approx(rate, rel=1e-9)
+        assert dv[0, 1] - dv[0, 0] == pytest.approx(rate, rel=1e-9)
 
     def test_delayed_lookup_used(self):
         # the force on receiver 0 uses the sender's delayed row ...
         w = WeightFunction(kind="constant", kappa=1.0)
-        dv = np.zeros((2, 1))
-        edge_forces(np.array([[[0.0], [1.0]]]), np.array([[[9.0], [4.0]]]),
-                    receiver_bins(np.array([0]), 1), w, dv)
-        assert np.array_equal(dv, [[3.0], [0.0]])
+        dv = np.zeros((1, 2))
+        edge_forces(np.array([[[0.0]], [[1.0]]]), np.array([[[9.0]], [[4.0]]]),
+                    receiver_bins(np.array([0]), 2, 1), w, dv)
+        assert np.array_equal(dv, [[3.0, 0.0]])
         # ... which integrate looks up tau back: until t = tau each agent
         # of the pair hears the other's constant history
         w = WeightFunction(kind="constant", kappa=0.7)
@@ -117,19 +138,20 @@ class TestRhs:
 
     @pytest.mark.parametrize("d", [1, 2, 3, 11])
     def test_kernel_matches_the_separate_rows_bit_for_bit(self, d):
-        # one (x, v) difference per arc, and the sum added into a strided view of
-        # the slope, give the separate rows' forces, bit for bit
+        # one (x, v) difference per arc on the component rows, and the sum written
+        # into the velocity rows of the slope, give the separate rows' forces, bit for bit
         rng = np.random.default_rng(d)
         g = matrix_digraph(random_rooted_arcs(rng, 30, 4))
         ei, ej = g.arc_list
         own, delayed = rng.normal(size=(2, len(ei), 2, d)) * [[[[1.0]]], [[[3.0]]]]
         w = WeightFunction(kind="cucker-smale", kappa=1.3, beta=0.3)
-        slope = np.zeros((30, 2, d))
-        edge_forces(own, delayed, receiver_bins(ei, d), w, slope[:, 1])
+        slope = np.zeros((2, d, 30))
+        edge_forces(component_major(own), component_major(delayed), receiver_bins(ei, 30, d),
+                    w, slope[1])
         want = edge_forces_reference(own[:, 0], delayed[:, 0], own[:, 1], delayed[:, 1],
                                      ei, w, 30)
-        assert slope[:, 1].tobytes() == want.tobytes()
-        assert not slope[:, 0].any()
+        assert slope[1].T.tobytes() == want.tobytes()
+        assert not slope[0].any()
 
     @pytest.mark.parametrize("d", [1, 2, 7, 8, 9])
     @pytest.mark.parametrize("n_arcs", [4, 1000, 40_000])
@@ -148,17 +170,18 @@ class TestRhs:
             delayed[rng.choice(np.flatnonzero(~quiet), 1 + n_arcs // 100),
                     rng.integers(0, 2), rng.integers(0, d)] = value
         w = WeightFunction(kind="cucker-smale", kappa=1.3, beta=0.3)
-        got = np.full((n, 2, d), 7.0)
+        got = np.full((2, d, n), 7.0)
         with np.errstate(invalid="ignore"):   # inf - inf and 0 * inf give nan, as intended
-            edge_forces(own, delayed, receiver_bins(ei, d), w, got[:, 1])
+            edge_forces(component_major(own), component_major(delayed),
+                        receiver_bins(ei, n, d), w, got[1])
             want = edge_forces_reference(own[:, 0], delayed[:, 0], own[:, 1], delayed[:, 1],
                                          ei, w, n)
         # bit for bit but for the sign of a nan: np.add.at itself takes either of two nans
         # of opposite sign, by the shape of its operands
-        nan = np.isnan(want)
-        assert (np.isnan(got[:, 1]) == nan).all() and nan.any()
-        assert got[:, 1][~nan].tobytes() == want[~nan].tobytes()
-        assert (got[:, 0] == 7.0).all()
+        nan, dv = np.isnan(want), got[1].T
+        assert (np.isnan(dv) == nan).all() and nan.any()
+        assert dv[~nan].tobytes() == want[~nan].tobytes()
+        assert (got[0] == 7.0).all()
         assert np.zeros(((n - 2) // 2 + 2, d)).tobytes() == np.concatenate(
             (want[: (n - 2) // 2], want[-2:])).tobytes()   # +0.0, not -0.0
 
@@ -166,10 +189,10 @@ class TestRhs:
         # a velocity gap of 1e200 squares past the largest float; only the position
         # gap is squared, so no overflow warning (an error in this suite) is raised
         w = WeightFunction(kind="constant", kappa=1.0)
-        dv = np.zeros((2, 1))
-        edge_forces(np.array([[[0.0], [0.0]]]), np.array([[[3.0], [1e200]]]),
-                    receiver_bins(np.array([0]), 1), w, dv)
-        assert dv.tolist() == [[1e200], [0.0]]
+        dv = np.zeros((1, 2))
+        edge_forces(np.array([[[0.0]], [[0.0]]]), np.array([[[3.0]], [[1e200]]]),
+                    receiver_bins(np.array([0]), 2, 1), w, dv)
+        assert dv.tolist() == [[1e200, 0.0]]
 
 
 class TestIntegrate:
@@ -260,6 +283,25 @@ class TestIntegrate:
             errs.append(np.abs(traj.state_at(2.0)[1] - vref).max())
         assert errs[0] / errs[1] > 12.0
 
+    @pytest.mark.parametrize("case", list(ORDER_CASES))
+    def test_convergence_order_by_delay_kind(self, case):
+        # the orders integrate reaches today, one delay kind a case, with a margin: each
+        # halving of dt from 0.025 to 0.00625 divides the largest |v| error at t = 2,
+        # against one run at dt = 0.00078125, by at least 2 ** each, and both halvings
+        # together by 4 ** overall.  Observed: 4.0 and 4.0 on a whole number of steps;
+        # 1.95 and 1.98 off the grid, where the slope jump at t = 0 comes back at
+        # t = tau, 2 tau, ...; 0.27 then 3.7 for the sinusoid and 0.22 then 5.3 for
+        # random delays held past the run's end (1.98 and 2.75 over both); 1.04 then
+        # 1.10 for random delays held 0.5, float or integer, whose jumps the steps
+        # ending on a hold boundary read a stage early
+        p, each, overall = ORDER_CASES[case]
+        g, w, _, hist = fig_setup()
+        vref = integrate(hist, g, w, p, t_end=2.0, dt=0.00078125).state_at(2.0)[1]
+        errs = np.array([np.abs(integrate(hist, g, w, p, t_end=2.0, dt=dt).state_at(2.0)[1]
+                                - vref).max() for dt in (0.025, 0.0125, 0.00625)])
+        orders = np.log2(errs[:-1] / errs[1:])
+        assert orders.min() > each and orders.mean() > overall, orders
+
 
 class TestBatch:
     """Members integrated as one block-diagonal system match lone runs."""
@@ -314,6 +356,33 @@ class TestBatch:
                     for a, b in zip(got.state_at(t), want.state_at(t)):
                         assert a.tobytes() == b.tobytes()
 
+    @pytest.mark.parametrize("d", [1, 3, 8, 9])
+    @pytest.mark.parametrize("p", [
+        DelayProfile.constant(0.3, tau_max=0.5),
+        DelayProfile(kind="piecewise-random", tau_max=0.5, high=0.5, seed=6, hold=0.3)],
+        ids=["shared-constant", "per-arc-random"])
+    def test_members_match_the_reference_in_any_dimension(self, p, d):
+        # three members of d-dimensional agents, their rows one column each in the
+        # component-major tables, against the allocating step on (M, N, 2, d) tables;
+        # from 8 dimensions on, the distances take numpy's pairwise reduction
+        rng = np.random.default_rng(d)
+        g = matrix_digraph(random_rooted_arcs(rng, 7, 3))
+        times = np.linspace(-0.5, 0.0, 6)
+        hists = [InitialHistory.constant(3 * rng.normal(size=(7, d)), rng.normal(size=(7, d)),
+                                         tau=0.5) for _ in range(2)]
+        hists.append(InitialHistory.from_samples(times, 3 * rng.normal(size=(6, 7, d)),
+                                                 rng.normal(size=(6, 7, d))))
+        ws = [WeightFunction(kind="cucker-smale", kappa=1.0, beta=b) for b in (0.25, 1.0, 0.6)]
+        batch = integrate(hists, g, ws, p, t_end=1.0, dt=0.05)
+        for h, w, got in zip(hists, ws, batch):
+            ys, dys, hist_end = rk4_reference(h, g, w, p, 1.0, 0.05)
+            for name, want in (("xs", ys[:, :, 0]), ("vs", ys[:, :, 1]),
+                               ("dxs", dys[:, :, 0]), ("dvs", dys[:, :, 1]),
+                               ("hist_end_xslope", hist_end[:, 0]),
+                               ("hist_end_slope", hist_end[:, 1])):
+                assert getattr(got, name).shape == want.shape, name
+                assert getattr(got, name).tobytes() == want.tobytes(), name
+
     def test_one_weight_serves_every_member(self):
         g, w, p, _ = fig_setup()
         hists, _ = self.members()
@@ -358,11 +427,11 @@ class TestBatch:
     @pytest.mark.parametrize("bad", [0, 1, 2])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_guard_names_a_member_with_a_nan_or_inf(self, bad, value):
-        history = np.ones((3, 12, 2))    # K = 3 rows, three members of four agents
+        history = np.ones((3, 2, 12))    # K = 3 rows of d = 2, three members of four agents
         check = blowup_guard(history, 3)
-        v = np.ones((12, 2))
+        v = np.ones((2, 12))
         check(v, 0.5)
-        v[4 * bad + 2, 1] = value
+        v[1, 4 * bad + 2] = value
         with pytest.raises(IntegrationError, match=r"^solution blew up at t = 0\.5$") as e:
             check(v, 0.5)
         assert e.value.member == bad
@@ -509,22 +578,25 @@ def plan_cases():
 
 def record_lookups(monkeypatch, cap=None):
     """Run integrate through recorders: returns the list that gets each
-    stage's delayed states, the (E, 2, d) rows edge_forces reads, and the
-    list that gets (first stage, segments, jumps, columns, looked-up rows)
-    of each block of lookups, its stage counted by the edge_forces calls
-    before it; a block reads flat rows, segment * columns + column."""
+    stage's delayed states, the (2, d, E) rows edge_forces reads as (E, 2,
+    d) arc rows, and the list that gets (first stage, segments, jumps,
+    columns, looked-up rows) of each block of lookups, its stage counted
+    by the edge_forces calls before it; a block of S stages reads the (S,
+    2d, columns) flat elements (segment * 2d + component) * columns +
+    column, one time row (step) per segment."""
     stages, blocks = [], []
     forces, rows = dde.edge_forces, dde._hermite_rows
 
     def counted(own, delayed, *args):   # one call per stage
-        stages.append(delayed)
+        stages.append(np.moveaxis(delayed, -1, 0))
         return forces(own, delayed, *args)
 
     def recorded(table, flat, step, weights, jump):
         out = rows(table, flat, step, weights, jump)
-        a = flat // step
-        blocks.append((len(stages), a, np.broadcast_to(jump[..., 0, 0], a.shape).copy(),
-                       flat[0] % step, out.copy()))
+        a, lanes = flat[:, 0] // step, flat.shape[1]
+        assert (flat - flat[:, :1] == np.arange(lanes)[:, None] * (step // lanes)).all()
+        blocks.append((len(stages), a, np.broadcast_to(jump[:, 0], a.shape).copy(),
+                       flat[0, 0] % step, out.copy()))
         return out
     if cap is not None:
         monkeypatch.setattr(dde, "LOOKUP_BLOCK_ROWS", cap)
@@ -578,7 +650,7 @@ class TestStagePlan:
             assert short[r] == (tau_e[past].min() if past.any() else 0.0)
             # arcs at delay 0 are selected only where there are some, on arc rows
             if np.ndim(delay_at(0.0)) and not past.all():
-                assert zero[r].tobytes() == (~past)[:, None, None].tobytes()
+                assert zero[r].shape == past.shape and zero[r].tobytes() == (~past).tobytes()
             else:
                 assert zero[r] is None
             if s == 0:   # an arc at delay 0 reads the stage's state, here a committed row

@@ -81,9 +81,10 @@ class TestGate:
         # a weight of 1e300 on a speed gap of 1e10 takes agent 0 to inf in one
         # step; speeds of 1e308 against -1e308 put the limit past the largest
         # float, which it is clamped to, so the inf of their first step fails it
-        check = blowup_guard(np.array([v], dtype=float), 1)   # no overflow warning of its own
+        # a history of one (d, N) velocity row; the guard gives no overflow warning of its own
+        check = blowup_guard(np.array([v], dtype=float).transpose(0, 2, 1), 1)
         with pytest.raises(IntegrationError):
-            check(np.array([[math.inf], [0.0]]), 1)
+            check(np.array([[math.inf, 0.0]]), 1)
         g, p = Digraph.from_arc_list(2, arcs), DelayProfile.zero()
         w = WeightFunction(kind="constant", kappa=kappa)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -172,6 +173,27 @@ class TestScalarReference:
                                            rng.uniform(-1, 1, size=(tau + 2, 30, 2)))
         traj = simulate_discrete(hist, g, w, p, t_end=40, h=0.1)
         xs, vs = euler_reference(hist, g, w, p, 40, 0.1)
+        assert traj.xs.tobytes() == xs.tobytes() and traj.vs.tobytes() == vs.tobytes()
+
+    @pytest.mark.parametrize("d", [1, 3, 8, 9])
+    @pytest.mark.parametrize("p", [
+        DelayProfile.constant(2.0),
+        DelayProfile(kind="piecewise-random", tau_max=3.0, low=0, high=3, seed=8, hold=4.0,
+                     integer_valued=True)], ids=["shared-lag", "per-arc-lags"])
+    def test_component_rows_match_separate_tables_in_any_dimension(self, p, d):
+        # a shared lag gathers its arcs from one row of the component-major table, per-arc
+        # lags flat elements of several; from 8 dimensions on, the distances take numpy's
+        # pairwise reduction
+        rng = np.random.default_rng(d)
+        g = matrix_digraph(random_rooted_arcs(rng, 20, 3))
+        w = WeightFunction(kind="cucker-smale", kappa=1.0, beta=0.4)
+        tau = p.integer_tau_max
+        hist = InitialHistory.from_samples(np.arange(-tau - 1.0, 1.0),
+                                           rng.uniform(-3, 3, size=(tau + 2, 20, d)),
+                                           rng.uniform(-1, 1, size=(tau + 2, 20, d)))
+        traj = simulate_discrete(hist, g, w, p, t_end=30, h=0.1)
+        xs, vs = euler_reference(hist, g, w, p, 30, 0.1)
+        assert traj.xs.shape == xs.shape == (tau + 31, 20, d)
         assert traj.xs.tobytes() == xs.tobytes() and traj.vs.tobytes() == vs.tobytes()
 
     def test_simulate_runs_no_graph_search(self, monkeypatch):

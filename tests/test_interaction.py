@@ -78,6 +78,21 @@ class TestWeightEval:
         with pytest.raises(AdmissibilityError, match="finite"):
             WeightFunction(**kw)
 
+    HUGE = 10 ** 400   # an int past the largest float
+
+    @pytest.mark.parametrize("kw, field", [
+        (dict(kappa=HUGE), "kappa"),
+        (dict(beta=HUGE), "beta"),
+        (dict(normalize_by=HUGE), "normalize_by"),
+        (dict(kind="tabulated", table_r=[0, HUGE], table_v=[1.0, 0.5]), "table_r"),
+        (dict(kind="tabulated", table_r=[0.0, 1.0], table_v=[1, -HUGE]), "table_v")],
+        ids=["kappa", "beta", "normalize-by", "table-r", "table-v"])
+    def test_field_past_the_float_range_refused_by_name(self, kw, field):
+        # kappa and beta were accepted and the first w(1.0) raised a bare
+        # OverflowError; the others raised it while being checked
+        with pytest.raises(AdmissibilityError, match=f"^{field} is past the float range$"):
+            WeightFunction(**kw)
+
 
 class TestVerifyAdmissible:
     def test_algebraic_passes(self):
@@ -156,6 +171,31 @@ class TestDelayEval:
         # amplitude, was refused as a sinusoid that "dips below zero"
         with pytest.raises(AdmissibilityError, match=f"^{field}"):
             DelayProfile(**kw)
+
+    @pytest.mark.parametrize("kw, field", [
+        (dict(kind="zero", tau_max=10 ** 400), "tau_max"),
+        (dict(kind="constant", tau_max=1.0, value=10 ** 400), "value"),
+        (dict(kind="sinusoidal", tau_max=1.0, mean=10 ** 400), "mean"),
+        (dict(kind="sinusoidal", tau_max=1.0, mean=0.5, amplitude=-10 ** 400), "amplitude"),
+        (dict(kind="sinusoidal", tau_max=1.0, mean=0.5, amplitude=0.1, period=10 ** 400),
+         "period"),
+        (dict(kind="piecewise-random", tau_max=1.0, high=1.0, hold=10 ** 400), "hold"),
+        (dict(kind="piecewise-random", tau_max=1.0, low=-10 ** 400, high=1.0), "low"),
+        (dict(kind="piecewise-random", tau_max=1.0, high=10 ** 400), "high")],
+        ids=["tau-max", "value", "mean", "amplitude", "period", "hold", "low", "high"])
+    def test_field_past_the_float_range_refused_by_name(self, kw, field):
+        # tau_max, mean and amplitude raised a bare OverflowError from math.isfinite;
+        # a period or hold was accepted and overflowed at the first delay read; value,
+        # low and high were refused as out of range without the field's name
+        with pytest.raises(AdmissibilityError, match=f"^{field} is past the float range$"):
+            DelayProfile(**kw)
+
+    def test_a_seed_past_the_float_range_is_a_seed(self):
+        # a seed is a whole number of 32-bit words, not a float: 2**1100 draws as
+        # the per-arc call does
+        p = DelayProfile(kind="piecewise-random", tau_max=1.0, high=1.0, seed=2 ** 1100)
+        draws = p.on_edges(np.array([0, 1, 2]), np.array([1, 2, 0]))(0.3)
+        assert draws.tolist() == [p(0, 1, 0.3), p(1, 2, 0.3), p(2, 0, 0.3)]
 
 
 def _lags_read(p, t_end=20):
