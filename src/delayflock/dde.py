@@ -107,8 +107,8 @@ class InitialHistory:
         ts = np.asarray(ts, dtype=float)
         if self.times is None:
             shape = ts.shape + self.x0.shape
-            return (np.broadcast_to(self.x0, shape), np.broadcast_to(self.v0, shape),
-                    np.zeros(shape), np.zeros(shape))
+            zero = np.broadcast_to(0.0, shape)   # read-only, allocates nothing
+            return np.broadcast_to(self.x0, shape), np.broadcast_to(self.v0, shape), zero, zero
         ts = np.minimum(np.maximum(ts, self.times[0]), 0.0)
         k = _segment(self.times, ts, len(self.times) - 1)
         t0 = self.times[k][:, None, None]
@@ -367,13 +367,14 @@ def integrate(history: InitialHistory | Sequence[InitialHistory], g: Digraph,
     # a delay every arc shares (one, or none for no arcs) is looked up on agent
     # rows, and each stage gathers its arcs from them; per-arc delays on arc rows
     shared = np.ndim(at(0.0)) == 0 or len(ej) <= 1
-    cols = np.arange(nb) if shared else ej
-    # lookups gather flat elements (time index * 2d + component) * nb + column
-    row_size, lanes = 2 * d * nb, np.arange(2 * d)[:, None] * nb + cols
-    flat = ys.reshape(-1), dys.reshape(-1), hist_end.reshape(-1).take(lanes)
+    # lookups of a shared delay gather whole (2d, nb) time rows by time index; per-arc
+    # ones flat elements (time index * 2d + component) * nb + arc's sender
+    row_size, lanes = 2 * d * nb, np.arange(2 * d)[:, None] * nb + ej
+    table = ((ys.reshape(M, 2 * d, nb), dys.reshape(M, 2 * d, nb), hist_end.reshape(2 * d, nb))
+             if shared else (ys.reshape(-1), dys.reshape(-1), hist_end.reshape(-1).take(lanes)))
     # stages are planned a chunk at a time and looked up a block at a time, never
     # past the chunk's end; either holds at most LOOKUP_BLOCK_ROWS rows
-    span = max(1, LOOKUP_BLOCK_ROWS // len(cols))
+    span = max(1, LOOKUP_BLOCK_ROWS // (nb if shared else len(ej)))
     first, plan, block, lo, hi = -span, None, None, 0, 0
 
     def stage_rhs(k, y, out):
@@ -397,7 +398,8 @@ def integrate(history: InitialHistory | Sequence[InitialHistory], g: Digraph,
                 # an arc at delay 0 reads y; its lane looks up the row's shortest delay
                 s = np.minimum(s - np.array(tau_s[lo:hi]), s - short[lo:hi, None])
                 a = _grid_segment(times, s, dt, n_hist, his[lo:hi, None])
-                block = _hermite_rows(flat, a[:, None] * row_size + lanes, row_size,
+                rows = a[:, 0] if shared else a[:, None] * row_size + lanes
+                block = _hermite_rows(table, rows, 1 if shared else row_size,
                                       [b[:, None] for b in _hermite_basis(times, s, a)],
                                       (a + 1 == n_hist)[:, None])
             yd = block[c - lo].reshape(2, d, -1)

@@ -318,8 +318,8 @@ def write_trajectory_csv(traj: Trajectory, path: str):
     labels = labels.view(np.uint8).reshape(n, labels.itemsize)
     step = max(1, BLOCK // (n * 2 * d))   # whole time rows a block
 
-    def rows():   # the N lines of one time row a string, its text split where t goes
-        last = pieces = None   # the bits of the row before, its text's pieces
+    def rows():   # the N lines of one time row a text, with \1 where t goes
+        last = text = None   # the bits of the row before, its text
         for m in range(0, len(traj.times), step):
             vals = np.concatenate((traj.xs[m:m + step], traj.vs[m:m + step]), axis=2)
             bits = vals.view(np.uint64).reshape(len(vals), -1)   # -0.0 and 0.0 print apart
@@ -327,14 +327,13 @@ def write_trajectory_csv(traj: Trajectory, path: str):
             new[0] = last is None or (bits[0] != last).any()
             new[1:] = (bits[1:] != bits[:-1]).any(axis=1)
             # a block that only repeats the row before it formats nothing
-            text = join_cells(format17(vals[new]), labels).split(b"\1") if new.any() else ()
-            last, j = bits[-1], 0
+            texts = join_cells(format17(vals[new]), labels) if new.any() else iter(())
+            last = bits[-1]
             for t, fresh in zip(traj.times[m:m + step].tolist(), new.tolist()):
-                if fresh:   # a repeated row reuses its predecessor's pieces
-                    pieces = [b"", *text[1 + j * n:1 + (j + 1) * n]]
-                    j += 1
-                yield (b"%.17g" % t).join(pieces)
-            del text   # before the next block's text is made
+                if fresh:   # a repeated row reuses its predecessor's text
+                    text = next(texts)
+                yield text.replace(b"\1", b"%.17g" % t)
+            del texts   # before the next block's texts are made
     _write_csv(path, cols, rows())
 
 
@@ -345,7 +344,7 @@ def write_diameters_csv(series, path: str):
     rows = np.column_stack((series.times, series.spread, series.spread_k,
                             series.vbar, series.vund))
     step = max(1, BLOCK // len(cols))
-    _write_csv(path, cols, (join_cells(format17(rows[q:q + step]))
+    _write_csv(path, cols, (next(join_cells(format17(rows[q:q + step])[None]))
                             for q in range(0, len(rows), step)))
 
 

@@ -581,9 +581,11 @@ def record_lookups(monkeypatch, cap=None):
     stage's delayed states, the (2, d, E) rows edge_forces reads as (E, 2,
     d) arc rows, and the list that gets (first stage, segments, jumps,
     columns, looked-up rows) of each block of lookups, its stage counted
-    by the edge_forces calls before it; a block of S stages reads the (S,
-    2d, columns) flat elements (segment * 2d + component) * columns +
-    column, one time row (step) per segment."""
+    by the edge_forces calls before it.  A block of S stages reads, for a
+    delay every arc shares, the S whole (2d, agents) time rows of its
+    segments from (M, 2d, agents) tables; for per-arc delays, the (S, 2d,
+    arcs) flat elements (segment * 2d + component) * agents + sender, one
+    time row (step) per segment."""
     stages, blocks = [], []
     forces, rows = dde.edge_forces, dde._hermite_rows
 
@@ -591,12 +593,22 @@ def record_lookups(monkeypatch, cap=None):
         stages.append(np.moveaxis(delayed, -1, 0))
         return forces(own, delayed, *args)
 
-    def recorded(table, flat, step, weights, jump):
-        out = rows(table, flat, step, weights, jump)
-        a, lanes = flat[:, 0] // step, flat.shape[1]
-        assert (flat - flat[:, :1] == np.arange(lanes)[:, None] * (step // lanes)).all()
-        blocks.append((len(stages), a, np.broadcast_to(jump[:, 0], a.shape).copy(),
-                       flat[0, 0] % step, out.copy()))
+    def recorded(table, index, step, weights, jump):
+        out = rows(table, index, step, weights, jump)
+        if index.ndim == 1:   # time indices into whole rows
+            M, lanes, n_cols = table[0].shape
+            assert step == 1 and index.dtype.kind == "i" and jump.shape == (len(index), 1, 1)
+            assert table[1].shape == (M, lanes, n_cols) and table[2].shape == (lanes, n_cols)
+            assert out.shape == (len(index), lanes, n_cols)
+            a = np.repeat(index[:, None], n_cols, axis=1)
+            cols = np.arange(n_cols)
+        else:                 # flat elements
+            a, lanes = index[:, 0] // step, index.shape[1]
+            assert table[0].ndim == 1
+            assert (index - index[:, :1] == np.arange(lanes)[:, None] * (step // lanes)).all()
+            cols = index[0, 0] % step
+        blocks.append((len(stages), a, np.broadcast_to(jump[:, 0], a.shape).copy(), cols,
+                       out.copy()))
         return out
     if cap is not None:
         monkeypatch.setattr(dde, "LOOKUP_BLOCK_ROWS", cap)
@@ -851,6 +863,23 @@ class TestInitialHistory:
         assert np.array_equal(x, np.broadcast_to(FIG_X0, (3, 4, 2)))
         assert np.array_equal(v, np.broadcast_to(FIG_V0, (3, 4, 2)))
         assert not dx.any() and not dv.any()
+
+    def test_constant_history_slopes_allocate_nothing(self):
+        # 500 rows of 100 agents: one (T, N, d) table is 0.8 MB; the slopes are
+        # read-only broadcast zeros, as the values are broadcast snapshots
+        rng = np.random.default_rng(4)
+        const = InitialHistory.constant(rng.normal(size=(100, 2)), rng.normal(size=(100, 2)),
+                                        tau=1.0)
+        ts = np.linspace(-1.0, 0.0, 500)
+        tracemalloc.start()
+        try:
+            x, v, dx, dv = const.eval(ts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 500 * 100 * 2 * 8
+        assert dx.shape == dv.shape == (500, 100, 2) and not dx.any() and not dv.any()
+        assert not dx.flags.writeable and not dv.flags.writeable
 
     def test_state_at_reads_the_history(self):
         # 11 samples on [-1, 0] and dt = 0.01: the grid holds the history

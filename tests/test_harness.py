@@ -295,6 +295,24 @@ def _format17_cases(kind: str, seed: int = 0) -> np.ndarray:
         return rng.integers(8 * 10 ** 13, 2 ** 50, 20000) / 8
     if kind == "integers":   # 17 digits, no point
         return rng.integers(10 ** 16, 10 ** 17, 20000).astype(float)
+    if kind == "zeros":   # texts whose 17 digits end in zeros, stripped with or before the point
+        texts = []
+        for k in range(-4, 17):
+            # 1 to 16 trailing zeros: 17 - z digits, the last nonzero, then z zeros
+            for z in range(1, 17):
+                m = int(rng.integers(10 ** (16 - z), 10 ** (17 - z)))
+                texts.append(f"{m - m % 10 + int(rng.integers(1, 10))}e{k - 16 + z}")
+            # a run of zeros ending on each 4-digit group boundary, digits after it
+            for end in (4, 8, 12, 16):
+                for run in range(1, end + 1):
+                    digits = rng.integers(1, 10, 17).astype(str)
+                    digits[end - run + 1:end + 1] = "0"
+                    texts.append(f"{''.join(digits)}e{k - 16}")
+        values = np.array([float(t) for t in texts])
+        whole = np.round(10.0 ** rng.uniform(0, 16, 2000))   # whole numbers up to 1e16
+        halves = np.floor(10.0 ** rng.uniform(0, 15, 2000)) + rng.choice([0.5, 0.25, 0.75], 2000)
+        values = np.r_[values, whole, halves, 1e16, 9999.0, 10000.0, 12.5, 0.25, 1e-4]
+        return np.r_[values, -values]
     raise ValueError(kind)
 
 
@@ -302,7 +320,7 @@ class TestFormat17:
     """csvtext.format17 gives the bytes of '%.17g' % x, cell by cell."""
 
     @pytest.mark.parametrize("kind", ["bits", "magnitudes", "powers", "ties4", "ties8",
-                                      "integers"])
+                                      "integers", "zeros"])
     @pytest.mark.parametrize("seed", [0, 1])
     def test_matches_percent_formatting(self, kind, seed):
         values = _format17_cases(kind, seed)
@@ -366,6 +384,16 @@ class TestCsvFormat:
         text = self._written(traj, tmp_path)
         assert text == trajectory_csv_reference(traj).encode()
         assert text.count(b",-0,-0\n") == 4 and text.count(b",0,0\n") == 6
+
+    def test_repeated_rows_take_special_times(self, tmp_path):
+        # one (x, v) table throughout: each row is the first row's text with its own t
+        traj = self._rows(*[1.5] * 7, d=2)
+        traj.times = np.array([-1e-05, -0.0, 0.0, 5e-324, math.nan, -math.inf, 0.1])
+        text = self._written(traj, tmp_path)
+        assert text == trajectory_csv_reference(traj).encode()
+        for t in (b"-1.0000000000000001e-05", b"-0", b"0", b"4.9406564584124654e-324",
+                  b"nan", b"-inf", b"0.10000000000000001"):
+            assert text.count(b"\n%s,0,1.5,1.5,1.5,1.5\n" % t) == 1
 
     def test_repeated_rows_of_nan(self, tmp_path):
         traj = self._rows(math.nan, math.nan, 1.0, math.nan, -math.inf, -math.inf)
