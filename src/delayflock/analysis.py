@@ -330,10 +330,10 @@ def initial_spreads(history: InitialHistory, g: Digraph, tau: float) -> tuple[fl
     if history.times is not None:
         inside = history.times[(history.times > -tau) & (history.times < 0.0)]
         ts = np.concatenate(([-tau], inside, [0.0]))
-    x, v, _, _ = history.eval(ts)
-    ei, ej = g.arc_list
+    y = history.eval(ts)[0]
+    x, (ei, ej) = y[:, 0].swapaxes(1, 2), g.arc_list   # x: (T, N, d)
     with np.errstate(over="ignore"):   # an overflow reads inf, which _certify refuses
-        d0 = float((v.max(axis=(0, 1)) - v.min(axis=(0, 1))).max())
+        d0 = float((y[:, 1].max(axis=(0, 2)) - y[:, 1].min(axis=(0, 2))).max())
         return d0, float(np.linalg.norm(x[-1, ei] - x[:, ej], axis=-1).max(initial=0.0))
 
 

@@ -56,7 +56,7 @@ class IntegrationError(RuntimeError):
 @dataclass(frozen=True)
 class InitialHistory:
     """Per-agent (x, v) data on [-tau, 0], one piecewise-linear function
-    of time.
+    of time, in the integrators' state rows (x then v, agents per component).
 
     A sampled history is the linear interpolation of its samples and
     holds the first sample before the first sample time; a constant
@@ -64,11 +64,8 @@ class InitialHistory:
     """
 
     tau: float
-    x0: np.ndarray                     # (N, d) value at t = 0
-    v0: np.ndarray
+    ys: np.ndarray                     # (K, 2, d, N) states at the sample times; K = 1 if constant
     times: np.ndarray | None = None    # (K,) strictly increasing, ending at 0
-    xs: np.ndarray | None = None       # (K, N, d)
-    vs: np.ndarray | None = None
 
     @classmethod
     def constant(cls, x0, v0, tau: float) -> "InitialHistory":
@@ -76,7 +73,7 @@ class InitialHistory:
         v0 = np.atleast_2d(np.asarray(v0, dtype=float))
         if x0.shape != v0.shape:
             raise ValueError("position and velocity tables must have equal shapes")
-        return cls(tau=float(tau), x0=x0, v0=v0)
+        return cls(tau=float(tau), ys=np.stack((x0.T, v0.T))[None])
 
     @classmethod
     def from_samples(cls, times, xs, vs) -> "InitialHistory":
@@ -91,77 +88,83 @@ class InitialHistory:
             raise ValueError(f"history tables must be (K, N, d), got {xs.shape}, {vs.shape}")
         if times[-1] != 0.0:
             raise ValueError("history samples must end at t = 0")
-        return cls(tau=float(-times[0]), x0=xs[-1], v0=vs[-1],
-                   times=times, xs=xs, vs=vs)
+        return cls(tau=float(-times[0]), times=times,
+                   ys=np.stack((xs.swapaxes(1, 2), vs.swapaxes(1, 2)), axis=1))
+
+    @property
+    def x0(self) -> np.ndarray:   # (N, d) positions at t = 0
+        return self.ys[-1, 0].T
 
     @property
     def dim(self) -> int:
-        return self.x0.shape[1]
+        return self.ys.shape[2]
 
-    def eval(self, ts) -> tuple[np.ndarray, ...]:
-        """(x, v, dx, dv) of all agents at the times ts <= 0, each
-        (T, N, d): the interpolant and its slopes, those of the segment
-        to the right of a sample time (to the left at t = 0).  Times
-        before the first sample read that sample with the first
-        segment's slopes; a constant history has zero slopes."""
+    def eval(self, ts) -> tuple[np.ndarray, np.ndarray]:
+        """(y, dy) of all agents at the times ts <= 0, each (T, 2, d, N):
+        the interpolant and its slopes, those of the segment to the right
+        of a sample time (to the left at t = 0).  Times before the first
+        sample read that sample with the first segment's slopes; a
+        constant history has zero slopes, and both are read-only broadcasts."""
         ts = np.asarray(ts, dtype=float)
         if self.times is None:
-            shape = ts.shape + self.x0.shape
-            zero = np.broadcast_to(0.0, shape)   # read-only, allocates nothing
-            return np.broadcast_to(self.x0, shape), np.broadcast_to(self.v0, shape), zero, zero
+            shape = ts.shape + self.ys.shape[1:]
+            return np.broadcast_to(self.ys[0], shape), np.broadcast_to(0.0, shape)
         ts = np.minimum(np.maximum(ts, self.times[0]), 0.0)
         k = _segment(self.times, ts, len(self.times) - 1)
-        t0 = self.times[k][:, None, None]
-        h = self.times[k + 1][:, None, None] - t0
-        u = (ts[:, None, None] - t0) / h
-        xs, vs = self.xs, self.vs
-        return ((1 - u) * xs[k] + u * xs[k + 1], (1 - u) * vs[k] + u * vs[k + 1],
-                (xs[k + 1] - xs[k]) / h, (vs[k + 1] - vs[k]) / h)
+        t0 = self.times[k][:, None, None, None]
+        h = self.times[k + 1][:, None, None, None] - t0
+        u = (ts[:, None, None, None] - t0) / h
+        ys = self.ys
+        return (1 - u) * ys[k] + u * ys[k + 1], (ys[k + 1] - ys[k]) / h
 
 
 @dataclass
 class Trajectory:
-    """Sampled solution on a uniform grid covering [-tau', t_end].
+    """Sampled solution on a uniform grid covering [-tau', t_end]: the
+    integrators' (M, 2, d, N) states ``ys``, t = 0 at row ``n_hist``.
 
-    ``n_hist`` is the index of t = 0.  For continuous runs ``dvs`` and
-    ``dxs`` hold the velocity and position time-derivatives at the grid
-    points so any interior time can be resolved by cubic Hermite
-    interpolation; discrete runs leave them None and are sample-only.
+    For continuous runs ``dys`` holds their time derivatives at the grid
+    points, for cubic Hermite interpolation at any interior time, and
+    ``hist_end`` the (2, d, N) slope at t = 0 seen from the history side
+    (dys[n_hist] is the dynamics side; the derivatives jump there);
+    discrete runs leave both None and are sample-only.
     """
 
     times: np.ndarray        # (M,)
-    xs: np.ndarray           # (M, N, d)
-    vs: np.ndarray           # (M, N, d)
+    ys: np.ndarray           # (M, 2, d, N)
     dt: float
     n_hist: int
-    dvs: np.ndarray | None = None
-    dxs: np.ndarray | None = None
-    # slopes at t=0 seen from the history side (the dynamics side lives
-    # in dvs[n_hist] and dxs[n_hist]; the derivatives jump there)
-    hist_end_slope: np.ndarray | None = None
-    hist_end_xslope: np.ndarray | None = None
+    dys: np.ndarray | None = None
+    hist_end: np.ndarray | None = None
+
+    @property
+    def xs(self) -> np.ndarray:   # (M, N, d) view of the positions
+        return self.ys[:, 0].swapaxes(1, 2)
+
+    @property
+    def vs(self) -> np.ndarray:   # (M, N, d) view of the velocities
+        return self.ys[:, 1].swapaxes(1, 2)
 
     @property
     def n_agents(self) -> int:
-        return self.xs.shape[1]
+        return self.ys.shape[3]
 
     @property
     def dim(self) -> int:
-        return self.xs.shape[2]
+        return self.ys.shape[2]
 
     def state_at(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """Interpolated (x, v) of all agents at any covered time."""
-        if t < self.times[0] - 1e-12 or t > self.times[-1] + 1e-12:
+        """Interpolated (x, v) of all agents, each (N, d), at any covered time."""
+        if not self.times[0] - 1e-12 <= t <= self.times[-1] + 1e-12:   # nan fails too
             raise IntegrationError(f"time {t} outside covered interval")
-        if self.dvs is None:
-            k = _segment(self.times, t, len(self.times) - 1)
-            u = (t - self.times[k]) / self.dt
-            return ((1 - u) * self.xs[k] + u * self.xs[k + 1],
-                    (1 - u) * self.vs[k] + u * self.vs[k + 1])
         a = _segment(self.times, float(t), len(self.times) - 1)
-        weights, jump = _hermite_basis(self.times, float(t), a), a + 1 == self.n_hist
-        return (_hermite_rows((self.xs, self.dxs, self.hist_end_xslope), a, 1, weights, jump),
-                _hermite_rows((self.vs, self.dvs, self.hist_end_slope), a, 1, weights, jump))
+        if self.dys is None:
+            u = (t - self.times[a]) / self.dt
+            y = (1 - u) * self.ys[a] + u * self.ys[a + 1]
+        else:
+            y = _hermite_rows((self.ys, self.dys, self.hist_end), a, 1,
+                              _hermite_basis(self.times, float(t), a), a + 1 == self.n_hist)
+        return y[0].T, y[1].T
 
 
 def blowup_guard(history_vs, members: int):
@@ -183,12 +186,16 @@ def blowup_guard(history_vs, members: int):
     return check
 
 
-def check_grid(steps: float, row_shape: tuple):
+def check_grid(steps: float, row_shape: tuple, p: DelayProfile, t_last: float):
     """Refuse, before anything is allocated, a run of ``steps`` time steps
     (history included, before rounding up) that is not finite or whose
-    (rows, *row_shape) float table numpy cannot index."""
+    (rows, *row_shape) float table numpy cannot index, and a random delay
+    whose hold index t / hold overflows by the time t_last."""
     if not (steps + 3) * math.prod(row_shape) * 8 <= np.iinfo(np.intp).max:   # nan fails too
         raise IntegrationError(f"a grid of {steps:g} time steps is too large for an array")
+    if p.kind == "piecewise-random" and not t_last / p.hold < math.inf:
+        raise IntegrationError(f"hold interval {p.hold:g} is too short: t / hold "
+                               f"overflows by t = {t_last:g}")
 
 
 def check_history(history: InitialHistory, shape: tuple, p: DelayProfile):
@@ -338,21 +345,18 @@ def integrate(history: InitialHistory | Sequence[InitialHistory], g: Digraph,
     for h in hists:
         check_history(h, (n, d), p)
     tau = max(p.tau_max, *(h.tau for h in hists))
-    check_grid(tau / dt + t_end / dt, (2, d, B * n))
+    check_grid(tau / dt + t_end / dt, (2, d, B * n), p, t_end + dt)   # no stage is past it
     # any positive delay gets a history step, however short
     n_hist = max(1, math.ceil(tau / dt - 1e-12)) if tau > 0 else 0
     n_steps = int(math.ceil(t_end / dt - 1e-12))
     M = n_hist + n_steps + 1
     nb = B * n
     times = (np.arange(M) - n_hist) * dt
-    # ys[k] = (x, v) and dys[k] its time derivative (dx, dv), each a (2, d, agents) table,
-    # and their (M, 2, agents, d) views
+    # ys[k] = (x, v) and dys[k] its time derivative (dx, dv), each a (2, d, agents) table
     ys, dys = np.empty((M, 2, d, nb)), np.zeros((M, 2, d, nb))
-    y_t, dy_t = ys.swapaxes(2, 3), dys.swapaxes(2, 3)
     members = [slice(b * n, (b + 1) * n) for b in range(B)]
     for sl, h in zip(members, hists):
-        (y_t[: n_hist + 1, 0, sl], y_t[: n_hist + 1, 1, sl],
-         dy_t[: n_hist + 1, 0, sl], dy_t[: n_hist + 1, 1, sl]) = h.eval(times[: n_hist + 1])
+        ys[: n_hist + 1, ..., sl], dys[: n_hist + 1, ..., sl] = h.eval(times[: n_hist + 1])
     # the history side of t = 0; the dynamics side replaces row n_hist
     hist_end = dys[n_hist].copy()
     check_blowup = blowup_guard(ys[: n_hist + 1, 1], B)
@@ -425,10 +429,8 @@ def integrate(history: InitialHistory | Sequence[InitialHistory], g: Digraph,
         check_blowup(ys[idx + 1, 1], times[idx + 1])
     # final slope so dense output covers the last segment
     stage_rhs(4 * n_steps, ys[-1], dys[-1])
-    trajs = [Trajectory(times=times, xs=y_t[:, 0, sl], vs=y_t[:, 1, sl], dt=dt, n_hist=n_hist,
-                        dvs=dy_t[:, 1, sl], dxs=dy_t[:, 0, sl],
-                        hist_end_slope=hist_end[1, :, sl].T,
-                        hist_end_xslope=hist_end[0, :, sl].T) for sl in members]
+    trajs = [Trajectory(times=times, ys=ys[..., sl], dt=dt, n_hist=n_hist, dys=dys[..., sl],
+                        hist_end=hist_end[..., sl]) for sl in members]
     return trajs[0] if single else trajs
 
 
@@ -449,19 +451,18 @@ class DiameterSeries:
 
 def _segment_extrema(vals, slopes, dt, fix_idx=None, fix_val=None):
     """Per-segment min/max of the Hermite cubics, including interior
-    critical points.  vals, slopes: (M, N, d).  Returns (M-1, N, d).
+    critical points.  vals, slopes: agent-major (N, M, d).  Returns (N, M-1, d).
 
-    fix_idx/fix_val override the right-endpoint slope of the segment
-    ending at fix_idx (derivative jump between history and dynamics).
-    Roots are solved where the discriminant is positive, the cubic read
-    at those inside (0, 1): each entry as the dense evaluation gives it.
+    fix_idx/fix_val override the right-endpoint slope of the segments
+    ending at fix_idx with the (N, d) fix_val (derivative jump between
+    history and dynamics).  Roots are solved where the discriminant is
+    positive, the cubic read at those inside (0, 1): each entry as the
+    dense evaluation gives it.
     """
-    # every table below is indexed flat, and reads fastest C-ordered
-    vals, slopes = np.ascontiguousarray(vals), np.ascontiguousarray(slopes)
-    p0, p1 = vals[:-1], vals[1:]
-    m0, m1 = slopes[:-1] * dt, slopes[1:] * dt
+    p0, p1 = vals[:, :-1], vals[:, 1:]
+    m0, m1 = slopes[:, :-1] * dt, slopes[:, 1:] * dt
     if fix_idx is not None and fix_idx >= 1:
-        m1[fix_idx - 1] = fix_val * dt
+        m1[:, fix_idx - 1] = fix_val * dt
     # cubic in u on [0,1]: H(u); derivative is a quadratic a u^2 + b u + c, c = m0
     a = 6 * p0 - 6 * p1 + 3 * m0 + 3 * m1
     b = -6 * p0 + 6 * p1 - 4 * m0 - 2 * m1
@@ -500,13 +501,6 @@ def _trailing_extreme(arr, win, fold):
     return fold(suffix[:m], prefix[win: win + m]) + 0.0
 
 
-def _agent_extreme(arr, fold):
-    """fold.reduce (np.maximum or np.minimum) of the (M, N, d) arr over its
-    agent axis, on an agent-major copy (numpy reduces a middle axis slowly);
-    a zero extreme has either sign until _trailing_extreme makes it +0."""
-    return fold.reduce(np.ascontiguousarray(arr.transpose(1, 0, 2)), axis=0)
-
-
 def diameters(traj: Trajectory, tau: float) -> DiameterSeries:
     """Windowed velocity extrema along a trajectory.
 
@@ -521,19 +515,20 @@ def diameters(traj: Trajectory, tau: float) -> DiameterSeries:
         win += 1
     if win > traj.n_hist:
         raise IntegrationError("window reaches before the trajectory start")
-    vs = np.ascontiguousarray(traj.vs)   # a C-ordered copy of the view: faster to fold
-    g_max = _agent_extreme(vs, np.maximum)   # (M, d) over agents
-    g_min = _agent_extreme(vs, np.minimum)
-    if traj.dvs is not None and win > 0:
+    # agent-major (N, M, d) copies: numpy folds a leading axis fast and a middle one slowly;
+    # a zero extreme has either sign until _trailing_extreme makes it +0
+    vs = np.ascontiguousarray(traj.ys[:, 1].transpose(2, 0, 1))
+    g_max = np.maximum.reduce(vs)   # (M, d) over agents
+    g_min = np.minimum.reduce(vs)
+    if traj.dys is not None and win > 0:
         # attach segment [t_k, t_k+1] extrema to the right grid index so
         # a trailing window ending at t_q never sees values past t_q;
         # the window's left edge overreaches by at most one segment,
         # which only widens the window and preserves monotonicity
-        lo, hi = _segment_extrema(vs, traj.dvs, traj.dt,
-                                  fix_idx=traj.n_hist,
-                                  fix_val=traj.hist_end_slope)
-        g_max[1:] = np.maximum(g_max[1:], _agent_extreme(hi, np.maximum))
-        g_min[1:] = np.minimum(g_min[1:], _agent_extreme(lo, np.minimum))
+        lo, hi = _segment_extrema(vs, np.ascontiguousarray(traj.dys[:, 1].transpose(2, 0, 1)),
+                                  traj.dt, fix_idx=traj.n_hist, fix_val=traj.hist_end[1].T)
+        g_max[1:] = np.maximum(g_max[1:], np.maximum.reduce(hi))
+        g_min[1:] = np.minimum(g_min[1:], np.minimum.reduce(lo))
     q0 = traj.n_hist
     vbar = _trailing_extreme(g_max, win, np.maximum)[q0:]
     vund = _trailing_extreme(g_min, win, np.minimum)[q0:]

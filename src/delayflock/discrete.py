@@ -37,18 +37,18 @@ def simulate_discrete(history: InitialHistory, g: Digraph, w: WeightFunction,
                       unsafe_h: bool = False) -> Trajectory:
     """Run the recursion for t_end steps from the history's states at steps
     -tau .. 0, on one component-major (x, v) array with the forces of
-    ``edge_forces``; returns a sample-only Trajectory on the integer step
-    grid {-tau, ..., t_end}, or raises IntegrationError at a blow-up."""
+    ``edge_forces`` at each step's delays rounded half to even; returns a
+    sample-only Trajectory on the step grid {-tau, ..., t_end}, or raises
+    IntegrationError at a blow-up."""
     if t_end < 0:
         raise ValueError(f"t_end must be nonnegative, got {t_end}")
     check_gate(w.effective_kappa, h, g.max_in_degree, unsafe=unsafe_h)
     check_history(history, (g.n_vertices, history.dim), p)
     tau, n, d = p.integer_tau_max, g.n_vertices, history.dim
-    check_grid(tau + t_end, (2, d, n))
+    check_grid(tau + t_end, (2, d, n), p, t_end)
     times = np.arange(-tau, t_end + 1, dtype=float)
     ys = np.empty((len(times), 2, d, n))   # (x, v) rows of agents, as integrate's
-    y_t = ys.swapaxes(2, 3)                # and its (M, 2, N, d) view
-    y_t[: tau + 1, 0], y_t[: tau + 1, 1], _, _ = history.eval(times[: tau + 1])
+    ys[: tau + 1] = history.eval(times[: tau + 1])[0]
     check_blowup = blowup_guard(ys[: tau + 1, 1], 1)
     ei, ej = g.arc_list
     delay_at, bins = p.on_edges(ei, ej), receiver_bins(ei, n, d)
@@ -62,12 +62,12 @@ def simulate_discrete(history: InitialHistory, g: Digraph, w: WeightFunction,
         edge_forces(y.take(ei, axis=-1), delayed, bins, w, step[1])
         np.add(y, np.multiply(h, step, out=step), out=step)   # x + h v, v + h dv
         check_blowup(step[1], k + 1)
-    return Trajectory(times=times, xs=y_t[:, 0], vs=y_t[:, 1], dt=1.0, n_hist=tau)
+    return Trajectory(times=times, ys=ys, dt=1.0, n_hist=tau)
 
 
 def discrete_diameters(traj: Trajectory, tau: int) -> DiameterSeries:
     """Window extrema over the last tau+1 steps, per component, of a
     sample-only trajectory (one without Hermite slopes)."""
-    if traj.dvs is not None:
+    if traj.dys is not None:
         raise ValueError("expected a discrete trajectory")
     return diameters(traj, tau)

@@ -321,11 +321,11 @@ def write_trajectory_csv(traj: Trajectory, path: str):
     def rows():   # the N lines of one time row a text, with \1 where t goes
         last = text = None   # the bits of the row before, its text
         for m in range(0, len(traj.times), step):
-            vals = np.concatenate((traj.xs[m:m + step], traj.vs[m:m + step]), axis=2)
-            bits = vals.view(np.uint64).reshape(len(vals), -1)   # -0.0 and 0.0 print apart
+            vals = traj.ys[m:m + step].transpose(0, 3, 1, 2).reshape(-1, n, 2 * d)   # a view
+            bits = vals.view(np.uint64)   # -0.0 and 0.0 print apart
             new = np.empty(len(vals), bool)
             new[0] = last is None or (bits[0] != last).any()
-            new[1:] = (bits[1:] != bits[:-1]).any(axis=1)
+            new[1:] = (bits[1:] != bits[:-1]).any(axis=(1, 2))
             # a block that only repeats the row before it formats nothing
             texts = join_cells(format17(vals[new]), labels) if new.any() else iter(())
             last = bits[-1]

@@ -223,8 +223,9 @@ class DelayProfile:
                             drawn uniformly from [low, high] by a seeded
                             generator keyed on (i, j, k); reproducible.
 
-    ``integer_valued=True`` restricts outputs to whole numbers so the
-    profile can serve the discrete recursion.
+    ``integer_valued=True`` serves the discrete recursion: a constant delay
+    must be and a random draw is a whole number; a sinusoid stays fractional,
+    and the recursion rounds each step's delay half to even (np.rint).
     """
 
     kind: str = "zero"

@@ -319,8 +319,8 @@ def rk4_reference(history, g, w, p, t_end, dt):
     n, d = history.x0.shape
     ys = np.empty((len(times), n, 2, d))
     dys = np.zeros_like(ys)
-    (ys[: n_hist + 1, :, 0], ys[: n_hist + 1, :, 1],
-     dys[: n_hist + 1, :, 0], dys[: n_hist + 1, :, 1]) = history.eval(times[: n_hist + 1])
+    ys[: n_hist + 1], dys[: n_hist + 1] = (a.transpose(0, 3, 1, 2)
+                                           for a in history.eval(times[: n_hist + 1]))
     hist_end = dys[n_hist].copy()
     ei, ej = g.arc_list
     at = p.on_edges(ei, ej)
@@ -355,7 +355,7 @@ def euler_reference(history, g, w, p, t_end, h):
     times = np.arange(-tau, t_end + 1, dtype=float)
     xs = np.empty((len(times),) + history.x0.shape)
     vs = np.empty_like(xs)
-    xs[: tau + 1], vs[: tau + 1], _, _ = history.eval(times[: tau + 1])
+    xs[: tau + 1], vs[: tau + 1] = history.eval(times[: tau + 1])[0].transpose(1, 0, 3, 2)
     ei, ej = g.arc_list
     delay_at = p.on_edges(ei, ej)
     for k in range(t_end):
@@ -471,10 +471,10 @@ def diameters_reference(traj, tau):
     vs = traj.vs
     g_max = vs.max(axis=1)   # (M, d) over agents
     g_min = vs.min(axis=1)
-    if traj.dvs is not None and win > 0:
-        lo, hi = segment_extrema_reference(vs, traj.dvs, traj.dt,
+    if traj.dys is not None and win > 0:
+        lo, hi = segment_extrema_reference(vs, traj.dys[:, 1].swapaxes(1, 2), traj.dt,
                                            fix_idx=traj.n_hist,
-                                           fix_val=traj.hist_end_slope)
+                                           fix_val=traj.hist_end[1].T)
         g_max[1:] = np.maximum(g_max[1:], hi.max(axis=1))
         g_min[1:] = np.minimum(g_min[1:], lo.min(axis=1))
     q0 = traj.n_hist
@@ -482,6 +482,12 @@ def diameters_reference(traj, tau):
     vund = trailing_extreme_reference(g_min, win, np.min)[q0:]
     spread_k = vbar - vund
     return traj.times[q0:], vbar, vund, spread_k, spread_k.max(axis=1)
+
+
+def state_table(xs, vs):
+    """The (M, 2, d, N) state table a Trajectory holds, of (M, N, d)
+    position and velocity tables: x then v, a row of agents per component."""
+    return np.stack((xs, vs), axis=1).swapaxes(2, 3)
 
 
 def _cell(x) -> str:

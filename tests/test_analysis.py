@@ -33,7 +33,8 @@ from delayflock.interaction import DelayProfile, WeightFunction
 
 from oracles import _search_rho as search_rho_reference
 from oracles import condition_rhs as condition_rhs_reference
-from oracles import history_spreads_reference, matrix_digraph, max_pair_distance_reference
+from oracles import (history_spreads_reference, matrix_digraph, max_pair_distance_reference,
+                     state_table)
 
 FIG_ARCS = [(1, 2), (2, 3), (3, 1), (3, 4)]
 FIG_X0 = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
@@ -533,7 +534,7 @@ class TestDecayAndPositions:
         # take 491 * 4950 * 2 floats (39 MB), three arrays of that size
         rng = np.random.default_rng(3)
         xs = 10 * rng.normal(size=(501, 100, 2))
-        traj = Trajectory(times=0.1 * np.arange(-10, 491), xs=xs, vs=np.zeros_like(xs),
+        traj = Trajectory(times=0.1 * np.arange(-10, 491), ys=state_table(xs, np.zeros_like(xs)),
                           dt=0.1, n_hist=10)
         hist, g, w, p = continuous_inputs(0.5 * FIG2_SCALE)
         cert = check_continuous(hist, g, w, p)

@@ -269,6 +269,24 @@ def test_bad_input_exits_2_with_one_line(command, raw, flags, message, tmp_path,
     assert "Traceback" not in err
 
 
+# a hold so short that t / hold overflows: its index int(floor(t / hold)) has no value
+TINY_HOLD = {"graph": {"n": 3, "complete": True},
+             "delay": {"type": "piecewise-random", "tau": 0.1, "hold": 1e-310},
+             "positions": [[0, 0], [1, 0], [0, 1]], "velocities": [[1, 0], [0, 1], [0, 0]],
+             "t_end": 0.1, "dt": 0.05}
+
+
+@pytest.mark.parametrize("raw, last", [
+    (TINY_HOLD, 0.15),
+    (dict(TINY_HOLD, model="discrete", delay=dict(TINY_HOLD["delay"], tau=1), t_end=2, h=0.05),
+     2)], ids=["continuous", "discrete"])
+def test_a_hold_too_short_for_the_horizon_exits_2(raw, last, tmp_path, capsys):
+    # refused before the run allocates anything, in place of an OverflowError
+    assert main(["simulate", _file(tmp_path, raw)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        f"error: hold interval 1e-310 is too short: t / hold overflows by t = {last:g}\n")
+
+
 def test_signed_zero_velocities_pin_the_diameter_bytes(tmp_path, capsys):
     # every agent starts at velocity (-0.0, 0.0): the window at t = 0 holds only the
     # history's zeros, from t = dt every velocity is +0.0 (-0.0 + 0.0), and a zero

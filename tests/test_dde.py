@@ -33,6 +33,7 @@ from oracles import (
     random_rooted_arcs,
     rk4_reference,
     segment_extrema_reference,
+    state_table,
     trailing_extreme_reference,
     two_agent_delayed_difference,
     two_agent_ode_difference,
@@ -88,7 +89,7 @@ class TestRhs:
         assert np.array_equal(dv, [[0.0], [0.0]])
         hist = InitialHistory.constant([[1.0, 2.0]], [[3.0, 4.0]], tau=0.0)
         traj = integrate(hist, g, w, DelayProfile.zero(), t_end=1.0, dt=0.1)
-        assert np.array_equal(traj.dvs, np.zeros_like(traj.dvs))
+        assert np.array_equal(traj.dys[:, 1], np.zeros_like(traj.dys[:, 1]))
         assert (traj.vs == [3.0, 4.0]).all()
         assert np.allclose(traj.state_at(1.0)[0], [[4.0, 6.0]], rtol=0, atol=1e-14)
 
@@ -348,8 +349,7 @@ class TestBatch:
             assert len(batch) == len(hists)
             for h, w, got in zip(hists, ws, batch):
                 want = integrate(h, g, w, p, t_end=2.0, dt=0.02)
-                for name in ("times", "xs", "vs", "dvs", "dxs", "hist_end_slope",
-                             "hist_end_xslope"):
+                for name in ("times", "ys", "dys", "hist_end"):
                     assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
                 assert got.n_hist == want.n_hist
                 for t in (-0.51, -0.005, 0.0, 1.234, 2.0):
@@ -376,10 +376,9 @@ class TestBatch:
         batch = integrate(hists, g, ws, p, t_end=1.0, dt=0.05)
         for h, w, got in zip(hists, ws, batch):
             ys, dys, hist_end = rk4_reference(h, g, w, p, 1.0, 0.05)
-            for name, want in (("xs", ys[:, :, 0]), ("vs", ys[:, :, 1]),
-                               ("dxs", dys[:, :, 0]), ("dvs", dys[:, :, 1]),
-                               ("hist_end_xslope", hist_end[:, 0]),
-                               ("hist_end_slope", hist_end[:, 1])):
+            for name, want in (("ys", ys.transpose(0, 2, 3, 1)),
+                               ("dys", dys.transpose(0, 2, 3, 1)),
+                               ("hist_end", hist_end.transpose(1, 2, 0))):
                 assert getattr(got, name).shape == want.shape, name
                 assert getattr(got, name).tobytes() == want.tobytes(), name
 
@@ -512,18 +511,26 @@ class TestHermiteGather:
               0.512, 0.95, 0.99, 1.0]
         for t in ts:
             x, v = traj.state_at(t)
-            x_ref = hermite_reference(traj.times, traj.xs, traj.dxs, t, hi,
-                                      traj.n_hist, traj.hist_end_xslope)
-            v_ref = hermite_reference(traj.times, traj.vs, traj.dvs, t, hi,
-                                      traj.n_hist, traj.hist_end_slope)
+            x_ref = hermite_reference(traj.times, traj.xs, traj.dys[:, 0].swapaxes(1, 2), t, hi,
+                                      traj.n_hist, traj.hist_end[0].T)
+            v_ref = hermite_reference(traj.times, traj.vs, traj.dys[:, 1].swapaxes(1, 2), t, hi,
+                                      traj.n_hist, traj.hist_end[1].T)
             assert np.allclose(x, x_ref, rtol=1e-13, atol=1e-14), t
             assert np.allclose(v, v_ref, rtol=1e-13, atol=1e-14), t
         # the history side of t = 0 reads the history's own slopes
         x, v = traj.state_at(-0.01)
-        bent = hermite_reference(traj.times, traj.vs, traj.dvs, -0.01, hi,
+        bent = hermite_reference(traj.times, traj.vs, traj.dys[:, 1].swapaxes(1, 2), -0.01, hi,
                                  None, None)
         assert sampled or np.array_equal(x, FIG_X0)
         assert not np.allclose(v, bent, rtol=1e-13, atol=1e-14)
+
+    def test_state_at_refuses_times_it_does_not_cover(self):
+        # NaN fails the range check as a time past either end does
+        g, w, p, hist = fig_setup(scale=0.3)
+        traj = integrate(hist, g, w, p, t_end=1.0, dt=0.05)
+        for t in (np.nan, traj.times[0] - 1e-9, 1.0 + 1e-9, np.inf):
+            with pytest.raises(IntegrationError, match="outside covered interval"):
+                traj.state_at(t)
 
     @settings(max_examples=60, deadline=None)
     @given(dt=st.sampled_from([0.02, 0.05, 0.1, 1 / 3, 1e-3]),
@@ -632,11 +639,9 @@ class TestStagePlan:
         trajs = integrate(hists, g, ws, p, t_end=n_steps * dt, dt=dt)
         times, n_hist, B = trajs[0].times, trajs[0].n_hist, len(trajs)
 
-        def state(x, v):   # the members' x and v views as one (..., rows, 2, d) array
-            return np.stack([np.concatenate([getattr(t, a) for t in trajs], axis=-2)
-                             for a in (x, v)], axis=-2)
-        table = (state("xs", "vs"), state("dxs", "dvs"),
-                 state("hist_end_xslope", "hist_end_slope"))
+        def state(a):   # the members' tables as one (..., rows, 2, d) array
+            return np.moveaxis(np.concatenate([getattr(t, a) for t in trajs], axis=-1), -1, -3)
+        table = state("ys"), state("dys"), state("hist_end")
         ei, ej = g.arc_list
         delay_at = p.on_edges(ei, ej)
         ts, his, tau, zero, short, seg, row = _stage_plan(times, n_hist, dt,
@@ -697,10 +702,9 @@ class TestStagePlan:
         for h, w, member in zip(hists, ws, batch):
             ys, dys, hist_end = rk4_reference(h, g, w, p, 2.0, 0.02)
             for got in (integrate(h, g, w, p, t_end=2.0, dt=0.02), member):
-                for name, want in (("xs", ys[:, :, 0]), ("vs", ys[:, :, 1]),
-                                   ("dxs", dys[:, :, 0]), ("dvs", dys[:, :, 1]),
-                                   ("hist_end_xslope", hist_end[:, 0]),
-                                   ("hist_end_slope", hist_end[:, 1])):
+                for name, want in (("ys", ys.transpose(0, 2, 3, 1)),
+                                   ("dys", dys.transpose(0, 2, 3, 1)),
+                                   ("hist_end", hist_end.transpose(1, 2, 0))):
                     assert getattr(got, name).tobytes() == want.tobytes(), name
 
     @pytest.mark.parametrize("cap", [dde.LOOKUP_BLOCK_ROWS, 40])
@@ -821,14 +825,14 @@ def assert_per_arc_path_agrees(planned, hists, g, ws, p, t_end, dt):
     """planned is integrate's run bit for bit as it goes when each arc gets
     its own copy of the delay: blocks of arc rows, not of agent rows."""
     class PerArc:
-        tau_max = p.tau_max
+        tau_max, kind, hold = p.tau_max, p.kind, p.hold
 
         @staticmethod
         def on_edges(ei, ej):
             at = p.on_edges(ei, ej)
             return lambda t: np.array(np.broadcast_to(at(t), len(ei)))
     for got, want in zip(planned, integrate(hists, g, ws, PerArc, t_end=t_end, dt=dt)):
-        for name in ("xs", "vs", "dxs", "dvs"):
+        for name in ("ys", "dys"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
 
@@ -851,21 +855,22 @@ class TestInitialHistory:
         xs = np.array([[[0.0]], [[2.0]], [[2.0]]])
         vs = np.array([[[1.0]], [[-1.0]], [[3.0]]])
         hist = InitialHistory.from_samples([-2.0, -1.0, 0.0], xs, vs)
-        x, v, dx, dv = hist.eval([-3.0, -2.0, -1.5, -1.0, -0.25, 0.0])
-        assert x.shape == v.shape == dx.shape == dv.shape == (6, 1, 1)
+        y, dy = hist.eval([-3.0, -2.0, -1.5, -1.0, -0.25, 0.0])
+        assert y.shape == dy.shape == (6, 2, 1, 1)
+        (x, v), (dx, dv) = y.swapaxes(0, 1), dy.swapaxes(0, 1)
         assert x.ravel().tolist() == [0.0, 0.0, 1.0, 2.0, 2.0, 2.0]
         assert v.ravel().tolist() == [1.0, 1.0, 0.0, -1.0, 2.0, 3.0]
         # the segment to the right of a sample time, to the left at t = 0
         assert dx.ravel().tolist() == [2.0, 2.0, 2.0, 0.0, 0.0, 0.0]
         assert dv.ravel().tolist() == [-2.0, -2.0, -2.0, 4.0, 4.0, 4.0]
         const = InitialHistory.constant(FIG_X0, FIG_V0, tau=1.0)
-        x, v, dx, dv = const.eval([-1.0, -0.3, 0.0])
-        assert np.array_equal(x, np.broadcast_to(FIG_X0, (3, 4, 2)))
-        assert np.array_equal(v, np.broadcast_to(FIG_V0, (3, 4, 2)))
-        assert not dx.any() and not dv.any()
+        y, dy = const.eval([-1.0, -0.3, 0.0])
+        assert np.array_equal(y[:, 0], np.broadcast_to(FIG_X0.T, (3, 2, 4)))
+        assert np.array_equal(y[:, 1], np.broadcast_to(FIG_V0.T, (3, 2, 4)))
+        assert dy.shape == (3, 2, 2, 4) and not dy.any()
 
     def test_constant_history_slopes_allocate_nothing(self):
-        # 500 rows of 100 agents: one (T, N, d) table is 0.8 MB; the slopes are
+        # 500 rows of 100 agents: one (T, 2, d, N) table is 1.6 MB; the slopes are
         # read-only broadcast zeros, as the values are broadcast snapshots
         rng = np.random.default_rng(4)
         const = InitialHistory.constant(rng.normal(size=(100, 2)), rng.normal(size=(100, 2)),
@@ -873,13 +878,13 @@ class TestInitialHistory:
         ts = np.linspace(-1.0, 0.0, 500)
         tracemalloc.start()
         try:
-            x, v, dx, dv = const.eval(ts)
+            y, dy = const.eval(ts)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 500 * 100 * 2 * 8
-        assert dx.shape == dv.shape == (500, 100, 2) and not dx.any() and not dv.any()
-        assert not dx.flags.writeable and not dv.flags.writeable
+        assert y.shape == dy.shape == (500, 2, 2, 100) and not dy.any()
+        assert not y.flags.writeable and not dy.flags.writeable
 
     def test_state_at_reads_the_history(self):
         # 11 samples on [-1, 0] and dt = 0.01: the grid holds the history
@@ -907,10 +912,10 @@ class TestInitialHistory:
             for u in (0.1, 1 / 3, 0.5, 2 / 3, 0.9):
                 t = t0 + u * (t1 - t0)
                 got = traj.state_at(t)
-                want = hist.eval([t])[:2]
+                want = hist.eval([t])[0][0]   # (2, d, N)
                 for a, b, jump in zip(got, want, jumps):
                     bound = 4 / 27 * dt * np.abs(jump[inside]).sum(axis=0) + 1e-12
-                    assert (np.abs(a - b[0]) <= bound).all(), (t, np.abs(a - b[0]).max())
+                    assert (np.abs(a - b.T) <= bound).all(), (t, np.abs(a - b.T).max())
         assert bent == 10
 
 
@@ -1064,24 +1069,35 @@ class TestWindowDiagnostics:
     @pytest.mark.parametrize("n, d", [(9, 1), (17, 1), (4, 2), (200, 2)])
     def test_agent_extremes_of_signed_zeros(self, n, d):
         # rows of -0.0 and 0.0 alone, and rows that also hold -1 or 1, in a
-        # (x, v) table's velocity view; a strided (9, 1) view's reduction
-        # picks another zero than the same rows copied out do, and either
-        # becomes +0 once 0.0 is added, as the trailing fold adds it
+        # strided state table and in a C-ordered copy; the agent fold picks
+        # either zero, which becomes +0 once the trailing fold adds 0.0, so
+        # a window of one row (tau 0) reads the agent extremes plus 0.0
         rng = np.random.default_rng(n)
         ys = rng.choice([-0.0, 0.0], size=(40, n, 2, d))
         ys[::3, 0, 1] = rng.choice([-1.0, 1.0], size=(14, d))
-        traj = Trajectory(times=np.arange(-20, 20) * 0.5, xs=ys[:, :, 0], vs=ys[:, :, 1],
-                          dt=0.5, n_hist=20)
         nans = ys.copy()   # and nans of either sign among the ones
         nans[::5, -1, 1] = np.where(rng.random((8, d)) < 0.5, np.nan, -np.nan)
-        for vs in (traj.vs, traj.vs.copy(), nans[:, :, 1]):
-            for fold, reduce_fn in ((np.maximum, np.max), (np.minimum, np.min)):
-                got, want = dde._agent_extreme(vs, fold) + 0.0, reduce_fn(vs, axis=1) + 0.0
-                nan = np.isnan(want)   # any nan in a row is its extreme, of either sign
-                assert (np.isnan(got) == nan).all()
-                assert got[~nan].tobytes() == want[~nan].tobytes()
+        for table in (ys, nans):
+            state = state_table(table[:, :, 0], table[:, :, 1])
+            for traj in (Trajectory(times=np.arange(-20, 20) * 0.5, ys=s, dt=0.5, n_hist=20)
+                         for s in (state, state.copy())):
+                series = discrete_diameters(traj, 0)
+                for got, reduce_fn in ((series.vbar, np.max), (series.vund, np.min)):
+                    want = reduce_fn(table[20:, :, 1], axis=1) + 0.0
+                    nan = np.isnan(want)   # any nan in a row is its extreme, of either sign
+                    assert (np.isnan(got) == nan).all()
+                    assert got[~nan].tobytes() == want[~nan].tobytes()
+        traj = Trajectory(times=np.arange(-20, 20) * 0.5, ys=state_table(ys[:, :, 0], ys[:, :, 1]),
+                          dt=0.5, n_hist=20)
         for tau in (0, 3):
             _same_series(discrete_diameters(traj, tau), diameters_reference(traj, tau))
+
+    @staticmethod
+    def segment_extrema(vals, slopes, *fix):
+        """dde._segment_extrema on agent-major copies of the (M, N, d) tables, as
+        diameters passes them, read back as (M-1, N, d) tables."""
+        return [a.transpose(1, 0, 2) for a in dde._segment_extrema(
+            *(np.ascontiguousarray(t.transpose(1, 0, 2)) for t in (vals, slopes)), *fix)]
 
     def test_segment_extrema_match_dense_reference(self):
         rng = np.random.default_rng(7)
@@ -1092,12 +1108,10 @@ class TestWindowDiagnostics:
                 slopes = rng.choice(np.append(self.SIGNED, 2.0), size=(m, n, d))
             else:
                 vals, slopes = rng.normal(size=(m, n, d)), 10 * rng.normal(size=(m, n, d))
-            # a (x, v) table's velocity view, as a Trajectory holds it
-            table = np.stack([rng.normal(size=(m, n, d)), vals], axis=2)[:, :, 1]
             fix_idx = int(rng.integers(0, m))
-            for args in ((vals, slopes, 0.05), (table, slopes, 0.02, fix_idx,
+            for args in ((vals, slopes, 0.05), (vals, slopes, 0.02, fix_idx,
                                                 rng.normal(size=(n, d)))):
-                for got, want in zip(dde._segment_extrema(*args),
+                for got, want in zip(self.segment_extrema(*args),
                                      segment_extrema_reference(*args)):
                     assert got.tobytes() == want.tobytes()
 
@@ -1115,12 +1129,12 @@ class TestWindowDiagnostics:
         b = -6 * p0 + 6 * p1 - 4 * m0 - 2 * m1
         assert a[0] == 0.0 and b[1] == 0.0 and a[2] == b[2] == 0.0
         for args in ((vals, slopes, 1.0), (vals, slopes, 1.0, 3, fix)):
-            for got, want in zip(dde._segment_extrema(*args), segment_extrema_reference(*args)):
+            for got, want in zip(self.segment_extrema(*args), segment_extrema_reference(*args)):
                 assert got.tobytes() == want.tobytes()
-        lo, hi = dde._segment_extrema(vals, slopes, 1.0, 3, fix)
+        lo, hi = self.segment_extrema(vals, slopes, 1.0, 3, fix)
         assert lo[0, 0, 0] < 0.0 and hi[1, 0, 0] > 1.0   # interior extrema, not the ends
         assert (lo[2, 0, 0], hi[2, 0, 0]) == (-5.0, 1.0)
-        assert dde._segment_extrema(vals, slopes, 1.0)[0][2, 0, 0] < -5.0
+        assert self.segment_extrema(vals, slopes, 1.0)[0][2, 0, 0] < -5.0
 
     @pytest.mark.parametrize("p", [
         DelayProfile.zero(),

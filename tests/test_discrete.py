@@ -125,6 +125,18 @@ class TestStep:
         assert np.allclose(traj.vs[-1, 0], [0.2])
         assert np.allclose(traj.vs[-1, 1], [3.0])
 
+    def test_state_at_reads_between_steps_and_refuses_nan(self):
+        # a sample-only run is linear between steps; NaN is no covered time
+        g, w, p, h = pair_setup()
+        traj = simulate_discrete(const([[0.0], [0.0]], [[0.0], [1.0]], p), g, w, p,
+                                 t_end=2, h=h)
+        x, v = traj.state_at(1.5)
+        assert x.tolist() == (0.5 * (traj.xs[1] + traj.xs[2])).tolist()
+        assert v.tolist() == (0.5 * (traj.vs[1] + traj.vs[2])).tolist()
+        for t in (math.nan, -1e-9, 2.0 + 1e-9):
+            with pytest.raises(IntegrationError, match="outside covered interval"):
+                traj.state_at(t)
+
 
 class TestScalarReference:
     """The edge-array recursion against plain per-edge loops.  The

@@ -28,7 +28,8 @@ from delayflock.harness import (
 )
 from delayflock.interaction import DelayProfile, WeightFunction
 
-from oracles import certificate_reference, diameters_csv_reference, trajectory_csv_reference
+from oracles import (certificate_reference, diameters_csv_reference, state_table,
+                     trajectory_csv_reference)
 
 GOOD_RAW = {
     "graph": {"n": 4, "arcs": [[1, 2], [2, 3], [3, 1], [3, 4]]},
@@ -354,8 +355,8 @@ class TestCsvFormat:
 
     def test_special_values(self, tmp_path):
         times = np.array([-1.0, -0.0, 5e-324, 0.1, math.nan])
-        traj = Trajectory(times=times, xs=self._table((5, 3, 2), 0),
-                          vs=self._table((5, 3, 2), 1), dt=1.0, n_hist=1)
+        traj = Trajectory(times=times, ys=state_table(self._table((5, 3, 2), 0),
+                                                      self._table((5, 3, 2), 1)), dt=1.0, n_hist=1)
         spread_k = self._table((5, 2), 2)
         series = DiameterSeries(times=times, vbar=self._table((5, 2), 3),
                                 vund=self._table((5, 2), 4), spread_k=spread_k,
@@ -375,8 +376,8 @@ class TestCsvFormat:
     def _rows(self, *cells, d=1):
         """A trajectory whose m-th time row holds cells[m] in every x and v cell."""
         table = np.array(cells, dtype=float)[:, None, None] * np.ones((1, 2, d))
-        return Trajectory(times=np.arange(len(cells), dtype=float), xs=table,
-                          vs=table.copy(), dt=1.0, n_hist=0)
+        return Trajectory(times=np.arange(len(cells), dtype=float),
+                          ys=state_table(table, table.copy()), dt=1.0, n_hist=0)
 
     def test_rows_apart_only_by_the_sign_of_zero(self, tmp_path):
         # equal to array_equal, apart as bytes: each row is formatted anew
@@ -439,8 +440,8 @@ class TestCsvFormat:
 
     @pytest.mark.parametrize("n, d", [(3, 1), (3, 3), (1, 2), (1, 1)])
     def test_dimensions_and_single_agent(self, n, d, tmp_path):
-        traj = Trajectory(times=np.linspace(-0.5, 1.0, 4), xs=self._table((4, n, d), 5),
-                          vs=self._table((4, n, d), 6), dt=0.5, n_hist=1)
+        traj = Trajectory(times=np.linspace(-0.5, 1.0, 4), ys=state_table(
+            self._table((4, n, d), 5), self._table((4, n, d), 6)), dt=0.5, n_hist=1)
         assert self._written(traj, tmp_path) == trajectory_csv_reference(traj).encode()
 
     @settings(max_examples=40, deadline=None)
@@ -453,8 +454,8 @@ class TestCsvFormat:
         pool[2, 0, 0, 0] = 0.0
         pool[3] = pool[2]
         pool[3, 0, 0, 0] = -0.0   # table 3 is table 2 but for the sign of one zero
-        traj = Trajectory(times=np.arange(len(picks)) * 0.1, xs=pool[picks, 0],
-                          vs=pool[picks, 1], dt=0.1, n_hist=0)
+        traj = Trajectory(times=np.arange(len(picks)) * 0.1,
+                          ys=state_table(pool[picks, 0], pool[picks, 1]), dt=0.1, n_hist=0)
         tmp_path = tmp_path_factory.mktemp("csv")
         assert self._written(traj, tmp_path) == trajectory_csv_reference(traj).encode()
 
@@ -464,7 +465,8 @@ class TestCsvFormat:
         assert 2 * n * d > csvtext.BLOCK
         xs, vs = self._table((3, n, d), 9), self._table((3, n, d), 10)
         xs[1], vs[1] = xs[0], vs[0]
-        traj = Trajectory(times=np.array([-1.0, 0.0, 0.5]), xs=xs, vs=vs, dt=0.5, n_hist=1)
+        traj = Trajectory(times=np.array([-1.0, 0.0, 0.5]), ys=state_table(xs, vs), dt=0.5,
+                          n_hist=1)
         assert self._written(traj, tmp_path) == trajectory_csv_reference(traj).encode()
         # and a diameters row of 2 + 3 * 1500 cells
         spread_k = self._table((2, 1500), 11)
@@ -484,8 +486,8 @@ class TestCsvFormat:
         c = b.copy()
         c[0, 0, 0] = -0.0
         rows = np.array([a, b, b, b, c, c, b])
-        traj = Trajectory(times=np.arange(7) * 0.25, xs=rows[:, 0], vs=rows[:, 1], dt=0.25,
-                          n_hist=0)
+        traj = Trajectory(times=np.arange(7) * 0.25, ys=state_table(rows[:, 0], rows[:, 1]),
+                          dt=0.25, n_hist=0)
         formatted = []
         monkeypatch.setattr(harness, "format17",
                             lambda v: formatted.append(v.size) or csvtext.format17(v))
@@ -498,8 +500,8 @@ class TestCsvFormat:
     def test_one_time_row_held_at_a_time(self, tmp_path):
         # 200 agents x 1000 rows is about 22 MB of text; the writer holds one block of it
         traj = Trajectory(times=np.linspace(-1.0, 10.0, 1000),
-                          xs=self._table((1000, 200, 2), 7), vs=self._table((1000, 200, 2), 8),
-                          dt=0.011, n_hist=0)
+                          ys=state_table(self._table((1000, 200, 2), 7),
+                                         self._table((1000, 200, 2), 8)), dt=0.011, n_hist=0)
         tracemalloc.start()
         try:
             harness.write_trajectory_csv(traj, str(tmp_path / "t.csv"))

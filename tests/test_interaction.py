@@ -242,6 +242,17 @@ class TestIntegerDelays:
         assert set(seq1) == {0, 1, 2}
         assert _lags_read(p1) == _lags_read(p2) == seq1[:20]
 
+    @pytest.mark.parametrize("amplitude, period", [(0.7, 6.0), (0.5, 4.0)])
+    def test_sinusoidal_lags_round_half_to_even(self, amplitude, period):
+        # integer_valued leaves a sinusoid's delays fractional (1.606... at t = 1
+        # for amplitude 0.7); the run rounds each step's lag half to even, as
+        # Python's round does: the delays 1.5 and 0.5 of amplitude 0.5 read 2 and 0
+        p = DelayProfile(kind="sinusoidal", tau_max=2.0, mean=1.0, amplitude=amplitude,
+                         period=period, integer_valued=True)
+        assert not float(p(1, 0, 1.0)).is_integer()
+        lags = [round(p(0, 1, t)) for t in range(20)]
+        assert _lags_read(p) == lags and set(lags) == {0, 1, 2}
+
     def test_random_draws_stay_in_a_fractional_range(self):
         # the only whole number in [0.5, 1.5] is 1
         p = DelayProfile(kind="piecewise-random", low=0.5, high=1.5, tau_max=2.0,
