@@ -127,8 +127,7 @@ def rho_plus(x0: float, beta: float, gamma_g: int) -> float:
     bg = beta * gamma_g
     denom = 2.0 * bg - 1.0
     if denom <= 0:
-        raise AnalysisError(
-            f"rho_plus needs 2*beta*gamma_g > 1, got {2 * bg:g}")
+        raise AnalysisError(f"rho_plus needs 2*beta*gamma_g > 1, got {2 * bg:g}")
     disc = bg * bg * x0 * x0 + denom
     return (x0 * (1.0 - bg) + math.sqrt(disc)) / denom
 
@@ -231,12 +230,10 @@ def _search_rho(d0: float, x0: float, w: WeightFunction, p: ModelParams):
         k = int(ok[0])
         return float(grid[k]), float(vals[k]), True
     k = int(np.argmax(vals))
-    a = grid[max(k - 1, 0)]
-    b = grid[min(k + 1, n_pts - 1)]
+    a, b = grid[max(k - 1, 0)], grid[min(k + 1, n_pts - 1)]
     inv_phi = (math.sqrt(5) - 1) / 2
     for _ in range(60):
-        c1 = b - inv_phi * (b - a)
-        c2 = a + inv_phi * (b - a)
+        c1, c2 = b - inv_phi * (b - a), a + inv_phi * (b - a)
         if condition_rhs(c1, x0, w, p) < condition_rhs(c2, x0, w, p):
             a = c1
         else:
@@ -366,27 +363,20 @@ def verify_decay(series: DiameterSeries, cert: FlockingCertificate,
     d0 = float(series.spread[0])
     t_last = float(series.times[-1])
     dt = float(series.times[1] - series.times[0]) if len(series.times) > 1 else 1.0
-    failures = []
-    worst = 0.0
-    n = 0
+    failures, worst, n = [], 0.0, 0
     while n * block <= t_last + 1e-9:
         t = n * block
-        k = int(round((t - series.times[0]) / dt))
-        k = min(k, len(series.spread) - 1)
+        k = min(int(round((t - series.times[0]) / dt)), len(series.spread) - 1)
         bound = math.exp(n * cert.log_delta) * d0 * (1.0 + tol)
         val = float(series.spread[k])
-        excess = val - bound
-        worst = max(worst, excess)
+        worst = max(worst, val - bound)
         if val > bound:
             failures.append((n, t, val, bound))
         n += 1
     # empirical exponential rate from the positive tail
     pos = series.spread > 0
-    rate = 0.0
-    if pos.sum() >= 2:
-        ts = series.times[pos]
-        ys = np.log(series.spread[pos])
-        rate = float(np.polyfit(ts, ys, 1)[0])
+    rate = (float(np.polyfit(series.times[pos], np.log(series.spread[pos]), 1)[0])
+            if pos.sum() >= 2 else 0.0)
     return DecayReport(passed=not failures, n_checked=n,
                        worst_excess=worst, empirical_rate=rate,
                        bound_rate=cert.log_delta / block, failures=tuple(failures))
@@ -414,24 +404,18 @@ def position_bound(traj: Trajectory, cert: FlockingCertificate) -> PositionBound
     """
     if not cert.guaranteed:
         raise AnalysisError("position bound requires a guaranteed verdict")
-    n = traj.n_agents
-    k0 = traj.n_hist
-    x0 = traj.xs[k0]
-    iu, ju = np.triu_indices(n, k=1)
+    x0 = traj.xs[traj.n_hist]
+    iu, ju = np.triu_indices(traj.n_agents, k=1)
     if len(iu) == 0:
         return PositionBoundReport(passed=True, bound=0.0, max_distance=0.0,
                                    vacuous=False)
     l1 = np.abs(x0[iu] - x0[ju]).sum(axis=1).max()
     ln_inv = -cert.log_delta
-    if ln_inv <= 0:
-        bound = math.inf
-    else:
-        bound = float(l1 + cert.params.d * cert.measured_D0 * cert.block_length
-                      / (cert.delta * ln_inv))
+    bound = math.inf if ln_inv <= 0 else float(
+        l1 + cert.params.d * cert.measured_D0 * cert.block_length / (cert.delta * ln_inv))
     # blocks of about 2^14 pairs: bounded memory, and few Python-level steps on small flocks
-    xs, rows = traj.xs[k0:], max(1, 2 ** 14 // len(iu))
+    xs, rows = traj.xs[traj.n_hist:], max(1, 2 ** 14 // len(iu))
     dmax = float(np.max([np.linalg.norm(xs[k:k + rows, iu] - xs[k:k + rows, ju], axis=-1).max()
                          for k in range(0, len(xs), rows)]))
-    return PositionBoundReport(passed=dmax <= bound, bound=bound,
-                               max_distance=dmax,
+    return PositionBoundReport(passed=dmax <= bound, bound=bound, max_distance=dmax,
                                vacuous=bound > VACUOUS_ABOVE)

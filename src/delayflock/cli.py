@@ -40,10 +40,8 @@ def _print_report(rep: harness.RunReport):
               f"D0={c.measured_D0:.6g} X0={c.measured_X0:.6g} "
               f"rho={c.rho:.6g} threshold={c.threshold:.6g} delta={c.delta:.12g}")
     print(f"final velocity spread: {rep.final_spread:.6g}")
-    if rep.time_to_tolerance is not None:
-        print(f"time to tolerance: {rep.time_to_tolerance:g}")
-    else:
-        print("time to tolerance: not reached")
+    ttt = rep.time_to_tolerance
+    print(f"time to tolerance: {'not reached' if ttt is None else format(ttt, 'g')}")
     print(f"window monotonicity: {'ok' if rep.monotonicity else 'VIOLATED'}")
     if rep.decay is not None:
         print(f"decay bound: {'ok' if rep.decay else 'VIOLATED'} "
@@ -100,8 +98,7 @@ def _parse_axis(cfg: str):
         lo, hi, steps = rng.split(":")
         lo, hi, steps = float(lo), float(hi), int(steps)
     except ValueError:
-        raise harness.ScenarioError(
-            f"axis must look like name=min:max:steps, got {cfg!r}")
+        raise harness.ScenarioError(f"axis must look like name=min:max:steps, got {cfg!r}")
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise harness.ScenarioError(f"axis {name!r} needs finite bounds, got {cfg!r}")
     if steps < 1:

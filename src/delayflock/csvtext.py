@@ -61,16 +61,16 @@ def format17(a) -> np.ndarray:
     from the 17-digit integer N = |x| 10^(16-k), rounded half to even.  Dekker's product
     gives |x| 10^(16-k) = y + e exactly, with y >= 10^16 > 2^53 a whole number, so
     N = int(y) + floor(e), rounded by the exact fraction e - floor(e), never summed in
-    floats (where a carry past 2^53 is lost).  Every other x (0, inf, nan,
-    scientific notation, and an N off [10^16, 10^17) where log10 misjudged k) is
-    printed by ``'%.17g'`` itself."""
+    floats (where a carry past 2^53 is lost).  A zero is written as ``0`` or ``-0``;
+    every other x (inf, nan, scientific notation, and an N off [10^16, 10^17) where
+    log10 misjudged k) is printed by ``'%.17g'`` itself."""
     a = np.asarray(a, dtype=float)
     flat = a.ravel()
     x = np.abs(flat)
     k = np.floor(np.log10(np.maximum(x, 1e-5)))   # 0 falls back with |x| < 1e-4
     fixed = (k >= -4) & (k <= 16)
-    # every x is carried through: one that '%.17g' prints goes as 1 (k = 0), whose N is exact
-    x = np.where(fixed, x, 1.0)
+    # every x is carried through: one that '%.17g' prints as 1 + 2^-52 (k = 0, no 0 to strip)
+    x = np.where(fixed, x, 1.0000000000000002)
     k = np.where(fixed, k, 0.0).astype(np.int64)
     p = 16 - k
     y = x * _POW10[p]
@@ -127,6 +127,10 @@ def format17(a) -> np.ndarray:
     cells[z, k[z] - 2] = 0   # no fraction digit left, no point
     if not fixed.all():
         rest = np.flatnonzero(~fixed)
+        # 0 and -0 are two constant cells; every other value is printed one by one
+        zero, rest = rest[flat[rest] == 0.0], rest[flat[rest] != 0.0]
+        signed = np.array([b"0", b"-0"], f"S{CELL}").view(np.uint8).reshape(2, CELL)
+        cells[zero] = signed[np.signbit(flat[zero]).astype(np.intp)]
         cells[rest] = np.array(["%.17g" % v for v in flat[rest].tolist()],
                                dtype=f"S{CELL}").view(np.uint8).reshape(-1, CELL)
     return cells.reshape(a.shape + (CELL,))

@@ -12,14 +12,14 @@ segment (delays smaller than the step) extrapolate that segment.
 
 The state (x, v) is one array, a row of agents per component: a stage
 takes one (x, v) difference per arc (``edge_forces``) and writes its
-slope into a buffer, and a step updates in place.  Delays are planned a
-chunk of stages at a time, and the stages whose rows are committed are
-looked up in one call: on agent rows when every arc shares the delay
-(zero, constant, sinusoidal), on arc rows when each arc has its own
-(piecewise-random, held over an interval); both give the per-arc
-lookup's numbers, bit for bit.  The two midpoint stages of a step share
-their time and delays, so they read one looked-up row, and a lookup
-finds its grid segment by arithmetic on the uniform grid, not by search.
+forces under its velocities, the two rows its slope, and a step updates
+in place.  Delays are planned a chunk of stages at a time, and the stages
+whose rows are committed are looked up in one call: on agent rows when
+every arc shares the delay (zero, constant, sinusoidal), then the
+senders' columns gathered once, or on arc rows when each arc has its own
+(piecewise-random, held over an interval); both give the per-arc lookup's
+numbers, bit for bit.  Stages 2 and 3 of a step share one looked-up row,
+and a lookup finds its grid segment by arithmetic on the uniform grid.
 
 Also provides the windowed velocity-spread diagnostics: per-component
 extrema over the trailing window [t - tau, t] in O(M) for M grid rows,
@@ -27,7 +27,6 @@ Hermite interior extrema solved only where a root lies, and their spread.
 """
 from __future__ import annotations
 
-import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -40,7 +39,7 @@ from .interaction import DelayProfile, WeightFunction, batch_weight
 
 # a velocity beyond this multiple of its member's largest history one (or 1) is a blow-up
 BLOWUP_FACTOR = 1e6
-# the most rows a block of planned lookups holds (one (x, v) row per stage and agent, or arc)
+# the most (x, v) rows (per stage and agent, or arc) a lookup block or its gathered senders hold
 LOOKUP_BLOCK_ROWS = 2 ** 14
 
 
@@ -178,7 +177,7 @@ def blowup_guard(history_vs, members: int):
     least = limit.min()
 
     def check(v, t):
-        if (speed := np.abs(v)).max() <= least:
+        if np.maximum.reduce(speed := np.abs(v), None) <= least:
             return
         ok = speed.reshape(len(speed), members, -1).max(axis=(0, 2)) <= limit
         if not ok.all():
@@ -305,16 +304,20 @@ def edge_forces(own, delayed, bins, w: WeightFunction, out):
     delayed (x, v); ``bins`` is receiver_bins(ei, n, d).  Writes to
     column i of the (d, n) ``out`` the sum over arcs into i of
     psi(|x_delayed - x_i|) * (v_delayed - v_i), added to 0.0 in arc
-    order, as np.add.at into zeros.
+    order, as np.add.at into zeros, with one bincount.
     """
     diff = delayed - own
     # only positions are squared: a velocity gap past 1e154 must not overflow
     sq = np.square(diff[0])
-    # numpy reduces fewer than 8 terms left to right, as these row adds do, and more
-    # pairwise, here on an arc-major copy, as the reference reduces its (E, d) rows
-    r = np.sqrt(functools.reduce(np.add, sq) if len(sq) < 8
-                else np.add.reduce(np.ascontiguousarray(sq.T), axis=1))
-    out[...] = np.bincount(bins, (w(r) * diff[1]).ravel(), out.size).reshape(out.shape)
+    # numpy reduces fewer than 8 terms left to right, as these adds of indexed rows do, and
+    # more pairwise, here on an arc-major copy, as the reference reduces its (E, d) rows
+    if len(sq) < 8:
+        r = sq[0]
+        for k in range(1, len(sq)):
+            r = r + sq[k]
+    else:
+        r = np.add.reduce(np.ascontiguousarray(sq.T), axis=1)
+    out[...] = np.bincount(bins, (w(np.sqrt(r)) * diff[1]).ravel(), out.size).reshape(out.shape)
 
 
 def integrate(history: InitialHistory | Sequence[InitialHistory], g: Digraph,
@@ -369,66 +372,75 @@ def integrate(history: InitialHistory | Sequence[InitialHistory], g: Digraph,
     ei, ej = np.tile(ei, B) + offset, np.tile(ej, B) + offset
     bins, psi = receiver_bins(ei, nb, d), batch_weight(ws, n_arcs)
     # a delay every arc shares (one, or none for no arcs) is looked up on agent
-    # rows, and each stage gathers its arcs from them; per-arc delays on arc rows
+    # rows, whose senders' columns a block then gathers; per-arc delays on arc rows
     shared = np.ndim(at(0.0)) == 0 or len(ej) <= 1
-    # lookups of a shared delay gather whole (2d, nb) time rows by time index; per-arc
-    # ones flat elements (time index * 2d + component) * nb + arc's sender
-    row_size, lanes = 2 * d * nb, np.arange(2 * d)[:, None] * nb + ej
+    # lookups of a shared delay gather whole (2d, nb) time rows by time index, per-arc
+    # ones flat elements (time index * 2d + component) * nb + arc's sender: rows step apart
+    step, lanes = 1 if shared else 2 * d * nb, np.arange(2 * d)[:, None] * nb + ej
     table = ((ys.reshape(M, 2 * d, nb), dys.reshape(M, 2 * d, nb), hist_end.reshape(2 * d, nb))
              if shared else (ys.reshape(-1), dys.reshape(-1), hist_end.reshape(-1).take(lanes)))
-    # stages are planned a chunk at a time and looked up a block at a time, never
-    # past the chunk's end; either holds at most LOOKUP_BLOCK_ROWS rows
+    # stages are planned a chunk at a time and looked up a block at a time, never past
+    # the chunk's end; either holds at most LOOKUP_BLOCK_ROWS rows, as do the senders'
+    # columns gathered from a block (cap stages of arc rows at a time)
     span = max(1, LOOKUP_BLOCK_ROWS // (nb if shared else len(ej)))
-    first, plan, block, lo, hi = -span, None, None, 0, 0
+    cap = max(1, LOOKUP_BLOCK_ROWS // max(len(ej), 1))
+    n_stages = 4 * n_steps + 1
 
-    def stage_rhs(k, y, out):
-        # k: index of the stage in the run; writes the slope (v, dv) at y into out
-        nonlocal first, plan, block, lo, hi
-        if k >= first + span:
-            first, lo, hi = k, 0, 0
+    def sender_rows():
+        # sent each stage's state y in turn, yields its (2, d, B*E) delayed sender rows
+        y = yield
+        for first in range(0, n_stages, span):
             ts, his, tau_s, zero, short, seg, row = _stage_plan(
-                times, n_hist, dt, at, B, k, min(k + span, 4 * n_steps + 1))
+                times, n_hist, dt, at, B, first, min(first + span, n_stages))
             # a block opened at a row reads only rows committed by then: to his, or n_hist
             ends = np.maximum.accumulate(seg + 1).searchsorted(np.maximum(his, n_hist), "right")
-            plan = ts, his, tau_s, zero, short, short.tolist(), row.tolist(), ends.tolist()
-        ts, his, tau_s, zero, short, shortest, row, ends = plan
-        c = row[k - first]
-        if shortest[c] == 0.0:
-            yd = y.take(ej, axis=-1)
-        else:
-            if c >= hi:
-                lo, hi = c, ends[c]
-                s = ts[lo:hi, None]
-                # an arc at delay 0 reads y; its lane looks up the row's shortest delay
-                s = np.minimum(s - np.array(tau_s[lo:hi]), s - short[lo:hi, None])
-                a = _grid_segment(times, s, dt, n_hist, his[lo:hi, None])
-                rows = a[:, 0] if shared else a[:, None] * row_size + lanes
-                block = _hermite_rows(table, rows, 1 if shared else row_size,
-                                      [b[:, None] for b in _hermite_basis(times, s, a)],
-                                      (a + 1 == n_hist)[:, None])
-            yd = block[c - lo].reshape(2, d, -1)
-            if shared:
-                yd = yd.take(ej, axis=-1)
-            elif zero[c] is not None:
-                yd = np.where(zero[c], y.take(ej, axis=-1), yd)
-        out[0] = y[1]
-        edge_forces(y.take(ei, axis=-1), yd, bins, psi, out[1])
+            shortest, ends, hi, top = short.tolist(), ends.tolist(), 0, 0
+            for c in row.tolist():
+                if shortest[c] == 0.0:
+                    y = yield y.take(ej, axis=-1)
+                    continue
+                if c >= hi:
+                    lo, hi = c, ends[c]
+                    s = ts[lo:hi, None]
+                    # an arc at delay 0 reads y; its lane looks up the row's shortest delay
+                    s = np.minimum(s - np.array(tau_s[lo:hi]), s - short[lo:hi, None])
+                    a = _grid_segment(times, s, dt, n_hist, his[lo:hi, None])
+                    block = _hermite_rows(table, a[:, 0] if shared else a[:, None] * step + lanes,
+                                          step, [b[:, None] for b in _hermite_basis(times, s, a)],
+                                          (a + 1 == n_hist)[:, None])
+                if c >= top:   # the senders' columns of up to cap rows, gathered once
+                    base, top = c, min(hi, c + cap)
+                    rows = block[base - lo:top - lo]
+                    rows = (rows.take(ej, -1) if shared else rows).reshape(top - base, 2, d, -1)
+                y = yield (rows[c - base] if zero[c] is None
+                           else np.where(zero[c], y.take(ej, axis=-1), rows[c - base]))
+    next(delayed := sender_rows())   # run to its first yield
 
-    # k1 goes into dys; y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4) runs as written, in place
-    k2, k3, k4, yk = (np.empty((2, d, nb)) for _ in range(4))
+    def stage_rhs(y, out):   # writes the (d, nb) forces at the stage's state y into out
+        edge_forces(y.take(ei, axis=-1), delayed.send(y), bins, psi, out)
+
+    # k1 goes into dys; stages 2-4 take (x, v) rows 0:2 of an (x, v, dv) buffer, whose rows
+    # 1:3 are their slope; y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4) runs as written, in
+    # place, on 0-d constants and positional outputs (numpy calls cheaper than on Python
+    # floats and with keywords)
+    buffers = np.empty((3, 3, d, nb))
+    (y2, k2, f2), (y3, k3, f3), (y4, k4, f4) = ((b[:2], b[1:], b[2]) for b in buffers)
+    half, full, sixth, two = (np.array(c) for c in (dt / 2, dt, dt / 6, 2.0))
     for idx in range(n_hist, M - 1):
-        y, k1, k = ys[idx], dys[idx], 4 * (idx - n_hist)
-        stage_rhs(k, y, k1)
-        stage_rhs(k + 1, np.add(y, np.multiply(dt / 2, k1, out=yk), out=yk), k2)
-        stage_rhs(k + 2, np.add(y, np.multiply(dt / 2, k2, out=yk), out=yk), k3)
-        stage_rhs(k + 3, np.add(y, np.multiply(dt, k3, out=yk), out=yk), k4)
-        np.add(k1, np.multiply(2, k2, out=k2), out=k2)
-        np.add(k2, np.multiply(2, k3, out=k3), out=k2)
-        np.multiply(dt / 6, np.add(k2, k4, out=k2), out=k2)
-        np.add(y, k2, out=ys[idx + 1])
-        check_blowup(ys[idx + 1, 1], times[idx + 1])
+        y, k1, y_next = ys[idx], dys[idx], ys[idx + 1]
+        k1[0] = y[1]
+        stage_rhs(y, k1[1])
+        stage_rhs(np.add(y, np.multiply(half, k1, y2), y2), f2)
+        stage_rhs(np.add(y, np.multiply(half, k2, y3), y3), f3)
+        stage_rhs(np.add(y, np.multiply(full, k3, y4), y4), f4)
+        np.add(k1, np.multiply(two, k2, k2), k2)
+        np.add(k2, np.multiply(two, k3, k3), k2)
+        np.multiply(sixth, np.add(k2, k4, k2), k2)
+        np.add(y, k2, y_next)
+        check_blowup(y_next[1], times[idx + 1])
     # final slope so dense output covers the last segment
-    stage_rhs(4 * n_steps, ys[-1], dys[-1])
+    dys[-1, 0] = ys[-1, 1]
+    stage_rhs(ys[-1], dys[-1, 1])
     trajs = [Trajectory(times=times, ys=ys[..., sl], dt=dt, n_hist=n_hist, dys=dys[..., sl],
                         hist_end=hist_end[..., sl]) for sl in members]
     return trajs[0] if single else trajs
@@ -466,8 +478,7 @@ def _segment_extrema(vals, slopes, dt, fix_idx=None, fix_val=None):
     # cubic in u on [0,1]: H(u); derivative is a quadratic a u^2 + b u + c, c = m0
     a = 6 * p0 - 6 * p1 + 3 * m0 + 3 * m1
     b = -6 * p0 + 6 * p1 - 4 * m0 - 2 * m1
-    lo = np.minimum(p0, p1)
-    hi = np.maximum(p0, p1)
+    lo, hi = np.minimum(p0, p1), np.maximum(p0, p1)
     disc = b * b - 4 * a * m0
     at = np.flatnonzero(disc > 0)
     p0, p1, m0, m1, flat_lo, flat_hi = (t.ravel() for t in (p0, p1, m0, m1, lo, hi))
@@ -555,9 +566,7 @@ def check_monotone_diameter(series: DiameterSeries, tol: float) -> MonotonicityR
     per-component and overall spread nonincreasing, reporting the
     offending grid index and component.
     """
-    violations = []
-    max_inc = 0.0
-    worst_time = None
+    violations, max_inc, worst_time = [], 0.0, None
     dv_up = np.diff(series.vbar, axis=0)
     dv_dn = np.diff(series.vund, axis=0)
     dk = np.diff(series.spread_k, axis=0)

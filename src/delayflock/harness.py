@@ -407,8 +407,7 @@ def _report(s: Scenario, cert, why: str, traj: Trajectory, out_dir: str | None) 
         series = diameters(traj, s.delay.tau_max)
         mono_tol = 1e-6 * max(float(series.spread[0]), 1e-300)
     mono = check_monotone_diameter(series, tol=mono_tol)
-    decay = None
-    pos_check = None
+    decay = pos_check = None
     if cert is not None and cert.guaranteed:
         decay = an.verify_decay(series, cert)
         pos_check = an.position_bound(traj, cert)
@@ -424,8 +423,7 @@ def _report(s: Scenario, cert, why: str, traj: Trajectory, out_dir: str | None) 
         if cert is not None:
             write_certificate(cert, base + "_certificate.txt")
             paths.append(base + "_certificate.txt")
-    return RunReport(scenario=s, certificate=cert, trajectory=traj,
-                     diameter_series=series,
+    return RunReport(scenario=s, certificate=cert, trajectory=traj, diameter_series=series,
                      final_spread=float(series.spread[-1]),
                      time_to_tolerance=ttt, monotonicity=mono, decay=decay,
                      positions_check=pos_check, csv_paths=tuple(paths), no_certificate=why)

@@ -165,13 +165,14 @@ def batch_weight(ws, n_arcs: int):
     tabs = [(b * n_arcs, m) for b, m in enumerate(ws) if m.kind == "tabulated"]
     kappa, e = params[0] if len(set(params)) == 1 else np.repeat(np.array(params).T, n_arcs, 1)
     recip = e == -1.0 if np.ndim(e) and (e == -1.0).any() else None
+    unit, one = bool(np.all(kappa == 1.0)), np.array(1.0)   # 1.0 * x is x; a 0-d 1.0 adds faster
 
     def psi(r):
-        base = 1.0 + r * r
+        base = one + r * r
         out = base ** e
         if recip is not None:
             np.divide(1.0, base, out=out, where=recip)
-        out = kappa * out
+        out = out if unit else kappa * out
         for lo, m in tabs:   # tabulated members interpolate their own lanes
             out[lo:lo + n_arcs] = m(r[lo:lo + n_arcs])
         return out
@@ -290,7 +291,7 @@ class DelayProfile:
         if self.kind == "sinusoidal":
             return self._sinusoid(t)
         # piecewise-random: one draw per (edge, hold-interval), seeded
-        k = int(np.floor(t / self.hold))
+        k = self._hold_index(t)
         rng = np.random.default_rng(np.random.SeedSequence([self.seed, i, j, k & 0x7FFFFFFF]))
         if self.integer_valued:
             return float(rng.integers(math.ceil(self.low), math.floor(self.high) + 1))
@@ -315,12 +316,19 @@ class DelayProfile:
         held = {}
 
         def at(t):
-            k = int(np.floor(t / self.hold))
+            k = self._hold_index(t)
             if k not in held:
                 held.clear()
                 held[k] = self._held_draws(ei, ej, t, k)
             return held[k]
         return at
+
+    def _hold_index(self, t) -> int:   # the k of the hold interval [k hold, (k + 1) hold) of t
+        try:
+            return math.floor(float(t) / float(self.hold))
+        except OverflowError:
+            raise AdmissibilityError(f"hold interval {self.hold:g} is too short: t / hold "
+                                     f"overflows at t = {t:g}") from None
 
     def _held_draws(self, ei, ej, t, k):
         """``self(i, j, t)`` on all arcs at once, k the hold index of t; diagonal lanes,

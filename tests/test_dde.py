@@ -820,6 +820,57 @@ class TestStagePlan:
         excess = [peak(0.01, t_end) - peak(0.5, t_end) for t_end in (5.0, 10.0)]
         assert abs(excess[1] - excess[0]) < 1e6, excess
 
+    def test_gathered_senders_of_a_dense_graph_take_bounded_memory(self):
+        # the complete graph on 60 agents has 3540 arcs; a delay of 100 steps lets one
+        # block of agent rows hold the run's 151 distinct stages, whose senders' columns,
+        # gathered at once, would be 151 x 2 x 2 x 3540 floats (17 MB).  Gathered at most
+        # LOOKUP_BLOCK_ROWS arc rows (4 stages) at a time they stay under 0.5 MB
+        n = 60
+        g = Digraph.complete(n)
+        rng = np.random.default_rng(6)
+        hist = InitialHistory.constant(rng.normal(size=(n, 2)), rng.normal(size=(n, 2)),
+                                       tau=0.5)
+        w = WeightFunction(kind="cucker-smale", beta=0.5)
+        for p in (DelayProfile.constant(0.5),
+                  DelayProfile(kind="sinusoidal", tau_max=0.5, mean=0.4, amplitude=0.1,
+                               period=0.3)):
+            tracemalloc.start()
+            try:
+                traj = integrate(hist, g, w, p, t_end=0.25, dt=0.005)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert traj.n_hist == 100 and len(g.arc_list[0]) == 3540
+            state_tables = traj.ys.nbytes + traj.dys.nbytes   # 0.58 MB
+            assert peak < state_tables + 4e6, p.kind
+
+    @pytest.mark.parametrize("d", [1, 2, 8])
+    @pytest.mark.parametrize("delay", ["zero", "constant", "sinusoidal", "random"])
+    def test_block_caps_leave_every_output_unchanged(self, delay, d, monkeypatch):
+        # a cap of 1 plans, looks up and gathers one stage at a time; 7 rows hold one
+        # or two stages of agent rows but less than one of the 9 arc rows of 3 members;
+        # 40 spans steps.  Lone runs and batches of 3 give the default cap's bytes
+        p = {"zero": DelayProfile.zero(), "constant": DelayProfile.constant(0.13, tau_max=0.2),
+             "sinusoidal": DelayProfile(kind="sinusoidal", tau_max=0.2, mean=0.1,
+                                        amplitude=0.1, period=0.35),
+             "random": DelayProfile(kind="piecewise-random", tau_max=0.2, high=0.2, seed=5,
+                                    hold=0.15)}[delay]
+        g = Digraph.from_arc_list(4, FIG_ARCS + [(4, 1), (2, 4)], one_based=True)
+        rng = np.random.default_rng(d)
+        hists = [InitialHistory.constant(rng.normal(size=(4, d)), rng.normal(size=(4, d)),
+                                         tau=0.2) for _ in range(3)]
+        ws = [WeightFunction(kind="cucker-smale", kappa=k, beta=b)
+              for k, b in ((1.0, 0.25), (0.5, 1.0), (2.0, 0.0))]
+
+        def outputs(B):
+            runs = integrate(hists[:B], g, ws[:B], p, t_end=0.6, dt=0.05)
+            return [t.ys.tobytes() + t.dys.tobytes() + t.hist_end.tobytes() for t in runs]
+        want = {B: outputs(B) for B in (1, 3)}
+        for cap in (1, 7, 40):
+            monkeypatch.setattr(dde, "LOOKUP_BLOCK_ROWS", cap)
+            for B in (1, 3):
+                assert outputs(B) == want[B], (cap, B)
+
 
 def assert_per_arc_path_agrees(planned, hists, g, ws, p, t_end, dt):
     """planned is integrate's run bit for bit as it goes when each arc gets

@@ -314,6 +314,13 @@ def _format17_cases(kind: str, seed: int = 0) -> np.ndarray:
         halves = np.floor(10.0 ** rng.uniform(0, 15, 2000)) + rng.choice([0.5, 0.25, 0.75], 2000)
         values = np.r_[values, whole, halves, 1e16, 9999.0, 10000.0, 12.5, 0.25, 1e-4]
         return np.r_[values, -values]
+    if kind == "signed-zeros":   # mostly 0 and -0, among fixed, scientific, inf and nan
+        values = rng.choice([0.0, -0.0], 4096)
+        some = rng.random(4096) < 0.2
+        values[some] = rng.choice([-1.0, 1.0], some.sum()) * 10.0 ** rng.uniform(-30, 30,
+                                                                                 some.sum())
+        values[rng.integers(0, 4096, 40)] = rng.choice([math.inf, -math.inf, math.nan], 40)
+        return np.r_[values, np.zeros(4096), -np.zeros(4096)]
     raise ValueError(kind)
 
 
@@ -321,7 +328,7 @@ class TestFormat17:
     """csvtext.format17 gives the bytes of '%.17g' % x, cell by cell."""
 
     @pytest.mark.parametrize("kind", ["bits", "magnitudes", "powers", "ties4", "ties8",
-                                      "integers", "zeros"])
+                                      "integers", "zeros", "signed-zeros"])
     @pytest.mark.parametrize("seed", [0, 1])
     def test_matches_percent_formatting(self, kind, seed):
         values = _format17_cases(kind, seed)

@@ -190,6 +190,19 @@ class TestDelayEval:
         with pytest.raises(AdmissibilityError, match=f"^{field} is past the float range$"):
             DelayProfile(**kw)
 
+    @pytest.mark.parametrize("hold", [1e-310, np.float64(1e-310)], ids=["float", "numpy"])
+    def test_a_hold_index_past_the_float_range_is_refused_by_name(self, hold):
+        # t / hold overflows to inf: the call and on_edges' closure raised a bare
+        # OverflowError from int(), and a numpy hold a RuntimeWarning first; t = 0 still draws
+        p = DelayProfile(kind="piecewise-random", tau_max=1.0, high=1.0, hold=hold)
+        at = p.on_edges(np.array([0]), np.array([1]))
+        for read in (lambda t: p(0, 1, t), at):
+            with pytest.raises(AdmissibilityError,
+                               match=r"^hold interval 1e-310 is too short: t / hold "
+                                     r"overflows at t = 1$"):
+                read(1.0)
+        assert at(0.0).tolist() == [p(0, 1, 0.0)]
+
     def test_a_seed_past_the_float_range_is_a_seed(self):
         # a seed is a whole number of 32-bit words, not a float: 2**1100 draws as
         # the per-arc call does
