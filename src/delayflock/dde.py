@@ -11,20 +11,20 @@ jump in slope.  Lookups slightly ahead of the last fully-specified
 segment (delays smaller than the step) extrapolate that segment.
 
 The state (x, v) is one array, a row of agents per component: a stage
-takes one (x, v) difference per arc (``edge_forces``) and writes its
-forces under its velocities, the two rows its slope, and a step updates
-in place.  Delays are planned a chunk of stages at a time, and the stages
-whose rows are committed are looked up in one call: on agent rows when
-every arc shares the delay (zero, constant, sinusoidal), then the
-senders' columns gathered once, or on arc rows when each arc has its own
-(piecewise-random, held over an interval); both give the per-arc lookup's
-numbers, bit for bit.  Stages 2 and 3 of a step share one looked-up row,
-and a lookup finds its grid segment by arithmetic on the uniform grid.
+takes one (x, v) difference per arc (``edge_forces``, both models' kernel)
+and writes its forces under its velocities, the two rows its slope.  One
+plan serves every delay kind: a chunk of stages numbers its delay objects
+(a shared float, a hold interval's draws) once, and the stages whose rows
+are committed are looked up in one call: on agent rows when every arc
+shares the delay, then the senders' columns gathered once, or on arc rows
+when each arc has its own; both give the per-arc lookup's numbers, bit for
+bit.  Stages 2 and 3 of a step share one looked-up row, and a lookup
+finds its grid segment by arithmetic on the uniform grid.
 
 Also provides the windowed velocity-spread diagnostics: per-component
-extrema over the trailing window [t - tau, t] in O(M) for M grid rows,
-Hermite interior extrema solved only where a root lies, and their spread.
-"""
+extrema over the trailing window [t - tau, t] in O(M) for M grid rows; a
+segment's ends are grid rows, and only its interior Hermite extrema are
+solved, where a root lies, and folded in."""
 from __future__ import annotations
 
 import math
@@ -253,41 +253,34 @@ def _hermite_rows(table, rows, step, weights, jump):
             + h01 * vals[step:].take(rows, axis=0) + h11 * m1)
 
 
-def _stage_plan(times, n_hist: int, dt: float, at, members: int, first: int, stop: int):
+def _stage_plan(times, n_hist: int, dt: float, at, reps: int, first: int, stop: int):
     """The lookups of integrate's stages first .. stop - 1.  Stage q runs
     at times[k] + (0, dt/2, dt/2, dt)[q % 4], k = n_hist + q // 4, with
     last valid slope index (max(k - 1, 1), k, k, k)[q % 4]; the final
     slope, stage 4 * n_steps, opens a step past the end.  Stage 3 of a
     step shares stage 2's time, delays and index, so its row too, unless
-    it opens the chunk.  Per distinct row: its time and index, its delays
-    from ``at`` (an (S, 1) array when every arc shares them, else one
-    (members * E,) array per row, the same object over a hold interval),
-    the (members * E,) mask of its arcs at delay 0 (None if no arc
-    is, or all share one delay), its shortest nonzero delay (0 if none)
-    and the farthest segment it reads, that delay's; then each stage's row.
+    it opens the chunk.  The delay objects from ``at`` (a float every arc
+    shares, or a hold interval's per-arc draws) are numbered once: their
+    (objects, lanes) table, each tiled reps times, and the mask of each
+    one's lanes at delay 0 (None unless some, not all, are).  Per distinct
+    row: its time and index, its shortest nonzero delay (0 if none), the
+    farthest segment it reads, that delay's, and ``which`` object it reads;
+    then each stage's row.
     """
     stage = np.arange(first, stop)
-    fresh = stage % 4 != 2
-    fresh[0] = True
+    fresh = (stage % 4 != 2) | (stage == first)
     k, q = np.divmod(stage[fresh] + 4 * n_hist, 4)
     ts = times[k] + np.array([0.0, dt / 2, dt / 2, dt])[q]
     # stage 1 may not use the segment ending at k (its slope is what the
     # step computes); delays shorter than dt extrapolate the segment before
     his = np.where(q == 0, np.maximum(k - 1, 1), k)
     taus = [at(t) for t in ts.tolist()]
-    if np.ndim(taus[0]) == 0:
-        tau = np.array(taus)[:, None]
-        short, zero = tau[:, 0], [None] * len(taus)
-    else:
-        held = {}   # per hold interval: the members' delays, its zero mask, the shortest nonzero
-        for d in taus:
-            if id(d) not in held:
-                tiled = np.tile(d, members)
-                held[id(d)] = (tiled, None if d.all() else tiled == 0.0,
-                               np.min(d, where=d != 0.0, initial=d.max(initial=0.0)))
-        tau, zero, short = zip(*(held[id(d)] for d in taus))
-        short = np.array(short)
-    return (ts, his, tau, zero, short, _grid_segment(times, ts - short, dt, n_hist, his),
+    _, pick, which = np.unique(np.fromiter(map(id, taus), np.intp), True, True)   # index, inverse
+    tau = np.tile(np.array([taus[i] for i in pick]).reshape(len(pick), -1), reps)
+    z = tau == 0.0
+    zero = [z[i] if some else None for i, some in enumerate((z.any(1) & ~z.all(1)).tolist())]
+    short = np.nan_to_num(np.min(tau, 1, initial=np.inf, where=tau != 0.0), posinf=0.0)[which]
+    return (ts, his, tau, zero, short, _grid_segment(times, ts - short, dt, n_hist, his), which,
             np.cumsum(fresh) - 1)
 
 
@@ -296,15 +289,15 @@ def receiver_bins(ei, n: int, d: int):
     return (np.arange(d)[:, None] * n + ei).ravel()
 
 
-def edge_forces(own, delayed, bins, w: WeightFunction, out):
-    """Alignment forces summed per receiver over the arc list.
+def edge_forces(own, delayed, bins, psi, out):
+    """Alignment forces of both models summed per receiver over the arc list.
 
     Column e of the (2, d, E) inputs, x rows then v rows, belongs to the
     arc ej[e] -> ei[e]: the receiver's own (x, v) and the sender's
-    delayed (x, v); ``bins`` is receiver_bins(ei, n, d).  Writes to
-    column i of the (d, n) ``out`` the sum over arcs into i of
-    psi(|x_delayed - x_i|) * (v_delayed - v_i), added to 0.0 in arc
-    order, as np.add.at into zeros, with one bincount.
+    delayed (x, v); ``bins`` is receiver_bins(ei, n, d), ``psi`` the arcs'
+    weight from batch_weight.  Writes to column i of the (d, n) ``out`` the
+    sum over arcs into i of psi(|x_delayed - x_i|) * (v_delayed - v_i),
+    added to 0.0 in arc order, as np.add.at into zeros, with one bincount.
     """
     diff = delayed - own
     # only positions are squared: a velocity gap past 1e154 must not overflow
@@ -317,7 +310,7 @@ def edge_forces(own, delayed, bins, w: WeightFunction, out):
             r = r + sq[k]
     else:
         r = np.add.reduce(np.ascontiguousarray(sq.T), axis=1)
-    out[...] = np.bincount(bins, (w(np.sqrt(r)) * diff[1]).ravel(), out.size).reshape(out.shape)
+    out[...] = np.bincount(bins, (psi(np.sqrt(r)) * diff[1]).ravel(), out.size).reshape(out.shape)
 
 
 def integrate(history: InitialHistory | Sequence[InitialHistory], g: Digraph,
@@ -390,11 +383,11 @@ def integrate(history: InitialHistory | Sequence[InitialHistory], g: Digraph,
         # sent each stage's state y in turn, yields its (2, d, B*E) delayed sender rows
         y = yield
         for first in range(0, n_stages, span):
-            ts, his, tau_s, zero, short, seg, row = _stage_plan(
-                times, n_hist, dt, at, B, first, min(first + span, n_stages))
+            ts, his, tau, zero, short, seg, which, row = _stage_plan(
+                times, n_hist, dt, at, 1 if shared else B, first, min(first + span, n_stages))
             # a block opened at a row reads only rows committed by then: to his, or n_hist
             ends = np.maximum.accumulate(seg + 1).searchsorted(np.maximum(his, n_hist), "right")
-            shortest, ends, hi, top = short.tolist(), ends.tolist(), 0, 0
+            shortest, ends, obj, hi, top = short.tolist(), ends.tolist(), which.tolist(), 0, 0
             for c in row.tolist():
                 if shortest[c] == 0.0:
                     y = yield y.take(ej, axis=-1)
@@ -403,7 +396,7 @@ def integrate(history: InitialHistory | Sequence[InitialHistory], g: Digraph,
                     lo, hi = c, ends[c]
                     s = ts[lo:hi, None]
                     # an arc at delay 0 reads y; its lane looks up the row's shortest delay
-                    s = np.minimum(s - np.array(tau_s[lo:hi]), s - short[lo:hi, None])
+                    s = np.minimum(s - tau[which[lo:hi]], s - short[lo:hi, None])
                     a = _grid_segment(times, s, dt, n_hist, his[lo:hi, None])
                     block = _hermite_rows(table, a[:, 0] if shared else a[:, None] * step + lanes,
                                           step, [b[:, None] for b in _hermite_basis(times, s, a)],
@@ -412,8 +405,8 @@ def integrate(history: InitialHistory | Sequence[InitialHistory], g: Digraph,
                     base, top = c, min(hi, c + cap)
                     rows = block[base - lo:top - lo]
                     rows = (rows.take(ej, -1) if shared else rows).reshape(top - base, 2, d, -1)
-                y = yield (rows[c - base] if zero[c] is None
-                           else np.where(zero[c], y.take(ej, axis=-1), rows[c - base]))
+                y = yield (rows[c - base] if (mask := zero[obj[c]]) is None
+                           else np.where(mask, y.take(ej, axis=-1), rows[c - base]))
     next(delayed := sender_rows())   # run to its first yield
 
     def stage_rhs(y, out):   # writes the (d, nb) forces at the stage's state y into out
@@ -461,15 +454,13 @@ class DiameterSeries:
     spread: np.ndarray
 
 
-def _segment_extrema(vals, slopes, dt, fix_idx=None, fix_val=None):
-    """Per-segment min/max of the Hermite cubics, including interior
-    critical points.  vals, slopes: agent-major (N, M, d).  Returns (N, M-1, d).
-
-    fix_idx/fix_val override the right-endpoint slope of the segments
-    ending at fix_idx with the (N, d) fix_val (derivative jump between
-    history and dynamics).  Roots are solved where the discriminant is
-    positive, the cubic read at those inside (0, 1): each entry as the
-    dense evaluation gives it.
+def _fold_interior_extrema(g_max, g_min, vals, slopes, dt, fix_idx=None, fix_val=None):
+    """Fold the Hermite cubics' values at their interior critical points into
+    the segments' (M-1, d) agent extremes; the ends are grid rows, the caller's.
+    vals, slopes: agent-major (N, M, d); the segments ending at fix_idx take
+    the (N, d) fix_val as right-end slope (derivative jump between history
+    and dynamics).  Roots are solved where the discriminant is positive, the
+    cubic read at those inside (0, 1): each value as the dense evaluation gives it.
     """
     p0, p1 = vals[:, :-1], vals[:, 1:]
     m0, m1 = slopes[:, :-1] * dt, slopes[:, 1:] * dt
@@ -478,10 +469,9 @@ def _segment_extrema(vals, slopes, dt, fix_idx=None, fix_val=None):
     # cubic in u on [0,1]: H(u); derivative is a quadratic a u^2 + b u + c, c = m0
     a = 6 * p0 - 6 * p1 + 3 * m0 + 3 * m1
     b = -6 * p0 + 6 * p1 - 4 * m0 - 2 * m1
-    lo, hi = np.minimum(p0, p1), np.maximum(p0, p1)
     disc = b * b - 4 * a * m0
     at = np.flatnonzero(disc > 0)
-    p0, p1, m0, m1, flat_lo, flat_hi = (t.ravel() for t in (p0, p1, m0, m1, lo, hi))
+    flat, d, m0, m1 = vals.reshape(-1), vals.shape[2], m0.ravel(), m1.ravel()
     a, b, c, sq = a.ravel()[at], b.ravel()[at], m0[at], np.sqrt(disc.ravel()[at])
     with np.errstate(divide="ignore", invalid="ignore"):
         for sign in (-1.0, 1.0):
@@ -489,13 +479,14 @@ def _segment_extrema(vals, slopes, dt, fix_idx=None, fix_val=None):
                          np.where(np.abs(b) > 1e-300, -c / b, -1.0))
             ok = (u > 0) & (u < 1)
             u, k = u[ok], at[ok]
+            p = k + k // g_max.size * d   # segment k's ends in vals, d apart: no p0, p1 copies
             u2 = u * u
             u3 = u2 * u
-            val = ((2 * u3 - 3 * u2 + 1) * p0[k] + (u3 - 2 * u2 + u) * m0[k]
-                   + (-2 * u3 + 3 * u2) * p1[k] + (u3 - u2) * m1[k])
-            flat_lo[k] = np.minimum(flat_lo[k], val)
-            flat_hi[k] = np.maximum(flat_hi[k], val)
-    return lo, hi
+            val = ((2 * u3 - 3 * u2 + 1) * flat[p] + (u3 - 2 * u2 + u) * m0[k]
+                   + (-2 * u3 + 3 * u2) * flat[p + d] + (u3 - u2) * m1[k])
+            k %= g_max.size   # agent-major (N, M-1, d) flat index to (M-1, d)
+            np.maximum.at(g_max.reshape(-1), k, val)
+            np.minimum.at(g_min.reshape(-1), k, val)
 
 
 def _trailing_extreme(arr, win, fold):
@@ -529,22 +520,19 @@ def diameters(traj: Trajectory, tau: float) -> DiameterSeries:
     # agent-major (N, M, d) copies: numpy folds a leading axis fast and a middle one slowly;
     # a zero extreme has either sign until _trailing_extreme makes it +0
     vs = np.ascontiguousarray(traj.ys[:, 1].transpose(2, 0, 1))
-    g_max = np.maximum.reduce(vs)   # (M, d) over agents
-    g_min = np.minimum.reduce(vs)
+    g_max, g_min = np.maximum.reduce(vs), np.minimum.reduce(vs)   # (M, d) over agents
     if traj.dys is not None and win > 0:
-        # attach segment [t_k, t_k+1] extrema to the right grid index so
-        # a trailing window ending at t_q never sees values past t_q;
-        # the window's left edge overreaches by at most one segment,
-        # which only widens the window and preserves monotonicity
-        lo, hi = _segment_extrema(vs, np.ascontiguousarray(traj.dys[:, 1].transpose(2, 0, 1)),
-                                  traj.dt, fix_idx=traj.n_hist, fix_val=traj.hist_end[1].T)
-        g_max[1:] = np.maximum(g_max[1:], np.maximum.reduce(hi))
-        g_min[1:] = np.minimum(g_min[1:], np.minimum.reduce(lo))
-    q0 = traj.n_hist
-    vbar = _trailing_extreme(g_max, win, np.maximum)[q0:]
-    vund = _trailing_extreme(g_min, win, np.minimum)[q0:]
+        # segment [t_k, t_k+1]'s extrema go to its right grid index, so a trailing
+        # window ending at t_q never sees values past t_q: its ends by folding row k
+        # into row k+1, its interior by _fold_interior_extrema; the window's left edge
+        # overreaches by at most one segment, which only widens it, keeping monotonicity
+        g_max[1:], g_min[1:] = np.maximum(g_max[1:], g_max[:-1]), np.minimum(g_min[1:], g_min[:-1])
+        _fold_interior_extrema(g_max[1:], g_min[1:], vs, np.ascontiguousarray(
+            traj.dys[:, 1].transpose(2, 0, 1)), traj.dt, traj.n_hist, traj.hist_end[1].T)
+    vbar = _trailing_extreme(g_max, win, np.maximum)[traj.n_hist:]
+    vund = _trailing_extreme(g_min, win, np.minimum)[traj.n_hist:]
     spread_k = vbar - vund
-    return DiameterSeries(times=traj.times[q0:], vbar=vbar, vund=vund,
+    return DiameterSeries(times=traj.times[traj.n_hist:], vbar=vbar, vund=vund,
                           spread_k=spread_k, spread=spread_k.max(axis=1))
 
 

@@ -15,7 +15,7 @@ import numpy as np
 from .dde import (DiameterSeries, InitialHistory, Trajectory, blowup_guard, check_grid,
                   check_history, diameters, edge_forces, receiver_bins)
 from .digraph import Digraph, compute_metrics  # noqa: F401  (traced here by bench/spans.py)
-from .interaction import DelayProfile, WeightFunction
+from .interaction import DelayProfile, WeightFunction, batch_weight
 
 
 class StabilityGateError(ValueError):
@@ -51,7 +51,7 @@ def simulate_discrete(history: InitialHistory, g: Digraph, w: WeightFunction,
     ys[: tau + 1] = history.eval(times[: tau + 1])[0]
     check_blowup = blowup_guard(ys[: tau + 1, 1], 1)
     ei, ej = g.arc_list
-    delay_at, bins = p.on_edges(ei, ej), receiver_bins(ei, n, d)
+    delay_at, bins, psi = p.on_edges(ei, ej), receiver_bins(ei, n, d), batch_weight([w], len(ei))
     lanes = np.arange(2 * d)[:, None] * n + ej   # per-arc lags gather flat elements
     for k in range(t_end):
         y, step = ys[tau + k], ys[tau + k + 1]   # the slope (v, dv) goes into the next row
@@ -59,7 +59,7 @@ def simulate_discrete(history: InitialHistory, g: Digraph, w: WeightFunction,
         delayed = (ys[back].take(ej, axis=-1) if back.ndim == 0
                    else ys.reshape(-1).take(back * (2 * d * n) + lanes).reshape(2, d, -1))
         step[0] = y[1]
-        edge_forces(y.take(ei, axis=-1), delayed, bins, w, step[1])
+        edge_forces(y.take(ei, axis=-1), delayed, bins, psi, step[1])
         np.add(y, np.multiply(h, step, out=step), out=step)   # x + h v, v + h dv
         check_blowup(step[1], k + 1)
     return Trajectory(times=times, ys=ys, dt=1.0, n_hist=tau)

@@ -186,6 +186,8 @@ def parse_graph(cfg) -> Digraph:
 def _build_weight(cfg: dict) -> WeightFunction:
     kind = cfg.get("type", "cucker-smale")
     if kind == "tabulated-custom":
+        if missing := [k for k in ("kappa", "r", "values") if k not in cfg]:
+            raise ScenarioError(f"missing scenario key 'weight.{missing[0]}'")
         return WeightFunction(kind="tabulated", kappa=cfg["kappa"], table_r=cfg["r"],
                               table_v=cfg["values"])
     return WeightFunction(kind=kind, kappa=cfg.get("kappa", 1.0),

@@ -415,9 +415,9 @@ def history_spreads_reference(times, xs, vs, arcs, tau):
 
 # The window diagnostics as they were before they ran in O(M), verbatim: the
 # dense segment extrema and the sliding window reduction, and diameters on them.
-# dde._segment_extrema must match them bit for bit, signed zeros included, and
-# dde._trailing_extreme and dde.diameters must match them plus 0.0 (a zero window
-# extreme is +0).
+# The segment extrema reduced over agents must match dde.diameters' end-row fold
+# and dde._fold_interior_extrema plus 0.0, and dde._trailing_extreme and
+# dde.diameters must match them plus 0.0 (a zero extreme is +0).
 
 def segment_extrema_reference(vals, slopes, dt, fix_idx=None, fix_val=None):
     """Per-segment min/max of the Hermite cubics, including interior

@@ -269,6 +269,19 @@ def test_bad_input_exits_2_with_one_line(command, raw, flags, message, tmp_path,
     assert "Traceback" not in err
 
 
+TABULATED = {"type": "tabulated-custom", "kappa": 1.0, "r": [0, 1, 5], "values": [1, 0.5, 0.25]}
+
+
+@pytest.mark.parametrize("key", ["kappa", "r", "values"])
+def test_tabulated_weight_without_a_key_names_its_path(key, tmp_path, capsys):
+    # the key of the weight object, not a bare 'kappa' that reads as a top-level key
+    assert main(["check-condition", _file(tmp_path, dict(SCENARIO, weight=TABULATED))]) == EXIT_OK
+    capsys.readouterr()
+    weight = {k: v for k, v in TABULATED.items() if k != key}
+    assert main(["simulate", _file(tmp_path, dict(SCENARIO, weight=weight))]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: missing scenario key 'weight.{key}'\n"
+
+
 # a hold so short that t / hold overflows: its index int(floor(t / hold)) has no value
 TINY_HOLD = {"graph": {"n": 3, "complete": True},
              "delay": {"type": "piecewise-random", "tau": 0.1, "hold": 1e-310},

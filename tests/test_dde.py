@@ -644,12 +644,20 @@ class TestStagePlan:
         table = state("ys"), state("dys"), state("hist_end")
         ei, ej = g.arc_list
         delay_at = p.on_edges(ei, ej)
-        ts, his, tau, zero, short, seg, row = _stage_plan(times, n_hist, dt,
-                                                          p.on_edges(ei, ej), B,
-                                                          0, 4 * n_steps + 1)
+        per_arc = np.ndim(delay_at(0.0)) == 1
+        ts, his, tau, zero, short, seg, which, row = _stage_plan(
+            times, n_hist, dt, p.on_edges(ei, ej), B if per_arc else 1, 0, 4 * n_steps + 1)
         # one row per distinct stage: stage 3 of a step reads stage 2's
-        assert len(ts) == len(his) == len(tau) == len(zero) == len(short) == len(seg)
+        assert len(ts) == len(his) == len(short) == len(seg) == len(which)
         assert len(ts) == 3 * n_steps + 1 and len(row) == len(delayed) == 4 * n_steps + 1
+        # one table row and zero mask per distinct delay object: a shared float on one
+        # lane, a hold interval's draws on the members' arcs; rows share a table row
+        # exactly where the delay function gave them the same object
+        objects = list(map(p.on_edges(ei, ej), ts.tolist()))   # kept alive: ids stay apart
+        ids = np.array([id(o) for o in objects])
+        assert len(tau) == len(zero) == len(set(ids)) == which.max() + 1
+        assert ((which[:, None] == which) == (ids[:, None] == ids)).all()
+        assert tau.shape[1] == (B * len(ei) if per_arc else 1)
         ej = (ej + 4 * np.arange(B)[:, None]).ravel()
         looked_up, jumped = 0, False
         for k in range(4 * n_steps + 1):
@@ -662,14 +670,15 @@ class TestStagePlan:
             else:
                 assert (ts[r], his[r]) == (times[idx], idx - 1)
             tau_e = np.tile(np.broadcast_to(delay_at(ts[r]), len(ei)), B)
-            assert np.broadcast_to(tau[r], tau_e.shape).tobytes() == tau_e.tobytes()
+            assert np.broadcast_to(tau[which[r]], tau_e.shape).tobytes() == tau_e.tobytes()
             past = tau_e != 0.0
             assert short[r] == (tau_e[past].min() if past.any() else 0.0)
-            # arcs at delay 0 are selected only where there are some, on arc rows
-            if np.ndim(delay_at(0.0)) and not past.all():
-                assert zero[r].shape == past.shape and zero[r].tobytes() == (~past).tobytes()
+            # arcs at delay 0 are selected only where some, not all, are, on arc rows
+            mask = zero[which[r]]
+            if per_arc and past.any() and not past.all():
+                assert mask.shape == past.shape and mask.tobytes() == (~past).tobytes()
             else:
-                assert zero[r] is None
+                assert mask is None
             if s == 0:   # an arc at delay 0 reads the stage's state, here a committed row
                 assert delayed[k][~past].tobytes() == table[0][idx, ej[~past]].tobytes()
             if not past.any():
@@ -727,13 +736,13 @@ class TestStagePlan:
         n_rows = B * len(ei) if per_arc else B * g.n_vertices
         span = max(1, cap // n_rows)   # stages a chunk of the plan holds
         n_stages = 4 * n_steps + 1
-        plans = [_stage_plan(times, n_hist, dt, p.on_edges(ei, ej), B, first,
+        plans = [_stage_plan(times, n_hist, dt, p.on_edges(ei, ej), B if per_arc else 1, first,
                              min(first + span, n_stages)) for first in range(0, n_stages, span)]
         # the chunks' rows numbered through the run, and each stage's row
         his, short, seg = (np.concatenate([plan[i] for plan in plans]) for i in (1, 4, 5))
         chunk = np.concatenate([np.full(len(plan[0]), c) for c, plan in enumerate(plans)])
         starts = np.cumsum([0] + [len(plan[0]) for plan in plans])
-        row = np.concatenate([plan[6] + start for plan, start in zip(plans, starts)])
+        row = np.concatenate([plan[7] + start for plan, start in zip(plans, starts)])
         # stage 3 of a step shares stage 2's row, unless a chunk opens at it
         stage = np.arange(1, n_stages)
         assert ((row[1:] == row[:-1]) == ((stage % 4 == 2) & (stage % span != 0))).all()
@@ -1144,11 +1153,26 @@ class TestWindowDiagnostics:
             _same_series(discrete_diameters(traj, tau), diameters_reference(traj, tau))
 
     @staticmethod
-    def segment_extrema(vals, slopes, *fix):
-        """dde._segment_extrema on agent-major copies of the (M, N, d) tables, as
-        diameters passes them, read back as (M-1, N, d) tables."""
-        return [a.transpose(1, 0, 2) for a in dde._segment_extrema(
-            *(np.ascontiguousarray(t.transpose(1, 0, 2)) for t in (vals, slopes)), *fix)]
+    def folded_extrema(vals, slopes, *args):
+        """The (M-1, d) agent extremes (lo, hi) diameters takes of the segments of
+        the (M, N, d) tables: each segment's end rows folded over agents, then its
+        interior extrema by dde._fold_interior_extrema on agent-major copies."""
+        lo = np.minimum(vals[:-1].min(axis=1), vals[1:].min(axis=1))
+        hi = np.maximum(vals[:-1].max(axis=1), vals[1:].max(axis=1))
+        dde._fold_interior_extrema(hi, lo, *(np.ascontiguousarray(t.transpose(1, 0, 2))
+                                             for t in (vals, slopes)), *args)
+        return lo, hi
+
+    @staticmethod
+    def reduced_reference(*args):
+        """segment_extrema_reference reduced over agents, the (M-1, d) (lo, hi)."""
+        lo, hi = segment_extrema_reference(*args)
+        return lo.min(axis=1), hi.max(axis=1)
+
+    def assert_fold_matches_reference(self, *args):
+        # a zero agent extreme has either sign until _trailing_extreme makes it +0
+        for got, want in zip(self.folded_extrema(*args), self.reduced_reference(*args)):
+            assert (got + 0.0).tobytes() == (want + 0.0).tobytes()
 
     def test_segment_extrema_match_dense_reference(self):
         rng = np.random.default_rng(7)
@@ -1162,9 +1186,7 @@ class TestWindowDiagnostics:
             fix_idx = int(rng.integers(0, m))
             for args in ((vals, slopes, 0.05), (vals, slopes, 0.02, fix_idx,
                                                 rng.normal(size=(n, d)))):
-                for got, want in zip(self.segment_extrema(*args),
-                                     segment_extrema_reference(*args)):
-                    assert got.tobytes() == want.tobytes()
+                self.assert_fold_matches_reference(*args)
 
     def test_segments_with_a_zero_coefficient(self):
         # one agent, dt 1: the derivative a u^2 + b u + c of segment 0 has a == 0
@@ -1180,12 +1202,32 @@ class TestWindowDiagnostics:
         b = -6 * p0 + 6 * p1 - 4 * m0 - 2 * m1
         assert a[0] == 0.0 and b[1] == 0.0 and a[2] == b[2] == 0.0
         for args in ((vals, slopes, 1.0), (vals, slopes, 1.0, 3, fix)):
-            for got, want in zip(self.segment_extrema(*args), segment_extrema_reference(*args)):
-                assert got.tobytes() == want.tobytes()
-        lo, hi = self.segment_extrema(vals, slopes, 1.0, 3, fix)
-        assert lo[0, 0, 0] < 0.0 and hi[1, 0, 0] > 1.0   # interior extrema, not the ends
-        assert (lo[2, 0, 0], hi[2, 0, 0]) == (-5.0, 1.0)
-        assert self.segment_extrema(vals, slopes, 1.0)[0][2, 0, 0] < -5.0
+            self.assert_fold_matches_reference(*args)
+        lo, hi = self.folded_extrema(vals, slopes, 1.0, 3, fix)
+        assert lo[0, 0] < 0.0 and hi[1, 0] > 1.0   # interior extrema, not the ends
+        assert (lo[2, 0], hi[2, 0]) == (-5.0, 1.0)
+        assert self.folded_extrema(vals, slopes, 1.0)[0][2, 0] < -5.0
+
+    def test_diameters_hold_at_most_12_velocity_tables(self):
+        # 50 agents over 1101 rows: the segments' interior extrema fold into the
+        # (M-1, d) agent extremes, with no per-segment (N, M-1, d) lo and hi tables
+        # and no copies of the segments' end values; 11.0 velocity tables at peak,
+        # 13.0 with those copies, 15.0 with the tables too
+        n = 50
+        rng = np.random.default_rng(4)
+        g = Digraph.from_arc_list(n, [((i + s) % n, i) for i in range(n) for s in (1, 2, 5)])
+        hist = InitialHistory.constant(rng.normal(size=(n, 2)), rng.normal(size=(n, 2)),
+                                       tau=1.0)
+        traj = integrate(hist, g, WeightFunction(kind="cucker-smale", beta=0.5),
+                         DelayProfile.constant(1.0), t_end=10.0, dt=0.01)
+        assert traj.ys.shape == (1101, 2, 2, n)
+        tracemalloc.start()
+        try:
+            diameters(traj, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * traj.vs.nbytes, peak / traj.vs.nbytes
 
     @pytest.mark.parametrize("p", [
         DelayProfile.zero(),

@@ -22,6 +22,20 @@ FIG_ARCS = [(1, 2), (2, 3), (3, 1), (3, 4)]
 FIG_X0 = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
 FIG_V0 = np.array([[1.0, -2.0], [3.0, -4.0], [5.0, 6.0], [-7.0, -8.0]])
 
+EULER_DELAYS = {"constant": DelayProfile.constant(2.0), "zero": DelayProfile.zero(),
+                "random": DelayProfile(kind="piecewise-random", tau_max=3.0, low=0, high=3,
+                                       seed=8, hold=4.0, integer_valued=True)}
+# every kind of weight the Euler step evaluates; kappa * h stays below 1 / n_infinity = 1/3
+EULER_WEIGHTS = {
+    "beta-0.4-kappa-1": WeightFunction(kind="cucker-smale", kappa=1.0, beta=0.4),
+    "beta-0": WeightFunction(kind="cucker-smale", kappa=1.3, beta=0.0),
+    "beta-0.4": WeightFunction(kind="cucker-smale", kappa=1.3, beta=0.4),
+    "beta-1": WeightFunction(kind="cucker-smale", kappa=1.3, beta=1.0),
+    "normalized": WeightFunction(kind="cucker-smale", kappa=1.3, beta=0.4, normalize_by=30),
+    "constant": WeightFunction(kind="constant", kappa=1.3),
+    "tabulated": WeightFunction(kind="tabulated", kappa=2.0, table_r=[0.0, 0.5, 2.0, 6.0],
+                                table_v=[2.0, 1.5, 0.5, 0.25])}
+
 
 def const(x0, v0, p):
     """The constant history of (x0, v0), reaching back to p's longest delay."""
@@ -169,16 +183,17 @@ class TestScalarReference:
                                    low=0, high=3, seed=8, hold=4.0,
                                    integer_valued=True))
 
-    @pytest.mark.parametrize("p", [
-        DelayProfile.constant(2.0), DelayProfile.zero(),
-        DelayProfile(kind="piecewise-random", tau_max=3.0, low=0, high=3, seed=8, hold=4.0,
-                     integer_valued=True)], ids=["constant", "zero", "random"])
-    def test_one_state_array_matches_separate_tables_bit_for_bit(self, p):
+    @pytest.mark.parametrize("p, w", [
+        pytest.param(p, w, id=name if wname == "beta-0.4-kappa-1" else f"{name}-{wname}")
+        for name, p in EULER_DELAYS.items() for wname, w in EULER_WEIGHTS.items()])
+    def test_one_state_array_matches_separate_tables_bit_for_bit(self, p, w):
         # the (x, v) rows of one array, one difference per arc and h times the
-        # slope (v, dv) give the Euler loop on separate tables, bit for bit
+        # slope (v, dv) give the Euler loop on separate tables, bit for bit; the
+        # step evaluates psi by interaction.batch_weight, as the RK4 stages do, and
+        # the reference by WeightFunction.__call__: beta 1 takes numpy's reciprocal,
+        # beta 0 and a constant weight a power of -0.0, a tabulated weight its own call
         rng = np.random.default_rng(3)
         g = matrix_digraph(random_rooted_arcs(rng, 30, 3))
-        w = WeightFunction(kind="cucker-smale", kappa=1.0, beta=0.4)
         tau = p.integer_tau_max
         hist = InitialHistory.from_samples(np.arange(-tau - 1.0, 1.0),
                                            rng.uniform(-3, 3, size=(tau + 2, 30, 2)),
